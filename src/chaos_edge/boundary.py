@@ -1,12 +1,15 @@
 """Locating the boundary of chaos with two-sided certificates.
 
-A parameter is classified *positive* when a non-power-of-two periodic orbit
-(or a two-full-branch horseshoe of an iterate) is found and re-verified, and
-*zero* when every plateau orbit closes up into a cycle of period 2^k (k
-bounded) and every period found up to the bound is a power of two.  Both
-certificates are exact for stunted maps.  Bisection keeps a certified
-bracket; probes that certify neither way are flagged and the bracket is
-refined around them.
+For stunted maps one exact route decides a parameter (``decide_exact``):
+every orbit stays on a finite lattice, so the plateau orbits close up and the
+forward closure of the breakpoints is a finite Markov partition.  The
+parameter is *positive* when a plateau cycle, or a splice of two cycles of a
+branching transition component, is an exactly re-verified orbit whose period
+is not a power of two; it is *zero* when every plateau orbit closes up into a
+cycle of period 2^k (k bounded) and every transition component is a single
+cycle with power-of-two periods.  Bisection keeps a certified bracket;
+probes that certify neither way (a budget ran out) are flagged and the
+bracket is refined around them.
 
 The quadratic family gets a floating-point analogue built on the doubling
 tower: a parameter is zero-certified when the critical orbit settles on an
@@ -27,8 +30,9 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .entropy import Witness, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, build_stunted,
-                   build_type_b, is_exact, rat)
+from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, build_stunted,
+                   build_type_b, is_exact, iterate, rat)
+from .markov import build_markov, cycle_analysis
 from .periods import is_power_of_two, periodic_points
 from .symbolic import shape
 
@@ -95,10 +99,16 @@ class ProbeResult:
         return d
 
 
-def plateau_orbit_analysis(T: StuntedSawtooth, budget: int):
+def _plateau_values(T):
+    if isinstance(T, StuntedSawtooth):
+        return T.plateau_values
+    return [v for _, _, v in as_pl(T).plateau_runs()]
+
+
+def plateau_orbit_analysis(T, budget: int):
     """Exact eventual period of each plateau value's orbit, or None at budget."""
     out = []
-    for i, v in enumerate(T.plateau_values):
+    for i, v in enumerate(_plateau_values(T)):
         seen = {}
         y = v
         k = 0
@@ -114,39 +124,71 @@ def plateau_orbit_analysis(T: StuntedSawtooth, budget: int):
     return out
 
 
+def decide_exact(T, levels_bound: int, bound: int,
+                 config: RunConfig = DEFAULT) -> ProbeResult:
+    """The exact decision route: plateau orbits plus the Markov transition graph.
+
+    Positive when a plateau cycle, or a splice of two cycles of a branching
+    transition component, is a re-verified orbit whose period is not a power
+    of two.  Zero when every plateau cycle has period 2^k with
+    k <= levels_bound and every component is a single cycle with
+    power-of-two periods; the certificate lists the periods up to ``bound``.
+    Otherwise undecided, with the reason in the note.  A plateau orbit that
+    does not close up within ``orbit_budget`` steps raises BudgetExhausted,
+    and a partition past the Markov budget raises MarkovBudgetError; both
+    messages name the budget and its limit.
+    """
+    recs = plateau_orbit_analysis(T, config.orbit_budget)
+    for r in recs:
+        if r is not None and not is_power_of_two(r.period):
+            # the plateau cycle itself is a non-power-of-two periodic orbit
+            y = iterate(T, _plateau_values(T)[r.plateau], r.preperiod)
+            orbit = [y]
+            for _ in range(r.period - 1):
+                orbit.append(T(orbit[-1]))
+            w = Witness("periodic-orbit", r.period, tuple(orbit))
+            if verify_witness(T, w):
+                return ProbeResult(POSITIVE, witness=w)
+    if None in recs:
+        raise BudgetExhausted(
+            f"plateau orbit {recs.index(None)} did not close up within "
+            f"orbit_budget={config.orbit_budget} steps")
+    analysis = cycle_analysis(build_markov(as_pl(T), *config.markov_budget()))
+    if analysis.witness_orbit is not None:
+        w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
+        if verify_witness(T, w):
+            return ProbeResult(POSITIVE, witness=w)
+    if not analysis.complete or not all(is_power_of_two(p) for p in analysis.periods):
+        return ProbeResult(UNDECIDED,
+                           note="entropy is positive but no orbit was verified")
+    if any(r.doubling_level > levels_bound for r in recs):
+        return ProbeResult(UNDECIDED,
+                           note=f"a plateau period exceeds 2^{levels_bound}")
+    cert = ZeroEntropyCertificate(tuple(recs),
+                                  frozenset(p for p in analysis.periods if p <= bound),
+                                  levels_bound, bound)
+    return ProbeResult(ZERO, certificate=cert)
+
+
 def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = None,
                              bound: Optional[int] = None,
                              config: RunConfig = DEFAULT
                              ) -> Optional[ZeroEntropyCertificate]:
     """Exact evidence that every plateau orbit is eventually 2^k-periodic and
-    every period found up to the bound is a power of two; None on refutation.
+    that the exact transition graph has only power-of-two periods (its
+    single-cycle components enumerate the complete period set); None on
+    refutation.
 
     Budget exhaustion raises instead of returning None, so an absent
-    certificate always means an actual refutation at these bounds.  The
-    period check walks the exact transition graph, whose cycle structure
-    enumerates the complete period set when no component branches.
+    certificate always means an actual refutation at these bounds.
     """
-    from .markov import build_markov, cycle_analysis
     if not is_exact(T):
         raise PreconditionError("zero-entropy certificates need an exact map")
     if levels_bound is None:
         levels_bound = config.zero_cert_levels
     if bound is None:
         bound = config.period_bound_exact
-    recs = plateau_orbit_analysis(T, config.orbit_budget)
-    if any(r is None for r in recs):
-        raise BudgetExhausted("plateau orbit did not close up within the budget")
-    for r in recs:
-        if not is_power_of_two(r.period) or r.doubling_level > levels_bound:
-            return None
-    system = build_markov(T.pl, min(config.orbit_budget, config.markov_max_states))
-    analysis = cycle_analysis(system)
-    if not analysis.complete:
-        return None   # a branching transition component refutes zero entropy
-    if any(not is_power_of_two(p) for p in analysis.periods):
-        return None
-    found = frozenset(p for p in analysis.periods if p <= bound)
-    return ZeroEntropyCertificate(tuple(recs), found, levels_bound, bound)
+    return decide_exact(T, levels_bound, bound, config).certificate
 
 
 def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
@@ -166,46 +208,12 @@ def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
 
 def classify_stunted(T: StuntedSawtooth, bound: int,
                      config: RunConfig = DEFAULT) -> ProbeResult:
-    from .markov import MarkovBudgetError, build_markov, cycle_analysis
-    recs = plateau_orbit_analysis(T, config.orbit_budget)
-    if all(r is not None for r in recs):
-        bad = [r for r in recs if not is_power_of_two(r.period)]
-        if bad:
-            # the plateau cycle itself is a non-power-of-two periodic orbit
-            r = bad[0]
-            y = T.plateau_values[r.plateau]
-            for _ in range(r.preperiod):
-                y = T(y)
-            orbit = [y]
-            for _ in range(r.period - 1):
-                orbit.append(T(orbit[-1]))
-            w = Witness("periodic-orbit", r.period, tuple(orbit))
-            if verify_witness(T, w):
-                return ProbeResult(POSITIVE, witness=w)
-        try:
-            system = build_markov(T.pl, min(config.orbit_budget,
-                                            config.markov_max_states))
-        except MarkovBudgetError:
-            system = None
-        if system is not None:
-            analysis = cycle_analysis(system)
-            if analysis.witness_orbit is not None:
-                w = Witness("periodic-orbit", analysis.witness_period,
-                            analysis.witness_orbit)
-                if verify_witness(T, w):
-                    return ProbeResult(POSITIVE, witness=w)
-            if analysis.complete and all(is_power_of_two(p) for p in analysis.periods):
-                if all(r.doubling_level <= config.zero_cert_levels for r in recs):
-                    cert = ZeroEntropyCertificate(
-                        tuple(recs),
-                        frozenset(p for p in analysis.periods if p <= bound),
-                        config.zero_cert_levels, bound)
-                    return ProbeResult(ZERO, certificate=cert)
-
-    w = positive_entropy_witness(T, bound, config)
-    if w is not None:
-        return ProbeResult(POSITIVE, witness=w)
-    return ProbeResult(UNDECIDED, note="no certificate at budget")
+    """Exact probe verdict by ``decide_exact``; a budget that runs out gives
+    UNDECIDED with the budget named in the note."""
+    try:
+        return decide_exact(T, config.zero_cert_levels, bound, config)
+    except BudgetExhausted as exc:
+        return ProbeResult(UNDECIDED, note=str(exc))
 
 
 # ---------------------------------------------------------------------

@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import boundary as bd
@@ -22,7 +21,7 @@ from . import entropy as en
 from . import periods as pd
 from . import renorm as rn
 from . import symbolic as sy
-from .config import DEFAULT, RunConfig, thread_cap
+from .config import DEFAULT, RunConfig
 from .errors import (BudgetExhausted, DescriptorError, DomainEscapeError,
                      PreconditionError)
 from .maps import build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
@@ -65,8 +64,6 @@ def _config_from(args) -> RunConfig:
     if args.budget is not None:
         kw["piece_budget"] = args.budget
         kw["orbit_budget"] = args.budget
-    if args.seed is not None:
-        kw["seed"] = args.seed
     if args.format is not None:
         kw["output_format"] = args.format
     return DEFAULT.with_(**kw) if kw else DEFAULT
@@ -152,7 +149,7 @@ def cmd_psi(args) -> None:
     cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
     mturn = len(turning_points_of(m))
-    base = build_base(mturn, 1)
+    base = build_base(mturn, sy.orientation(m))
     res = sy.psi(m, base, args.depth or cfg.depth)
     _emit_json({"m": mturn,
                 "s": [str(s) for s in res.s],
@@ -245,9 +242,7 @@ def cmd_sweep(args) -> None:
                 h = ""
         return [str(t), h, _attracting_summary(m, cfg), ";".join(samples)]
 
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(row, ts))
-    _emit_csv(rows, ["t", "entropy", "attracting_period", "orbit_samples"])
+    _emit_csv([row(t) for t in ts], ["t", "entropy", "attracting_period", "orbit_samples"])
 
 
 def _orbit_samples(m, cfg, count: int = 16):
@@ -289,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", dest="n_max", type=int, default=None)
         p.add_argument("--precision", type=float, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
 
     common(sub.add_parser("entropy", help="lap and Markov entropy of a map"))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ class RunConfig:
     piece_budget: int = 400_000        # total monotone/constant pieces per scan
     orbit_budget: int = 20_000         # exact orbit steps before giving up
     cascade_depth: int = 16            # renormalization levels to attempt
-    witness_cascade_depth: int = 14    # levels for positive-entropy search
     power_iter_tol: float = 1e-10
     power_iter_max: int = 100_000
     markov_max_states: int = 20_000
@@ -38,7 +36,6 @@ class RunConfig:
     attracting_tol: float = 1e-8
     grid_cells: int = 4096             # float periodic-point grid (2**12)
     output_format: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
         if self.output_format not in ("json", "csv"):
@@ -53,18 +50,13 @@ class RunConfig:
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)
 
+    def markov_budget(self):
+        """(limit, name) of the budget that caps a Markov partition's size:
+        the smaller of ``markov_max_states`` and ``orbit_budget``."""
+        if self.orbit_budget < self.markov_max_states:
+            return self.orbit_budget, "orbit_budget"
+        return self.markov_max_states, "markov_max_states"
+
 
 DEFAULT = RunConfig()
 
-
-def thread_cap() -> int:
-    """Parallelism cap for sweeps, from CHAOS_EDGE_THREADS (default: cpu count, max 8)."""
-    raw = os.environ.get("CHAOS_EDGE_THREADS")
-    if raw:
-        try:
-            n = int(raw)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)

@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT, RunConfig
-from .errors import BudgetExhausted, MarkovBudgetError, PreconditionError
+from .errors import BudgetExhausted, PreconditionError
 from .maps import as_pl, is_exact, turning_points_of
-from .periods import is_power_of_two, periodic_points, turning_points_of_iterate
-from .piecewise import (PieceCursor, PiecewiseLinear, fixed_points_of_pieces,
-                        strict_lap_count, two_full_branches)
+from .periods import is_power_of_two, turning_points_of_iterate
+from .piecewise import PieceCursor, strict_lap_count
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,6 @@ def entropy_lap(m, n_max: Optional[int] = None,
 # ---------------------------------------------------------------------
 
 
-
-
 def spectral_radius(rows, size: int, config: RunConfig = DEFAULT) -> float:
     """Spectral radius of a 0/1 matrix whose rows are column ranges.
 
@@ -174,7 +171,7 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
     pl = as_pl(m)
     if not pl.is_self_map():
         raise PreconditionError("Markov entropy needs a self-map")
-    system = build_markov(pl, min(config.orbit_budget, config.markov_max_states))
+    system = build_markov(pl, *config.markov_budget())
     rho = spectral_radius(system.rows, system.size, config)
     value = max(math.log(rho), 0.0) if rho > 0 else 0.0
     return EntropyEstimate(value, "markov-exact", system.size, 0.0)
@@ -187,20 +184,14 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
 
 @dataclass(frozen=True)
 class Witness:
-    kind: str                   # periodic-orbit | horseshoe
+    kind: str                   # periodic-orbit
     period: Optional[int]
     orbit: Optional[tuple]
-    horseshoe: Optional[tuple] = None   # (J_lo, J_hi, iterate)
-    level: int = 0
 
     def as_dict(self):
-        d = {"kind": self.kind, "period": self.period, "level": self.level}
+        d = {"kind": self.kind, "period": self.period}
         if self.orbit is not None:
             d["orbit"] = [str(x) for x in self.orbit]
-        if self.horseshoe is not None:
-            d["horseshoe"] = {"lo": str(self.horseshoe[0]),
-                              "hi": str(self.horseshoe[1]),
-                              "iterate": self.horseshoe[2]}
         return d
 
 
@@ -222,80 +213,17 @@ def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
     return not is_power_of_two(w.period)
 
 
-def _scan_nonpow2(m, bound: int, config: RunConfig,
-                  cursor: Optional[PieceCursor] = None) -> Optional[Witness]:
-    """Ascending exact scan for a minimal period that is not a power of two."""
-    pl = as_pl(m)
-    if cursor is None:
-        cursor = PieceCursor(pl, config.piece_budget)
-    for p in range(3, bound + 1):
-        if is_power_of_two(p):
-            continue
-        try:
-            orbits = periodic_points(m, p, config, cursor=cursor)
-        except BudgetExhausted:
-            return None
-        if orbits:
-            return Witness("periodic-orbit", p, orbits[0].points)
-    return None
-
-
-def _orbit_from_two_branches(pl: PiecewiseLinear, hs):
-    """Exact period-3 point of pl from two full branches (pattern B1 B2 B2).
-
-    Both branches map onto [lo, hi] monotonically, so the pattern sets live
-    in nested intervals and the period-3 equation is solved per affine piece.
-    """
-    from .piecewise import advance_pieces
-    lo, hi, (q1a, q1b), (q2a, q2b) = hs
-    g1 = pl.restrict(q1a, q1b)
-    g2 = pl.restrict(q2a, q2b)
-    y2 = _preimage_interval(g2, q2a, q2b)       # {y in Q2 : pl(y) in Q2}
-    if y2 is None or not y2[0] < y2[1]:
-        return None
-    x2 = _preimage_interval(g1, y2[0], y2[1])   # {x in Q1 : pl(x) in Y2}
-    if x2 is None or not x2[0] < x2[1]:
-        return None
-    r = pl.restrict(*x2)
-    p = r.pieces()
-    p = advance_pieces(p, pl, 200_000)
-    p = advance_pieces(p, pl, 200_000)
-    for x, _ in fixed_points_of_pieces(p):
-        if x2[0] <= x <= x2[1]:
-            return x
-    return None
-
-
-def _preimage_interval(seg: PiecewiseLinear, vlo, vhi):
-    """{x : seg(x) in [vlo, vhi]} for strictly monotone seg, as an interval."""
-    from .piecewise import solve_on_pieces
-    fa, fb = seg.ys[0], seg.ys[-1]
-    increasing = fb > fa
-    img_lo, img_hi = (fa, fb) if increasing else (fb, fa)
-    lo_t = max(vlo, img_lo)
-    hi_t = min(vhi, img_hi)
-    if lo_t > hi_t:
-        return None
-    lo_pre = solve_on_pieces(seg.pieces(), lo_t)
-    hi_pre = solve_on_pieces(seg.pieces(), hi_t)
-    if not lo_pre or not hi_pre:
-        return None
-    a, b = (lo_pre[0], hi_pre[-1]) if increasing else (hi_pre[0], lo_pre[-1])
-    return (a, b) if a < b else None
-
-
 def positive_entropy_witness(m, period_bound: Optional[int] = None,
-                             config: RunConfig = DEFAULT,
-                             cursor: Optional[PieceCursor] = None) -> Optional[Witness]:
-    """A periodic orbit of non-power-of-two period, or a two-full-branch
-    horseshoe of some iterate, or None.
+                             config: RunConfig = DEFAULT) -> Optional[Witness]:
+    """A re-verified periodic orbit whose period is not a power of two, or None.
 
-    Absence of a witness at the given budgets is not a proof of zero entropy.
-    For exact maps the search first scans small periods exactly, then walks
-    the period-doubling renormalization cascade and looks for a horseshoe or
-    a short odd-ish period of the return map; a hit at cascade level k means
-    a non-power-of-two period q·2^k for the original map, which is solved
-    exactly and re-verified.
+    Exact maps go through the exact decision route
+    (``boundary.decide_exact``): the witness is a plateau cycle or a splice
+    of two cycles of a branching Markov component, and its period is not
+    capped by ``period_bound``.  None there means zero entropy was certified,
+    or a budget ran out, or a branching component gave no verified orbit.
+    Float maps search periods up to the bound.  Absence of a witness is not a
+    proof of zero entropy.
     """
     if period_bound is None:
         period_bound = (config.period_bound_exact if is_exact(m)
@@ -305,77 +233,8 @@ def positive_entropy_witness(m, period_bound: Optional[int] = None,
     if not is_exact(m):
         from .boundary import float_positive_witness
         return float_positive_witness(m, period_bound, config)
-    pl = as_pl(m)
-
-    # Markov shortcut: when the breakpoint orbits close up, the transition
-    # graph enumerates the complete period structure or splices a
-    # non-power-of-two orbit out of a branching component.
-    from .markov import MarkovBudgetError as _MBE
-    from .markov import build_markov, cycle_analysis
+    from .boundary import decide_exact
     try:
-        system = build_markov(pl, min(config.orbit_budget, 8192))
-    except _MBE:
-        system = None
-    if system is not None:
-        analysis = cycle_analysis(system)
-        if analysis.witness_orbit is not None:
-            cand = Witness("periodic-orbit", analysis.witness_period,
-                           analysis.witness_orbit)
-            if verify_witness(m, cand):
-                return cand
-        elif analysis.complete:
-            return None   # complete enumeration, only power-of-two periods
-
-    w = _scan_nonpow2(m, min(period_bound, 16), config, cursor=cursor)
-    if w is not None:
-        return w
-
-    # renormalization cascade: find period-2 restrictive intervals, rescale,
-    # and look for a horseshoe or a small non-power-of-two period per level.
-    from .renorm import find_restrictive, renormalize
-    current = pl
-    chain = []  # affine maps, level coords -> original coords
-    for level in range(config.witness_cascade_depth + 1):
-        factor = 2 ** level
-        hs = two_full_branches(current)
-        if hs is not None:
-            x = _orbit_from_two_branches(current, hs)
-            if x is not None:
-                y = x
-                for phi_inv in reversed(chain):
-                    y = phi_inv(y)
-                period = 3 * factor
-                cand = Witness("periodic-orbit", period, _exact_orbit(pl, y, period),
-                               horseshoe=(hs[0], hs[1], factor), level=level)
-                if verify_witness(m, cand):
-                    return cand
-        if level > 0:
-            wl = _scan_nonpow2(current, 12, config)
-            if wl is not None:
-                y = wl.orbit[0]
-                for phi_inv in reversed(chain):
-                    y = phi_inv(y)
-                period = wl.period * factor
-                cand = Witness("periodic-orbit", period, _exact_orbit(pl, y, period),
-                               level=level)
-                if verify_witness(m, cand):
-                    return cand
-        ri = find_restrictive(current, 2, config)
-        if ri is None:
-            break
-        current, phi = renormalize(current, ri, config, return_phi=True)
-        chain.append(phi.inverse())
-    if period_bound > 16:
-        # budget-capped last resort for periods the quick routes missed
-        return _scan_nonpow2(m, period_bound, config, cursor=cursor)
-    return None
-
-
-def _exact_orbit(pl: PiecewiseLinear, x, period: int):
-    pts = [x]
-    y = x
-    for _ in range(period - 1):
-        y = pl(y)
-        pts.append(y)
-    least = min(range(period), key=lambda i: pts[i])
-    return tuple(pts[least:] + pts[:least])
+        return decide_exact(m, config.zero_cert_levels, period_bound, config).witness
+    except BudgetExhausted:
+        return None

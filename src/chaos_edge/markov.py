@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import MarkovBudgetError
-from .periods import is_power_of_two
+from .periods import _minimal_period, is_power_of_two
 from .piecewise import PiecewiseLinear
 
 
@@ -40,7 +40,10 @@ class MarkovSystem:
         return len(self.points) - 1
 
 
-def build_markov(pl: PiecewiseLinear, budget: int) -> MarkovSystem:
+def build_markov(pl: PiecewiseLinear, budget: int,
+                 budget_name: str = "budget") -> MarkovSystem:
+    """Partition by the forward closure of the breakpoints; raises
+    MarkovBudgetError, naming ``budget_name``, past ``budget`` points."""
     if not pl.is_self_map():
         raise MarkovBudgetError("not a self-map")
     points = set(pl.xs)
@@ -54,7 +57,8 @@ def build_markov(pl: PiecewiseLinear, budget: int) -> MarkovSystem:
                 nxt.append(y)
                 if len(points) > budget:
                     raise MarkovBudgetError(
-                        f"not Markov at budget: breakpoint orbits exceed {budget} points")
+                        f"not Markov within {budget_name}={budget}: "
+                        f"breakpoint orbits exceed {budget} points")
         frontier = nxt
     pts = sorted(points)
     index = {x: i for i, x in enumerate(pts)}
@@ -168,15 +172,6 @@ def _cycle_orbit(system: MarkovSystem, states):
     return tuple(orbit)
 
 
-def _minimal_period_exact(pl, x, cap):
-    y = x
-    for k in range(1, cap + 1):
-        y = pl(y)
-        if y == x:
-            return k
-    return None
-
-
 def _point_cycle_periods(system: MarkovSystem):
     """Minimal periods of all cycles in the functional graph on partition points."""
     nxt = system.next_point
@@ -201,7 +196,7 @@ def _point_cycle_periods(system: MarkovSystem):
     return periods
 
 
-def cycle_analysis(system: MarkovSystem, pattern_tries: int = 4) -> CycleAnalysis:
+def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     """Period structure from the transition graph.
 
     If every strongly connected component is a single cycle, the returned
@@ -246,7 +241,7 @@ def cycle_analysis(system: MarkovSystem, pattern_tries: int = 4) -> CycleAnalysi
                 orbit = _cycle_orbit(system, cyc)
                 if orbit is None:
                     continue
-                mp = _minimal_period_exact(system.pl, orbit[0], len(cyc))
+                mp = _minimal_period(system.pl, orbit[0], len(cyc))
                 if mp:
                     periods.add(mp)
             continue
@@ -260,13 +255,11 @@ def cycle_analysis(system: MarkovSystem, pattern_tries: int = 4) -> CycleAnalysi
         if w1 is None or w2 is None:
             continue
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
-            if a + b > pattern_tries + 2:
-                break
             walk = w1 * a + w2 * b
             orbit = _cycle_orbit(system, walk)
             if orbit is None:
                 continue
-            mp = _minimal_period_exact(system.pl, orbit[0], len(walk))
+            mp = _minimal_period(system.pl, orbit[0], len(walk))
             if mp and not is_power_of_two(mp):
                 y = orbit[0]
                 cyc_pts = [y]
@@ -324,7 +317,7 @@ def _orbit_with_period(system: MarkovSystem, p: int):
             k += 1
         if v in seen and k - seen[v] == p:
             x = system.points[v]
-            mp = _minimal_period_exact(system.pl, x, p)
+            mp = _minimal_period(system.pl, x, p)
             if mp == p:
                 orbit = [x]
                 y = x

@@ -42,8 +42,9 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _minimal_period(m, x, p: int, tol: Optional[float]):
-    """First-return time of x under m within p steps (None if never returns)."""
+def _minimal_period(m, x, p: int, tol: Optional[float] = None):
+    """First-return time of x under m within p steps (None if never returns);
+    exact equality when tol is None."""
     y = x
     for k in range(1, p + 1):
         y = m(y)
@@ -99,7 +100,7 @@ def _periodic_exact(m, p, config, cursor=None):
     for x, slope in sols:
         if x in seen:
             continue
-        mp = _minimal_period(fn, x, p, None)
+        mp = _minimal_period(fn, x, p)
         if mp != p:
             # solution of f^p(x)=x with a smaller true period
             if mp is not None:

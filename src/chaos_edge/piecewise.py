@@ -149,10 +149,6 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({len(self.xs)} breakpoints on [{self.lo}, {self.hi}])"
 
 
-def from_samples(fn, xs) -> PiecewiseLinear:
-    return PiecewiseLinear(xs, [fn(x) for x in xs])
-
-
 # -- iterated pieces -----------------------------------------------------
 
 
@@ -224,30 +220,6 @@ def strict_lap_count(pieces) -> int:
     return max(count, 1)
 
 
-def monotone_runs(pieces):
-    """Maximal monotone runs as (a, b, direction, image_lo, image_hi)."""
-    runs = []
-    cur = None
-    for a, b, fa, fb in pieces:
-        d = 1 if fb > fa else (-1 if fb < fa else 0)
-        if d == 0:
-            if cur:
-                runs.append(cur)
-                cur = None
-            continue
-        if cur and cur[2] == d and cur[1] == a:
-            lo = min(cur[3], fa, fb)
-            hi = max(cur[4], fa, fb)
-            cur = (cur[0], b, d, lo, hi)
-        else:
-            if cur:
-                runs.append(cur)
-            cur = (a, b, d, min(fa, fb), max(fa, fb))
-    if cur:
-        runs.append(cur)
-    return runs
-
-
 def fixed_points_of_pieces(pieces):
     """Exact solutions of F(x) = x, one per piece, as (x, slope).
 
@@ -294,50 +266,3 @@ def solve_on_pieces(pieces, target):
             sols.append(x)
     sols = sorted(set(sols))
     return sols
-
-
-def two_full_branches(pl: PiecewiseLinear, max_runs: int = 64):
-    """Find an interval J with two disjoint monotone branches mapping onto J.
-
-    Returns (J_lo, J_hi, (q1_lo, q1_hi), (q2_lo, q2_hi)) or None.  This is the
-    two-full-branch horseshoe test used to witness entropy >= log 2.
-    """
-    runs = monotone_runs(pl.pieces())
-    if len(runs) > max_runs:
-        runs = runs[:max_runs]
-    n = len(runs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lo = max(runs[i][3], runs[j][3])
-            hi = min(runs[i][4], runs[j][4])
-            if not lo < hi:
-                continue
-            qs = []
-            ok = True
-            for r in (runs[i], runs[j]):
-                q = _monotone_preimage(pl, r, lo, hi)
-                if q is None or q[0] < lo or q[1] > hi:
-                    ok = False
-                    break
-                qs.append(q)
-            if ok and qs[0][1] <= qs[1][0]:
-                return (lo, hi, qs[0], qs[1])
-            if ok and qs[1][1] <= qs[0][0]:
-                return (lo, hi, qs[1], qs[0])
-    return None
-
-
-def _monotone_preimage(pl: PiecewiseLinear, run, vlo, vhi):
-    """Preimage of [vlo, vhi] inside a monotone run of pl, as an interval."""
-    a, b, d, _, _ = run
-    seg = pl.restrict(a, b)
-    lo_t, hi_t = (vlo, vhi) if d > 0 else (vhi, vlo)
-    xs_lo = solve_on_pieces(seg.pieces(), lo_t)
-    xs_hi = solve_on_pieces(seg.pieces(), hi_t)
-    if not xs_lo or not xs_hi:
-        return None
-    left = xs_lo[0] if d > 0 else xs_hi[0]
-    right = xs_hi[-1] if d > 0 else xs_lo[-1]
-    if left >= right:
-        return None
-    return (left, right)

@@ -311,6 +311,14 @@ def _periodic_tail_point(base: SawtoothBase, target):
     return None
 
 
+def orientation(m) -> int:
+    """+1 when the map increases on its first lap, -1 when it decreases: the
+    epsilon of the base zigzag that ``psi`` projects it onto."""
+    dom = domain_of(m)
+    probe = dom.lo + (dom.hi - dom.lo) / (10**6 if is_exact(m) else 1e6)
+    return 1 if m(probe) > m(dom.lo) else -1
+
+
 def psi(m, base: SawtoothBase, depth: int = 64,
         width_tol: Optional[Fraction] = None) -> PsiResult:
     """Project a multimodal map onto the stunted family with the same kneading.
@@ -327,10 +335,7 @@ def psi(m, base: SawtoothBase, depth: int = 64,
     if len(c) != base.m:
         raise PreconditionError(
             f"map has {len(c)} turning points but the base has {base.m}")
-    dom = domain_of(m)
-    probe = dom.lo + (dom.hi - dom.lo) / (10**6 if is_exact(m) else 1e6)
-    eps_m = 1 if m(probe) > m(dom.lo) else -1
-    if eps_m != base.epsilon:
+    if orientation(m) != base.epsilon:
         raise PreconditionError("orientation mismatch between map and base")
     nu = kneading(m, depth)
     ss = []
@@ -338,7 +343,7 @@ def psi(m, base: SawtoothBase, depth: int = 64,
     for k in range(base.m):
         seq = nu.nu[k]
         if any(s < 0 for s in seq):
-            raise ValueError(
+            raise PreconditionError(
                 f"kneading sequence {k + 1} enters a plateau; "
                 "the projection needs lap symbols only")
         target = (k + 1,) + tuple(seq)

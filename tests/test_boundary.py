@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from chaos_edge import (PreconditionError, build_stunted,
+from chaos_edge import (DEFAULT, PreconditionError, build_base, build_stunted,
                         approximants, classify_quadratic,
-                        classify_stunted, locate_boundary, quadratic_path,
+                        classify_stunted, locate_boundary,
+                        positive_entropy_witness, quadratic_path,
                         shape, stunted_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
-from chaos_edge.boundary import POSITIVE, ZERO, plateau_orbit_analysis
+from chaos_edge.boundary import POSITIVE, UNDECIDED, ZERO, plateau_orbit_analysis
 from chaos_edge.periods import is_power_of_two
+
+from conftest import random_xi
 
 F = Fraction
 
@@ -62,6 +65,24 @@ class TestClassify:
                 assert r.witness is not None and r.certificate is None
             elif r.kind == ZERO:
                 assert r.certificate is not None and r.witness is None
+
+    def test_orbit_budget_named(self, T12):
+        r = classify_stunted(T12, 64, DEFAULT.with_(orbit_budget=2))
+        assert r.kind == UNDECIDED
+        assert r.note == ("not Markov within orbit_budget=2: "
+                          "breakpoint orbits exceed 2 points")
+
+    def test_markov_max_states_named(self, T12):
+        r = classify_stunted(T12, 64, DEFAULT.with_(markov_max_states=2))
+        assert r.kind == UNDECIDED
+        assert r.note == ("not Markov within markov_max_states=2: "
+                          "breakpoint orbits exceed 2 points")
+
+    def test_plateau_orbit_budget_named(self, base1):
+        r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
+                             DEFAULT.with_(orbit_budget=5))
+        assert r.kind == UNDECIDED
+        assert r.note == "plateau orbit 0 did not close up within orbit_budget=5 steps"
 
     def test_quadratic_sides(self):
         assert classify_quadratic(-1.3, 32).kind == ZERO
@@ -158,3 +179,24 @@ class TestPlateauAnalysis:
         recs = plateau_orbit_analysis(T, 1000)
         assert recs[0] is not None
         assert recs[0].preperiod == 2 and recs[0].period == 1
+
+
+class TestExactRoute:
+    def test_random_maps_decided(self):
+        # every orbit of a rational stunted map stays on a finite lattice, so
+        # plateau orbits plus the Markov graph decide each map at the defaults
+        rnd = random.Random(2019)
+        verdicts = {ZERO: 0, POSITIVE: 0}
+        for _ in range(200):
+            base = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+            T = build_stunted(base, random_xi(rnd, base, 2 ** rnd.randint(3, 40)))
+            r = classify_stunted(T, 64)
+            assert r.kind != UNDECIDED, (T.xi, r.note)
+            verdicts[r.kind] += 1
+            if r.kind == ZERO:
+                assert verify_zero_certificate(T, r.certificate)
+                assert all(is_power_of_two(o.period) for o in r.certificate.plateau_orbits)
+            else:
+                assert verify_witness(T, r.witness)
+            assert (positive_entropy_witness(T, 64) is not None) == (r.kind == POSITIVE)
+        assert min(verdicts.values()) > 0

@@ -94,6 +94,21 @@ class TestSymbolicCmds:
         assert rep["s"] == ["1/2"]
         assert rep["stunted"]["xi"] == ["3/2"]
 
+    def test_psi_decreasing_quadratic_stdin(self, capsys, monkeypatch):
+        # x^2 - 2 decreases on its first lap, so it projects onto epsilon = -1
+        from chaos_edge import Quadratic, build_base, psi
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"kind":"quadratic","c":-2.0}'))
+        code, out, _ = run_cli(capsys, "psi", "-")
+        assert code == 0
+        expected = psi(Quadratic(-2.0), build_base(1, -1))
+        assert json.loads(out)["s"] == [str(s) for s in expected.s]
+
+    def test_psi_plateau_kneading_exit3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FIXED)))
+        code, out, err = run_cli(capsys, "psi", "-")
+        assert code == 3 and out == ""
+        assert "enters a plateau" in err
+
 
 class TestRenormCmd:
     def test_restrictive(self, tmp_path, capsys):
