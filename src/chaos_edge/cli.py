@@ -228,26 +228,23 @@ def cmd_sweep(args) -> None:
             m = path.map_at(t)
         except (ValueError, DescriptorError) as exc:
             return [str(t), "", "", f"error: {exc}"]
-        samples = _orbit_samples(m, cfg)
+        samples = _orbit_samples(m)
         h = ""
-        if is_exact(m):
-            try:
+        try:
+            if is_exact(m):
                 h = en.entropy_markov(m, cfg).value
-            except BudgetExhausted:
-                h = ""
-        elif args.with_entropy:
-            try:
+            elif args.with_entropy:
                 h = en.entropy_lap(m, cfg.n_max, cfg).value
-            except BudgetExhausted:
-                h = ""
+        except BudgetExhausted:
+            pass
         return [str(t), h, _attracting_summary(m, cfg), ";".join(samples)]
 
     _emit_csv([row(t) for t in ts], ["t", "entropy", "attracting_period", "orbit_samples"])
 
 
-def _orbit_samples(m, cfg, count: int = 16):
-    dom = m.domain if not isinstance(m, tuple) else None
-    x = (dom.lo + dom.hi) / 2 if not turning_points_of(m) else turning_points_of(m)[0]
+def _orbit_samples(m, count: int = 16):
+    """Orbit of the first turning point after 512 steps (every family has one)."""
+    x = turning_points_of(m)[0]
     try:
         for _ in range(512):
             x = m(x)
@@ -262,7 +259,7 @@ def _orbit_samples(m, cfg, count: int = 16):
 
 def _attracting_summary(m, cfg) -> str:
     if is_exact(m):
-        recs = bd.plateau_orbit_analysis(m, cfg.orbit_budget) if hasattr(m, "plateau_values") else []
+        recs = bd.plateau_orbit_analysis(m, cfg.orbit_budget)
         periods = sorted({r.period for r in recs if r is not None})
         return "/".join(str(p) for p in periods)
     if hasattr(m, "c"):

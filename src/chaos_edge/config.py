@@ -22,12 +22,10 @@ class RunConfig:
     period_bound_float: int = 32
     n_max: int = 14                    # lap-growth estimator horizon
     lap_cap: int = 10**9               # reported counts above this saturate
-    piece_budget: int = 400_000        # total monotone/constant pieces per scan
+    piece_budget: int = 400_000        # pieces per iterate; exact lap counts use the Markov budget
     orbit_budget: int = 20_000         # exact orbit steps before giving up
     cascade_depth: int = 16            # renormalization levels to attempt
-    power_iter_tol: float = 1e-10
-    power_iter_max: int = 100_000
-    markov_max_states: int = 20_000
+    markov_max_states: int = 20_000    # Markov partition size; caps exact entropy and laps
     zero_cert_levels: int = 24         # largest k admitted in 2^k plateau periods
     resolution_exact: Fraction = Fraction(1, 2**40)
     resolution_float: float = 1e-9
@@ -42,8 +40,7 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name in ("depth", "period_bound_exact", "period_bound_float", "n_max",
                      "lap_cap", "piece_budget", "orbit_budget", "cascade_depth",
-                     "power_iter_max", "markov_max_states", "zero_cert_levels",
-                     "grid_cells"):
+                     "markov_max_states", "zero_cert_levels", "grid_cells"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")
 

@@ -1,24 +1,30 @@
 """Topological entropy: lap growth, exact Markov backend, positivity witnesses.
 
-Entropy is the exponential growth rate of the lap count of the iterates.  For
-exact maps whose plateau orbits close up, an exact Markov partition gives the
-entropy as the log of the spectral radius of the transition structure; the
-lap estimator works on anything and reports its regression residual.
+Entropy is the exponential growth rate of the lap count of the iterates
+(Misiurewicz–Szlenk).  An exact map gets both from the one transition graph
+of ``markov.build_markov``: the lap counts of f^n as exact integers, level
+by level, and the spectral radius per strongly connected component, which
+is exactly 1, so the entropy exactly 0, when no component branches.  Float
+maps count laps from the turning points of their iterates; the lap
+estimator fits the growth rate and reports its regression residual.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate, islice
+from operator import mul
 from typing import Optional
-
-import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
 from .maps import as_pl, is_exact, turning_points_of
+from .markov import build_markov, cyclic_components
 from .periods import is_power_of_two, turning_points_of_iterate
-from .piecewise import PieceCursor, strict_lap_count
+from .piecewise import strict_lap_count
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,36 @@ class EntropyEstimate:
                 "saturated": self.saturated}
 
 
-def lap_count(m, n: int, config: RunConfig = DEFAULT,
-              cursor: Optional[PieceCursor] = None) -> LapCount:
+def _graph_laps(pl, config: RunConfig):
+    """Strict lap counts of f, f^2, f^3, ... from the Markov transition graph.
+
+    Each state carries the strict lap count of f^n on it and the direction
+    (+1, -1, or 0 where constant) of f^n at its left and right ends.  On a
+    non-constant state with row [a, b) and slope sign s, f^(n+1) is f^n on
+    states a..b-1 run through in the direction s: its laps are theirs, less
+    one for each adjacent pair whose facing directions agree and are not 0,
+    and its end directions are theirs times s, swapped when s < 0.
+    """
+    if not pl.is_self_map():
+        raise PreconditionError("iterated lap counts need a self-map")
+    system = build_markov(pl, *config.markov_budget())
+    signs = [0 if aff is None else (1 if aff[0] > 0 else -1) for aff in system.affine]
+    laps, left, right = [abs(s) for s in signs], signs, signs
+    while True:
+        pref = list(accumulate(laps, initial=0))
+        joins = list(accumulate((r == l != 0 for r, l in zip(right, left[1:])), initial=0))
+        yield max(pref[-1] - joins[-1], 1)
+        level = []
+        for (a, b), s in zip(system.rows, signs):
+            if s == 0:
+                level.append((0, 0, 0))
+                continue
+            ends = (left[a], right[b - 1]) if s > 0 else (-right[b - 1], -left[a])
+            level.append((pref[b] - pref[a] - joins[b - 1] + joins[a], *ends))
+        laps, left, right = zip(*level)
+
+
+def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
     """Number of maximal intervals of strict monotonicity of the n-th iterate."""
     if n < 1:
         raise PreconditionError("iterate index must be >= 1")
@@ -50,46 +84,46 @@ def lap_count(m, n: int, config: RunConfig = DEFAULT,
         pl = as_pl(m)
         if n == 1:
             return LapCount(1, strict_lap_count(pl.pieces()))
-        if not pl.is_self_map():
-            raise PreconditionError("iterated lap counts need a self-map")
-        if cursor is None:
-            cursor = PieceCursor(pl, config.piece_budget)
-        return LapCount(n, strict_lap_count(cursor.level(n)))
+        return LapCount(n, next(islice(_graph_laps(pl, config), n - 1, None)))
     turns = turning_points_of_iterate(m, n, config) if n > 1 else list(turning_points_of(m))
     return LapCount(n, len(turns) + 1)
 
 
 def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
-    """(counts, saturated): lap counts for n = 1..n_max, stopping at the budget."""
+    """(counts, saturated): lap counts for n = 1..n_max, stopping past ``lap_cap``
+    and, for float maps, at the turning-point budget.  An exact map past the
+    Markov budget raises ``MarkovBudgetError``."""
+    exact = is_exact(m)
+    levels = _graph_laps(as_pl(m), config) if exact else None
     counts = []
-    saturated = False
-    if is_exact(m):
-        pl = as_pl(m)
-        if not pl.is_self_map():
-            raise PreconditionError("lap series needs a self-map")
-        cursor = PieceCursor(pl, config.piece_budget)
-        for n in range(1, n_max + 1):
-            try:
-                pieces = cursor.level(n)
-            except BudgetExhausted:
-                saturated = True
-                break
-            c = strict_lap_count(pieces)
-            counts.append(c)
-            if c > config.lap_cap:
-                saturated = True
-                break
-    else:
-        for n in range(1, n_max + 1):
-            try:
-                counts.append(lap_count(m, n, config).laps)
-            except BudgetExhausted:
-                saturated = True
-                break
-            if counts[-1] > config.lap_cap:
-                saturated = True
-                break
-    return counts, saturated
+    for n in range(1, n_max + 1):
+        try:
+            counts.append(next(levels) if exact else lap_count(m, n, config).laps)
+        except BudgetExhausted:
+            if exact:
+                raise
+            return counts, True
+        if counts[-1] > config.lap_cap:
+            return counts, True
+    return counts, False
+
+
+def _fit_growth(ns, ys):
+    """Least-squares fit of y ~ h*n + d*log n + c: (h, rms residual).
+
+    Solved exactly in rationals on the float data: centring the columns
+    removes c, and Cramer's rule solves the 2x2 normal equations for h, d.
+    """
+    cols = ([Fraction(n) for n in ns], [Fraction(math.log(n)) for n in ns],
+            [Fraction(y) for y in ys])
+    means = [sum(col) / len(col) for col in cols]
+    x, z, y = ([v - mean for v in col] for col, mean in zip(cols, means))
+    xx, zz, xz, xy, zy = (sum(map(mul, u, w)) for u, w in
+                          ((x, x), (z, z), (x, z), (x, y), (z, y)))
+    h = (xy * zz - zy * xz) / (xx * zz - xz ** 2)
+    d = (zy * xx - xy * xz) / (xx * zz - xz ** 2)
+    resid = [c - h * a - d * b for a, b, c in zip(x, z, y)]
+    return float(h), math.sqrt(float(sum(r * r for r in resid) / len(resid)))
 
 
 def entropy_lap(m, n_max: Optional[int] = None,
@@ -108,14 +142,9 @@ def entropy_lap(m, n_max: Optional[int] = None,
     if len(counts) < 4:
         raise BudgetExhausted("lap series too short to fit a growth rate")
     n_used = len(counts)
-    start = max(n_used // 2, 1)
-    ns = np.arange(start, n_used + 1, dtype=float)
-    ls = np.log([counts[int(n) - 1] for n in ns])
-    design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
-    coef, *_ = np.linalg.lstsq(design, ls, rcond=None)
-    resid = float(np.sqrt(np.mean((ls - design @ coef) ** 2)))
-    return EntropyEstimate(max(float(coef[0]), 0.0), "lap-regression",
-                           n_used, resid, saturated)
+    ns = range(max(n_used // 2, 1), n_used + 1)
+    h, resid = _fit_growth(ns, [math.log(counts[n - 1]) for n in ns])
+    return EntropyEstimate(max(h, 0.0), "lap-regression", n_used, resid, saturated)
 
 
 # ---------------------------------------------------------------------
@@ -123,58 +152,68 @@ def entropy_lap(m, n_max: Optional[int] = None,
 # ---------------------------------------------------------------------
 
 
-def spectral_radius(rows, size: int, config: RunConfig = DEFAULT) -> float:
-    """Spectral radius of a 0/1 matrix whose rows are column ranges.
-
-    Transition structures of interval maps are routinely reducible and
-    imprimitive, where plain power iteration stalls or oscillates, so dense
-    eigenvalues are used up to a size cutoff; beyond it, power iteration on
-    A + I (same Perron root shifted by one, aperiodic) with a Collatz
-    upper-bound guard.
+def _perron_bracket(spans):
+    """Collatz–Wielandt bracket (lo, hi) of the Perron root of a strongly
+    connected 0/1 matrix A whose row i has its ones at positions spans[i]:
+    power iteration on A + I (primitive, same Perron vector), each step
+    bounding the root by min and max of (Av)_i / v_i, until float precision
+    or until the bracket has not shrunk for more steps than there are states.
     """
-    if size == 0:
-        return 0.0
-    if size <= 1500:
-        dense = np.zeros((size, size))
-        for i, (a, b) in enumerate(rows):
-            dense[i, a:b] = 1.0
-        eig = np.linalg.eigvals(dense)
-        return float(np.max(np.abs(eig)))
-    v = np.ones(size)
-    lam = 1.0
-    for _ in range(config.power_iter_max):
-        pref = np.concatenate(([0.0], np.cumsum(v)))
-        w = v.copy()
-        for i, (a, b) in enumerate(rows):
-            if a < b:
-                w[i] += pref[b] - pref[a]
-        upper = float(np.max(w / v)) - 1.0   # Collatz bound: rho <= max (Av)_i/v_i
-        s = w.sum()
-        if s == 0:
-            return 0.0
-        new_lam = s / v.sum() - 1.0
-        v = w / s
-        if abs(new_lam - lam) < config.power_iter_tol / 8 and upper - new_lam < 1e-6:
-            return new_lam
-        lam = new_lam
-    return lam
+    v = [1.0] * len(spans)
+    lo, hi, stalled = 0.0, len(spans) + 1.0, 0
+    while hi - lo > 4 * sys.float_info.epsilon * hi and stalled <= len(spans):
+        w = [sum(v[a:b]) for a, b in spans]
+        ratios = [y / x for x, y in zip(v, w)]
+        new = max(lo, min(ratios)), min(hi, max(ratios))
+        stalled = stalled + 1 if new == (lo, hi) else 0
+        lo, hi = new
+        top = max(x + y for x, y in zip(v, w))
+        v = [(x + y) / top for x, y in zip(v, w)]
+    return lo, hi
+
+
+def _radius_bracket(rows, size: int):
+    """(lo, hi) around the spectral radius of a 0/1 matrix whose rows are
+    column ranges: the largest over its strongly connected components, with
+    lo == hi where it is exact (no cycle: 0, only simple cycles: 1)."""
+    lo = hi = 0.0
+    for scc, succ in cyclic_components(rows, size):
+        if all(len(ws) == 1 for ws in succ.values()):     # a simple cycle
+            c_lo = c_hi = 1.0
+        else:
+            # in ascending order, a state's successors are a run of positions
+            order = sorted(scc)
+            pos = {v: i for i, v in enumerate(order)}
+            c_lo, c_hi = _perron_bracket([(pos[succ[v][0]], pos[succ[v][-1]] + 1)
+                                          for v in order])
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return lo, hi
+
+
+def spectral_radius(rows, size: int) -> float:
+    """Spectral radius of a 0/1 matrix whose rows are column ranges, per
+    strongly connected component; exact when no component branches."""
+    lo, hi = _radius_bracket(rows, size)
+    return (lo + hi) / 2
 
 
 def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
     """Exact entropy for maps whose breakpoint orbits close up.
 
-    Builds the Markov partition from the forward orbits of all breakpoints
-    (plateau edges and values included) and returns log of the spectral
-    radius of the induced transition structure.
+    The log of the spectral radius of the transition graph of the Markov
+    partition by the forward orbits of all breakpoints: exactly 0 when no
+    component branches.  The residual of a positive value is the width in h
+    of the Collatz–Wielandt bracket.
     """
-    from .markov import build_markov
     pl = as_pl(m)
     if not pl.is_self_map():
         raise PreconditionError("Markov entropy needs a self-map")
     system = build_markov(pl, *config.markov_budget())
-    rho = spectral_radius(system.rows, system.size, config)
-    value = max(math.log(rho), 0.0) if rho > 0 else 0.0
-    return EntropyEstimate(value, "markov-exact", system.size, 0.0)
+    lo, hi = _radius_bracket(system.rows, system.size)
+    if hi <= 1.0:
+        return EntropyEstimate(0.0, "markov-exact", system.size, 0.0)
+    return EntropyEstimate(math.log((lo + hi) / 2), "markov-exact", system.size,
+                           math.log(hi) - math.log(lo))
 
 
 # ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import DescriptorError, DomainEscapeError, PreconditionError
 from .piecewise import PiecewiseLinear
@@ -46,9 +46,6 @@ class Interval:
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def interior_contains(self, x) -> bool:
-        return self.lo < x < self.hi
 
 
 # =====================================================================
@@ -189,13 +186,6 @@ class StuntedSawtooth:
 
     def __call__(self, x):
         return self.pl(x)
-
-    def plateau_index(self, x) -> Optional[int]:
-        """0-based index of the closed plateau containing x, else None."""
-        for i, z in enumerate(self.plateaus):
-            if z.lo <= x <= z.hi:
-                return i
-        return None
 
     def shifted(self, delta: Sequence) -> "StuntedSawtooth":
         new = tuple(v + rat(d) for v, d in zip(self.xi, delta))

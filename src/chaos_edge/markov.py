@@ -134,8 +134,15 @@ class CycleAnalysis:
     witness_period: Optional[int]
 
 
-def _in_scc_successors(rows, scc_set, v):
-    return [w for w in range(*rows[v]) if w in scc_set]
+def cyclic_components(rows, size):
+    """Strongly connected components with an internal edge, in Tarjan order,
+    each as (states, {state: its in-component successors, ascending}).  A
+    component branches unless every state has exactly one successor."""
+    for scc in _tarjan_sccs(rows, size):
+        scc_set = set(scc)
+        succ = {v: [w for w in range(*rows[v]) if w in scc_set] for v in scc}
+        if any(succ.values()):
+            yield scc, succ
 
 
 def _compose_cycle(system: MarkovSystem, states):
@@ -204,43 +211,21 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     a component branches, and splicing two of its cycles produces an exact
     periodic orbit whose minimal period is not a power of two.
     """
-    size = system.size
-    rows = system.rows
     periods = set(_point_cycle_periods(system))
     witness_orbit = None
     witness_period = None
     complete = True
-    for scc in _tarjan_sccs(rows, size):
-        scc_set = set(scc)
-        if len(scc) == 1:
-            v = scc[0]
-            succ = _in_scc_successors(rows, scc_set, v)
-            if not succ:
-                continue
-            cycles = [[v]]
-        else:
-            cycles = None
-        branch_vertex = None
-        if cycles is None:
-            for v in scc:
-                succ = _in_scc_successors(rows, scc_set, v)
-                if len(succ) > 1:
-                    branch_vertex = v
-                    break
-            if branch_vertex is None:
-                # follow the unique in-component successor around the cycle
-                v0 = scc[0]
-                cyc = [v0]
-                v = _in_scc_successors(rows, scc_set, v0)[0]
-                while v != v0:
-                    cyc.append(v)
-                    v = _in_scc_successors(rows, scc_set, v)[0]
-                cycles = [cyc]
-        if cycles is not None and branch_vertex is None:
-            for cyc in cycles:
-                orbit = _cycle_orbit(system, cyc)
-                if orbit is None:
-                    continue
+    for scc, succ in cyclic_components(system.rows, system.size):
+        branch_vertex = next((v for v in scc if len(succ[v]) > 1), None)
+        if branch_vertex is None:
+            # follow the unique in-component successor around the cycle
+            cyc = [scc[0]]
+            v = succ[scc[0]][0]
+            while v != scc[0]:
+                cyc.append(v)
+                v = succ[v][0]
+            orbit = _cycle_orbit(system, cyc)
+            if orbit is not None:
                 mp = _minimal_period(system.pl, orbit[0], len(cyc))
                 if mp:
                     periods.add(mp)
@@ -249,9 +234,9 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
         complete = False
         if witness_orbit is not None:
             continue
-        u1, u2 = _in_scc_successors(rows, scc_set, branch_vertex)[:2]
-        w1 = _cycle_through(rows, scc_set, branch_vertex, u1)
-        w2 = _cycle_through(rows, scc_set, branch_vertex, u2)
+        u1, u2 = succ[branch_vertex][:2]
+        w1 = _cycle_through(succ, branch_vertex, u1)
+        w2 = _cycle_through(succ, branch_vertex, u2)
         if w1 is None or w2 is None:
             continue
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
@@ -261,12 +246,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 continue
             mp = _minimal_period(system.pl, orbit[0], len(walk))
             if mp and not is_power_of_two(mp):
-                y = orbit[0]
-                cyc_pts = [y]
-                for _ in range(mp - 1):
-                    y = system.pl(y)
-                    cyc_pts.append(y)
-                witness_orbit = tuple(cyc_pts)
+                witness_orbit = orbit[:mp]
                 witness_period = mp
                 break
     if witness_orbit is None:
@@ -280,7 +260,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     return CycleAnalysis(complete, frozenset(periods), witness_orbit, witness_period)
 
 
-def _cycle_through(rows, scc_set, v, first):
+def _cycle_through(succ, v, first):
     """Closed walk [v, first, ..., u] with an edge u -> v, inside the component."""
     from collections import deque
     if first == v:
@@ -289,7 +269,7 @@ def _cycle_through(rows, scc_set, v, first):
     dq = deque([first])
     while dq:
         w = dq.popleft()
-        for nx in range(*rows[w]):
+        for nx in succ[w]:
             if nx == v:
                 path = []
                 cur = w
@@ -298,7 +278,7 @@ def _cycle_through(rows, scc_set, v, first):
                     cur = parent[cur]
                 path.reverse()
                 return [v] + path
-            if nx in scc_set and nx not in parent:
+            if nx not in parent:
                 parent[nx] = w
                 dq.append(nx)
     return None

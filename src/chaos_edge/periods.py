@@ -12,7 +12,7 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import as_pl, domain_of, is_exact, iterate, turning_points_of
+from .maps import as_pl, domain_of, is_exact, turning_points_of
 from .piecewise import PieceCursor, fixed_points_of_pieces
 
 
@@ -261,11 +261,12 @@ def _periodic_float(m, p, config):
     return orbits
 
 
-def period_set(m, bound: int, config: RunConfig = DEFAULT,
-               cursor: Optional[PieceCursor] = None) -> PeriodSet:
+def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
     """Union of minimal periods found for all p <= bound."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
+    # one cursor for an exact map, so each level of pieces is built once
+    cursor = PieceCursor(as_pl(m), config.piece_budget) if is_exact(m) else None
     found = set()
     complete = 0
     for p in range(1, bound + 1):

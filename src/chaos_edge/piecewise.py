@@ -36,10 +36,6 @@ class Affine:
     def inverse(self) -> "Affine":
         return Affine(1 / self.a, -self.b / self.a)
 
-    def compose(self, other: "Affine") -> "Affine":
-        # self after other
-        return Affine(self.a * other.a, self.a * other.b + self.b)
-
 
 class PiecewiseLinear:
     """Continuous piecewise-linear map given by breakpoints and values."""

@@ -50,6 +50,14 @@ class TestEntropyCmd:
         assert rows[0] == ["n", "laps"]
         assert [r[1] for r in rows[1:]] == [str(2 ** k) for k in range(1, 9)]
 
+    def test_past_markov_budget_exit4(self, tmp_path, capsys):
+        # the breakpoint closure of this window map needs 12 points
+        window = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["637/512"]}
+        code, _, err = run_cli(capsys, "entropy", write(tmp_path, "w.json", window),
+                               "--budget", "10")
+        assert code == 4
+        assert "orbit_budget=10" in err
+
     def test_deterministic_output(self, tmp_path, capsys):
         p = write(tmp_path, "t.json", TRAPEZOID)
         _, out1, _ = run_cli(capsys, "entropy", p)

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (BudgetExhausted, Quadratic, build_base, build_stunted,
-                        entropy_lap, entropy_markov, full_stunted, lap_count,
-                        lap_series, periodic_points, positive_entropy_witness,
-                        verify_witness)
-from chaos_edge.piecewise import PiecewiseLinear
+from chaos_edge import (BudgetExhausted, MarkovBudgetError, Quadratic, build_base,
+                        build_stunted, entropy_lap, entropy_markov, full_stunted,
+                        lap_count, lap_series, periodic_points,
+                        positive_entropy_witness, verify_witness,
+                        zero_entropy_certificate)
+from chaos_edge.config import DEFAULT
+from chaos_edge.maps import as_pl
+from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, strict_lap_count
 
 from conftest import random_xi
 
@@ -18,6 +21,13 @@ F = Fraction
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
+
+# zero sides of locate_boundary(..., resolution=2^-60) on the m = 1 path
+# xi = (t), t in [1/2, 3/2], and on the m = 2 diagonal path xi = (t, t),
+# t in [1/2, 8/3]: Markov graphs of 35 and 69 states whose components are
+# chained simple cycles, so their 0/1 matrices are defective
+ZERO_SIDE_2_60 = {1: F(1434739046586476969, 2**60),
+                  2: F(52542695141702555945, 3 * 2**63)}
 
 
 def zigzag3():
@@ -45,11 +55,50 @@ class TestLapCount:
         T = build_stunted(b, [F(2), F(1), F(3, 2)])
         assert lap_count(T, 1).laps == 4
 
+    def test_past_markov_budget(self, base1):
+        # the breakpoint closure of this window map needs 12 points
+        T = build_stunted(base1, [F(637, 512)])
+        with pytest.raises(MarkovBudgetError, match="orbit_budget=10"):
+            lap_series(T, 10, DEFAULT.with_(orbit_budget=10))
+
     def test_fixed_plateau_constant(self, T12):
         # two strict laps for every iterate (the plateau itself is excluded
         # from the count, which leaves the growth rate unchanged)
         counts, sat = lap_series(T12, 10)
         assert counts == [2] * 10 and not sat
+
+
+class TestGraphLaps:
+    """Lap counts on the Markov graph against the piece engine."""
+
+    def _agree(self, T, n_max=10, budget=1500):
+        """Compare every level the piece engine reaches within its budget;
+        returns how many that is."""
+        counts, saturated = lap_series(T, n_max)
+        assert len(counts) == n_max and not saturated
+        cursor = PieceCursor(as_pl(T), budget)
+        for n in range(1, n_max + 1):
+            try:
+                pieces = cursor.level(n)
+            except BudgetExhausted:
+                return n - 1
+            assert counts[n - 1] == strict_lap_count(pieces), n
+        return n_max
+
+    def test_fixture_maps(self, base1, base2, T32, T12):
+        maps = [T32, T12, build_stunted(base1, [F(1)]), full_stunted(base2),
+                full_stunted(build_base(3, -1)), zigzag3()]
+        for T in maps:
+            assert self._agree(T) >= 4
+
+    def test_seeded_random_maps(self):
+        rnd = random.Random(23)
+        levels = []
+        for _ in range(50):
+            b = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+            T = build_stunted(b, random_xi(rnd, b, rnd.choice((8, 2**10, 2**20, 2**40))))
+            levels.append(self._agree(T))
+        assert min(levels) >= 3 and levels.count(10) >= 25
 
 
 class TestEntropyLap:
@@ -86,9 +135,14 @@ class TestEntropyMarkov:
     def test_zigzag_log3(self):
         assert abs(entropy_markov(zigzag3()).value - LOG3) <= 1e-10
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_side_at_2_60_is_exactly_zero(self, m):
+        T = build_stunted(build_base(m, 1), [ZERO_SIDE_2_60[m]] * m)
+        assert zero_entropy_certificate(T) is not None
+        est = entropy_markov(T)
+        assert est.value == 0.0 and est.residual == 0.0
+
     def test_not_markov_at_budget(self, base1):
-        from chaos_edge import MarkovBudgetError
-        from chaos_edge.config import DEFAULT
         # the breakpoint closure of this window map needs 12 points
         T = build_stunted(base1, [F(637, 512)])
         with pytest.raises(MarkovBudgetError):
@@ -179,7 +233,7 @@ class TestWitness:
             except BudgetExhausted:
                 continue
             w = positive_entropy_witness(T, 64)
-            assert (w is not None) == (h > 1e-3)
+            assert (w is not None) == (h > 0)
             if w is not None:
                 assert h >= 1e-3
 

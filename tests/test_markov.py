@@ -1,6 +1,8 @@
 """Cross-validation of the transition-graph period analysis against the
-piece-based exact solver, plus spectral radius sanity."""
+piece-based exact solver, plus spectral radius checks (numpy's dense
+eigenvalues are the reference on branching graphs)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import BudgetExhausted, build_base, build_stunted, period_set
+from chaos_edge import (BudgetExhausted, build_base, build_stunted, full_stunted,
+                        period_set)
 from chaos_edge.config import DEFAULT
 from chaos_edge.entropy import spectral_radius
 from chaos_edge.markov import build_markov, cycle_analysis
@@ -76,8 +79,53 @@ class TestSpectralRadius:
     def test_zero_rows(self):
         assert spectral_radius([(0, 0), (0, 0)], 2) == 0.0
 
+    def test_chain_of_simple_cycles_is_exactly_one(self):
+        # ten 2-cycles, each with one edge into the one before: every
+        # component is a simple cycle, and the matrix is defective (Jordan
+        # blocks of size 10 for +1 and -1), where dense eigenvalues are off
+        # by about eps^(1/10)
+        n = 20
+        rows = []
+        for i in range(0, n, 2):
+            rows.append((i + 1, i + 2))           # i -> i+1
+            rows.append((max(i - 1, 0), i + 1))   # i+1 -> i, and on to i-1
+        assert spectral_radius(rows, n) == 1.0
+
+    def test_bracket_flat_for_one_step(self):
+        # a branching component of a stunted m = 3 map: from v = 1 the first
+        # two Collatz-Wielandt brackets are both [1, 2]
+        rows = [(3, 5), (5, 6), (4, 6), (2, 4), (0, 2), (0, 1)]
+        dense = np.zeros((6, 6))
+        for i, (a, b) in enumerate(rows):
+            dense[i, a:b] = 1
+        ref = np.max(np.abs(np.linalg.eigvals(dense)))
+        assert abs(spectral_radius(rows, 6) - ref) <= 1e-12
+
+    def test_branching_graphs_match_dense(self):
+        rnd = random.Random(19)
+        maps = [full_stunted(build_base(m, 1)) for m in (1, 2, 3)]
+        for _ in range(60):
+            b = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+            maps.append(build_stunted(b, random_xi(rnd, b, rnd.choice((8, 16, 2**20)))))
+        checked = 0
+        for T in maps:
+            try:
+                system = build_markov(T.pl, 4096)
+            except BudgetExhausted:
+                continue
+            rho = spectral_radius(system.rows, system.size)
+            if rho <= 1.0:
+                continue
+            dense = np.zeros((system.size, system.size))
+            for i, (a, b) in enumerate(system.rows):
+                dense[i, a:b] = 1
+            ref = np.max(np.abs(np.linalg.eigvals(dense)))
+            assert abs(math.log(rho) - math.log(ref)) <= 1e-12
+            checked += 1
+        assert checked >= 15
+
     def test_large_reducible(self):
-        # two golden blocks chained by transients; dense path not used
+        # two golden blocks chained by transients, against dense eigenvalues
         n = 20
         rows = []
         for i in range(n):
