@@ -11,6 +11,14 @@ cycle with power-of-two periods.  Bisection keeps a certified bracket;
 probes that certify neither way (a budget ran out) are flagged and the
 bracket is refined around them.
 
+The route runs in the lattice coordinates X = N·x of
+``PiecewiseLinear.lattice``: a rational stunted map has integer slopes, so
+plateau orbits and the Markov closure are int arithmetic, and ``Fraction``s
+appear only in what leaves the route (witness orbits, certificates, JSON).
+Both verdicts are re-checked on the map itself, in ``Fraction``s:
+``verify_witness`` walks every witness orbit, and ``verify_zero_certificate``
+walks every plateau orbit before it recomputes the certificate.
+
 The quadratic family gets a floating-point analogue built on the doubling
 tower: a parameter is zero-certified when the critical orbit settles on an
 attracting 2^k-cycle *and* the k-level tower of period-2 return maps
@@ -34,6 +42,7 @@ from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, build_stunte
                    build_type_b, is_exact, iterate, rat)
 from .markov import build_markov, cycle_analysis
 from .periods import is_power_of_two, periodic_points
+from .piecewise import on_lattice
 from .symbolic import shape
 
 POSITIVE = "positive"
@@ -105,12 +114,20 @@ def _plateau_values(T):
     return [v for _, _, v in as_pl(T).plateau_runs()]
 
 
+def _plateau_walks(T):
+    """(N, L, values): the lattice map of ``PiecewiseLinear.lattice`` and the
+    plateau values N·v as ints."""
+    n, lat = as_pl(T).lattice()
+    return n, lat, [on_lattice(v, n) for v in _plateau_values(T)]
+
+
 def plateau_orbit_analysis(T, budget: int):
-    """Exact eventual period of each plateau value's orbit, or None at budget."""
+    """Exact eventual period of each plateau value's orbit, or None at budget;
+    the orbits are walked on the lattice, in ints."""
+    _, lat, values = _plateau_walks(T)
     out = []
-    for i, v in enumerate(_plateau_values(T)):
+    for i, y in enumerate(values):
         seen = {}
-        y = v
         k = 0
         rec = None
         while k <= budget:
@@ -118,7 +135,7 @@ def plateau_orbit_analysis(T, budget: int):
                 rec = PlateauOrbitRecord(i, seen[y], k - seen[y])
                 break
             seen[y] = k
-            y = T(y)
+            y = lat(y)
             k += 1
         out.append(rec)
     return out
@@ -142,11 +159,13 @@ def decide_exact(T, levels_bound: int, bound: int,
     for r in recs:
         if r is not None and not is_power_of_two(r.period):
             # the plateau cycle itself is a non-power-of-two periodic orbit
-            y = iterate(T, _plateau_values(T)[r.plateau], r.preperiod)
+            n, lat, values = _plateau_walks(T)
+            y = iterate(lat, values[r.plateau], r.preperiod)
             orbit = [y]
             for _ in range(r.period - 1):
-                orbit.append(T(orbit[-1]))
-            w = Witness("periodic-orbit", r.period, tuple(orbit))
+                orbit.append(lat(orbit[-1]))
+            w = Witness("periodic-orbit", r.period,
+                        tuple(Fraction(x, n) for x in orbit))
             if verify_witness(T, w):
                 return ProbeResult(POSITIVE, witness=w)
     if None in recs:
@@ -191,9 +210,32 @@ def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = N
     return decide_exact(T, levels_bound, bound, config).certificate
 
 
+def _plateau_record_holds(pl, value, rec: PlateauOrbitRecord) -> bool:
+    """Whether the orbit of ``value`` under ``pl`` first repeats a point after
+    exactly rec.preperiod + rec.period steps, at step rec.preperiod."""
+    seen = {}
+    y = value
+    for k in range(rec.preperiod + rec.period):
+        if y in seen:
+            return False
+        seen[y] = k
+        y = pl(y)
+    return seen.get(y) == rec.preperiod
+
+
 def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
                             config: RunConfig = DEFAULT) -> bool:
-    """Independently recompute the certificate's claims."""
+    """Re-derive each plateau record by walking its orbit on the map itself,
+    in ``Fraction``s apart from the lattice route, then recompute the
+    certificate and compare."""
+    values = _plateau_values(T)
+    recs = cert.plateau_orbits
+    if [r.plateau for r in recs] != list(range(len(values))):
+        return False
+    for r in recs:
+        if (r.preperiod + r.period > config.orbit_budget
+                or not _plateau_record_holds(as_pl(T), values[r.plateau], r)):
+            return False
     try:
         again = zero_entropy_certificate(T, cert.levels_bound, cert.bound, config)
     except BudgetExhausted:

@@ -117,11 +117,10 @@ def cmd_periods(args) -> None:
                            else cfg.period_bound_float)
     ps = pd.period_set(m, bound, cfg)
     if cfg.output_format == "csv":
-        rows = []
-        for p in sorted(ps.periods):
-            for oi, orb in enumerate(pd.periodic_points(m, p, cfg)):
-                for pi, x in enumerate(orb.points):
-                    rows.append([p, oi, pi, str(x), orb.stability])
+        rows = [[p, oi, pi, str(x), orb.stability]
+                for p in sorted(ps.periods)
+                for oi, orb in enumerate(ps.orbits[p])
+                for pi, x in enumerate(orb.points)]
         _emit_csv(rows, ["period", "orbit", "index", "point", "stability"])
         return
     verdict, witness = pd.is_power_of_two_spectrum(ps)

@@ -14,22 +14,31 @@ The graph decides periodicity questions without iterating pieces:
 * strongly connected components that are single cycles enumerate all such
   orbits; a component with a branching vertex certifies entropy at least
   log 2 / length and yields a non-power-of-two orbit by splicing two cycles.
+
+The partition is built in the lattice coordinates X = N·x of
+``PiecewiseLinear.lattice``: for a rational stunted map every slope is an
+integer, so the closure, the rows and the functional graph are int
+arithmetic.  Only the spliced periodic points x = o/(1 − s), which lie off
+the lattice, are ``Fraction``s; witness orbits leave ``cycle_analysis``
+divided by N, in the map's own coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import MarkovBudgetError
-from .periods import _minimal_period, is_power_of_two
+from .periods import is_power_of_two
 from .piecewise import PiecewiseLinear
 
 
 @dataclass(frozen=True)
 class MarkovSystem:
-    pl: PiecewiseLinear
+    pl: PiecewiseLinear           # the map in lattice coordinates, X -> N·f(X/N)
+    scale: int                    # N; the partition points are N·x
     points: tuple                 # sorted forward-invariant partition points
     rows: tuple                   # per state, successor index range [a, b)
     affine: tuple                 # per state, (slope, intercept) or None when constant
@@ -42,16 +51,18 @@ class MarkovSystem:
 
 def build_markov(pl: PiecewiseLinear, budget: int,
                  budget_name: str = "budget") -> MarkovSystem:
-    """Partition by the forward closure of the breakpoints; raises
-    MarkovBudgetError, naming ``budget_name``, past ``budget`` points."""
-    if not pl.is_self_map():
+    """Partition by the forward closure of the breakpoints, in lattice
+    coordinates; raises MarkovBudgetError, naming ``budget_name``, past
+    ``budget`` points."""
+    n, lat = pl.lattice()
+    if not lat.is_self_map():
         raise MarkovBudgetError("not a self-map")
-    points = set(pl.xs)
+    points = set(lat.xs)
     frontier = list(points)
     while frontier:
         nxt = []
         for x in frontier:
-            y = pl(x)
+            y = lat(x)
             if y not in points:
                 points.add(y)
                 nxt.append(y)
@@ -62,21 +73,20 @@ def build_markov(pl: PiecewiseLinear, budget: int,
         frontier = nxt
     pts = sorted(points)
     index = {x: i for i, x in enumerate(pts)}
+    nxt = tuple(index[lat(x)] for x in pts)
     rows = []
     affine = []
     for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        fa, fb = pl(a), pl(b)
-        if fa == fb:
+        j, k = nxt[i], nxt[i + 1]
+        if j == k:
             rows.append((0, 0))
             affine.append(None)
         else:
-            s = (fb - fa) / (b - a)
-            affine.append((s, fa - s * a))
-            lo, hi = (fa, fb) if fa < fb else (fb, fa)
-            rows.append((index[lo], index[hi]))
-    nxt = tuple(index[pl(x)] for x in pts)
-    return MarkovSystem(pl, tuple(pts), tuple(rows), tuple(affine), nxt)
+            # the state lies in one segment of the map, so this is its slope
+            s = lat.slopes[bisect_right(lat.xs, pts[i]) - 1]
+            affine.append((s, pts[j] - s * pts[i]))
+            rows.append((j, k) if j < k else (k, j))
+    return MarkovSystem(lat, n, tuple(pts), tuple(rows), tuple(affine), nxt)
 
 
 def _tarjan_sccs(rows, size):
@@ -146,8 +156,7 @@ def cyclic_components(rows, size):
 
 
 def _compose_cycle(system: MarkovSystem, states):
-    s = Fraction(1)
-    o = Fraction(0)
+    s, o = 1, 0
     for st in states:
         aff = system.affine[st]
         if aff is None:
@@ -158,25 +167,36 @@ def _compose_cycle(system: MarkovSystem, states):
 
 
 def _cycle_orbit(system: MarkovSystem, states):
-    """Exact periodic point tracing the given closed state walk, or None."""
+    """Exact periodic point tracing the given closed state walk, or None.
+
+    The point X = o/(1 - s) of the composed affine map lies off the lattice;
+    its orbit is walked by the states' affine maps as numerators P over the
+    one denominator q > 0, X = P/q, and returned as (numerators, q).
+    """
     comp = _compose_cycle(system, states)
     if comp is None:
         return None
     s, o = comp
     if s == 1:
         return None
-    x = o / (1 - s)
+    q, p0 = (1 - s, o) if s < 1 else (s - 1, -o)
     pts = system.points
-    y = x
+    p = p0
     orbit = []
     for st in states:
-        if not pts[st] <= y <= pts[st + 1]:
+        if not pts[st] * q <= p <= pts[st + 1] * q:
             return None
-        orbit.append(y)
-        y = system.pl(y)
-    if y != x:
+        orbit.append(p)
+        a, b = system.affine[st]
+        p = a * p + b * q
+    if p != p0:
         return None
-    return tuple(orbit)
+    return orbit, q
+
+
+def _first_return(orbit):
+    """Minimal period of a periodic orbit listed over one closed walk."""
+    return next((k for k in range(1, len(orbit)) if orbit[k] == orbit[0]), len(orbit))
 
 
 def _point_cycle_periods(system: MarkovSystem):
@@ -204,16 +224,16 @@ def _point_cycle_periods(system: MarkovSystem):
 
 
 def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
-    """Period structure from the transition graph.
+    """Period structure from the transition graph, in lattice coordinates.
 
     If every strongly connected component is a single cycle, the returned
     period set is the complete set of minimal periods of the map.  Otherwise
     a component branches, and splicing two of its cycles produces an exact
-    periodic orbit whose minimal period is not a power of two.
+    periodic orbit whose minimal period is not a power of two; the witness
+    orbit is returned in the map's own coordinates.
     """
     periods = set(_point_cycle_periods(system))
-    witness_orbit = None
-    witness_period = None
+    witness = None                 # (numerators, q): the orbit X = P/q
     complete = True
     for scc, succ in cyclic_components(system.rows, system.size):
         branch_vertex = next((v for v in scc if len(succ[v]) > 1), None)
@@ -224,15 +244,13 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
             while v != scc[0]:
                 cyc.append(v)
                 v = succ[v][0]
-            orbit = _cycle_orbit(system, cyc)
-            if orbit is not None:
-                mp = _minimal_period(system.pl, orbit[0], len(cyc))
-                if mp:
-                    periods.add(mp)
+            traced = _cycle_orbit(system, cyc)
+            if traced is not None:
+                periods.add(_first_return(traced[0]))
             continue
         # branching component: two distinct cycles through branch_vertex
         complete = False
-        if witness_orbit is not None:
+        if witness is not None:
             continue
         u1, u2 = succ[branch_vertex][:2]
         w1 = _cycle_through(succ, branch_vertex, u1)
@@ -240,24 +258,27 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
         if w1 is None or w2 is None:
             continue
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
-            walk = w1 * a + w2 * b
-            orbit = _cycle_orbit(system, walk)
-            if orbit is None:
+            traced = _cycle_orbit(system, w1 * a + w2 * b)
+            if traced is None:
                 continue
-            mp = _minimal_period(system.pl, orbit[0], len(walk))
-            if mp and not is_power_of_two(mp):
-                witness_orbit = orbit[:mp]
-                witness_period = mp
+            orbit, q = traced
+            mp = _first_return(orbit)
+            if not is_power_of_two(mp):
+                witness = orbit[:mp], q
                 break
-    if witness_orbit is None:
+    if witness is None:
         for p in sorted(periods):
             if not is_power_of_two(p):
                 # realize the non-power-of-two period as an explicit orbit
                 orbit = _orbit_with_period(system, p)
                 if orbit is not None:
-                    witness_orbit, witness_period = orbit, p
+                    witness = orbit, 1
                     break
-    return CycleAnalysis(complete, frozenset(periods), witness_orbit, witness_period)
+    if witness is None:
+        return CycleAnalysis(complete, frozenset(periods), None, None)
+    orbit, q = witness
+    return CycleAnalysis(complete, frozenset(periods),
+                         tuple(Fraction(p, q * system.scale) for p in orbit), len(orbit))
 
 
 def _cycle_through(succ, v, first):
@@ -285,7 +306,8 @@ def _cycle_through(succ, v, first):
 
 
 def _orbit_with_period(system: MarkovSystem, p: int):
-    """An explicit orbit of minimal period p from the point-cycle graph."""
+    """An orbit of minimal period p from the point-cycle graph: a cycle of
+    distinct partition points, in lattice coordinates."""
     nxt = system.next_point
     for start in range(len(nxt)):
         seen = {}
@@ -296,13 +318,8 @@ def _orbit_with_period(system: MarkovSystem, p: int):
             v = nxt[v]
             k += 1
         if v in seen and k - seen[v] == p:
-            x = system.points[v]
-            mp = _minimal_period(system.pl, x, p)
-            if mp == p:
-                orbit = [x]
-                y = x
-                for _ in range(p - 1):
-                    y = system.pl(y)
-                    orbit.append(y)
-                return tuple(orbit)
+            orbit = [v]
+            for _ in range(p - 1):
+                orbit.append(nxt[orbit[-1]])
+            return [system.points[w] for w in orbit]
     return None

@@ -7,7 +7,7 @@ grid can miss neutral orbits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
@@ -32,6 +32,8 @@ class PeriodSet:
     periods: frozenset
     bound: int
     complete_upto: int
+    # the orbits found, per period in ``periods``
+    orbits: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_dict(self):
         return {"periods": sorted(self.periods), "bound": self.bound,
@@ -262,12 +264,12 @@ def _periodic_float(m, p, config):
 
 
 def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
-    """Union of minimal periods found for all p <= bound."""
+    """Union of minimal periods found for all p <= bound, with their orbits."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
     # one cursor for an exact map, so each level of pieces is built once
     cursor = PieceCursor(as_pl(m), config.piece_budget) if is_exact(m) else None
-    found = set()
+    found = {}
     complete = 0
     for p in range(1, bound + 1):
         try:
@@ -275,9 +277,9 @@ def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
         except BudgetExhausted:
             break
         if orbits:
-            found.add(p)
+            found[p] = orbits
         complete = p
-    return PeriodSet(frozenset(found), bound, complete)
+    return PeriodSet(frozenset(found), bound, complete, found)
 
 
 def is_power_of_two_spectrum(ps: PeriodSet):

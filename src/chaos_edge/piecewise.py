@@ -1,9 +1,15 @@
 """Exact piecewise-linear interval maps over the rationals.
 
-Everything here is exact: breakpoints and values are ``Fraction``s, so plateau
-hits, periodicity and lap counts are decided, not estimated.  A map is stored
-as breakpoints ``xs`` with values ``ys``; between breakpoints the map is
-affine, and a run of equal consecutive values is a plateau.
+Everything here is exact: breakpoints and values are ``Fraction``s or ints,
+so plateau hits, periodicity and lap counts are decided, not estimated.  A
+map is stored as breakpoints ``xs`` with values ``ys``; between breakpoints
+the map is affine with a slope computed once per segment (an int when it is
+integral), and a run of equal consecutive values is a plateau.
+
+``PiecewiseLinear.lattice`` gives the same map in lattice coordinates
+X = N·x, where N is the lcm of the denominators of the breakpoints and
+values: its breakpoints and values are ints, so a map with integral slopes
+takes ints to ints and its orbits from lattice points are int arithmetic.
 
 The n-th iterate of a map is represented by its *pieces*: maximal intervals on
 which the iterate is affine (or constant), each carried as
@@ -14,6 +20,7 @@ representation exact and the cost proportional to the lap count.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +44,25 @@ class Affine:
         return Affine(1 / self.a, -self.b / self.a)
 
 
+def _slope(x0, x1, y0, y1):
+    """(y1 - y0) / (x1 - x0) exactly for rationals x0 < x1, as an int when it
+    is integral; cross-multiplied, so no intermediate ``Fraction`` is made."""
+    p = ((y1.numerator * y0.denominator - y0.numerator * y1.denominator)
+         * x0.denominator * x1.denominator)
+    q = ((x1.numerator * x0.denominator - x0.numerator * x1.denominator)
+         * y0.denominator * y1.denominator)
+    return p // q if p % q == 0 else Fraction(p, q)
+
+
+def on_lattice(x, n: int) -> int:
+    """n·x as an int, for a rational x on the lattice (1/n)Z."""
+    return x.numerator * (n // x.denominator)
+
+
 class PiecewiseLinear:
     """Continuous piecewise-linear map given by breakpoints and values."""
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "slopes", "_lattice")
 
     def __init__(self, xs, ys):
         xs = tuple(xs)
@@ -52,6 +74,8 @@ class PiecewiseLinear:
                 raise ValueError("breakpoints must be strictly increasing")
         self.xs = xs
         self.ys = ys
+        self.slopes = tuple(map(_slope, xs, xs[1:], ys, ys[1:]))
+        self._lattice = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -70,10 +94,19 @@ class PiecewiseLinear:
         i = bisect_right(xs, x) - 1
         if i >= len(xs) - 1:
             return ys[-1]
-        x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-        if y0 == y1:
-            return y0
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        s = self.slopes[i]
+        return ys[i] + (x - xs[i]) * s if s else ys[i]
+
+    def lattice(self):
+        """(N, L): N the lcm of the denominators of the breakpoints and
+        values, L the map X -> N·f(X/N) on the int breakpoints N·xs with the
+        int values N·ys.  L has the slopes of f, so it takes ints to ints
+        when they are integral.  Built once per map."""
+        if self._lattice is None:
+            n = math.lcm(*(v.denominator for v in self.xs + self.ys))
+            self._lattice = n, PiecewiseLinear([on_lattice(x, n) for x in self.xs],
+                                               [on_lattice(y, n) for y in self.ys])
+        return self._lattice
 
     def pieces(self):
         """Level-1 pieces (the map's own segments)."""

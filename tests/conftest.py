@@ -6,6 +6,13 @@ import pytest
 
 from chaos_edge import build_base, build_stunted
 
+# zero sides of locate_boundary(..., resolution=2^-60) on the m = 1 path
+# xi = (t), t in [1/2, 3/2], and on the m = 2 diagonal path xi = (t, t),
+# t in [1/2, 8/3]: Markov graphs of 35 and 69 states whose components are
+# chained simple cycles, so their 0/1 matrices are defective
+ZERO_SIDE_2_60 = {1: Fraction(1434739046586476969, 2**60),
+                  2: Fraction(52542695141702555945, 3 * 2**63)}
+
 
 @pytest.fixture
 def base1():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,29 @@ class TestZeroCertificate:
         assert cert is not None
         assert all(is_power_of_two(p) for p in cert.periods_found)
         assert cert.plateau_orbits[0].period == 4
+
+    def test_altered_plateau_record_rejected(self, base1):
+        T = build_stunted(base1, [F(159, 128)])      # plateau period 4
+        cert = zero_entropy_certificate(T)
+        rec = cert.plateau_orbits[0]
+        assert verify_zero_certificate(T, cert)
+        for bad in (replace(rec, preperiod=rec.preperiod + 1),
+                    replace(rec, period=2 * rec.period)):
+            assert not verify_zero_certificate(T, replace(cert, plateau_orbits=(bad,)))
+
+    def test_plateau_records_rechecked_apart_from_the_lattice(self, base2, monkeypatch):
+        # a lattice route that misreports the plateau periods makes a
+        # certificate that re-running it reproduces; the Fraction walks on the
+        # map itself still reject it
+        import chaos_edge.boundary as bd
+        T = build_stunted(base2, [F(1, 2), F(1, 2)])
+        assert verify_zero_certificate(T, zero_entropy_certificate(T))
+        honest = bd.plateau_orbit_analysis
+        monkeypatch.setattr(bd, "plateau_orbit_analysis", lambda T, budget: [
+            replace(r, period=2 * r.period) for r in honest(T, budget)])
+        cert = zero_entropy_certificate(T)
+        assert cert is not None and cert == zero_entropy_certificate(T)
+        assert not verify_zero_certificate(T, cert)
 
     def test_budget_vs_refutation(self, base1):
         from chaos_edge import BudgetExhausted

@@ -15,19 +15,12 @@ from chaos_edge.config import DEFAULT
 from chaos_edge.maps import as_pl
 from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, strict_lap_count
 
-from conftest import random_xi
+from conftest import ZERO_SIDE_2_60, random_xi
 
 F = Fraction
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
-
-# zero sides of locate_boundary(..., resolution=2^-60) on the m = 1 path
-# xi = (t), t in [1/2, 3/2], and on the m = 2 diagonal path xi = (t, t),
-# t in [1/2, 8/3]: Markov graphs of 35 and 69 states whose components are
-# chained simple cycles, so their 0/1 matrices are defective
-ZERO_SIDE_2_60 = {1: F(1434739046586476969, 2**60),
-                  2: F(52542695141702555945, 3 * 2**63)}
 
 
 def zigzag3():

@@ -1,0 +1,58 @@
+"""Golden outputs: ``cli.main`` stdout on the README descriptors, byte for byte.
+
+The files under ``tests/data`` hold the stdout of an earlier version of the
+program, from before the exact core moved to lattice coordinates.  JSON keys
+are sorted and no report has a timing field, so equal inputs must give equal
+bytes.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from chaos_edge import piecewise
+from chaos_edge.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+PATH = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
+        "t_lo": "1/2", "t_hi": "3/2"}
+TRAPEZOID = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["3/2"]}
+FULL_M2 = {"kind": "stunted", "m": 2, "epsilon": 1, "xi": ["8/3", "8/3"]}
+
+
+def stdout_of(tmp_path, capsys, descriptor, *args):
+    p = tmp_path / "descriptor.json"
+    p.write_text(json.dumps(descriptor))
+    code = main([args[0], str(p), *args[1:]])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("golden, descriptor, args", [
+    ("boundary_m1_res_default.json", PATH, ("boundary",)),
+    ("boundary_m1_res2pow-30.json", PATH, ("boundary", "--resolution", "1/1073741824")),
+    ("sweep_m1_grid101.csv", PATH, ("sweep", "--grid", "101")),
+    ("entropy_trapezoid.csv", TRAPEZOID, ("entropy", "--format", "csv")),
+])
+def test_stdout_bytes(tmp_path, capsys, golden, descriptor, args):
+    # read as bytes: the CSV rows end in \r\n, which read_text would change
+    expected = (DATA / golden).read_bytes().decode()
+    assert stdout_of(tmp_path, capsys, descriptor, *args) == expected
+
+
+def test_periods_csv_builds_each_level_once(tmp_path, capsys, monkeypatch):
+    # the CSV rows reuse the orbits of period_set: one cursor, so levels
+    # 2..7 of the pieces are each advanced once
+    calls = []
+    advance = piecewise.advance_pieces
+
+    def counted(pieces, pl, budget):
+        calls.append(len(pieces))
+        return advance(pieces, pl, budget)
+
+    monkeypatch.setattr(piecewise, "advance_pieces", counted)
+    out = stdout_of(tmp_path, capsys, FULL_M2, "periods", "--format", "csv", "--bound", "7")
+    assert out == (DATA / "periods_full_m2_bound7.csv").read_bytes().decode()
+    assert len(calls) == 6

@@ -1,5 +1,6 @@
 """Cross-validation of the transition-graph period analysis against the
-piece-based exact solver, plus spectral radius checks (numpy's dense
+piece-based exact solver, of the lattice-coordinate partition against a
+plain ``Fraction`` closure, plus spectral radius checks (numpy's dense
 eigenvalues are the reference on branching graphs)."""
 
 import math
@@ -7,17 +8,20 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (BudgetExhausted, build_base, build_stunted, full_stunted,
-                        period_set)
+from chaos_edge import (BudgetExhausted, MarkovBudgetError, build_base, build_stunted,
+                        full_stunted, period_set)
+from chaos_edge.boundary import plateau_orbit_analysis
 from chaos_edge.config import DEFAULT
-from chaos_edge.entropy import spectral_radius
+from chaos_edge.entropy import Witness, spectral_radius, verify_witness
 from chaos_edge.markov import build_markov, cycle_analysis
 from chaos_edge.periods import is_power_of_two
+from chaos_edge.piecewise import PiecewiseLinear
 
-from conftest import random_xi
+from conftest import ZERO_SIDE_2_60, random_xi
 
 F = Fraction
 
@@ -61,6 +65,88 @@ class TestCycleAnalysis:
         analysis = cycle_analysis(build_markov(T.pl, 1024))
         assert analysis.complete
         assert analysis.periods == frozenset({1, 2})
+
+
+def fraction_partition(pl, budget):
+    """The breakpoint closure, rows and functional graph of ``pl``, walked
+    in plain ``Fraction``s; None past ``budget`` points."""
+    points = set(pl.xs)
+    frontier = list(points)
+    while frontier:
+        frontier = [y for y in {pl(x) for x in frontier} if y not in points]
+        points.update(frontier)
+        if len(points) > budget:
+            return None
+    pts = sorted(points)
+    index = {x: i for i, x in enumerate(pts)}
+    rows = []
+    for a, b in zip(pts, pts[1:]):
+        fa, fb = pl(a), pl(b)
+        rows.append((0, 0) if fa == fb else (index[min(fa, fb)], index[max(fa, fb)]))
+    return pts, rows, [index[pl(x)] for x in pts]
+
+
+def fraction_plateau_records(T, budget):
+    """(preperiod, period) of each plateau value's orbit under ``T.pl``."""
+    out = []
+    for v in T.plateau_values:
+        seen, y = {}, v
+        while y not in seen and len(seen) <= budget:
+            seen[y] = len(seen)
+            y = T.pl(y)
+        out.append((seen[y], len(seen) - seen[y]) if y in seen else None)
+    return out
+
+
+class TestLattice:
+    def maps(self):
+        rnd = random.Random(4242)
+        out = [build_stunted(build_base(m, 1), [ZERO_SIDE_2_60[m]] * m) for m in (1, 2)]
+        for _ in range(200):
+            b = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+            out.append(build_stunted(b, random_xi(rnd, b, 2 ** rnd.randint(3, 40))))
+        return out
+
+    def test_partition_matches_fraction_closure(self):
+        budget, _ = DEFAULT.markov_budget()
+        checked = 0
+        for T in self.maps():
+            ref = fraction_partition(T.pl, budget)
+            if ref is None:
+                with pytest.raises(MarkovBudgetError):
+                    build_markov(T.pl, budget)
+                continue
+            pts, rows, nxt = ref
+            system = build_markov(T.pl, budget)
+            assert all(type(x) is int for x in system.points)
+            assert [F(x, system.scale) for x in system.points] == pts, T.xi
+            assert list(system.rows) == rows
+            assert list(system.next_point) == nxt
+            checked += 1
+        assert checked >= 190
+
+    def test_plateau_orbits_match_fraction_loop(self):
+        budget = DEFAULT.orbit_budget
+        for T in self.maps():
+            recs = plateau_orbit_analysis(T, budget)
+            assert [None if r is None else (r.preperiod, r.period) for r in recs] \
+                == fraction_plateau_records(T, budget), T.xi
+
+    def test_non_integer_slope(self):
+        # slopes 3/2, -3 and -1: the partition leaves the lattice, and every
+        # result stays exact through the same code
+        pl = PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)],
+                             [F(1, 4), F(1), F(1, 4), F(0)])
+        system = build_markov(pl, 100)
+        assert system.pl.slopes[0] == F(3, 2)
+        pts, rows, nxt = fraction_partition(pl, 100)
+        assert [F(x, system.scale) for x in system.points] == pts
+        assert list(system.rows) == rows and list(system.next_point) == nxt
+        analysis = cycle_analysis(system)
+        assert not analysis.complete
+        w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
+        assert verify_witness(pl, w)
+        assert period_set(pl, 8).periods == frozenset(range(1, 9))
 
 
 class TestSpectralRadius:
