@@ -23,7 +23,14 @@ The quadratic family gets a floating-point analogue built on the doubling
 tower: a parameter is zero-certified when the critical orbit settles on an
 attracting 2^k-cycle *and* the k-level tower of period-2 return maps
 validates; it is positive-certified by a non-power-of-two orbit found either
-directly or through a return map of the tower.
+directly or through a return map of the tower.  Each tower level needs the
+slope of R_j = f^(2^j) at its fixed point alpha, taken by the chain rule as
+the product of 2·y along the 2^j steps (a difference quotient is swamped by
+round-off once the level is a few units of 1e-4 wide).  A slowly converging
+critical orbit is retried on a window of 2^(depth+2) samples, so that a
+cycle of period 2^depth, the deepest the tower can validate, is seen.  The
+positive side scans the deepest return maps on one grid pass for all short
+periods.  These float verdicts are heuristic: no step is outward-rounded.
 """
 
 from __future__ import annotations
@@ -264,7 +271,8 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
 
 
 def _attractor_period(c: float, transient: int, window: int, tol: float):
-    """Minimal period of the attracting cycle reached by the critical orbit."""
+    """Minimal period of the attracting cycle reached by the critical orbit;
+    periods below window // 2 are tried."""
     x = 0.0
     for _ in range(transient):
         x = x * x + c
@@ -273,11 +281,12 @@ def _attractor_period(c: float, transient: int, window: int, tol: float):
         x = x * x + c
         tail[i] = x
     scale = max(1.0, float(np.max(np.abs(tail))))
-    for p in range(1, window // 2):
-        if abs(tail[-1] - tail[-1 - p]) < tol * scale:
-            k = min(window - p, 256)
-            if np.max(np.abs(tail[-k:] - tail[-k - p:-p])) < 10 * tol * scale:
-                return p, float(tail[-1])
+    back = tail[-2:-window // 2 - 1:-1]          # back[p - 1] = tail[-1 - p]
+    for p in np.nonzero(np.abs(tail[-1] - back) < tol * scale)[0] + 1:
+        p = int(p)
+        k = min(window - p, 256)
+        if np.max(np.abs(tail[-k:] - tail[-k - p:-p])) < 10 * tol * scale:
+            return p, float(tail[-1])
     return None, None
 
 
@@ -326,8 +335,11 @@ def _tower_descend(c: float, config: RunConfig):
                     if hi - lo < 1e-14 * max(1.0, a):
                         break
                 cand = (lo + hi) / 2
-                h = max(1e-9 * a, 1e-13)
-                slope = (R(cand + h) - R(cand - h)) / (2 * h)
+                slope = 1.0
+                y = cand
+                for _ in range(n):
+                    slope *= 2 * y
+                    y = y * y + c
                 if slope < -1 + 1e-9:
                     candidates.append(cand)
         candidates.sort(key=abs)
@@ -351,13 +363,20 @@ def _tower_descend(c: float, config: RunConfig):
 
 def _grid_period_scan(c: float, level: int, half_width: float, ps,
                       config: RunConfig) -> Optional[Witness]:
-    """Vectorized search for a non-power-of-two period of R = f^(2^level)."""
+    """Vectorized search for a non-power-of-two period of R = f^(2^level).
+
+    One pass iterates the grid to max(ps)·2^level steps and, on reaching
+    p·2^level for each p in ascending order, looks for sign changes of
+    R^p(x) - x; it stops at the first verified witness.
+    """
     n = 2 ** level
     xs = np.linspace(-half_width, half_width, config.grid_cells)
-    for p in ps:
-        ys = xs.copy()
-        for _ in range(p * n):
+    ys = xs.copy()
+    done = 0
+    for p in sorted(ps):
+        for _ in range(p * n - done):
             ys = ys * ys + c
+        done = p * n
         g = ys - xs
         sign = np.sign(g)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -418,8 +437,10 @@ def classify_quadratic(c: float, bound: int, config: RunConfig = DEFAULT) -> Pro
     widths, reason = _tower_descend(c, config)
     depth = len(widths) - 1
     if p_att is None and depth >= 6:
-        # deep cascades converge slowly; retry the attractor with a long tail
-        p_att, pt = _attractor_period(c, 600_000, 8192, config.attracting_tol)
+        # deep cascades converge slowly; retry the attractor with a long
+        # tail and a window that tries periods up to 2^(depth+1)
+        p_att, pt = _attractor_period(c, 600_000, max(8192, 2 ** (depth + 2)),
+                                      config.attracting_tol)
         if p_att is not None and not is_power_of_two(p_att):
             w = _float_orbit_witness(c, pt, p_att)
             if w is not None:
@@ -621,19 +642,13 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         bound = config.period_bound_exact if path.exact else config.period_bound_float
     if resolution is None:
         resolution = config.resolution_exact if path.exact else config.resolution_float
-    cache = {}
-
-    def probe(t):
-        if t not in cache:
-            cache[t] = classify_probe(path, t, bound, config)
-        return cache[t]
-
-    probes = [0]
-    undecided = [0]
+    probes = 0
+    undecided = 0
 
     def classified(t):
-        probes[0] += 1
-        return probe(t)
+        nonlocal probes
+        probes += 1
+        return classify_probe(path, t, bound, config)
 
     r_lo = classified(path.t_lo)
     r_hi = classified(path.t_hi)
@@ -641,48 +656,47 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     if kinds != {ZERO, POSITIVE}:
         raise PreconditionError(
             f"path endpoints must certify differently, got {r_lo.kind}/{r_hi.kind}")
+    # only the results at the two bracket ends are kept: a witness near the
+    # boundary holds an orbit of up to ~10^5 floats
     if r_lo.kind == ZERO:
-        t_zero, t_pos = path.t_lo, path.t_hi
+        zero, pos = (path.t_lo, r_lo), (path.t_hi, r_hi)
         orientation = "increasing"
     else:
-        t_zero, t_pos = path.t_hi, path.t_lo
+        zero, pos = (path.t_hi, r_hi), (path.t_lo, r_lo)
         orientation = "decreasing"
 
     def width():
-        return abs(t_pos - t_zero)
+        return abs(pos[0] - zero[0])
 
-    while width() > resolution and probes[0] < max_probes:
-        mid = (t_zero + t_pos) / 2
+    while width() > resolution and probes < max_probes:
+        mid = (zero[0] + pos[0]) / 2
         r = classified(mid)
         if r.kind == ZERO:
-            t_zero = mid
+            zero = (mid, r)
         elif r.kind == POSITIVE:
-            t_pos = mid
+            pos = (mid, r)
         else:
-            undecided[0] += 1
-            qz = (t_zero + mid) / 2
-            qp = (t_pos + mid) / 2
+            undecided += 1
             moved = False
-            for t in (qz, qp):
+            for t in ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
                 rr = classified(t)
                 if rr.kind == ZERO:
-                    t_zero = t
+                    zero = (t, rr)
                     moved = True
                 elif rr.kind == POSITIVE:
-                    t_pos = t
+                    pos = (t, rr)
                     moved = True
                 else:
-                    undecided[0] += 1
+                    undecided += 1
             if not moved:
                 raise BudgetExhausted(
                     f"undecided probes block refinement below width {width()}")
     if width() > resolution:
         raise BudgetExhausted(f"probe budget exhausted at width {width()}")
-    t_star = (t_zero + t_pos) / 2
-    return BoundaryResult(t_star, (t_zero, t_pos),
-                          (t_zero, probe(t_zero).certificate),
-                          (t_pos, probe(t_pos).witness),
-                          width(), probes[0], undecided[0], orientation)
+    t_zero, t_pos = zero[0], pos[0]
+    return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),
+                          (t_zero, zero[1].certificate), (t_pos, pos[1].witness),
+                          width(), probes, undecided, orientation)
 
 
 # ---------------------------------------------------------------------

@@ -168,7 +168,7 @@ class StuntedSawtooth:
         object.__setattr__(self, "plateaus", tuple(plateaus))
         object.__setattr__(self, "plateau_values", tuple(values))
         object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "pl", _lower_stunted(b, plateaus))
+        object.__setattr__(self, "pl", _lower_stunted(b, plateaus, values))
 
     @property
     def m(self) -> int:
@@ -192,13 +192,16 @@ class StuntedSawtooth:
         return StuntedSawtooth(self.base, new)
 
 
-def _lower_stunted(base: SawtoothBase, plateaus) -> PiecewiseLinear:
-    pts = [-base.e, base.e]
-    for z in plateaus:
-        pts.append(z.lo)
-        pts.append(z.hi)
-    xs = sorted(set(pts))
-    return PiecewiseLinear(xs, [eval_s0(base, x) for x in xs])
+def _lower_stunted(base: SawtoothBase, plateaus, values) -> PiecewiseLinear:
+    """The stunted map as a ``PiecewiseLinear``.  Every breakpoint is a plateau
+    end, where the base takes that plateau's value, or an end of the domain:
+    the base maps -e to -epsilon·e and e to epsilon·(-1)^m·e."""
+    e = base.e
+    ys = {-e: -base.epsilon * e, e: base.epsilon * (-1) ** base.m * e}
+    for z, v in zip(plateaus, values):
+        ys[z.lo] = ys[z.hi] = v
+    xs = sorted(ys)
+    return PiecewiseLinear(xs, [ys[x] for x in xs])
 
 
 def build_stunted(base: SawtoothBase, xi) -> StuntedSawtooth:

@@ -10,12 +10,15 @@ from chaos_edge import (DEFAULT, PreconditionError, build_base, build_stunted,
                         positive_entropy_witness, quadratic_path,
                         shape, stunted_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
-from chaos_edge.boundary import POSITIVE, UNDECIDED, ZERO, plateau_orbit_analysis
+from chaos_edge.boundary import (POSITIVE, UNDECIDED, ZERO, _attractor_period,
+                                 _grid_period_scan, _tower_descend, plateau_orbit_analysis)
 from chaos_edge.periods import is_power_of_two
 
 from conftest import random_xi
 
 F = Fraction
+
+C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade
 
 
 class TestZeroCertificate:
@@ -161,6 +164,68 @@ class TestLocate:
         lo, hi = sorted(res.bracket)
         assert lo < -1.4011551 < hi
 
+
+
+class TestQuadraticCascade:
+    """The float classifier near c_inf, where the cycles have periods 2^12 and up."""
+
+    # zero-side probes of the default-resolution locate that were undecided
+    # while the retry window only tried periods below 4096
+    DEEP_ZERO = ((-1.4011551618576048, 4096), (-1.4011551856994626, 8192))
+
+    @pytest.mark.parametrize("c, period", DEEP_ZERO)
+    def test_attractor_period_deep(self, c, period):
+        p, _ = _attractor_period(c, 600_000, 65536, DEFAULT.attracting_tol)
+        assert p == period
+
+    @pytest.mark.parametrize("c, period", DEEP_ZERO)
+    def test_deep_zero_probe(self, c, period):
+        r = classify_quadratic(c, 32)
+        assert r.kind == ZERO
+        assert r.certificate.period == period
+        assert abs(r.certificate.multiplier) < 1
+
+    def test_tower_slope_past_round_off(self):
+        # a central-difference slope at alpha stopped this tower at depth 9
+        widths, _ = _tower_descend(-1.4011551618576048, DEFAULT)
+        assert len(widths) - 1 >= 12
+
+    @pytest.mark.parametrize("c, period", [(-1.5, 6), (-1.4011718749999997, 384),
+                                           (-1.401155191659927, 20480)])
+    def test_grid_scan_witness_periods(self, c, period):
+        # periods found by the earlier scan, which iterated the grid afresh
+        # for every candidate period
+        widths, _ = _tower_descend(c, DEFAULT)
+        depth = len(widths) - 1
+        w = _grid_period_scan(c, depth, widths[depth], (3, 5, 6, 7, 9, 10, 11, 12), DEFAULT)
+        assert w is not None and w.period == period
+
+    def test_default_resolution_locate(self):
+        # raised BudgetExhausted while undecided probes blocked refinement
+        res = locate_boundary(quadratic_path(-1.5, -1.3))
+        lo, hi = sorted(res.bracket)
+        assert lo <= C_INF <= hi
+        assert hi - lo <= DEFAULT.resolution_float
+        assert res.undecided == 0
+        assert res.probes <= 34
+        # re-check both sides by plain iteration of z*z + c
+        c0, cert = res.zero_side
+        z, mult = cert.point, 1.0
+        for _ in range(cert.period):
+            mult *= 2 * z
+            z = z * z + c0
+        assert abs(mult) < 1
+        assert abs(z - cert.point) <= 1e-6 * max(1.0, abs(cert.point))
+        c1, wit = res.positive_side
+        assert not is_power_of_two(wit.period)
+        x0 = wit.orbit[0]
+        tol = 1e-7 * max(1.0, abs(x0))
+        z = x0
+        for k in range(1, wit.period):
+            z = z * z + c1
+            assert abs(z - x0) > tol, f"returns at step {k} of {wit.period}"
+        z = z * z + c1
+        assert abs(z - x0) <= tol
 
 class TestApproximants:
     def test_m1_boundary_pair(self, base1):

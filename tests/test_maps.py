@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,15 @@ class TestStunted:
             else:
                 assert v1 >= v2
 
+
+    def test_breakpoint_values_are_the_base(self):
+        # the lowered map takes plateau values and the images of +-e directly;
+        # they must be the base zigzag's values at every breakpoint
+        rnd = random.Random(1342)
+        for _ in range(200):
+            base = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+            T = build_stunted(base, random_xi(rnd, base, 2 ** rnd.randint(1, 40)))
+            assert T.pl.ys == tuple(eval_s0(base, x) for x in T.pl.xs), T.xi
 
 class TestIterate:
     def test_trapezoid_orbit(self, T32):
