@@ -35,7 +35,6 @@ periods.  These float verdicts are heuristic: no step is outward-rounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -45,16 +44,20 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .entropy import Witness, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, build_stunted,
-                   build_type_b, is_exact, iterate, rat)
+from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
+                   build_stunted, build_type_b, is_exact, iterate, rat, turning_points_of)
 from .markov import build_markov, cycle_analysis
-from .periods import is_power_of_two, periodic_points
+from .periods import GRID_CELLS, cycle_multiplier, is_power_of_two, periodic_points
 from .piecewise import on_lattice
 from .symbolic import shape
 
 POSITIVE = "positive"
 ZERO = "zero"
 UNDECIDED = "undecided"
+
+ATTRACTING_TOL = 1e-8       # relative tolerance for an orbit tail repeating
+CASCADE_DEPTH = 16          # return-map levels the quadratic tower attempts
+FLOAT_WIDTH_FLOOR = 1e-9    # tower fixed points closer to 0 than this are noise
 
 
 # ---------------------------------------------------------------------
@@ -270,16 +273,12 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
 # ---------------------------------------------------------------------
 
 
-def _attractor_period(c: float, transient: int, window: int, tol: float):
-    """Minimal period of the attracting cycle reached by the critical orbit;
-    periods below window // 2 are tried."""
-    x = 0.0
-    for _ in range(transient):
-        x = x * x + c
-    tail = np.empty(window)
-    for i in range(window):
-        x = x * x + c
-        tail[i] = x
+def _tail_period(tail, tol: float):
+    """(p, x): the least p below len(tail) // 2 over which the end of the orbit
+    samples ``tail`` repeats (the last point within tol, the last 256 within
+    10·tol, relative to the tail's scale), and the last point; (None, None)
+    if none does."""
+    window = len(tail)
     scale = max(1.0, float(np.max(np.abs(tail))))
     back = tail[-2:-window // 2 - 1:-1]          # back[p - 1] = tail[-1 - p]
     for p in np.nonzero(np.abs(tail[-1] - back) < tol * scale)[0] + 1:
@@ -290,7 +289,26 @@ def _attractor_period(c: float, transient: int, window: int, tol: float):
     return None, None
 
 
-def _tower_descend(c: float, config: RunConfig):
+def _attractor_period(c: float, transient: int, window: int, tol: float):
+    """Minimal period of the attracting cycle reached by the critical orbit;
+    periods below window // 2 are tried."""
+    x = 0.0
+    for _ in range(transient):
+        x = x * x + c
+    tail = np.empty(window)
+    for i in range(window):
+        x = x * x + c
+        tail[i] = x
+    return _tail_period(tail, tol)
+
+
+def _sign_flips(g):
+    """Indices i where g[i] and g[i + 1] have strictly opposite signs."""
+    sign = np.sign(g)
+    return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+
+
+def _tower_descend(c: float):
     """Validated period-2 return-map tower for x^2 + c.
 
     Returns (widths, reason): widths[j] is the half-width a_j of the
@@ -300,52 +318,29 @@ def _tower_descend(c: float, config: RunConfig):
     |R_j(0)| >= |alpha| and |R_j^2(0)| <= |alpha|; descent stops when no
     candidate passes.
     """
-    beta = (1 + math.sqrt(1 - 4 * c)) / 2
-    widths = [beta]
-    for j in range(config.cascade_depth):
+    q = Quadratic(c)
+    widths = [q.beta]
+    for j in range(CASCADE_DEPTH):
         n = 2 ** j
         a = widths[-1]
 
         def R(x, _n=n):
-            if np.ndim(x):
-                y = np.array(x, dtype=float)
-                for _ in range(_n):
-                    y = y * y + c
-                return y
-            y = x
             for _ in range(_n):
-                y = y * y + c
-            return y
+                x = x * x + c
+            return x
 
         candidates = []
         for half in (np.linspace(-a, -a * 1e-9, 384), np.linspace(a * 1e-9, a, 384)):
             vals = R(half) - half
-            sign = np.sign(vals)
-            flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-            for idx in flips:
-                lo, hi = half[idx], half[idx + 1]
-                glo = vals[idx]
-                for _ in range(200):
-                    mid = (lo + hi) / 2
-                    gm = R(mid) - mid
-                    if gm * glo <= 0:
-                        hi = mid
-                    else:
-                        lo, glo = mid, gm
-                    if hi - lo < 1e-14 * max(1.0, a):
-                        break
-                cand = (lo + hi) / 2
-                slope = 1.0
-                y = cand
-                for _ in range(n):
-                    slope *= 2 * y
-                    y = y * y + c
-                if slope < -1 + 1e-9:
+            for i in _sign_flips(vals):
+                cand = bisect_root(lambda x: R(x) - x, float(half[i]), float(half[i + 1]),
+                                   1e-14 * max(1.0, a), float(vals[i]))
+                if cycle_multiplier(q, cand, n) < -1 + 1e-9:
                     candidates.append(cand)
         candidates.sort(key=abs)
         alpha = None
         for cand in candidates:
-            if abs(cand) < config.float_width_floor:
+            if abs(cand) < FLOAT_WIDTH_FLOOR:
                 continue
             v1 = R(0.0)
             if abs(v1) < abs(cand):
@@ -361,8 +356,7 @@ def _tower_descend(c: float, config: RunConfig):
     return widths, "depth"
 
 
-def _grid_period_scan(c: float, level: int, half_width: float, ps,
-                      config: RunConfig) -> Optional[Witness]:
+def _grid_period_scan(c: float, level: int, half_width: float, ps) -> Optional[Witness]:
     """Vectorized search for a non-power-of-two period of R = f^(2^level).
 
     One pass iterates the grid to max(ps)·2^level steps and, on reaching
@@ -370,36 +364,24 @@ def _grid_period_scan(c: float, level: int, half_width: float, ps,
     R^p(x) - x; it stops at the first verified witness.
     """
     n = 2 ** level
-    xs = np.linspace(-half_width, half_width, config.grid_cells)
-    ys = xs.copy()
+    xs = np.linspace(-half_width, half_width, GRID_CELLS)
+    ys = xs
     done = 0
     for p in sorted(ps):
         for _ in range(p * n - done):
             ys = ys * ys + c
         done = p * n
         g = ys - xs
-        sign = np.sign(g)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for idx in flips:
-            lo, hi = xs[idx], xs[idx + 1]
-            glo = g[idx]
 
-            def gp(x):
-                y = x
-                for _ in range(p * n):
-                    y = y * y + c
-                return y - x
+        def gp(x, _k=p * n):
+            y = x
+            for _ in range(_k):
+                y = y * y + c
+            return y - x
 
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                gm = gp(mid)
-                if gm * glo <= 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-                if hi - lo < 1e-14 * max(1.0, half_width):
-                    break
-            x0 = (lo + hi) / 2
+        for i in _sign_flips(g):
+            x0 = bisect_root(gp, float(xs[i]), float(xs[i + 1]),
+                             1e-14 * max(1.0, half_width), float(g[i]))
             w = _float_orbit_witness(c, x0, p * n)
             if w is not None:
                 return w
@@ -429,18 +411,18 @@ def _float_orbit_witness(c: float, x0: float, period_hint: int) -> Optional[Witn
 def classify_quadratic(c: float, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
     if not (-2.0 <= c <= 0.25):
         raise PreconditionError(f"c={c} outside [-2, 1/4]")
-    p_att, pt = _attractor_period(c, 60_000, 4096, config.attracting_tol)
+    p_att, pt = _attractor_period(c, 60_000, 4096, ATTRACTING_TOL)
     if p_att is not None and not is_power_of_two(p_att):
         w = _float_orbit_witness(c, pt, p_att)
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
-    widths, reason = _tower_descend(c, config)
+    widths, reason = _tower_descend(c)
     depth = len(widths) - 1
     if p_att is None and depth >= 6:
         # deep cascades converge slowly; retry the attractor with a long
         # tail and a window that tries periods up to 2^(depth+1)
         p_att, pt = _attractor_period(c, 600_000, max(8192, 2 ** (depth + 2)),
-                                      config.attracting_tol)
+                                      ATTRACTING_TOL)
         if p_att is not None and not is_power_of_two(p_att):
             w = _float_orbit_witness(c, pt, p_att)
             if w is not None:
@@ -448,18 +430,14 @@ def classify_quadratic(c: float, bound: int, config: RunConfig = DEFAULT) -> Pro
     if p_att is not None and is_power_of_two(p_att):
         k = p_att.bit_length() - 1
         if depth >= k:
-            mult = 1.0
-            y = pt
-            for _ in range(p_att):
-                mult *= 2 * y
-                y = y * y + c
+            mult = cycle_multiplier(Quadratic(c), pt, p_att)
             if abs(mult) < 1.0:
                 cert = FloatZeroCertificate(k, p_att, pt, mult)
                 return ProbeResult(ZERO, certificate=cert)
     # positive side: scan the deepest validated return map for short periods
     scan_levels = [depth, max(depth - 1, 0)]
     for lvl in dict.fromkeys(scan_levels):
-        w = _grid_period_scan(c, lvl, widths[lvl], (3, 5, 6, 7, 9, 10, 11, 12), config)
+        w = _grid_period_scan(c, lvl, widths[lvl], (3, 5, 6, 7, 9, 10, 11, 12))
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
     return ProbeResult(UNDECIDED,
@@ -482,7 +460,6 @@ def float_positive_witness(m, bound: int, config: RunConfig = DEFAULT) -> Option
 
 def _critical_attractors(m, transient: int, window: int, tol: float):
     """Minimal attracting-cycle period reached by each critical orbit, or None."""
-    from .maps import turning_points_of
     out = []
     for c in turning_points_of(m):
         x = m(c)
@@ -492,15 +469,8 @@ def _critical_attractors(m, transient: int, window: int, tol: float):
         for i in range(window):
             x = m(x)
             tail[i] = x
-        scale = max(1.0, float(np.max(np.abs(tail))))
-        found = None
-        for p in range(1, window // 2):
-            if abs(tail[-1] - tail[-1 - p]) < tol * scale:
-                k = min(window - p, 128)
-                if np.max(np.abs(tail[-k:] - tail[-k - p:-p])) < 10 * tol * scale:
-                    found = (p, float(tail[-1]))
-                    break
-        if found is None:
+        found = _tail_period(tail, tol)
+        if found[0] is None:
             return None
         out.append(found)
     return out
@@ -517,19 +487,14 @@ def classify_float_generic(m, bound: int, config: RunConfig = DEFAULT) -> ProbeR
     w = float_positive_witness(m, bound, config)
     if w is not None:
         return ProbeResult(POSITIVE, witness=w)
-    att = _critical_attractors(m, 40_000, 2048, config.attracting_tol)
+    att = _critical_attractors(m, 40_000, 2048, ATTRACTING_TOL)
     if att is not None:
         bad = [p for p, _ in att if not is_power_of_two(p)]
         if bad:
             return ProbeResult(UNDECIDED,
                                note=f"attracting period {bad[0]} but no verified orbit")
         p_max, pt = max(att)
-        h = 1e-6 * max(1.0, abs(pt))
-        y = pt
-        mult = 1.0
-        for _ in range(p_max):
-            mult *= (m(y + h) - m(y - h)) / (2 * h)
-            y = m(y)
+        mult = cycle_multiplier(m, pt, p_max)
         if abs(mult) < 1.0:
             cert = FloatZeroCertificate(p_max.bit_length() - 1, p_max, pt, mult)
             return ProbeResult(ZERO, certificate=cert)

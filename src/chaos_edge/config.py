@@ -10,10 +10,13 @@ from fractions import Fraction
 class RunConfig:
     """Budgets, tolerances and output options.
 
-    All budgets are positive.  ``precision`` governs float root-finding,
-    ``depth`` is the default symbol depth for itineraries and kneading data,
-    and the two ``period_bound_*`` values are the default periodic-orbit
-    search ceilings for exact (rational) and floating-point maps.
+    All budgets are positive.  ``precision`` is the only float tolerance a
+    caller sets: the relative width to which float roots are bisected before
+    their Newton polish.  The float classifiers' fixed tolerances and grid
+    sizes are module constants beside their code.  ``depth`` is the default
+    symbol depth for itineraries and kneading data, and the two
+    ``period_bound_*`` values are the default periodic-orbit search ceilings
+    for exact (rational) and floating-point maps.
     """
 
     precision: float = 1e-12
@@ -24,23 +27,18 @@ class RunConfig:
     lap_cap: int = 10**9               # reported counts above this saturate
     piece_budget: int = 400_000        # pieces per iterate; exact lap counts use the Markov budget
     orbit_budget: int = 20_000         # exact orbit steps before giving up
-    cascade_depth: int = 16            # renormalization levels to attempt
     markov_max_states: int = 20_000    # Markov partition size; caps exact entropy and laps
     zero_cert_levels: int = 24         # largest k admitted in 2^k plateau periods
     resolution_exact: Fraction = Fraction(1, 2**40)
     resolution_float: float = 1e-9
-    float_width_floor: float = 1e-9    # restrictive intervals thinner than this are noise
-    renorm_degenerate_width: float = 1e-12
-    attracting_tol: float = 1e-8
-    grid_cells: int = 4096             # float periodic-point grid (2**12)
     output_format: str = "json"
 
     def __post_init__(self):
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name in ("depth", "period_bound_exact", "period_bound_float", "n_max",
-                     "lap_cap", "piece_budget", "orbit_budget", "cascade_depth",
-                     "markov_max_states", "zero_cert_levels", "grid_cells"):
+                     "lap_cap", "piece_budget", "orbit_budget",
+                     "markov_max_states", "zero_cert_levels"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import as_pl, is_exact, turning_points_of
+from .maps import as_pl, is_exact
 from .markov import build_markov, cyclic_components
 from .periods import is_power_of_two, turning_points_of_iterate
 from .piecewise import strict_lap_count
@@ -85,8 +85,7 @@ def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
         if n == 1:
             return LapCount(1, strict_lap_count(pl.pieces()))
         return LapCount(n, next(islice(_graph_laps(pl, config), n - 1, None)))
-    turns = turning_points_of_iterate(m, n, config) if n > 1 else list(turning_points_of(m))
-    return LapCount(n, len(turns) + 1)
+    return LapCount(n, len(turning_points_of_iterate(m, n, config)) + 1)
 
 
 def lap_series(m, n_max: int, config: RunConfig = DEFAULT):

@@ -256,6 +256,28 @@ class Quadratic:
         return 2 * x
 
 
+def bisect_root(g, lo: float, hi: float, xtol: float, g_lo=None) -> float:
+    """Root of g in [lo, hi], where g changes sign: the bracket is halved
+    until it is no wider than xtol and its midpoint returned.
+
+    A midpoint becomes the right end when g(mid) * g_lo <= 0, so g_lo == 0
+    converges to lo; a midpoint where g is exactly 0 is returned at once.
+    Pass Python floats: each step on numpy scalars is slower.
+    """
+    if g_lo is None:
+        g_lo = g(lo)
+    while hi - lo > xtol:
+        mid = (lo + hi) / 2
+        gm = g(mid)
+        if gm == 0:
+            return mid
+        if gm * g_lo <= 0:
+            hi = mid
+        else:
+            lo, g_lo = mid, gm
+    return (lo + hi) / 2
+
+
 def _stage_b(ell: int, a: float, tol: float = 1e-14) -> float:
     """Positive root of b^ell + a = b beyond the minimum of g(b) = b^ell + a - b.
 
@@ -265,10 +287,11 @@ def _stage_b(ell: int, a: float, tol: float = 1e-14) -> float:
     """
     g = lambda b: b ** ell + a - b
     bstar = (1.0 / ell) ** (1.0 / (ell - 1))
-    if g(bstar) > 0:
+    g_star = g(bstar)
+    if g_star > 0:
         raise ValueError(
             f"stage (ell={ell}, a={a}) has no invariant interval: "
-            f"min of b^{ell}+a-b is {g(bstar):.6g} > 0")
+            f"min of b^{ell}+a-b is {g_star:.6g} > 0")
     hi = max(2 * bstar, 1.5)
     for _ in range(200):
         if g(hi) > 0:
@@ -276,14 +299,7 @@ def _stage_b(ell: int, a: float, tol: float = 1e-14) -> float:
         hi *= 2
     else:
         raise ValueError("could not bracket the fixed-point equation")
-    lo = bstar
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if g(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    b = (lo + hi) / 2
+    b = bisect_root(g, bstar, hi, tol, g_star)
     for _ in range(5):
         d = ell * b ** (ell - 1) - 1
         if d == 0:

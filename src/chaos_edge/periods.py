@@ -1,8 +1,10 @@
 """Periodic orbits, period sets, power-of-two spectra and Sharkovskii order.
 
-Exact maps get exact per-piece linear solves of f^p(x) = x; float maps get
-sign-change bisection on a lap-refined grid (with a tangency flag, since a
-grid can miss neutral orbits).
+Exact maps get exact per-piece linear solves of f^p(x) = x.  Float maps get
+one root-finder, ``lap_roots``: a grid on each lap of f^p (between the
+turning points of the iterate), one bisection (``maps.bisect_root``) per sign
+change and a Newton polish.  A grid can miss a neutral orbit that touches
+the diagonal without crossing it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import as_pl, domain_of, is_exact, turning_points_of
+from .maps import as_pl, bisect_root, domain_of, is_exact, iterate, turning_points_of
 from .piecewise import PieceCursor, fixed_points_of_pieces
 
 
@@ -117,6 +119,8 @@ def _periodic_exact(m, p, config, cursor=None):
 
 # -- float route -------------------------------------------------------
 
+GRID_CELLS = 4096               # samples of a float periodic-point grid (2**12)
+
 
 def _preimages(m, w, xtol):
     """Solutions of m(x) = w, via the map's analytic preimages when available."""
@@ -128,18 +132,18 @@ def _preimages(m, w, xtol):
     out = []
     for a, b in zip(cuts, cuts[1:]):
         fa, fb = m(a), m(b)
-        lo, hi = min(fa, fb), max(fa, fb)
-        if not lo <= w <= hi:
-            continue
-        x0, x1 = a, b
-        while x1 - x0 > xtol:
-            mid = (x0 + x1) / 2
-            if (m(mid) - w) * (fa - w) <= 0:
-                x1 = mid
-            else:
-                x0 = mid
-        out.append((x0 + x1) / 2)
+        if min(fa, fb) <= w <= max(fa, fb):
+            out.append(bisect_root(lambda x: m(x) - w, a, b, xtol, fa - w))
     return sorted(out)
+
+
+def _merge_close(xs, tol):
+    """xs sorted, dropping each point within tol of the last one kept."""
+    out = []
+    for x in sorted(xs):
+        if not out or x - out[-1] > tol:
+            out.append(x)
+    return out
 
 
 def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
@@ -151,12 +155,7 @@ def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
         nxt = list(base)
         for w in cur:
             nxt.extend(_preimages(m, w, xtol))
-        nxt.sort()
-        dedup = []
-        for x in nxt:
-            if not dedup or x - dedup[-1] > 10 * xtol:
-                dedup.append(x)
-        cur = dedup
+        cur = _merge_close(nxt, 10 * xtol)
         if len(cur) > config.piece_budget:
             raise BudgetExhausted("turning-point budget exceeded")
     return cur
@@ -179,61 +178,65 @@ def newton_polish(g, x, scale, steps: int = 4):
     return x
 
 
-def _periodic_float(m, p, config):
-    dom = domain_of(m)
-    turns = turning_points_of_iterate(m, p, config) if p > 1 else list(turning_points_of(m))
-    cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
-    scale = max(1.0, abs(dom.lo), abs(dom.hi))
-    xtol = config.precision * scale
+def lap_roots(g, cuts, cells: int, precision: float):
+    """Roots of g on [cuts[0], cuts[-1]], where g is built on an iterate
+    f^n and the inner cuts are the turning points of f^n.
 
-    def fp(x):
-        y = x
-        for _ in range(p):
-            y = m(y)
-        return y
-
+    Each lap between consecutive cuts is sampled on ``cells`` equal cells:
+    exact zeros at samples are kept and sign changes bisected to
+    ``precision`` (relative to the interval's scale); points within ten
+    times that are merged, then Newton-polished and clamped to the interval.
+    """
+    lo, hi = cuts[0], cuts[-1]
+    scale = max(1.0, abs(lo), abs(hi))
+    xtol = precision * scale
     roots = []
     gs = []
-    grid_per = max(8, config.grid_cells // max(1, len(cuts) - 1))
     for a, b in zip(cuts, cuts[1:]):
         if b - a <= xtol:
             continue
-        n = grid_per
-        xs = [a + (b - a) * k / n for k in range(n + 1)]
-        gs = [fp(x) - x for x in xs]
-        for k in range(n):
+        xs = [a + (b - a) * k / cells for k in range(cells + 1)]
+        gs = [g(x) for x in xs]
+        for k in range(cells):
             if gs[k] == 0:
                 roots.append(xs[k])
             if gs[k] * gs[k + 1] < 0:
-                x0, x1, g0 = xs[k], xs[k + 1], gs[k]
-                while x1 - x0 > xtol:
-                    mid = (x0 + x1) / 2
-                    gm = fp(mid) - mid
-                    if gm == 0:
-                        x0 = x1 = mid
-                        break
-                    if gm * g0 <= 0:
-                        x1 = mid
-                    else:
-                        x0, g0 = mid, gm
-                roots.append((x0 + x1) / 2)
+                roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
     if gs and gs[-1] == 0:
-        roots.append(cuts[-1])
-    roots.sort()
-    dedup = []
-    for x in roots:
-        if not dedup or x - dedup[-1] > 10 * xtol:
-            dedup.append(x)
+        roots.append(hi)
+    return sorted(min(max(newton_polish(g, x, scale), lo), hi)
+                  for x in _merge_close(roots, 10 * xtol))
 
-    def on_domain(x):
-        return min(max(x, dom.lo), dom.hi)
 
-    dedup = [on_domain(newton_polish(lambda z: fp(z) - z, x, scale)) for x in dedup]
+def cycle_multiplier(m, x, p: int) -> float:
+    """(f^p)'(x) along the orbit of x: the chain rule through ``m.derivative``
+    when the map has one, otherwise a central difference clamped to the
+    domain at each point."""
+    deriv = getattr(m, "derivative", None)
+    if deriv is None:
+        dom = domain_of(m)
+        h = 1e-7 * max(1.0, abs(dom.lo), abs(dom.hi))
 
-    tol = 1e-9 * scale
+        def deriv(y):
+            a, b = max(y - h, dom.lo), min(y + h, dom.hi)
+            return (m(b) - m(a)) / (b - a)
+    mult = 1.0
+    for _ in range(p):
+        mult *= deriv(x)
+        x = m(x)
+    return mult
+
+
+def _periodic_float(m, p, config):
+    dom = domain_of(m)
+    turns = turning_points_of_iterate(m, p, config)
+    cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
+    roots = lap_roots(lambda x: iterate(m, x, p) - x, cuts,
+                      max(8, GRID_CELLS // (len(cuts) - 1)), config.precision)
+    tol = 1e-9 * max(1.0, abs(dom.lo), abs(dom.hi))
     orbits = []
     taken = []
-    for x in dedup:
+    for x in roots:
         if any(abs(x - t) <= tol for t in taken):
             continue
         mp = _minimal_period(m, x, p, tol)
@@ -241,18 +244,7 @@ def _periodic_float(m, p, config):
             continue
         orbit = _orbit_of(m, x, p)
         taken.extend(orbit)
-        mult = 1.0
-        deriv = getattr(m, "derivative", None)
-        y = x
-        for _ in range(p):
-            if deriv is not None:
-                mult *= deriv(y)
-            else:
-                h = 1e-7 * scale
-                mult *= (m(min(y + h, dom.hi)) - m(max(y - h, dom.lo))) / (
-                    min(y + h, dom.hi) - max(y - h, dom.lo))
-            y = m(y)
-        a = abs(mult)
+        a = abs(cycle_multiplier(m, x, p))
         if abs(a - 1.0) < 1e-6:
             stab = "neutral"
         elif a < 1:

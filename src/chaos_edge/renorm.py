@@ -16,10 +16,12 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BracketError, BudgetExhausted, PreconditionError
-from .maps import (FloatUnimodal, Interval, Quadratic, as_pl, domain_of,
-                   is_exact, turning_points_of)
-from .periods import periodic_points, turning_points_of_iterate
+from .maps import (FloatUnimodal, Interval, Quadratic, as_pl, bisect_root, domain_of,
+                   is_exact, iterate, turning_points_of)
+from .periods import lap_roots, periodic_points, turning_points_of_iterate
 from .piecewise import Affine, PiecewiseLinear, advance_pieces, solve_on_pieces
+
+RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
 
 
 @dataclass(frozen=True)
@@ -99,40 +101,9 @@ def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config):
         for _ in range(n - 1):
             pieces = advance_pieces(pieces, pl, config.piece_budget)
         return solve_on_pieces(pieces, target)
-    turns = turning_points_of_iterate(m, n, config) if n > 1 else list(turning_points_of(m))
+    turns = turning_points_of_iterate(m, n, config)
     cuts = [side_lo] + [t for t in turns if side_lo < t < side_hi] + [side_hi]
-    xtol = config.precision * max(1.0, abs(side_lo), abs(side_hi))
-
-    def fn(x):
-        y = x
-        for _ in range(n):
-            y = m(y)
-        return y
-
-    from .periods import newton_polish
-    scale = max(1.0, abs(side_lo), abs(side_hi))
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        ga, gb = fn(a) - target, fn(b) - target
-        if ga == 0:
-            out.append(a)
-        if ga * gb < 0:
-            x0, x1, g0 = a, b, ga
-            while x1 - x0 > xtol:
-                mid = (x0 + x1) / 2
-                gm = fn(mid) - target
-                if gm == 0:
-                    x0 = x1 = mid
-                    break
-                if gm * g0 <= 0:
-                    x1 = mid
-                else:
-                    x0, g0 = mid, gm
-            x = newton_polish(lambda z: fn(z) - target, (x0 + x1) / 2, scale)
-            out.append(min(max(x, side_lo), side_hi))
-    if cuts and abs(fn(cuts[-1]) - target) == 0:
-        out.append(cuts[-1])
-    return sorted(out)
+    return lap_roots(lambda x: iterate(m, x, n) - target, cuts, 1, config.precision)
 
 
 def _verify_restrictive(m, a, b, n, config) -> Optional[RestrictiveInterval]:
@@ -232,7 +203,7 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
         return (out, phi) if return_phi else out
     # float route: the cascade keeps return maps unimodal
     width = float(J.width)
-    if width < config.renorm_degenerate_width:
+    if width < RENORM_DEGENERATE_WIDTH:
         raise PreconditionError(f"degenerate restrictive interval (width {width:.3e})")
     turns_inside = [c for c in turning_points_of(m) if J.lo < c < J.hi]
     if len(turns_inside) != 1:
@@ -364,17 +335,7 @@ def superstable_sequence(family, k_max: int, tol: float = 1e-13) -> list:
             raise BracketError(
                 f"no sign change for the period-2^{k} superstable equation "
                 f"near [{lo:.6g}, {hi:.6g}] (phi = {flo:.3g}, {fhi:.3g})")
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            fm = phi(mid)
-            if fm == 0:
-                lo = hi = mid
-                break
-            if fm * flo <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        cs.append((lo + hi) / 2)
+        cs.append(bisect_root(phi, lo, hi, tol, flo))
     return cs
 
 

@@ -1,7 +1,13 @@
 import csv
+import dataclasses
+import inspect
 import io
 import json
+import re
+from pathlib import Path
 
+import chaos_edge
+from chaos_edge import RunConfig
 from chaos_edge.cli import main
 
 
@@ -194,3 +200,17 @@ class TestSweepCmd:
         code, _, err = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
                                "--grid", "1")
         assert code == 3
+
+
+def test_every_config_field_is_read():
+    # a RunConfig field that no code reads is a knob that does nothing; a
+    # RunConfig method the program calls reads its fields for it
+    src = Path(chaos_edge.__file__).parent
+    text = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
+    for name, fn in vars(RunConfig).items():
+        if (inspect.isfunction(fn) and not name.startswith("__")
+                and re.search(rf"\.{name}\(", text)):
+            text += inspect.getsource(fn)
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if not re.search(rf"\.{f.name}\b", text)]
+    assert unread == []

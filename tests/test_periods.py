@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from chaos_edge import (Quadratic, build_base, build_stunted,
                         is_power_of_two_spectrum, period_set, periodic_points,
                         sharkovskii_forces, sharkovskii_precedes)
-from chaos_edge.periods import PeriodSet, is_power_of_two
+from chaos_edge.maps import FloatUnimodal, bisect_root
+from chaos_edge.periods import PeriodSet, cycle_multiplier, is_power_of_two
 
 from conftest import random_xi
 
@@ -53,6 +55,28 @@ class TestPeriodicPoints:
             for k in range(1, 4):
                 y = T32(y)
                 assert y != x
+
+
+BASILICA = Quadratic(-1.0)
+# the same map without ``derivative``, so cycle_multiplier takes differences
+BASILICA_NO_DERIVATIVE = FloatUnimodal(BASILICA, BASILICA.domain, 0.0)
+
+
+@pytest.mark.parametrize("got, want, tol", [
+    # a midpoint where g is exactly 0 comes back unchanged, not re-bisected
+    (lambda: bisect_root(lambda x: x - 0.5, 0.0, 1.0, 0.3), 0.5, 0.0),
+    # g_lo == 0 keeps lo in the bracket, even with another root inside
+    (lambda: bisect_root(lambda x: x * (x - 0.7), 0.0, 1.0, 1e-12), 0.0, 1e-12),
+    (lambda: bisect_root(lambda x: 3 * x - 1, 0.0, 1.0, 1e-10), 1 / 3, 1e-10),
+    # chain rule against the domain-clamped central difference: the fixed
+    # point and the superstable 2-cycle {0, -1} of x^2 - 1
+    (lambda: cycle_multiplier(BASILICA_NO_DERIVATIVE, (1 - math.sqrt(5)) / 2, 1),
+     cycle_multiplier(BASILICA, (1 - math.sqrt(5)) / 2, 1), 1e-6),
+    (lambda: cycle_multiplier(BASILICA_NO_DERIVATIVE, -1.0, 2),
+     cycle_multiplier(BASILICA, -1.0, 2), 1e-6),
+])
+def test_float_root_helpers(got, want, tol):
+    assert abs(got() - want) <= tol
 
 
 class TestPeriodSet:
