@@ -408,7 +408,7 @@ def _float_orbit_witness(c: float, x0: float, period_hint: int) -> Optional[Witn
     return Witness("periodic-orbit", minimal, tuple(orbit))
 
 
-def classify_quadratic(c: float, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
+def classify_quadratic(c: float) -> ProbeResult:
     if not (-2.0 <= c <= 0.25):
         raise PreconditionError(f"c={c} outside [-2, 1/4]")
     p_att, pt = _attractor_period(c, 60_000, 4096, ATTRACTING_TOL)
@@ -447,7 +447,7 @@ def classify_quadratic(c: float, bound: int, config: RunConfig = DEFAULT) -> Pro
 def float_positive_witness(m, bound: int, config: RunConfig = DEFAULT) -> Optional[Witness]:
     """Positive-entropy witness for float maps."""
     if isinstance(m, Quadratic):
-        r = classify_quadratic(m.c, bound, config)
+        r = classify_quadratic(m.c)
         return r.witness if r.kind == POSITIVE else None
     for p in range(3, min(bound, 16) + 1):
         if is_power_of_two(p):
@@ -562,7 +562,7 @@ def classify_probe(path: ParameterPath, t, bound: int,
     if path.kind == "stunted":
         return classify_stunted(path.map_at(t), bound, config)
     if path.kind == "quadratic":
-        return classify_quadratic(float(t), bound, config)
+        return classify_quadratic(float(t))
     try:
         m = path.map_at(t)
     except ValueError:

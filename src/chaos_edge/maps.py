@@ -323,6 +323,8 @@ class PolynomialTypeB:
     stages: tuple
     bs: tuple = field(init=False)
     turning_points: tuple = field(init=False)
+    # (ell, a, b, b ** ell) per stage, for __call__
+    coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stages = tuple((int(ell), float(a)) for ell, a in self.stages)
@@ -342,6 +344,8 @@ class PolynomialTypeB:
                     f"interior stage {idx + 1} needs value q(0) = {-a/b:.6g} > 0 (a < 0)")
             bs.append(b)
         object.__setattr__(self, "bs", tuple(bs))
+        object.__setattr__(self, "coeffs", tuple(
+            (ell, a, b, b ** ell) for (ell, a), b in zip(stages, bs)))
         object.__setattr__(self, "turning_points", tuple(self._turning_points()))
 
     kind = "type_b"
@@ -365,8 +369,9 @@ class PolynomialTypeB:
         return sorted({x for x in (-s, s) if -1.0 <= x <= 1.0})
 
     def __call__(self, x):
-        for i in range(len(self.stages)):
-            x = self.stage_eval(i, x)
+        # stage_eval per stage, with b ** ell computed once
+        for ell, a, b, b_ell in self.coeffs:
+            x = -(b_ell * x ** ell + a) / b
         return x
 
     def preimages(self, w):
@@ -398,7 +403,7 @@ def build_type_b(stages) -> PolynomialTypeB:
 
 @dataclass(frozen=True)
 class FloatUnimodal:
-    """Unimodal float map given by a callable; used for renormalized return maps."""
+    """Unimodal float map given by a callable."""
 
     fn: Callable
     domain: Interval

@@ -32,7 +32,8 @@ Piece = tuple  # (a, b, fa, fb); fa == fb marks a constant piece
 
 @dataclass(frozen=True)
 class Affine:
-    """x -> a*x + b with exact coefficients."""
+    """x -> a*x + b: exact coefficients on the exact route, floats on the
+    float route (renormalized float maps)."""
 
     a: Fraction
     b: Fraction

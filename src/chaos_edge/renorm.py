@@ -6,18 +6,25 @@ turning point somewhere in the orbit of J, and J maximal.  Candidate
 boundaries are periodic points of period dividing n next to a turning point,
 paired with their nearest f^n-preimage on the other side; every returned
 interval re-verifies all four conditions.
+
+A float cascade level k is the map Φ_k ∘ f^N ∘ Φ_k⁻¹ of the original map f,
+where N = 2^k is the product of the relative periods and Φ_k is one affine
+map from the original coordinates to the level's: ``RenormalizedMap``
+evaluates it in one loop over f.  Renormalizing a level composes Φ and
+multiplies N instead of wrapping the level above, so one evaluation costs N
+steps of f and no nested calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BracketError, BudgetExhausted, PreconditionError
-from .maps import (FloatUnimodal, Interval, Quadratic, as_pl, bisect_root, domain_of,
-                   is_exact, iterate, turning_points_of)
+from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
+                   turning_points_of)
 from .periods import lap_roots, periodic_points, turning_points_of_iterate
 from .piecewise import Affine, PiecewiseLinear, advance_pieces, solve_on_pieces
 
@@ -30,6 +37,46 @@ class RestrictiveInterval:
     period: int
     turning_hits: tuple      # orbit steps at which a turning point is inside
     maximal: bool = True
+
+
+@dataclass(frozen=True)
+class RenormalizedMap:
+    """Float map Φ ∘ f^n ∘ Φ⁻¹ of a base map f, evaluated in one loop.
+
+    ``phi`` takes the base map's coordinates to this map's, and ``n`` counts
+    the steps of the base map in one step of this map.  A ``Quadratic`` base
+    runs ``y * y + c`` inline, the arithmetic of ``Quadratic.__call__``;
+    any other base is called once per step.
+    """
+
+    base: object
+    phi: Affine
+    n: int
+    domain: Interval
+    turning: float
+    kind = "renormalized"
+    _coeffs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inv = self.phi.inverse()
+        c = self.base.c if type(self.base) is Quadratic else None
+        object.__setattr__(self, "_coeffs", (inv.a, inv.b, self.phi.a, self.phi.b, c))
+
+    @property
+    def turning_points(self) -> tuple:
+        return (self.turning,)
+
+    def __call__(self, x):
+        ia, ib, pa, pb, c = self._coeffs
+        y = ia * x + ib
+        if c is None:
+            f = self.base
+            for _ in range(self.n):
+                y = f(y)
+        else:
+            for _ in range(self.n):
+                y = y * y + c
+        return pa * y + pb
 
 
 @dataclass(frozen=True)
@@ -210,24 +257,19 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
         raise PreconditionError(
             f"expected one turning point inside the restrictive interval, found {len(turns_inside)}")
     c = turns_inside[0]
-
-    def f_n(x):
-        y = x
-        for _ in range(n):
-            y = m(y)
-        return y
-
     probe = J.lo + width * 1e-6
-    flip = f_n(probe) < f_n(J.lo)
+    flip = iterate(m, probe, n) < iterate(m, J.lo, n)
     phi = _affine_onto(J.lo, J.hi, dom.lo, dom.hi, flip)
-    phi_inv = phi.inverse()
-    fn_local = f_n
-
-    def g(x):
-        return phi(fn_local(phi_inv(x)))
-
-    out = FloatUnimodal(g, Interval(dom.lo, dom.hi), phi(c), kind="renormalized")
+    base, to_level, steps = m, phi, n
+    if isinstance(m, RenormalizedMap):
+        base, to_level, steps = m.base, _compose(phi, m.phi), m.n * n
+    out = RenormalizedMap(base, to_level, steps, Interval(dom.lo, dom.hi), phi(c))
     return (out, phi) if return_phi else out
+
+
+def _compose(outer: Affine, inner: Affine) -> Affine:
+    """outer ∘ inner."""
+    return Affine(outer.a * inner.a, outer.a * inner.b + outer.b)
 
 
 def _affine_onto(a, b, d0, d1, flip: bool) -> Affine:

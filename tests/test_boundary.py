@@ -112,8 +112,8 @@ class TestClassify:
         assert r.note == "plateau orbit 0 did not close up within orbit_budget=5 steps"
 
     def test_quadratic_sides(self):
-        assert classify_quadratic(-1.3, 32).kind == ZERO
-        assert classify_quadratic(-1.5, 32).kind == POSITIVE
+        assert classify_quadratic(-1.3).kind == ZERO
+        assert classify_quadratic(-1.5).kind == POSITIVE
 
 
 class TestLocate:
@@ -180,7 +180,7 @@ class TestQuadraticCascade:
 
     @pytest.mark.parametrize("c, period", DEEP_ZERO)
     def test_deep_zero_probe(self, c, period):
-        r = classify_quadratic(c, 32)
+        r = classify_quadratic(c)
         assert r.kind == ZERO
         assert r.certificate.period == period
         assert abs(r.certificate.multiplier) < 1
@@ -233,7 +233,7 @@ class TestQuadraticCascade:
         res = locate_boundary(quadratic_path(-1.5, -1.3), bound=32, resolution=1e-6)
         points = [res.zero_side[1].point, *res.positive_side[1].orbit]
         for c in (-2.0, -1.5, -1.41):
-            points.extend(classify_quadratic(c, 32).witness.orbit)
+            points.extend(classify_quadratic(c).witness.orbit)
         assert [x for x in points if type(x) is not float] == []
 
 

@@ -140,6 +140,15 @@ class TestRenormCmd:
         rep = json.loads(out)
         assert rep["depth"] == 3
 
+    def test_cascade_near_accumulation(self, tmp_path, capsys):
+        desc = {"kind": "quadratic", "c": -1.401155}
+        code, out, _ = run_cli(capsys, "renorm", write(tmp_path, "t.json", desc),
+                               "--cascade", "8")
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["depth"] == 8 and rep["reason"] == "depth"
+        assert [l["relative_period"] for l in rep["levels"]] == [2] * 8
+
 
 class TestFeigenbaumCmd:
     def test_json(self, capsys):
@@ -167,6 +176,15 @@ class TestBoundaryCmd:
         assert all(p & (p - 1) == 0 for p in periods)
         w = rep["above"]["witness"]["period"]
         assert w & (w - 1) != 0
+
+    def test_quadratic_reads_only_resolution(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3})
+        code, out, _ = run_cli(capsys, "boundary", path, "--resolution", "1e-6")
+        code2, out2, _ = run_cli(capsys, "boundary", path, "--resolution", "1e-6",
+                                 "--bound", "3", "--precision", "1e-3")
+        assert code == code2 == 0
+        assert json.loads(out)["undecided_count"] == 0
+        assert out2 == out
 
     def test_equal_endpoints_exit3(self, tmp_path, capsys):
         desc = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],

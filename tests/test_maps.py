@@ -203,6 +203,22 @@ class TestTypeB:
         a1_rec = p.bs[0] * (-q0)
         assert abs(a1_rec - (-1.9)) < 1e-10
 
+    @pytest.mark.parametrize("stages", [
+        [(2, -1.3)], [(4, -1.0)], [(6, -0.9)],
+        [(2, -1.0), (4, -1.1)], [(6, -0.8), (2, -1.5)],
+        [(2, -1.2), (4, -0.9), (6, -1.0)],
+    ])
+    def test_call_is_the_stage_composition(self, stages):
+        # __call__ uses precomputed b ** ell; the bits must not move
+        p = build_type_b(stages)
+        rnd = random.Random(len(stages) * 10 + stages[0][0])
+        xs = [rnd.uniform(-1.0, 1.0) for _ in range(500)] + [-1.0, 0.0, 1.0]
+        for x in xs:
+            y = x
+            for i in range(len(stages)):
+                y = p.stage_eval(i, y)
+            assert p(x) == y
+
 
 class TestCriticalValues:
     def test_single_plateau(self, T32):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,62 @@ class TestRenormalize:
             assert itinerary(R, x, 24).symbols == itinerary(induced, u, 24).symbols
 
 
+def _level_maps(f, depth):
+    """Levels 1..depth of the period-2 cascade of f, each with its
+    relative rescaling phi."""
+    out = []
+    for _ in range(depth):
+        ri = find_restrictive(f, 2)
+        f, phi = renormalize(f, ri, return_phi=True)
+        out.append((f, phi))
+    return out
+
+
+class TestFlatLevels:
+    C = -1.401155
+
+    def test_agrees_with_nested_closures(self):
+        # the level-k map as the closures of one level wrapped around the
+        # next, evaluated level by level
+        f = Quadratic(self.C)
+        nested = f
+        rnd = random.Random(3)
+        for k, (level, phi) in enumerate(_level_maps(f, 4), start=1):
+            inv = phi.inverse()
+            nested = FloatUnimodal(lambda x, g=nested, p=phi, q=inv: p(g(g(q(x)))),
+                                   level.domain, level.turning)
+            dom = level.domain
+            scale = max(1.0, abs(dom.lo), abs(dom.hi))
+            for _ in range(200):
+                x = rnd.uniform(dom.lo, dom.hi)
+                assert abs(level(x) - nested(x)) <= 1e-12 * scale
+
+    def test_one_loop_over_the_base(self):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return x * x + self.C
+
+        base = FloatUnimodal(counted, Quadratic(self.C).domain, 0.0)
+        (_, _), (level2, _), (level3, _) = _level_maps(base, 3)
+        selves = []
+
+        def watch(frame, event, arg):
+            if event == "call":
+                selves.append(frame.f_locals.get("self"))
+
+        x = 0.25 * level3.domain.hi
+        calls[0] = 0
+        sys.setprofile(watch)
+        try:
+            level3(x)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] == 8
+        assert not any(s is level2 for s in selves)
+
+
 class TestCascade:
     def test_superstable_depths(self):
         fam = QuadraticFamily()
@@ -123,6 +180,26 @@ class TestCascade:
     def test_near_accumulation_deep(self):
         tr = cascade_trace(Quadratic(-1.401155), 8)
         assert tr.depth >= 6
+
+    def test_near_accumulation_endpoints_pinned(self):
+        # original-coordinate endpoints of the nested float construction
+        # (each level a closure over the level above) on the same map
+        pinned = [
+            (-0.7849727623572416, 0.7849727623572416),
+            (-0.30694175750174174, 0.3069417575017418),
+            (-0.12274779137381904, 0.12274779137381947),
+            (-0.04902503057591006, 0.049025030575911475),
+            (-0.019586736000565805, 0.019586736000564473),
+            (-0.007824473757018396, 0.007824473757023628),
+            (-0.00312416076776147, 0.003124160767737284),
+            (-0.0012444938303787139, 0.0012444938303737764),
+        ]
+        tr = cascade_trace(Quadratic(-1.401155), 8)
+        assert tr.depth == 8 and tr.reason == "depth"
+        assert [l.relative_period for l in tr.levels] == [2] * 8
+        for level, (lo, hi) in zip(tr.levels, pinned):
+            assert abs(level.original.lo - lo) <= 1e-12
+            assert abs(level.original.hi - hi) <= 1e-12
 
 
 class TestSuperstable:
