@@ -21,8 +21,9 @@ from .renorm import (CascadeTrace, QuadraticFamily, RestrictiveInterval,
                      cascade_trace, feigenbaum_delta, find_restrictive,
                      renormalize, superstable_parameter, superstable_sequence)
 from .boundary import (BoundaryResult, FloatZeroCertificate, ParameterPath,
-                       ZeroEntropyCertificate, approximants, classify_probe,
-                       classify_quadratic, classify_stunted, locate_boundary,
+                       ZeroEntropyCertificate, approximants, classify_float,
+                       classify_probe, classify_quadratic, classify_stunted,
+                       locate_boundary,
                        quadratic_path, stunted_path, type_b_path,
                        verify_zero_certificate, zero_entropy_certificate)
 

@@ -19,13 +19,16 @@ Both verdicts are re-checked on the map itself, in ``Fraction``s:
 ``verify_witness`` walks every witness orbit, and ``verify_zero_certificate``
 walks every plateau orbit before it recomputes the certificate.
 
-The quadratic family gets a floating-point analogue built on the doubling
-tower: a parameter is zero-certified when the critical orbit settles on an
+The float families (x^2 + c and type-B compositions) get one floating-point
+analogue, ``classify_float``, written against the map.  An even map (x^2 + c,
+one type-B stage) is zero-certified when the critical orbit settles on an
 attracting 2^k-cycle *and* the k-level tower of period-2 return maps
-validates; it is positive-certified by a non-power-of-two orbit found either
-directly or through a return map of the tower.  Each tower level needs the
-slope of R_j = f^(2^j) at its fixed point alpha, taken by the chain rule as
-the product of 2·y along the 2^j steps (a difference quotient is swamped by
+validates; a multimodal map, which has no tower, when every turning point's
+orbit settles on an attracting cycle of power-of-two period and the scan
+below finds nothing.  A parameter is positive-certified by a non-power-of-two
+orbit found either directly or through a return map of the tower.  Each tower
+level needs the slope of R_j = f^(2^j) at its fixed point alpha, taken by the
+chain rule along the 2^j steps (a difference quotient of R_j is swamped by
 round-off once the level is a few units of 1e-4 wide).  A slowly converging
 critical orbit is retried on a window of 2^(depth+2) samples, so that a
 cycle of period 2^depth, the deepest the tower can validate, is seen.  The
@@ -45,9 +48,10 @@ from .config import DEFAULT, RunConfig
 from .entropy import Witness, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
-                   build_stunted, build_type_b, is_exact, iterate, rat, turning_points_of)
+                   build_stunted, build_type_b, domain_of, is_exact, iterate, rat,
+                   turning_points_of)
 from .markov import build_markov, cycle_analysis
-from .periods import GRID_CELLS, cycle_multiplier, is_power_of_two, periodic_points
+from .periods import GRID_CELLS, cycle_multiplier, is_power_of_two
 from .piecewise import on_lattice
 from .symbolic import shape
 
@@ -58,6 +62,7 @@ UNDECIDED = "undecided"
 ATTRACTING_TOL = 1e-8       # relative tolerance for an orbit tail repeating
 CASCADE_DEPTH = 16          # return-map levels the quadratic tower attempts
 FLOAT_WIDTH_FLOOR = 1e-9    # tower fixed points closer to 0 than this are noise
+SCAN_PERIODS = (3, 5, 6, 7, 9, 10, 11, 12)   # non-power-of-two periods the grid scan tries
 
 
 # ---------------------------------------------------------------------
@@ -269,7 +274,7 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
 
 
 # ---------------------------------------------------------------------
-# quadratic probe classification (doubling tower)
+# float probe classification (attractor, doubling tower, grid scan)
 # ---------------------------------------------------------------------
 
 
@@ -289,17 +294,19 @@ def _tail_period(tail, tol: float):
     return None, None
 
 
-def _attractor_period(c: float, transient: int, window: int, tol: float):
-    """Minimal period of the attracting cycle reached by the critical orbit;
-    periods below window // 2 are tried."""
-    x = 0.0
-    for _ in range(transient):
-        x = x * x + c
-    tail = np.empty(window)
-    for i in range(window):
-        x = x * x + c
-        tail[i] = x
-    return _tail_period(tail, tol)
+def _attractor_period(m, transient: int, window: int, tol: float):
+    """[(p, x)] per turning point of m: the period and a point of the
+    attracting cycle its orbit reaches (``_tail_period`` of ``window``
+    samples after ``transient`` steps); periods below window // 2 are tried."""
+    out = []
+    for x in turning_points_of(m):
+        x = iterate(m, x, transient)
+        tail = np.empty(window)
+        for i in range(window):
+            x = m(x)
+            tail[i] = x
+        out.append(_tail_period(tail, tol))
+    return out
 
 
 def _sign_flips(g):
@@ -308,8 +315,9 @@ def _sign_flips(g):
     return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
-def _tower_descend(c: float):
-    """Validated period-2 return-map tower for x^2 + c.
+def _tower_descend(m):
+    """Validated period-2 return-map tower of an even map m, turning point 0
+    on a symmetric domain (x^2 + c and one-stage type-B maps).
 
     Returns (widths, reason): widths[j] is the half-width a_j of the
     symmetric interval on which R_j = f^(2^j) acts (the iterates of an even
@@ -318,46 +326,32 @@ def _tower_descend(c: float):
     |R_j(0)| >= |alpha| and |R_j^2(0)| <= |alpha|; descent stops when no
     candidate passes.
     """
-    q = Quadratic(c)
-    widths = [q.beta]
+    widths = [domain_of(m).hi]
     for j in range(CASCADE_DEPTH):
         n = 2 ** j
         a = widths[-1]
-
-        def R(x, _n=n):
-            for _ in range(_n):
-                x = x * x + c
-            return x
-
         candidates = []
         for half in (np.linspace(-a, -a * 1e-9, 384), np.linspace(a * 1e-9, a, 384)):
-            vals = R(half) - half
+            vals = iterate(m, half, n) - half
             for i in _sign_flips(vals):
-                cand = bisect_root(lambda x: R(x) - x, float(half[i]), float(half[i + 1]),
-                                   1e-14 * max(1.0, a), float(vals[i]))
-                if cycle_multiplier(q, cand, n) < -1 + 1e-9:
+                cand = bisect_root(lambda x: iterate(m, x, n) - x, float(half[i]),
+                                   float(half[i + 1]), 1e-14 * max(1.0, a), float(vals[i]))
+                if cycle_multiplier(m, cand, n) < -1 + 1e-9:
                     candidates.append(cand)
-        candidates.sort(key=abs)
-        alpha = None
-        for cand in candidates:
-            if abs(cand) < FLOAT_WIDTH_FLOOR:
-                continue
-            v1 = R(0.0)
-            if abs(v1) < abs(cand):
-                continue
-            v2 = R(v1)
-            if abs(v2) > abs(cand):
-                continue
-            alpha = cand
-            break
+        v1 = iterate(m, 0.0, n)
+        v2 = iterate(m, v1, n)
+        alpha = next((cand for cand in sorted(candidates, key=abs)
+                      if FLOAT_WIDTH_FLOOR <= abs(cand) <= abs(v1) and abs(v2) <= abs(cand)),
+                     None)
         if alpha is None:
             return widths, "no-alpha"
         widths.append(abs(alpha))
     return widths, "depth"
 
 
-def _grid_period_scan(c: float, level: int, half_width: float, ps) -> Optional[Witness]:
-    """Vectorized search for a non-power-of-two period of R = f^(2^level).
+def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]:
+    """Vectorized search for a non-power-of-two period of R = f^(2^level) on
+    [-half_width, half_width].
 
     One pass iterates the grid to max(ps)·2^level steps and, on reaching
     p·2^level for each p in ascending order, looks for sign changes of
@@ -368,137 +362,87 @@ def _grid_period_scan(c: float, level: int, half_width: float, ps) -> Optional[W
     ys = xs
     done = 0
     for p in sorted(ps):
-        for _ in range(p * n - done):
-            ys = ys * ys + c
+        ys = iterate(m, ys, p * n - done)
         done = p * n
         g = ys - xs
-
-        def gp(x, _k=p * n):
-            y = x
-            for _ in range(_k):
-                y = y * y + c
-            return y - x
-
         for i in _sign_flips(g):
-            x0 = bisect_root(gp, float(xs[i]), float(xs[i + 1]),
-                             1e-14 * max(1.0, half_width), float(g[i]))
-            w = _float_orbit_witness(c, x0, p * n)
+            x0 = bisect_root(lambda x: iterate(m, x, done) - x, float(xs[i]),
+                             float(xs[i + 1]), 1e-14 * max(1.0, half_width), float(g[i]))
+            w = _float_orbit_witness(m, x0, done)
             if w is not None:
                 return w
     return None
 
 
-def _float_orbit_witness(c: float, x0: float, period_hint: int) -> Optional[Witness]:
+def _float_orbit_witness(m, x0: float, period_hint) -> Optional[Witness]:
     """Package a float periodic point as a witness if its minimal period is
     not a power of two (first-return with a relative tolerance)."""
-    scale = max(1.0, abs(x0))
-    tol = 1e-7 * scale
-    y = x0
-    minimal = None
-    for k in range(1, period_hint + 1):
-        y = y * y + c
-        if abs(y - x0) < tol:
-            minimal = k
-            break
-    if minimal is None or is_power_of_two(minimal):
+    if period_hint is None or is_power_of_two(period_hint):
         return None
+    tol = 1e-7 * max(1.0, abs(x0))
     orbit = [x0]
-    for _ in range(minimal - 1):
-        orbit.append(orbit[-1] ** 2 + c)
-    return Witness("periodic-orbit", minimal, tuple(orbit))
+    for _ in range(period_hint):
+        y = m(orbit[-1])
+        if abs(y - x0) < tol:
+            break
+        orbit.append(y)
+    else:
+        return None
+    if is_power_of_two(len(orbit)):
+        return None
+    return Witness("periodic-orbit", len(orbit), tuple(orbit))
+
+
+def classify_float(m) -> ProbeResult:
+    """Heuristic verdict for a float map (x^2 + c, type-B compositions).
+
+    1. An even map (one turning point, at 0, on a symmetric domain) gets the
+       doubling tower; any other map has depth 0.
+    2. Each turning point's orbit is followed to its attracting cycle, on a
+       window of 2^(depth+2) samples when a tower 6 or more levels deep
+       slows convergence; a cycle whose period is not a power of two is a
+       witness.
+    3. An even map is zero when it attracts a 2^k-cycle with k <= depth.
+    4. The grid scan looks for a non-power-of-two period of the return maps
+       of the two deepest levels.
+    5. Any other map is zero when every turning point's orbit settles on an
+       attracting cycle of power-of-two period.  This comes after the scan:
+       such attractors can coexist with a repelling period-3 orbit.
+    """
+    dom = domain_of(m)
+    even = turning_points_of(m) == (0.0,) and dom.lo == -dom.hi
+    widths, reason = _tower_descend(m) if even else ([dom.hi], "no tower")
+    depth = len(widths) - 1
+    atts = _attractor_period(m, 60_000, 4096, ATTRACTING_TOL)
+    if even and atts[0][0] is None and depth >= 6:
+        atts = _attractor_period(m, 600_000, max(8192, 2 ** (depth + 2)), ATTRACTING_TOL)
+    for p, pt in atts:
+        w = _float_orbit_witness(m, pt, p)
+        if w is not None:
+            return ProbeResult(POSITIVE, witness=w)
+    cert = None
+    if all(p is not None and is_power_of_two(p) for p, _ in atts):
+        p, pt = max(atts)
+        mult = cycle_multiplier(m, pt, p)
+        if abs(mult) < 1.0:
+            cert = FloatZeroCertificate(p.bit_length() - 1, p, pt, mult)
+    if even and cert is not None and cert.levels <= depth:
+        return ProbeResult(ZERO, certificate=cert)
+    for lvl in dict.fromkeys((depth, max(depth - 1, 0))):
+        w = _grid_period_scan(m, lvl, widths[lvl], SCAN_PERIODS)
+        if w is not None:
+            return ProbeResult(POSITIVE, witness=w)
+    if not even and cert is not None:
+        return ProbeResult(ZERO, certificate=cert)
+    return ProbeResult(UNDECIDED, note=f"tower depth {depth} ({reason}), "
+                                       f"attractors {[p for p, _ in atts]}")
 
 
 def classify_quadratic(c: float) -> ProbeResult:
+    """``classify_float`` of x^2 + c."""
     if not (-2.0 <= c <= 0.25):
         raise PreconditionError(f"c={c} outside [-2, 1/4]")
-    p_att, pt = _attractor_period(c, 60_000, 4096, ATTRACTING_TOL)
-    if p_att is not None and not is_power_of_two(p_att):
-        w = _float_orbit_witness(c, pt, p_att)
-        if w is not None:
-            return ProbeResult(POSITIVE, witness=w)
-    widths, reason = _tower_descend(c)
-    depth = len(widths) - 1
-    if p_att is None and depth >= 6:
-        # deep cascades converge slowly; retry the attractor with a long
-        # tail and a window that tries periods up to 2^(depth+1)
-        p_att, pt = _attractor_period(c, 600_000, max(8192, 2 ** (depth + 2)),
-                                      ATTRACTING_TOL)
-        if p_att is not None and not is_power_of_two(p_att):
-            w = _float_orbit_witness(c, pt, p_att)
-            if w is not None:
-                return ProbeResult(POSITIVE, witness=w)
-    if p_att is not None and is_power_of_two(p_att):
-        k = p_att.bit_length() - 1
-        if depth >= k:
-            mult = cycle_multiplier(Quadratic(c), pt, p_att)
-            if abs(mult) < 1.0:
-                cert = FloatZeroCertificate(k, p_att, pt, mult)
-                return ProbeResult(ZERO, certificate=cert)
-    # positive side: scan the deepest validated return map for short periods
-    scan_levels = [depth, max(depth - 1, 0)]
-    for lvl in dict.fromkeys(scan_levels):
-        w = _grid_period_scan(c, lvl, widths[lvl], (3, 5, 6, 7, 9, 10, 11, 12))
-        if w is not None:
-            return ProbeResult(POSITIVE, witness=w)
-    return ProbeResult(UNDECIDED,
-                       note=f"tower depth {depth} ({reason}), attractor {p_att}")
-
-
-def float_positive_witness(m, bound: int, config: RunConfig = DEFAULT) -> Optional[Witness]:
-    """Positive-entropy witness for float maps."""
-    if isinstance(m, Quadratic):
-        r = classify_quadratic(m.c)
-        return r.witness if r.kind == POSITIVE else None
-    for p in range(3, min(bound, 16) + 1):
-        if is_power_of_two(p):
-            continue
-        orbits = periodic_points(m, p, config)
-        if orbits:
-            return Witness("periodic-orbit", p, orbits[0].points)
-    return None
-
-
-def _critical_attractors(m, transient: int, window: int, tol: float):
-    """Minimal attracting-cycle period reached by each critical orbit, or None."""
-    out = []
-    for c in turning_points_of(m):
-        x = m(c)
-        for _ in range(transient):
-            x = m(x)
-        tail = np.empty(window)
-        for i in range(window):
-            x = m(x)
-            tail[i] = x
-        found = _tail_period(tail, tol)
-        if found[0] is None:
-            return None
-        out.append(found)
-    return out
-
-
-def classify_float_generic(m, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
-    """Attractor-based classification for float multimodal maps.
-
-    Positive when a non-power-of-two orbit is found; zero when every critical
-    orbit settles on an attracting cycle of power-of-two period.  Unlike the
-    quadratic route there is no return-map tower to validate the doubling
-    combinatorics, so this is the weaker certificate of the two.
-    """
-    w = float_positive_witness(m, bound, config)
-    if w is not None:
-        return ProbeResult(POSITIVE, witness=w)
-    att = _critical_attractors(m, 40_000, 2048, ATTRACTING_TOL)
-    if att is not None:
-        bad = [p for p, _ in att if not is_power_of_two(p)]
-        if bad:
-            return ProbeResult(UNDECIDED,
-                               note=f"attracting period {bad[0]} but no verified orbit")
-        p_max, pt = max(att)
-        mult = cycle_multiplier(m, pt, p_max)
-        if abs(mult) < 1.0:
-            cert = FloatZeroCertificate(p_max.bit_length() - 1, p_max, pt, mult)
-            return ProbeResult(ZERO, certificate=cert)
-    return ProbeResult(UNDECIDED, note="no attractor within budget")
+    return classify_float(Quadratic(c))
 
 
 # ---------------------------------------------------------------------
@@ -561,13 +505,11 @@ def classify_probe(path: ParameterPath, t, bound: int,
                    config: RunConfig = DEFAULT) -> ProbeResult:
     if path.kind == "stunted":
         return classify_stunted(path.map_at(t), bound, config)
-    if path.kind == "quadratic":
-        return classify_quadratic(float(t))
     try:
         m = path.map_at(t)
     except ValueError:
         return ProbeResult(UNDECIDED, note="parameter leaves the family")
-    return classify_float_generic(m, bound, config)
+    return classify_float(m)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def _attracting_summary(m, cfg) -> str:
         periods = sorted({r.period for r in recs if r is not None})
         return "/".join(str(p) for p in periods)
     if hasattr(m, "c"):
-        p, _ = bd._attractor_period(m.c, 20_000, 2048, bd.ATTRACTING_TOL)
+        [(p, _)] = bd._attractor_period(m, 20_000, 2048, bd.ATTRACTING_TOL)
         return "" if p is None else str(p)
     return ""
 

@@ -260,8 +260,9 @@ def positive_entropy_witness(m, period_bound: Optional[int] = None,
     of two cycles of a branching Markov component, and its period is not
     capped by ``period_bound``.  None there means zero entropy was certified,
     or a budget ran out, or a branching component gave no verified orbit.
-    Float maps search periods up to the bound.  Absence of a witness is not a
-    proof of zero entropy.
+    Float maps take the witness of ``boundary.classify_float``, whose periods
+    the bound does not cap.  Absence of a witness is not a proof of zero
+    entropy.
     """
     if period_bound is None:
         period_bound = (config.period_bound_exact if is_exact(m)
@@ -269,8 +270,8 @@ def positive_entropy_witness(m, period_bound: Optional[int] = None,
     if period_bound < 3:
         raise PreconditionError("period bound must be >= 3")
     if not is_exact(m):
-        from .boundary import float_positive_witness
-        return float_positive_witness(m, period_bound, config)
+        from .boundary import classify_float
+        return classify_float(m).witness
     from .boundary import decide_exact
     try:
         return decide_exact(m, config.zero_cert_levels, period_bound, config).witness

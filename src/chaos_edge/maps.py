@@ -459,9 +459,19 @@ def turning_points_of(m) -> tuple:
 
 
 def iterate(m, x, n: int):
-    """n-th image of x (exact for rational piecewise-linear maps)."""
+    """n-th image of x (exact for rational piecewise-linear maps).
+
+    For a float map x may also be a numpy array.  A ``Quadratic`` runs
+    ``x * x + c`` inline, the arithmetic of ``Quadratic.__call__`` without a
+    call per step.
+    """
     if n < 0:
         raise ValueError("iterate count must be >= 0")
+    if type(m) is Quadratic:
+        c = m.c
+        for _ in range(n):
+            x = x * x + c
+        return x
     f = m.pl if isinstance(m, StuntedSawtooth) else m
     for _ in range(n):
         x = f(x)

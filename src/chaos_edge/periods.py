@@ -9,6 +9,7 @@ the diagonal without crossing it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -161,20 +162,25 @@ def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
     return cur
 
 
-def newton_polish(g, x, scale, steps: int = 4):
-    """Polish a root of g to machine precision with damped Newton steps."""
-    h = 1e-7 * scale
+def newton_polish(g, x, lo, hi, steps: int = 4):
+    """Polish a root of g in [lo, hi] to machine precision with Newton steps.
+
+    g is evaluated only in [lo, hi]: the difference quotient is clamped to
+    the interval, and a step that would leave it ends the polish.
+    """
+    h = 1e-7 * max(1.0, abs(lo), abs(hi))
     for _ in range(steps):
         gx = g(x)
         if gx == 0:
             return x
-        d = (g(x + h) - g(x - h)) / (2 * h)
+        a, b = max(x - h, lo), min(x + h, hi)
+        d = (g(b) - g(a)) / (b - a)
         if d == 0:
             return x
-        step = gx / d
-        if abs(step) > scale:
+        nxt = x - gx / d
+        if not lo <= nxt <= hi:
             return x
-        x -= step
+        x = nxt
     return x
 
 
@@ -185,7 +191,7 @@ def lap_roots(g, cuts, cells: int, precision: float):
     Each lap between consecutive cuts is sampled on ``cells`` equal cells:
     exact zeros at samples are kept and sign changes bisected to
     ``precision`` (relative to the interval's scale); points within ten
-    times that are merged, then Newton-polished and clamped to the interval.
+    times that are merged, then Newton-polished inside the interval.
     """
     lo, hi = cuts[0], cuts[-1]
     scale = max(1.0, abs(lo), abs(hi))
@@ -204,8 +210,7 @@ def lap_roots(g, cuts, cells: int, precision: float):
                 roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
     if gs and gs[-1] == 0:
         roots.append(hi)
-    return sorted(min(max(newton_polish(g, x, scale), lo), hi)
-                  for x in _merge_close(roots, 10 * xtol))
+    return sorted(newton_polish(g, x, lo, hi) for x in _merge_close(roots, 10 * xtol))
 
 
 def cycle_multiplier(m, x, p: int) -> float:
@@ -235,15 +240,18 @@ def _periodic_float(m, p, config):
                       max(8, GRID_CELLS // (len(cuts) - 1)), config.precision)
     tol = 1e-9 * max(1.0, abs(dom.lo), abs(dom.hi))
     orbits = []
-    taken = []
+    taken = []          # sorted points of the orbits found
     for x in roots:
-        if any(abs(x - t) <= tol for t in taken):
+        # the nearest kept point on either side is within tol if any is
+        i = bisect.bisect_left(taken, x)
+        if any(abs(x - t) <= tol for t in taken[max(i - 1, 0):i + 1]):
             continue
         mp = _minimal_period(m, x, p, tol)
         if mp != p:
             continue
         orbit = _orbit_of(m, x, p)
-        taken.extend(orbit)
+        for y in orbit:
+            bisect.insort(taken, y)
         a = abs(cycle_multiplier(m, x, p))
         if abs(a - 1.0) < 1e-6:
             stab = "neutral"

@@ -44,9 +44,7 @@ class RenormalizedMap:
     """Float map Φ ∘ f^n ∘ Φ⁻¹ of a base map f, evaluated in one loop.
 
     ``phi`` takes the base map's coordinates to this map's, and ``n`` counts
-    the steps of the base map in one step of this map.  A ``Quadratic`` base
-    runs ``y * y + c`` inline, the arithmetic of ``Quadratic.__call__``;
-    any other base is called once per step.
+    the steps of the base map in one step of this map, run by ``iterate``.
     """
 
     base: object
@@ -59,24 +57,15 @@ class RenormalizedMap:
 
     def __post_init__(self):
         inv = self.phi.inverse()
-        c = self.base.c if type(self.base) is Quadratic else None
-        object.__setattr__(self, "_coeffs", (inv.a, inv.b, self.phi.a, self.phi.b, c))
+        object.__setattr__(self, "_coeffs", (inv.a, inv.b, self.phi.a, self.phi.b))
 
     @property
     def turning_points(self) -> tuple:
         return (self.turning,)
 
     def __call__(self, x):
-        ia, ib, pa, pb, c = self._coeffs
-        y = ia * x + ib
-        if c is None:
-            f = self.base
-            for _ in range(self.n):
-                y = f(y)
-        else:
-            for _ in range(self.n):
-                y = y * y + c
-        return pa * y + pb
+        ia, ib, pa, pb = self._coeffs
+        return pa * iterate(self.base, ia * x + ib, self.n) + pb
 
 
 @dataclass(frozen=True)
@@ -329,10 +318,7 @@ class QuadraticFamily:
     bracket1 = (-1.5, -0.6)
 
     def crit_orbit_value(self, c: float, n: int) -> float:
-        x = 0.0
-        for _ in range(n):
-            x = x * x + c
-        return x
+        return iterate(self.map_at(c), 0.0, n)
 
     def map_at(self, c: float) -> Quadratic:
         return Quadratic(c)

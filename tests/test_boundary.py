@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaos_edge import (DEFAULT, PreconditionError, build_base, build_stunted,
+from chaos_edge import (DEFAULT, PreconditionError, Quadratic, build_base, build_stunted,
                         approximants, classify_probe, classify_quadratic,
                         classify_stunted, locate_boundary,
                         positive_entropy_witness, quadratic_path,
@@ -175,7 +175,7 @@ class TestQuadraticCascade:
 
     @pytest.mark.parametrize("c, period", DEEP_ZERO)
     def test_attractor_period_deep(self, c, period):
-        p, _ = _attractor_period(c, 600_000, 65536, ATTRACTING_TOL)
+        [(p, _)] = _attractor_period(Quadratic(c), 600_000, 65536, ATTRACTING_TOL)
         assert p == period
 
     @pytest.mark.parametrize("c, period", DEEP_ZERO)
@@ -187,7 +187,7 @@ class TestQuadraticCascade:
 
     def test_tower_slope_past_round_off(self):
         # a central-difference slope at alpha stopped this tower at depth 9
-        widths, _ = _tower_descend(-1.4011551618576048)
+        widths, _ = _tower_descend(Quadratic(-1.4011551618576048))
         assert len(widths) - 1 >= 12
 
     @pytest.mark.parametrize("c, period", [(-1.5, 6), (-1.4011718749999997, 384),
@@ -195,9 +195,9 @@ class TestQuadraticCascade:
     def test_grid_scan_witness_periods(self, c, period):
         # periods found by the earlier scan, which iterated the grid afresh
         # for every candidate period
-        widths, _ = _tower_descend(c)
+        widths, _ = _tower_descend(Quadratic(c))
         depth = len(widths) - 1
-        w = _grid_period_scan(c, depth, widths[depth], (3, 5, 6, 7, 9, 10, 11, 12))
+        w = _grid_period_scan(Quadratic(c), depth, widths[depth], (3, 5, 6, 7, 9, 10, 11, 12))
         assert w is not None and w.period == period
 
     def test_default_resolution_locate(self):
@@ -237,12 +237,58 @@ class TestQuadraticCascade:
         assert [x for x in points if type(x) is not float] == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND: classify_float_generic has no return-map tower, so this "
-    "type-B probe, conjugate to the positive x^2 - 1.40625, is undecided"))
 def test_type_b_probe_conjugate_to_positive_quadratic():
     r = classify_probe(type_b_path([(2, -1.0)], 0, -2.0, -1.0), -1.40625, 32)
     assert r.kind == POSITIVE
+
+
+def _period(r):
+    if r.witness is not None:
+        return r.witness.period
+    return None if r.certificate is None else r.certificate.period
+
+
+def test_one_stage_type_b_agrees_with_quadratic():
+    # the stage (2, a) on [-1, 1] is affinely conjugate to x^2 + a
+    path = type_b_path([(2, -1.0)], 0, -2.0, -1.0)
+    for k in range(19):
+        a = -1.9 + 0.05 * k
+        rb, rq = classify_probe(path, a, 32), classify_quadratic(a)
+        assert (rb.kind, _period(rb)) == (rq.kind, _period(rq)), a
+
+
+# Verdicts of the earlier type-B classifier, which searched periods 3-16 with
+# periodic_points and had no tower: P positive, Z zero, U undecided, E raised
+# OverflowError (its Newton polish left [-1, 1]).  Every P and Z must be kept,
+# and nothing may raise.
+KEPT = {"P": POSITIVE, "Z": ZERO}
+ELL_GRID = {4: "UUUUUUUUUUUUUUUPPZEZEEZZZEZEZZE",     # a = -2 + k/20, k = 0..30
+            6: "UUUUUUUUUUUUUUUUUUZEZEEEEZZZZZZ"}
+TWO_STAGE = "ZEZPZPPPEEPPPPZE"                       # seeded (2, a1), (2, a2) maps
+
+
+@pytest.mark.parametrize("ell", sorted(ELL_GRID))
+def test_one_stage_ell_grid_keeps_verdicts(ell):
+    path = type_b_path([(ell, -1.0)], 0, -2.0, -0.5)
+    for k, before in enumerate(ELL_GRID[ell]):
+        a = -2.0 + 1.5 * k / 30
+        r = classify_probe(path, a, 32)
+        assert r.kind == KEPT.get(before, r.kind), (a, r.kind, r.note)
+
+
+def test_two_stage_maps_keep_verdicts():
+    rnd = random.Random(11)
+    for before in TWO_STAGE:
+        while True:
+            a1, a2 = rnd.uniform(-2, -0.5), rnd.uniform(-2, -0.5)
+            path = type_b_path([(2, a1), (2, a2)], 1, -2.0, 0.0)
+            try:
+                path.map_at(a2)
+                break
+            except ValueError:
+                continue
+        r = classify_probe(path, a2, 32)
+        assert r.kind == KEPT.get(before, r.kind), (a1, a2, r.kind, r.note)
 
 
 class TestApproximants:

@@ -25,6 +25,11 @@ def write(tmp_path, name, obj):
 
 TRAPEZOID = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["3/2"]}
 FIXED = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["1/2"]}
+QUADRATIC_PATH = {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3}
+# one stage (2, a) on [-1, 1], affinely conjugate to x^2 + a
+TYPE_B_PATH = {"family": "type_b", "stages": [[2, -1.0]], "stage_index": 0,
+               "t_lo": -2.0, "t_hi": -1.0}
+C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade of x^2 + c
 
 
 class TestEntropyCmd:
@@ -85,6 +90,15 @@ class TestPeriodsCmd:
                                "--bound", "6")
         rep = json.loads(out)
         assert rep["spectrum"] == "no" and rep["spectrum_witness"] == 3
+
+    def test_newton_polish_stays_in_domain(self, capsys, monkeypatch):
+        # a root at x = -0.99999999999996 once sent the polish's difference
+        # quotient and its step below -1, where 12 iterates overflow
+        desc = {"kind": "type_b", "stages": [[2, -1.050510476451462], [2, -1.209596068664475]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(desc)))
+        code, out, _ = run_cli(capsys, "periods", "-", "--bound", "16")
+        assert code == 0
+        assert json.loads(out)["complete_upto"] == 16
 
 
 class TestSymbolicCmds:
@@ -178,13 +192,23 @@ class TestBoundaryCmd:
         assert w & (w - 1) != 0
 
     def test_quadratic_reads_only_resolution(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3})
-        code, out, _ = run_cli(capsys, "boundary", path, "--resolution", "1e-6")
-        code2, out2, _ = run_cli(capsys, "boundary", path, "--resolution", "1e-6",
-                                 "--bound", "3", "--precision", "1e-3")
-        assert code == code2 == 0
-        assert json.loads(out)["undecided_count"] == 0
-        assert out2 == out
+        # and so does every float path
+        for desc, res, undecided in ((QUADRATIC_PATH, "1e-6", 0), (TYPE_B_PATH, "1e-4", 1)):
+            path = write(tmp_path, "p.json", desc)
+            code, out, _ = run_cli(capsys, "boundary", path, "--resolution", res)
+            code2, out2, _ = run_cli(capsys, "boundary", path, "--resolution", res,
+                                     "--bound", "3", "--precision", "1e-3")
+            assert code == code2 == 0
+            assert json.loads(out)["undecided_count"] == undecided
+            assert out2 == out
+
+    def test_type_b_path_brackets_c_inf(self, tmp_path, capsys):
+        # exited 4 while the type-B classifier left probes near c_inf undecided
+        code, out, _ = run_cli(capsys, "boundary", write(tmp_path, "p.json", TYPE_B_PATH),
+                               "--resolution", "0.01")
+        assert code == 0
+        lo, hi = sorted(float(t) for t in json.loads(out)["t_star_bracket"])
+        assert lo <= C_INF <= hi and hi - lo <= 0.01
 
     def test_equal_endpoints_exit3(self, tmp_path, capsys):
         desc = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],

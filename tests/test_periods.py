@@ -46,6 +46,13 @@ class TestPeriodicPoints:
         assert abs(pts[0] + 1) < 1e-9 and abs(pts[1]) < 1e-9
         assert orbits[0].stability == "attracting"
 
+    def test_quadratic_orbit_counts(self):
+        # c = -1.75 is the saddle-node of the period-3 window: its 3-cycle
+        # touches the diagonal without crossing it, so the grid misses it.
+        # Counts recorded before the dedupe kept its points sorted.
+        counts = [len(periodic_points(Quadratic(-1.75), p)) for p in range(1, 15)]
+        assert counts == [2, 1, 0, 1, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58]
+
     def test_minimality_filter(self, T32):
         # period 4 solutions exclude fixed points and 2-cycles
         for o in periodic_points(T32, 4):
