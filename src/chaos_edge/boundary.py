@@ -29,11 +29,16 @@ below finds nothing.  A parameter is positive-certified by a non-power-of-two
 orbit found either directly or through a return map of the tower.  Each tower
 level needs the slope of R_j = f^(2^j) at its fixed point alpha, taken by the
 chain rule along the 2^j steps (a difference quotient of R_j is swamped by
-round-off once the level is a few units of 1e-4 wide).  A slowly converging
-critical orbit is retried on a window of 2^(depth+2) samples, so that a
-cycle of period 2^depth, the deepest the tower can validate, is seen.  The
-positive side scans the deepest return maps on one grid pass for all short
-periods.  These float verdicts are heuristic: no step is outward-rounded.
+round-off once the level is a few units of 1e-4 wide); alpha is bisected
+only in grid cells where R_j(x) - x falls from + to -.  A slowly converging
+critical orbit is continued to a longer transient and a window of
+2^(depth+2) samples, so that a cycle of period 2^depth, the deepest the
+tower can validate, is seen.  The positive side scans the deepest return
+maps on one grid pass for all short periods; a cell where R^p(x) - x
+changes sign is skipped when R^d(x) - x does too for a power of two d
+dividing p, since its root is a point of lower period.  A multimodal map
+runs this scan before it follows its turning points.  These float verdicts
+are heuristic: no step is outward-rounded.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from .config import DEFAULT, RunConfig
 from .entropy import Witness, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
-                   build_stunted, build_type_b, domain_of, is_exact, iterate, rat,
-                   turning_points_of)
+                   build_stunted, build_type_b, domain_of, fill_orbit, is_exact, iterate,
+                   rat, turning_points_of)
 from .markov import build_markov, cycle_analysis
 from .periods import GRID_CELLS, cycle_multiplier, is_power_of_two
 from .piecewise import on_lattice
@@ -279,10 +284,9 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
 
 
 def _tail_period(tail, tol: float):
-    """(p, x): the least p below len(tail) // 2 over which the end of the orbit
+    """The least p below len(tail) // 2 over which the end of the orbit
     samples ``tail`` repeats (the last point within tol, the last 256 within
-    10·tol, relative to the tail's scale), and the last point; (None, None)
-    if none does."""
+    10·tol, relative to the tail's scale); None if none does."""
     window = len(tail)
     scale = max(1.0, float(np.max(np.abs(tail))))
     back = tail[-2:-window // 2 - 1:-1]          # back[p - 1] = tail[-1 - p]
@@ -290,29 +294,28 @@ def _tail_period(tail, tol: float):
         p = int(p)
         k = min(window - p, 256)
         if np.max(np.abs(tail[-k:] - tail[-k - p:-p])) < 10 * tol * scale:
-            return p, float(tail[-1])
-    return None, None
+            return p
+    return None
 
 
-def _attractor_period(m, transient: int, window: int, tol: float):
-    """[(p, x)] per turning point of m: the period and a point of the
-    attracting cycle its orbit reaches (``_tail_period`` of ``window``
-    samples after ``transient`` steps); periods below window // 2 are tried."""
+def _attractor_period(m, transient: int, window: int, tol: float, starts=None, done: int = 0):
+    """[(p, x)] per turning point of m: the period p of the attracting cycle
+    its orbit reaches (``_tail_period`` of ``window`` samples after
+    ``transient`` steps; None when no period below window // 2 repeats) and
+    the orbit's last point x.  ``starts`` continues orbits that an earlier
+    call left ``done`` steps along, from the points it returned."""
     out = []
-    for x in turning_points_of(m):
-        x = iterate(m, x, transient)
-        tail = np.empty(window)
-        for i in range(window):
-            x = m(x)
-            tail[i] = x
-        out.append(_tail_period(tail, tol))
+    tail = np.empty(window)
+    for x in turning_points_of(m) if starts is None else starts:
+        x = fill_orbit(m, iterate(m, x, transient - done), tail)
+        out.append((_tail_period(tail, tol), x))
     return out
 
 
 def _sign_flips(g):
-    """Indices i where g[i] and g[i + 1] have strictly opposite signs."""
+    """Mask of the cells (g[i], g[i + 1]) where g strictly changes sign."""
     sign = np.sign(g)
-    return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return sign[:-1] * sign[1:] < 0
 
 
 def _tower_descend(m):
@@ -324,20 +327,25 @@ def _tower_descend(m):
     map stay even, so the restrictive intervals are symmetric).  Each level
     needs an orientation-reversing repelling fixed point alpha of R_j with
     |R_j(0)| >= |alpha| and |R_j^2(0)| <= |alpha|; descent stops when no
-    candidate passes.
+    candidate passes.  The candidates come from one array of 384 points on
+    each side of 0: since R_j'(alpha) < -1, g = R_j(x) - x falls through
+    alpha with slope below -2, so only cells where g goes from + to - are
+    bisected (the pair of points that straddles 0 is not a cell).
     """
     widths = [domain_of(m).hi]
     for j in range(CASCADE_DEPTH):
         n = 2 ** j
         a = widths[-1]
+        xs = np.concatenate((np.linspace(-a, -a * 1e-9, 384), np.linspace(a * 1e-9, a, 384)))
+        g = iterate(m, xs, n) - xs
+        falls = (g[:-1] > 0) & (g[1:] < 0)
+        falls[383] = False               # xs[383] < 0 < xs[384]
         candidates = []
-        for half in (np.linspace(-a, -a * 1e-9, 384), np.linspace(a * 1e-9, a, 384)):
-            vals = iterate(m, half, n) - half
-            for i in _sign_flips(vals):
-                cand = bisect_root(lambda x: iterate(m, x, n) - x, float(half[i]),
-                                   float(half[i + 1]), 1e-14 * max(1.0, a), float(vals[i]))
-                if cycle_multiplier(m, cand, n) < -1 + 1e-9:
-                    candidates.append(cand)
+        for i in np.nonzero(falls)[0]:
+            cand = bisect_root(lambda x: iterate(m, x, n) - x, float(xs[i]),
+                               float(xs[i + 1]), 1e-14 * max(1.0, a), float(g[i]))
+            if cycle_multiplier(m, cand, n) < -1 + 1e-9:
+                candidates.append(cand)
         v1 = iterate(m, 0.0, n)
         v2 = iterate(m, v1, n)
         alpha = next((cand for cand in sorted(candidates, key=abs)
@@ -353,19 +361,34 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
     """Vectorized search for a non-power-of-two period of R = f^(2^level) on
     [-half_width, half_width].
 
-    One pass iterates the grid to max(ps)·2^level steps and, on reaching
-    p·2^level for each p in ascending order, looks for sign changes of
-    R^p(x) - x; it stops at the first verified witness.
+    One pass iterates the grid to max(ps)·2^level steps.  On reaching
+    d·2^level for each power of two d that divides some p in ps, it marks the
+    cells where R^d(x) - x changes sign.  On reaching p·2^level for each p
+    in ascending order, it bisects the cells where R^p(x) - x changes sign
+    and R^d(x) - x does not for any marked d dividing p (a root in such a
+    cell is a point of lower period, which the witness check would reject
+    after a full bisection), and it stops at the first verified witness.
     """
     n = 2 ** level
+    ps = set(ps)
+    twos = {1 << i for p in ps for i in range((p & -p).bit_length())}
     xs = np.linspace(-half_width, half_width, GRID_CELLS)
     ys = xs
     done = 0
-    for p in sorted(ps):
-        ys = iterate(m, ys, p * n - done)
-        done = p * n
+    lower = {}                       # d -> cells where R^d(x) - x changes sign
+    for k in sorted(ps | twos):
+        ys = iterate(m, ys, k * n - done)
+        done = k * n
         g = ys - xs
-        for i in _sign_flips(g):
+        flips = _sign_flips(g)
+        if k in twos:
+            lower[k] = flips
+        if k not in ps:
+            continue
+        for d in lower:
+            if k % d == 0:
+                flips = flips & ~lower[d]
+        for i in np.nonzero(flips)[0]:
             x0 = bisect_root(lambda x: iterate(m, x, done) - x, float(xs[i]),
                              float(xs[i + 1]), 1e-14 * max(1.0, half_width), float(g[i]))
             w = _float_orbit_witness(m, x0, done)
@@ -393,29 +416,46 @@ def _float_orbit_witness(m, x0: float, period_hint) -> Optional[Witness]:
     return Witness("periodic-orbit", len(orbit), tuple(orbit))
 
 
+def _deepest_scan(m, widths) -> Optional[Witness]:
+    """``_grid_period_scan`` of the two deepest tower levels, deepest first."""
+    depth = len(widths) - 1
+    for lvl in dict.fromkeys((depth, max(depth - 1, 0))):
+        w = _grid_period_scan(m, lvl, widths[lvl], SCAN_PERIODS)
+        if w is not None:
+            return w
+    return None
+
+
 def classify_float(m) -> ProbeResult:
     """Heuristic verdict for a float map (x^2 + c, type-B compositions).
 
     1. An even map (one turning point, at 0, on a symmetric domain) gets the
-       doubling tower; any other map has depth 0.
-    2. Each turning point's orbit is followed to its attracting cycle, on a
-       window of 2^(depth+2) samples when a tower 6 or more levels deep
-       slows convergence; a cycle whose period is not a power of two is a
-       witness.
+       doubling tower.  Any other map has depth 0 and runs its grid scan (4)
+       first: one scan costs less than following each turning point's orbit.
+    2. Each turning point's orbit is followed to its attracting cycle; when
+       a tower 6 or more levels deep slows convergence, the same orbit is
+       continued to a longer transient and a window of 2^(depth+2) samples.
+       A cycle whose period is not a power of two is a witness.
     3. An even map is zero when it attracts a 2^k-cycle with k <= depth.
     4. The grid scan looks for a non-power-of-two period of the return maps
        of the two deepest levels.
     5. Any other map is zero when every turning point's orbit settles on an
-       attracting cycle of power-of-two period.  This comes after the scan:
+       attracting cycle of power-of-two period and the scan found nothing:
        such attractors can coexist with a repelling period-3 orbit.
     """
     dom = domain_of(m)
     even = turning_points_of(m) == (0.0,) and dom.lo == -dom.hi
     widths, reason = _tower_descend(m) if even else ([dom.hi], "no tower")
     depth = len(widths) - 1
-    atts = _attractor_period(m, 60_000, 4096, ATTRACTING_TOL)
+    if not even:
+        w = _deepest_scan(m, widths)
+        if w is not None:
+            return ProbeResult(POSITIVE, witness=w)
+    transient, window = 60_000, 4096
+    atts = _attractor_period(m, transient, window, ATTRACTING_TOL)
     if even and atts[0][0] is None and depth >= 6:
-        atts = _attractor_period(m, 600_000, max(8192, 2 ** (depth + 2)), ATTRACTING_TOL)
+        atts = _attractor_period(m, 600_000, max(8192, 2 ** (depth + 2)), ATTRACTING_TOL,
+                                 starts=[x for _, x in atts], done=transient + window)
     for p, pt in atts:
         w = _float_orbit_witness(m, pt, p)
         if w is not None:
@@ -426,13 +466,13 @@ def classify_float(m) -> ProbeResult:
         mult = cycle_multiplier(m, pt, p)
         if abs(mult) < 1.0:
             cert = FloatZeroCertificate(p.bit_length() - 1, p, pt, mult)
-    if even and cert is not None and cert.levels <= depth:
-        return ProbeResult(ZERO, certificate=cert)
-    for lvl in dict.fromkeys((depth, max(depth - 1, 0))):
-        w = _grid_period_scan(m, lvl, widths[lvl], SCAN_PERIODS)
+    if even:
+        if cert is not None and cert.levels <= depth:
+            return ProbeResult(ZERO, certificate=cert)
+        w = _deepest_scan(m, widths)
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
-    if not even and cert is not None:
+    elif cert is not None:
         return ProbeResult(ZERO, certificate=cert)
     return ProbeResult(UNDECIDED, note=f"tower depth {depth} ({reason}), "
                                        f"attractors {[p for p, _ in atts]}")

@@ -463,18 +463,41 @@ def iterate(m, x, n: int):
 
     For a float map x may also be a numpy array.  A ``Quadratic`` runs
     ``x * x + c`` inline, the arithmetic of ``Quadratic.__call__`` without a
-    call per step.
+    call per step; an array gets one new array at the first step and is then
+    stepped in place (the argument is left unchanged).
     """
     if n < 0:
         raise ValueError("iterate count must be >= 0")
     if type(m) is Quadratic:
         c = m.c
-        for _ in range(n):
-            x = x * x + c
+        if isinstance(x, float) or n == 0:
+            for _ in range(n):
+                x = x * x + c
+            return x
+        x = x * x + c
+        for _ in range(n - 1):
+            x *= x
+            x += c
         return x
     f = m.pl if isinstance(m, StuntedSawtooth) else m
     for _ in range(n):
         x = f(x)
+    return x
+
+
+def fill_orbit(m, x: float, out):
+    """Write the next len(out) images of x under a float map into ``out`` (a
+    numpy array) and return the last one, a float; ``Quadratic`` steps are
+    written out as in ``iterate``."""
+    if type(m) is Quadratic:
+        c = m.c
+        for i in range(len(out)):
+            x = x * x + c
+            out[i] = x
+        return x
+    for i in range(len(out)):
+        x = m(x)
+        out[i] = x
     return x
 
 

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from chaos_edge import (DEFAULT, PreconditionError, Quadratic, build_base, build_stunted,
-                        approximants, classify_probe, classify_quadratic,
+                        build_type_b, approximants, classify_float, classify_probe,
+                        classify_quadratic,
                         classify_stunted, locate_boundary,
                         positive_entropy_witness, quadratic_path,
                         shape, stunted_path, type_b_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
-from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, UNDECIDED, ZERO, _attractor_period,
-                                 _grid_period_scan, _tower_descend, plateau_orbit_analysis)
+import chaos_edge.boundary as boundary
+from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECIDED, ZERO,
+                                 _attractor_period, _grid_period_scan, _tower_descend,
+                                 plateau_orbit_analysis)
 from chaos_edge.periods import is_power_of_two
 
 from conftest import random_xi
@@ -178,6 +181,15 @@ class TestQuadraticCascade:
         [(p, _)] = _attractor_period(Quadratic(c), 600_000, 65536, ATTRACTING_TOL)
         assert p == period
 
+    def test_deep_retry_continues_the_first_orbit(self):
+        # the retry picks up the first window's last point instead of
+        # walking the 64,096 steps from the turning point again
+        m = Quadratic(self.DEEP_ZERO[0][0])
+        first = _attractor_period(m, 60_000, 4096, ATTRACTING_TOL)
+        again = _attractor_period(m, 600_000, 65536, ATTRACTING_TOL,
+                                  starts=[x for _, x in first], done=60_000 + 4096)
+        assert again == _attractor_period(m, 600_000, 65536, ATTRACTING_TOL)
+
     @pytest.mark.parametrize("c, period", DEEP_ZERO)
     def test_deep_zero_probe(self, c, period):
         r = classify_quadratic(c)
@@ -199,6 +211,39 @@ class TestQuadraticCascade:
         depth = len(widths) - 1
         w = _grid_period_scan(Quadratic(c), depth, widths[depth], (3, 5, 6, 7, 9, 10, 11, 12))
         assert w is not None and w.period == period
+
+    def test_grid_scan_skips_lower_period_cells(self, monkeypatch):
+        # the deepest positive probe of the default locate: five of the six
+        # cells the earlier scan bisected held points of period 4096 or 8192,
+        # cells where R^1 or R^2 - x also changes sign
+        c = -1.401155189424753
+        widths, _ = _tower_descend(Quadratic(c))
+        depth = len(widths) - 1
+        checked = []
+        witness = boundary._float_orbit_witness
+        monkeypatch.setattr(boundary, "_float_orbit_witness",
+                            lambda *args: checked.append(args) or witness(*args))
+        w = _grid_period_scan(Quadratic(c), depth, widths[depth], SCAN_PERIODS)
+        assert len(checked) == 1
+        assert w.period == 49152
+        assert (w.orbit[0], w.orbit[-1]) == (-5.002009307430253e-06, -1.1837018997631716)
+
+    # tower half-widths at a depth-14 zero probe, recorded from the earlier
+    # tower, which bisected every sign change of R_j(x) - x (19 cells)
+    DEPTH_14_WIDTHS = (1.7849728357750194, 0.7849728357750163, 0.30694187441208537,
+                       0.12274800227761168, 0.04902542091686779, 0.019587463027221176,
+                       0.007825829590716121, 0.003126690177336516, 0.0012492147682823954,
+                       0.0004990902533460808, 0.00019937596451709077, 7.960511849060564e-05,
+                       3.170684169200089e-05, 1.2484243179217658e-05, 4.640210585933578e-06)
+
+    def test_tower_bisects_only_falling_cells(self, monkeypatch):
+        bisected = []
+        bisect = boundary.bisect_root
+        monkeypatch.setattr(boundary, "bisect_root",
+                            lambda *args: bisected.append(args) or bisect(*args))
+        widths, reason = _tower_descend(Quadratic(-1.401155188679695))
+        assert (tuple(widths), reason) == (self.DEPTH_14_WIDTHS, "no-alpha")
+        assert len(bisected) == 15          # one cell on each of the 15 levels tried
 
     def test_default_resolution_locate(self):
         # raised BudgetExhausted while undecided probes blocked refinement
@@ -289,6 +334,17 @@ def test_two_stage_maps_keep_verdicts():
                 continue
         r = classify_probe(path, a2, 32)
         assert r.kind == KEPT.get(before, r.kind), (a1, a2, r.kind, r.note)
+
+
+def test_multimodal_map_scans_before_following_orbits(monkeypatch):
+    # a two-stage map with a period-3 orbit: the level-0 grid scan finds it,
+    # so none of the three turning-point orbits is followed for 64k steps
+    def followed(*args):
+        raise AssertionError("turning-point orbits followed")
+
+    monkeypatch.setattr(boundary, "_attractor_period", followed)
+    r = classify_float(build_type_b([(2, -1.705115306895517), (2, -0.5747962215370321)]))
+    assert r.kind == POSITIVE and r.witness.period == 3
 
 
 class TestApproximants:

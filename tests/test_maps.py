@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,20 @@ class TestIterate:
     def test_quadratic_superstable(self):
         f = Quadratic(-1.0)
         assert iterate(f, 0.0, 2) == 0.0
+
+    @pytest.mark.parametrize("m", [Quadratic(-1.401155), build_type_b([(2, -1.3), (4, -0.9)])],
+                             ids=["quadratic", "type-b"])
+    def test_array_matches_the_scalar_loop(self, m):
+        # an array is stepped in place after its first step
+        xs = np.linspace(-1.0, 1.0, 4096)
+        ys = iterate(m, xs, 37)
+        assert xs.tolist() == np.linspace(-1.0, 1.0, 4096).tolist()
+        expected = []
+        for x in xs.tolist():
+            for _ in range(37):
+                x = m(x)
+            expected.append(x)
+        assert ys.tolist() == expected
 
     def test_escape_reported(self, base1):
         # the raw zigzag is not a self-map; iterating it must fail loudly
