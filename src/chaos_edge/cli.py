@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import boundary as bd
 from . import entropy as en
@@ -24,7 +25,8 @@ from . import symbolic as sy
 from .config import DEFAULT, RunConfig
 from .errors import (BudgetExhausted, DescriptorError, DomainEscapeError,
                      PreconditionError)
-from .maps import build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
+from .maps import as_pl, build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
+from .piecewise import lattice_orbit, on_lattice
 
 
 def _read_descriptor(path: str) -> dict:
@@ -245,12 +247,16 @@ def _orbit_samples(m, count: int = 16):
     """Orbit of the first turning point after 512 steps (every family has one)."""
     x = turning_points_of(m)[0]
     try:
+        if is_exact(m):
+            n, lat = as_pl(m).lattice()
+            return [str(Fraction(y, n))
+                    for y in islice(lattice_orbit(lat, on_lattice(x, n)), 512, 512 + count)]
         for _ in range(512):
             x = m(x)
         out = []
         for _ in range(count):
             x = m(x)
-            out.append(str(x) if is_exact(m) else repr(float(x)))
+            out.append(repr(float(x)))
         return out
     except DomainEscapeError:
         return []

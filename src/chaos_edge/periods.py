@@ -1,6 +1,7 @@
 """Periodic orbits, period sets, power-of-two spectra and Sharkovskii order.
 
-Exact maps get exact per-piece linear solves of f^p(x) = x.  Float maps get
+Exact maps get exact per-piece linear solves of f^p(x) = x on the map's
+integer lattice, where each orbit is walked in ints.  Float maps get
 one root-finder, ``lap_roots``: a grid on each lap of f^p (between the
 turning points of the iterate), one bisection (``maps.bisect_root``) per sign
 change and a Newton polish.  A grid can miss a neutral orbit that touches
@@ -10,13 +11,16 @@ the diagonal without crossing it.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import islice, takewhile
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
 from .maps import as_pl, bisect_root, domain_of, is_exact, iterate, turning_points_of
-from .piecewise import PieceCursor, fixed_points_of_pieces
+from .piecewise import PieceCursor, fixed_points_of_pieces, lattice_orbit, ratio
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,14 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _minimal_period(m, x, p: int, tol: Optional[float] = None):
-    """First-return time of x under m within p steps (None if never returns);
-    exact equality when tol is None."""
+def _minimal_period(m, x, p: int, tol: float):
+    """First-return time of x under m within p steps, to within tol (None if
+    it never returns)."""
     y = x
     for k in range(1, p + 1):
         y = m(y)
-        if tol is None:
-            if y == x:
-                return k
-        else:
-            if abs(y - x) <= tol:
-                return k
+        if abs(y - x) <= tol:
+            return k
     return None
 
 
@@ -93,26 +93,31 @@ def periodic_points(m, p: int, config: RunConfig = DEFAULT,
     return _periodic_float(m, p, config)
 
 
+def _lowest_terms(p, q):
+    """p/q as (numerator, denominator) in lowest terms: a cheap exact set key."""
+    if type(p) is type(q) is int:
+        g = math.gcd(p, q)
+        return p // g, q // g
+    return Fraction(p, q).as_integer_ratio()
+
+
 def _periodic_exact(m, p, config, cursor=None):
-    pl = as_pl(m)
-    fn = pl
     if cursor is None:
-        cursor = PieceCursor(pl, config.piece_budget)
-    pieces = cursor.level(p)
-    sols = fixed_points_of_pieces(pieces)
-    seen = set()
+        cursor = PieceCursor(as_pl(m), config.piece_budget)
+    seen = set()            # points of the orbits found, lattice coordinates in lowest terms
     orbits = []
-    for x, slope in sols:
-        if x in seen:
+    for x, slope in fixed_points_of_pieces(cursor.level(p), cursor.lam ** (p - 1)):
+        if x.as_integer_ratio() in seen:
             continue
-        mp = _minimal_period(fn, x, p)
-        if mp != p:
-            # solution of f^p(x)=x with a smaller true period
-            if mp is not None:
-                seen.add(x)
-            continue
-        orbit = _orbit_of(fn, x, p)
-        seen.update(orbit)
+        # x = P/q with q = |1 - slope|: the orbit is walked as numerators P
+        q = abs(1 - slope)
+        p0 = ratio(x.numerator * q, x.denominator)
+        walk = [p0, *takewhile(lambda y: y != p0, islice(lattice_orbit(cursor.lat, p0, q), p))]
+        if len(walk) != p:
+            continue        # a smaller true period, or no return within p steps
+        seen.update(_lowest_terms(y, q) for y in walk)
+        least = walk.index(min(walk))
+        orbit = tuple(Fraction(y, q * cursor.scale) for y in walk[least:] + walk[:least])
         orbits.append(PeriodicOrbit(orbit, p, _stability_from_slope(slope)))
     orbits.sort(key=lambda o: o.points[0])
     return orbits

@@ -15,7 +15,11 @@ The n-th iterate of a map is represented by its *pieces*: maximal intervals on
 which the iterate is affine (or constant), each carried as
 ``(a, b, f(a), f(b))``.  Pieces are produced level by level by pulling the
 outer map's breakpoints back through each affine piece, which keeps the
-representation exact and the cost proportional to the lap count.
+representation exact and the cost proportional to the lap count.  A
+``PieceCursor`` carries them on the lattice, where integral slopes make every
+value and node an int (nodes over one denominator per level); other slopes
+take the same code with ``Fraction``s.  ``lattice_orbit`` walks an orbit off
+the lattice as numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhausted, DomainEscapeError
-
-Piece = tuple  # (a, b, fa, fb); fa == fb marks a constant piece
-
 
 @dataclass(frozen=True)
 class Affine:
@@ -45,6 +46,12 @@ class Affine:
         return Affine(1 / self.a, -self.b / self.a)
 
 
+def ratio(p, q):
+    """p / q exactly, as an int when it is integral (/ on two ints is a float)."""
+    k, r = divmod(p, q)
+    return Fraction(p, q) if r else k
+
+
 def _slope(x0, x1, y0, y1):
     """(y1 - y0) / (x1 - x0) exactly for rationals x0 < x1, as an int when it
     is integral; cross-multiplied, so no intermediate ``Fraction`` is made."""
@@ -52,7 +59,7 @@ def _slope(x0, x1, y0, y1):
          * x0.denominator * x1.denominator)
     q = ((x1.numerator * x0.denominator - x0.numerator * x1.denominator)
          * y0.denominator * y1.denominator)
-    return p // q if p % q == 0 else Fraction(p, q)
+    return ratio(p, q)
 
 
 def on_lattice(x, n: int) -> int:
@@ -151,15 +158,6 @@ class PiecewiseLinear:
                 hi = y
         return lo, hi
 
-    def restrict(self, a, b) -> "PiecewiseLinear":
-        if not (self.lo <= a < b <= self.hi):
-            raise ValueError("restriction outside domain")
-        i = bisect_right(self.xs, a)
-        j = bisect_left(self.xs, b)
-        xs = (a,) + self.xs[i:j] + (b,)
-        ys = (self(a),) + self.ys[i:j] + (self(b),)
-        return PiecewiseLinear(xs, ys)
-
     def conjugate(self, phi: Affine) -> "PiecewiseLinear":
         """Return phi ∘ self ∘ phi⁻¹ (exact)."""
         inv = phi.inverse()
@@ -182,35 +180,41 @@ class PiecewiseLinear:
 # -- iterated pieces -----------------------------------------------------
 
 
+def node_scale(pl: PiecewiseLinear):
+    """Λ, the lcm of the nonzero |slopes| when they are all ints, else 1."""
+    slopes = [abs(s) for s in pl.slopes if s]
+    return math.lcm(*slopes) if all(type(s) is int for s in slopes) else 1
+
+
 def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
     """Pieces of f∘g from the pieces of g (f = pl), exactly.
 
-    Affine pieces are cut at preimages of the outer breakpoints;
-    constant pieces stay constant.
+    Affine pieces are cut at preimages of the outer breakpoints; constant
+    pieces stay constant.  Nodes come back multiplied by Λ = ``node_scale(pl)``,
+    so a cut a·Λ + (t − fa)·Λ(b − a)/(fb − fa) is an int on an integral lattice.
     """
-    xs = pl.xs
+    xs, ys = pl.xs, pl.ys
     lo_dom, hi_dom = pl.lo, pl.hi
+    lam = node_scale(pl)
     out = []
     for a, b, fa, fb in pieces:
+        a, b, w0 = a * lam, b * lam, pl(fa)
         if fa == fb:
-            out.append((a, b, pl(fa), pl(fa)))
+            out.append((a, b, w0, w0))
             continue
         if fa < lo_dom or fa > hi_dom or fb < lo_dom or fb > hi_dom:
             raise DomainEscapeError("iterate leaves the domain; map is not a self-map")
-        vlo, vhi = (fa, fb) if fa < fb else (fb, fa)
-        i = bisect_right(xs, vlo)
-        j = bisect_left(xs, vhi)
-        cuts = xs[i:j]
-        if fa > fb:
-            cuts = cuts[::-1]
-        vals = [fa, *cuts, fb]
-        scale = (b - a) / (fb - fa)
-        nodes = [a] + [a + (t - fa) * scale for t in cuts] + [b]
-        w0 = pl(vals[0])
-        for k in range(len(vals) - 1):
-            w1 = pl(vals[k + 1])
-            out.append((nodes[k], nodes[k + 1], w0, w1))
-            w0 = w1
+        k = ratio(b - a, fb - fa)
+        if fa < fb:
+            cuts = range(bisect_right(xs, fa), bisect_left(xs, fb))
+        else:
+            cuts = range(bisect_left(xs, fa) - 1, bisect_right(xs, fb) - 1, -1)
+        x0 = a
+        for c in cuts:
+            x1 = a + (xs[c] - fa) * k
+            out.append((x0, x1, w0, ys[c]))
+            x0, w0 = x1, ys[c]
+        out.append((x0, b, w0, pl(fb)))
         if len(out) > budget:
             raise BudgetExhausted(f"piece budget ({budget}) exceeded")
     if len(out) > budget:
@@ -219,19 +223,39 @@ def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
 
 
 class PieceCursor:
-    """Lazily extended pieces of f, f², f³, … for one exact map."""
+    """Lazily extended pieces of f, f², f³, … for one exact map, as the
+    pieces of L^n for its lattice (N, L) = ``pl.lattice()``; the nodes of
+    level n are numerators over Λ^(n-1), Λ = ``lam`` = ``node_scale(L)``."""
 
     def __init__(self, pl: PiecewiseLinear, budget: int):
-        self.pl = pl
         self.budget = budget
-        self._levels = [pl.pieces()]
+        self.scale, self.lat = pl.lattice()
+        self.lam = node_scale(self.lat)
+        self._levels = [self.lat.pieces()]
 
     def level(self, n: int):
         if n < 1:
             raise ValueError("iterate index must be >= 1")
         while len(self._levels) < n:
-            self._levels.append(advance_pieces(self._levels[-1], self.pl, self.budget))
+            self._levels.append(advance_pieces(self._levels[-1], self.lat, self.budget))
         return self._levels[n - 1]
+
+    def clipped(self, n: int, lo, hi):
+        """Pieces of f^n on [lo, hi] ⊆ domain, in the map's own coordinates."""
+        d, scale = self.lam ** (n - 1) * self.scale, self.scale
+        lo_d, hi_d = lo * d, hi * d
+        out = []
+        for a, b, fa, fb in self.level(n):
+            if b <= lo_d or a >= hi_d:
+                continue
+            a, b, fa, fb = Fraction(a, d), Fraction(b, d), Fraction(fa, scale), Fraction(fb, scale)
+            s = (fb - fa) / (b - a)
+            if a < lo:
+                a, fa = lo, fa + (lo - a) * s
+            if b > hi:
+                b, fb = hi, fa + (hi - a) * s
+            out.append((a, b, fa, fb))
+        return out
 
 
 def strict_lap_count(pieces) -> int:
@@ -250,36 +274,47 @@ def strict_lap_count(pieces) -> int:
     return max(count, 1)
 
 
-def fixed_points_of_pieces(pieces):
-    """Exact solutions of F(x) = x, one per piece, as (x, slope).
-
-    Constant pieces contribute their value when it lies inside the piece
-    (slope 0, a plateau-absorbed solution).
-    """
-    sols = []
+def fixed_points_of_pieces(pieces, den):
+    """Exact solutions x = (fa·den − s·a) / (den·(1 − s)) of F(x) = x, one per
+    piece, as (x, slope), ascending; the pieces are in order, with nodes over
+    ``den``.  Constant pieces contribute their value when it lies inside the
+    piece (slope 0, a plateau-absorbed solution)."""
+    out = []
     for a, b, fa, fb in pieces:
         if fa == fb:
-            if a <= fa <= b:
-                sols.append((fa, Fraction(0)))
-            continue
-        s = (fb - fa) / (b - a)
-        if s == 1:
-            if fa == a:
-                raise ValueError("segment of fixed points (slope-1 identity piece)")
-            continue
-        x = (fa - s * a) / (1 - s)
-        if a <= x <= b:
-            sols.append((x, s))
-    sols.sort(key=lambda t: t[0])
-    out = []
-    for x, s in sols:
-        if out and out[-1][0] == x:
+            if not a <= fa * den <= b:
+                continue
+            x, s, at_a = fa, 0, fa * den == a
+        else:
+            s = ratio(den * (fb - fa), b - a)
+            o, u = fa * den - s * a, 1 - s
+            if u == 0:
+                if o == 0:
+                    raise ValueError("segment of fixed points (slope-1 identity piece)")
+                continue
+            if not (a * u <= o <= b * u if u > 0 else b * u <= o <= a * u):
+                continue
+            x, at_a = Fraction(o, den * u), o == a * u
+        if at_a and out and out[-1][0] == x:
             # keep the non-degenerate slope when a breakpoint repeats
             if out[-1][1] == 0 and s != 0:
                 out[-1] = (x, s)
             continue
         out.append((x, s))
-    return [(x, s) for x, s in out]
+    return out
+
+
+def lattice_orbit(lat: PiecewiseLinear, p, q=1):
+    """Successive images of X = p/q under lat, as numerators over the same
+    q > 0: ints when p is one and lat has int breakpoints, values and slopes."""
+    xs = [x * q for x in lat.xs]
+    icpt = [y * q - s * x for x, y, s in zip(xs, lat.ys, lat.slopes)]
+    while True:
+        if not xs[0] <= p <= xs[-1]:
+            raise DomainEscapeError(f"{p}/{q} outside [{lat.lo}, {lat.hi}]")
+        i = bisect_right(xs, p, 1, len(xs) - 1) - 1
+        p = lat.slopes[i] * p + icpt[i]
+        yield p
 
 
 def solve_on_pieces(pieces, target):

@@ -26,7 +26,7 @@ from .errors import BracketError, BudgetExhausted, PreconditionError
 from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
                    turning_points_of)
 from .periods import lap_roots, periodic_points, turning_points_of_iterate
-from .piecewise import Affine, PiecewiseLinear, advance_pieces, solve_on_pieces
+from .piecewise import Affine, PieceCursor, PiecewiseLinear, solve_on_pieces
 
 RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
 
@@ -127,16 +127,12 @@ def _interiors_disjoint(intervals, tol) -> bool:
     return True
 
 
-def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config):
+def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config, cursor):
     """Solutions of f^n(x) = target with x in [side_lo, side_hi]."""
     if not side_lo < side_hi:
         return []
-    if is_exact(m):
-        pl = as_pl(m)
-        pieces = pl.restrict(side_lo, side_hi).pieces()
-        for _ in range(n - 1):
-            pieces = advance_pieces(pieces, pl, config.piece_budget)
-        return solve_on_pieces(pieces, target)
+    if cursor is not None:
+        return solve_on_pieces(cursor.clipped(n, side_lo, side_hi), target)
     turns = turning_points_of_iterate(m, n, config)
     cuts = [side_lo] + [t for t in turns if side_lo < t < side_hi] + [side_hi]
     return lap_roots(lambda x: iterate(m, x, n) - target, cuts, 1, config.precision)
@@ -182,12 +178,13 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT,
     if period < 2:
         raise PreconditionError("period must be >= 2")
     dom = domain_of(m)
+    cursor = PieceCursor(as_pl(m), config.piece_budget) if is_exact(m) else None
     pts = set()
     for d in range(1, period + 1):
         if period % d != 0:
             continue
         try:
-            for orb in periodic_points(m, d, config):
+            for orb in periodic_points(m, d, config, cursor):
                 pts.update(orb.points)
         except BudgetExhausted:
             break
@@ -197,13 +194,13 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT,
         left = [p for p in pts if p < tlo][-max_candidates:]
         right = [p for p in pts if p > thi][:max_candidates]
         for p in reversed(left):
-            mates = _solve_iterate_on_side(m, period, p, thi, dom.hi, config)
+            mates = _solve_iterate_on_side(m, period, p, thi, dom.hi, config, cursor)
             for phat in mates[:max_candidates]:
                 ri = _verify_restrictive(m, p, phat, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
                     best = ri
         for p in right:
-            mates = _solve_iterate_on_side(m, period, p, dom.lo, tlo, config)
+            mates = _solve_iterate_on_side(m, period, p, dom.lo, tlo, config, cursor)
             for phat in reversed(mates[-max_candidates:]):
                 ri = _verify_restrictive(m, phat, p, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
@@ -222,10 +219,7 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
     J = ri.interval
     dom = domain_of(m)
     if is_exact(m):
-        pl = as_pl(m)
-        pieces = pl.restrict(J.lo, J.hi).pieces()
-        for _ in range(n - 1):
-            pieces = advance_pieces(pieces, pl, config.piece_budget)
+        pieces = PieceCursor(as_pl(m), config.piece_budget).clipped(n, J.lo, J.hi)
         xs = [pieces[0][0]] + [p[1] for p in pieces]
         ys = [pieces[0][2]] + [p[3] for p in pieces]
         restricted = PiecewiseLinear(xs, ys)
