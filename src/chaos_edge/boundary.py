@@ -639,7 +639,8 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
                 raise BudgetExhausted(
                     f"undecided probes block refinement below width {width()}")
     if width() > resolution:
-        raise BudgetExhausted(f"probe budget exhausted at width {width()}")
+        raise BudgetExhausted(
+            f"probe budget exhausted: max_probes={max_probes} reached at width {width()}")
     t_zero, t_pos = zero[0], pos[0]
     return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),
                           (t_zero, zero[1].certificate), (t_pos, pos[1].witness),

@@ -139,7 +139,9 @@ def entropy_lap(m, n_max: Optional[int] = None,
         raise PreconditionError("n_max must be >= 8")
     counts, saturated = lap_series(m, n_max, config)
     if len(counts) < 4:
-        raise BudgetExhausted("lap series too short to fit a growth rate")
+        raise BudgetExhausted(
+            f"lap series too short to fit a growth rate: {len(counts)} levels reached "
+            f"of n_max={n_max}, need 4")
     n_used = len(counts)
     ns = range(max(n_used // 2, 1), n_used + 1)
     h, resid = _fit_growth(ns, [math.log(counts[n - 1]) for n in ns])

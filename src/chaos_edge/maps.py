@@ -458,26 +458,52 @@ def turning_points_of(m) -> tuple:
     return tuple(m.turning_points)
 
 
+def _quadratic_steps(x: float, c: float, n: int) -> float:
+    """n steps of x * x + c on a float, eight to a loop pass."""
+    for _ in range(n >> 3):
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+        x = x * x + c
+    for _ in range(n & 7):
+        x = x * x + c
+    return x
+
+
 def iterate(m, x, n: int):
     """n-th image of x (exact for rational piecewise-linear maps).
 
     For a float map x may also be a numpy array.  A ``Quadratic`` runs
     ``x * x + c`` inline, the arithmetic of ``Quadratic.__call__`` without a
-    call per step; an array gets one new array at the first step and is then
-    stepped in place (the argument is left unchanged).
+    call per step (on a float eight steps to a loop pass); an array gets one
+    new array at the first step and is then stepped in place (the argument
+    is left unchanged).  A ``PolynomialTypeB`` runs the stage expression of
+    its ``__call__`` inline over ``coeffs``.
     """
     if n < 0:
         raise ValueError("iterate count must be >= 0")
     if type(m) is Quadratic:
         c = m.c
         if isinstance(x, float) or n == 0:
-            for _ in range(n):
-                x = x * x + c
-            return x
+            return _quadratic_steps(x, c, n)
         x = x * x + c
         for _ in range(n - 1):
             x *= x
             x += c
+        return x
+    if type(m) is PolynomialTypeB:
+        if len(m.coeffs) == 1:
+            ((ell, a, b, b_ell),) = m.coeffs
+            for _ in range(n):
+                x = -(b_ell * x ** ell + a) / b
+            return x
+        for _ in range(n):
+            for ell, a, b, b_ell in m.coeffs:
+                x = -(b_ell * x ** ell + a) / b
         return x
     f = m.pl if isinstance(m, StuntedSawtooth) else m
     for _ in range(n):
@@ -485,20 +511,72 @@ def iterate(m, x, n: int):
     return x
 
 
+def iterate_grid(m, xs, n: int) -> list:
+    """``[iterate(m, x, n) for x in xs]`` for a numpy array xs of floats, as
+    a list of floats equal bit for bit to the scalar ones.
+
+    A map whose step is IEEE +, -, * and / only (``x^2 + c``, and a map whose
+    ``base`` is one, such as a renormalized level of it) takes one array
+    call: numpy rounds those operations as Python floats do.  Any other map
+    takes one call per point: numpy's ``x ** ell`` differs from libm's
+    ``pow`` in the last bit of some x, and a callable need not take arrays.
+    """
+    if type(getattr(m, "base", m)) is Quadratic:
+        return iterate(m, xs, n).tolist()
+    return [iterate(m, x, n) for x in xs.tolist()]
+
+
+ORBIT_CHUNK = 4096              # floats per list that fill_orbit copies into its array
+
+
 def fill_orbit(m, x: float, out):
     """Write the next len(out) images of x under a float map into ``out`` (a
-    numpy array) and return the last one, a float; ``Quadratic`` steps are
-    written out as in ``iterate``."""
+    numpy array) and return the last one, a float.  ``Quadratic`` steps are
+    written out as in ``iterate``, eight to a loop pass, into a list of at
+    most ``ORBIT_CHUNK`` floats that is copied into ``out`` at once."""
     if type(m) is Quadratic:
         c = m.c
-        for i in range(len(out)):
-            x = x * x + c
-            out[i] = x
+        for start in range(0, len(out), ORBIT_CHUNK):
+            k = min(ORBIT_CHUNK, len(out) - start)
+            chunk = []
+            put = chunk.append
+            for _ in range(k >> 3):
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+                x = x * x + c
+                put(x)
+            for _ in range(k & 7):
+                x = x * x + c
+                put(x)
+            out[start:start + k] = chunk
         return x
     for i in range(len(out)):
         x = m(x)
         out[i] = x
     return x
+
+
+def quadratic_multiplier(m: Quadratic, x: float, p: int) -> float:
+    """(f^p)'(x) for f = x^2 + c: the product of ``m.derivative`` (2 * x)
+    along the p points of the orbit of x, in the same order."""
+    c = m.c
+    mult = 1.0
+    for _ in range(p):
+        mult *= 2 * x
+        x = x * x + c
+    return mult
 
 
 def critical_values(m):

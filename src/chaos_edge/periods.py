@@ -17,9 +17,12 @@ from fractions import Fraction
 from itertools import islice, takewhile
 from typing import Optional
 
+import numpy as np
+
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import as_pl, bisect_root, domain_of, is_exact, iterate, turning_points_of
+from .maps import (Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate, iterate_grid,
+                   quadratic_multiplier, turning_points_of)
 from .piecewise import PieceCursor, fixed_points_of_pieces, lattice_orbit, ratio
 
 
@@ -126,6 +129,7 @@ def _periodic_exact(m, p, config, cursor=None):
 # -- float route -------------------------------------------------------
 
 GRID_CELLS = 4096               # samples of a float periodic-point grid (2**12)
+LAP_SAMPLES_PER_CALL = 1 << 16  # lap_roots samples per iterate_grid call, to bound memory
 
 
 def _preimages(m, w, xtol):
@@ -157,13 +161,15 @@ def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
     base = list(turning_points_of(m))
     cur = list(base)
     xtol = config.precision
-    for _ in range(n - 1):
+    for k in range(2, n + 1):
         nxt = list(base)
         for w in cur:
             nxt.extend(_preimages(m, w, xtol))
         cur = _merge_close(nxt, 10 * xtol)
         if len(cur) > config.piece_budget:
-            raise BudgetExhausted("turning-point budget exceeded")
+            raise BudgetExhausted(
+                f"turning-point budget exceeded: more than piece_budget={config.piece_budget} "
+                f"turning points at iterate n={k} (of {n})")
     return cur
 
 
@@ -189,50 +195,58 @@ def newton_polish(g, x, lo, hi, steps: int = 4):
     return x
 
 
-def lap_roots(g, cuts, cells: int, precision: float):
-    """Roots of g on [cuts[0], cuts[-1]], where g is built on an iterate
-    f^n and the inner cuts are the turning points of f^n.
+def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
+    """Roots of f^n(x) - target on [cuts[0], cuts[-1]], or of f^n(x) - x
+    when target is None, where the inner cuts are the turning points of f^n.
 
     Each lap between consecutive cuts is sampled on ``cells`` equal cells:
     exact zeros at samples are kept and sign changes bisected to
     ``precision`` (relative to the interval's scale); points within ten
-    times that are merged, then Newton-polished inside the interval.
+    times that are merged, then Newton-polished inside the interval.  The
+    samples of consecutive laps are taken together, up to
+    ``LAP_SAMPLES_PER_CALL`` in one ``iterate_grid`` call (one array call for
+    x^2 + c).
     """
+    def g(x):
+        return iterate(m, x, n) - (x if target is None else target)
+
     lo, hi = cuts[0], cuts[-1]
     scale = max(1.0, abs(lo), abs(hi))
     xtol = precision * scale
+    laps = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > xtol]
+    per_call = max(1, LAP_SAMPLES_PER_CALL // (cells + 1))
     roots = []
     gs = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a <= xtol:
-            continue
-        xs = [a + (b - a) * k / cells for k in range(cells + 1)]
-        gs = [g(x) for x in xs]
-        for k in range(cells):
-            if gs[k] == 0:
-                roots.append(xs[k])
-            if gs[k] * gs[k + 1] < 0:
-                roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
+    for i in range(0, len(laps), per_call):
+        a, b = np.array(laps[i:i + per_call]).T
+        # a + (b - a) * k / cells, the scalar formula, per lap and k
+        xs = (a[:, None] + (b - a)[:, None] * np.arange(cells + 1) / cells).ravel()
+        ys = iterate_grid(m, xs, n)
+        xs = xs.tolist()
+        gs = [y - (x if target is None else target) for x, y in zip(xs, ys)]
+        for first in range(0, len(xs), cells + 1):
+            for k in range(first, first + cells):
+                if gs[k] == 0:
+                    roots.append(xs[k])
+                if gs[k] * gs[k + 1] < 0:
+                    roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
     if gs and gs[-1] == 0:
         roots.append(hi)
     return sorted(newton_polish(g, x, lo, hi) for x in _merge_close(roots, 10 * xtol))
 
 
 def cycle_multiplier(m, x, p: int) -> float:
-    """(f^p)'(x) along the orbit of x: the chain rule through ``m.derivative``
-    when the map has one, otherwise a central difference clamped to the
-    domain at each point."""
-    deriv = getattr(m, "derivative", None)
-    if deriv is None:
-        dom = domain_of(m)
-        h = 1e-7 * max(1.0, abs(dom.lo), abs(dom.hi))
-
-        def deriv(y):
-            a, b = max(y - h, dom.lo), min(y + h, dom.hi)
-            return (m(b) - m(a)) / (b - a)
+    """(f^p)'(x) along the orbit of x: the chain rule for x^2 + c
+    (``maps.quadratic_multiplier``), otherwise a central difference clamped
+    to the domain at each point."""
+    if type(m) is Quadratic:
+        return quadratic_multiplier(m, x, p)
+    dom = domain_of(m)
+    h = 1e-7 * max(1.0, abs(dom.lo), abs(dom.hi))
     mult = 1.0
     for _ in range(p):
-        mult *= deriv(x)
+        a, b = max(x - h, dom.lo), min(x + h, dom.hi)
+        mult *= (m(b) - m(a)) / (b - a)
         x = m(x)
     return mult
 
@@ -241,8 +255,8 @@ def _periodic_float(m, p, config):
     dom = domain_of(m)
     turns = turning_points_of_iterate(m, p, config)
     cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
-    roots = lap_roots(lambda x: iterate(m, x, p) - x, cuts,
-                      max(8, GRID_CELLS // (len(cuts) - 1)), config.precision)
+    roots = lap_roots(m, p, None, cuts, max(8, GRID_CELLS // (len(cuts) - 1)),
+                      config.precision)
     tol = 1e-9 * max(1.0, abs(dom.lo), abs(dom.hi))
     orbits = []
     taken = []          # sorted points of the orbits found

@@ -135,7 +135,7 @@ def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config, cursor):
         return solve_on_pieces(cursor.clipped(n, side_lo, side_hi), target)
     turns = turning_points_of_iterate(m, n, config)
     cuts = [side_lo] + [t for t in turns if side_lo < t < side_hi] + [side_hi]
-    return lap_roots(lambda x: iterate(m, x, n) - target, cuts, 1, config.precision)
+    return lap_roots(m, n, target, cuts, 1, config.precision)
 
 
 def _verify_restrictive(m, a, b, n, config) -> Optional[RestrictiveInterval]:

@@ -4,6 +4,12 @@ The files under ``tests/data`` hold the stdout of an earlier version of the
 program, from before the exact core moved to lattice coordinates.  JSON keys
 are sorted and no report has a timing field, so equal inputs must give equal
 bytes.
+
+The two float ``boundary`` goldens (the quadratic path and the one-stage
+type-B path) were written before the float orbit kernels were rewritten and
+pin their output bit for bit.  They assume IEEE doubles and the Linux libm
+``pow``: a type-B step computes ``x ** ell`` with ``pow``, whose last bit
+other libms may round differently.
 """
 
 import json
@@ -18,6 +24,8 @@ DATA = Path(__file__).parent / "data"
 
 PATH = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
         "t_lo": "1/2", "t_hi": "3/2"}
+QUADRATIC_PATH = {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3}
+TYPE_B_PATH = {"family": "type_b", "stages": [[2, -1.5]], "t_lo": -2, "t_hi": -1}
 TRAPEZOID = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["3/2"]}
 FULL_M2 = {"kind": "stunted", "m": 2, "epsilon": 1, "xi": ["8/3", "8/3"]}
 
@@ -33,6 +41,8 @@ def stdout_of(tmp_path, capsys, descriptor, *args):
 @pytest.mark.parametrize("golden, descriptor, args", [
     ("boundary_m1_res_default.json", PATH, ("boundary",)),
     ("boundary_m1_res2pow-30.json", PATH, ("boundary", "--resolution", "1/1073741824")),
+    ("boundary_quadratic_res1e-7.json", QUADRATIC_PATH, ("boundary", "--resolution", "1e-7")),
+    ("boundary_type_b_res0.05.json", TYPE_B_PATH, ("boundary", "--resolution", "0.05")),
     ("sweep_m1_grid101.csv", PATH, ("sweep", "--grid", "101")),
     ("entropy_trapezoid.csv", TRAPEZOID, ("entropy", "--format", "csv")),
 ])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         build_type_b, critical_values, eval_s0, iterate,
                         parse_map, serialize_map)
+from chaos_edge.maps import ORBIT_CHUNK, FloatUnimodal, Interval, fill_orbit, iterate_grid
 from chaos_edge.piecewise import PiecewiseLinear
 
 from conftest import random_xi
@@ -162,6 +163,60 @@ class TestIterate:
                 x = m(x)
             expected.append(x)
         assert ys.tolist() == expected
+
+    @pytest.mark.parametrize("c", [-1.401155, -1.9])
+    def test_unrolled_quadratic_matches_one_step_loop(self, c):
+        # eight steps to a loop pass plus n & 7 more: every remainder, and a
+        # long chaotic run where one differing bit would grow
+        m = Quadratic(c)
+        starts = [0.0, 0.3, -1.1]
+        for n in [*range(18), 1000]:
+            expected = []
+            for x in starts:
+                for _ in range(n):
+                    x = x * x + c
+                expected.append(x)
+            assert [iterate(m, x, n) for x in starts] == expected, n
+            xs = np.array(starts)
+            assert iterate(m, xs, n).tolist() == expected, n
+            assert xs.tolist() == starts
+
+    @pytest.mark.parametrize("stages", [[(2, -1.9)], [(4, -1.2)], [(2, -1.0), (2, -1.5)]],
+                             ids=["one-stage", "quartic", "two-stage"])
+    def test_inline_type_b_matches_the_call(self, stages):
+        m = build_type_b(stages)
+        for x0 in (0.0, 0.3, -0.77):
+            for n in (0, 1, 5, 300):
+                x = x0
+                for _ in range(n):
+                    x = m(x)
+                assert iterate(m, x0, n) == x
+
+    @pytest.mark.parametrize("m", [Quadratic(-1.9), build_type_b([(2, -1.3), (4, -0.9)])],
+                             ids=["quadratic", "type-b"])
+    def test_fill_orbit_matches_one_step_loop(self, m):
+        # a window of two chunks and a remainder that is not a multiple of 8
+        out = np.empty(2 * ORBIT_CHUNK + 13)
+        last = fill_orbit(m, 0.25, out)
+        expected, x = [], 0.25
+        for _ in range(len(out)):
+            x = m(x)
+            expected.append(x)
+        assert out.tolist() == expected
+        assert last == expected[-1] and type(last) is float
+
+    @pytest.mark.parametrize("m", [
+        Quadratic(-1.9), build_type_b([(2, -1.9)]), build_type_b([(2, -1.0), (4, -1.2)]),
+        # a callable that takes no arrays
+        FloatUnimodal(lambda x: math.sin(math.pi * x), Interval(0.0, 1.0), 0.5)],
+        ids=["quadratic", "type-b", "type-b-two-stage", "float-unimodal"])
+    def test_iterate_grid_is_the_scalar_iterate(self, m):
+        # numpy's x ** ell differs from libm's pow in the last bit of some
+        # x, so a type-B grid must not take the array route
+        xs = np.linspace(m.domain.lo, m.domain.hi, 1001)
+        ys = iterate_grid(m, xs, 7)
+        assert ys == [iterate(m, x, 7) for x in xs.tolist()]
+        assert all(type(y) is float for y in ys)
 
     def test_escape_reported(self, base1):
         # the raw zigzag is not a self-map; iterating it must fail loudly

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_edge import (Quadratic, build_base, build_stunted,
-                        is_power_of_two_spectrum, period_set, periodic_points,
+                        is_power_of_two_spectrum, period_set, periodic_points, periods,
                         sharkovskii_forces, sharkovskii_precedes)
-from chaos_edge.maps import FloatUnimodal, bisect_root
-from chaos_edge.periods import PeriodSet, cycle_multiplier, is_power_of_two
+from chaos_edge.maps import FloatUnimodal, Interval, bisect_root, build_type_b, iterate
+from chaos_edge.periods import (PeriodSet, _merge_close, cycle_multiplier, is_power_of_two,
+                                lap_roots, newton_polish, turning_points_of_iterate)
+from chaos_edge.renorm import find_restrictive, renormalize
 
 from conftest import random_xi
 
@@ -65,7 +67,7 @@ class TestPeriodicPoints:
 
 
 BASILICA = Quadratic(-1.0)
-# the same map without ``derivative``, so cycle_multiplier takes differences
+# the same map as a FloatUnimodal, so cycle_multiplier takes differences
 BASILICA_NO_DERIVATIVE = FloatUnimodal(BASILICA, BASILICA.domain, 0.0)
 
 
@@ -84,6 +86,69 @@ BASILICA_NO_DERIVATIVE = FloatUnimodal(BASILICA, BASILICA.domain, 0.0)
 ])
 def test_float_root_helpers(got, want, tol):
     assert abs(got() - want) <= tol
+
+
+def test_quadratic_multiplier_is_the_derivative_product():
+    m = Quadratic(-1.401155)
+    for x0, p in ((0.3, 1), (-0.7, 16), (0.11, 1000)):
+        mult, x = 1.0, x0
+        for _ in range(p):
+            mult *= m.derivative(x)
+            x = m(x)
+        assert cycle_multiplier(m, x0, p) == mult
+
+
+def per_point_lap_roots(g, cuts, cells, precision):
+    """The reference for ``lap_roots``: the same grid, zeros, bisections and
+    polish, with g sampled at one point per call."""
+    lo, hi = cuts[0], cuts[-1]
+    xtol = precision * max(1.0, abs(lo), abs(hi))
+    roots, gs = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a <= xtol:
+            continue
+        xs = [a + (b - a) * k / cells for k in range(cells + 1)]
+        gs = [g(x) for x in xs]
+        for k in range(cells):
+            if gs[k] == 0:
+                roots.append(xs[k])
+            if gs[k] * gs[k + 1] < 0:
+                roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
+    if gs and gs[-1] == 0:
+        roots.append(hi)
+    return sorted(newton_polish(g, x, lo, hi) for x in _merge_close(roots, 10 * xtol))
+
+
+def _renormalized_quadratic():
+    m = Quadratic(-1.3)
+    return renormalize(m, find_restrictive(m, 2))
+
+
+LOGISTIC = FloatUnimodal(lambda x: 3.9 * x * (1 - x), Interval(0.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("make", [lambda: Quadratic(-1.9), _renormalized_quadratic,
+                                  lambda: build_type_b([(2, -1.9)]),
+                                  lambda: build_type_b([(2, -1.0), (4, -1.2)]),
+                                  lambda: LOGISTIC],
+                         ids=["quadratic", "renormalized", "type-b", "type-b-two-stage",
+                              "float-unimodal"])
+@pytest.mark.parametrize("n, target, cells", [(3, None, 64), (5, None, 16), (4, 0.1, 1),
+                                              (6, 0.3, 8)])
+@pytest.mark.parametrize("per_call", [periods.LAP_SAMPLES_PER_CALL, 10],
+                         ids=["default", "small-calls"])
+def test_lap_roots_match_per_point_sampling(make, n, target, cells, per_call, monkeypatch):
+    monkeypatch.setattr(periods, "LAP_SAMPLES_PER_CALL", per_call)
+    m = make()
+    dom = m.domain
+    turns = turning_points_of_iterate(m, n)
+    cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
+
+    def g(x):
+        return iterate(m, x, n) - (x if target is None else target)
+
+    got = lap_roots(m, n, target, cuts, cells, 1e-12)
+    assert got and got == per_point_lap_roots(g, cuts, cells, 1e-12)
 
 
 class TestPeriodSet:
