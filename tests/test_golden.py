@@ -41,10 +41,10 @@ def stdout_of(tmp_path, capsys, descriptor, *args):
 @pytest.mark.parametrize("golden, descriptor, args", [
     ("boundary_m1_res_default.json", PATH, ("boundary",)),
     ("boundary_m1_res2pow-30.json", PATH, ("boundary", "--resolution", "1/1073741824")),
-    ("boundary_quadratic_res1e-7.json", QUADRATIC_PATH, ("boundary", "--resolution", "1e-7")),
-    ("boundary_type_b_res0.05.json", TYPE_B_PATH, ("boundary", "--resolution", "0.05")),
     ("sweep_m1_grid101.csv", PATH, ("sweep", "--grid", "101")),
     ("entropy_trapezoid.csv", TRAPEZOID, ("entropy", "--format", "csv")),
+    ("boundary_quadratic_res1e-7.json", QUADRATIC_PATH, ("boundary", "--resolution", "1e-7")),
+    ("boundary_type_b_res0.05.json", TYPE_B_PATH, ("boundary", "--resolution", "0.05")),
 ])
 def test_stdout_bytes(tmp_path, capsys, golden, descriptor, args):
     # read as bytes: the CSV rows end in \r\n, which read_text would change
