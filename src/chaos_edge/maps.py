@@ -232,6 +232,7 @@ class Quadratic:
         object.__setattr__(self, "beta", (1 + math.sqrt(disc)) / 2)
 
     kind = "quadratic"
+    array_exact = True      # x * x + c on a numpy array gives the scalar floats
 
     @property
     def domain(self) -> Interval:
@@ -497,6 +498,8 @@ def iterate(m, x, n: int):
         return x
     if type(m) is PolynomialTypeB:
         if len(m.coeffs) == 1:
+            # one stage unpacked once: the loop over one stage is a third of
+            # a step's cost, and the type-B locate is float-locate's median op
             ((ell, a, b, b_ell),) = m.coeffs
             for _ in range(n):
                 x = -(b_ell * x ** ell + a) / b
@@ -515,13 +518,13 @@ def iterate_grid(m, xs, n: int) -> list:
     """``[iterate(m, x, n) for x in xs]`` for a numpy array xs of floats, as
     a list of floats equal bit for bit to the scalar ones.
 
-    A map whose step is IEEE +, -, * and / only (``x^2 + c``, and a map whose
-    ``base`` is one, such as a renormalized level of it) takes one array
-    call: numpy rounds those operations as Python floats do.  Any other map
-    takes one call per point: numpy's ``x ** ell`` differs from libm's
-    ``pow`` in the last bit of some x, and a callable need not take arrays.
+    A map whose ``array_exact`` is true steps with IEEE +, -, * and / only
+    (``x^2 + c``, and a renormalized level of it) and takes one array call:
+    numpy rounds those operations as Python floats do.  Any other map takes
+    one call per point: numpy's ``x ** ell`` differs from libm's ``pow`` in
+    the last bit of some x, and a callable need not take arrays.
     """
-    if type(getattr(m, "base", m)) is Quadratic:
+    if getattr(m, "array_exact", False):
         return iterate(m, xs, n).tolist()
     return [iterate(m, x, n) for x in xs.tolist()]
 

@@ -207,8 +207,11 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
     ``LAP_SAMPLES_PER_CALL`` in one ``iterate_grid`` call (one array call for
     x^2 + c).
     """
+    def sub(x):
+        return x if target is None else target
+
     def g(x):
-        return iterate(m, x, n) - (x if target is None else target)
+        return iterate(m, x, n) - sub(x)
 
     lo, hi = cuts[0], cuts[-1]
     scale = max(1.0, abs(lo), abs(hi))
@@ -223,7 +226,7 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
         xs = (a[:, None] + (b - a)[:, None] * np.arange(cells + 1) / cells).ravel()
         ys = iterate_grid(m, xs, n)
         xs = xs.tolist()
-        gs = [y - (x if target is None else target) for x, y in zip(xs, ys)]
+        gs = [y - sub(x) for x, y in zip(xs, ys)]
         for first in range(0, len(xs), cells + 1):
             for k in range(first, first + cells):
                 if gs[k] == 0:

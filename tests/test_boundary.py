@@ -7,7 +7,7 @@ import pytest
 from chaos_edge import (DEFAULT, BudgetExhausted, PreconditionError, Quadratic, build_base,
                         build_stunted, build_type_b, approximants, classify_float, classify_probe,
                         classify_quadratic,
-                        classify_stunted, entropy_lap, locate_boundary,
+                        classify_stunted, locate_boundary,
                         positive_entropy_witness, quadratic_path,
                         shape, stunted_path, type_b_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
@@ -15,7 +15,7 @@ import chaos_edge.boundary as boundary
 from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECIDED, ZERO,
                                  _attractor_period, _grid_period_scan, _tower_descend,
                                  plateau_orbit_analysis)
-from chaos_edge.periods import is_power_of_two, turning_points_of_iterate
+from chaos_edge.periods import is_power_of_two
 
 from conftest import random_xi
 
@@ -411,18 +411,8 @@ class TestExactRoute:
         assert min(verdicts.values()) > 0
 
 
-@pytest.mark.parametrize("raise_it, message", [
-    # f^k of x^2 - 1.9 has 2^k - 1 turning points: 63 > 50 at k = 6
-    (lambda: turning_points_of_iterate(Quadratic(-1.9), 12, DEFAULT.with_(piece_budget=50)),
-     "turning-point budget exceeded: more than piece_budget=50 turning points "
-     "at iterate n=6 (of 12)"),
-    (lambda: locate_boundary(stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2)),
-                             resolution=F(1, 2**30), max_probes=5),
-     "probe budget exhausted: max_probes=5 reached at width 1/8"),
-    (lambda: entropy_lap(Quadratic(-1.9), 8, DEFAULT.with_(piece_budget=4)),
-     "lap series too short to fit a growth rate: 2 levels reached of n_max=8, need 4"),
-])
-def test_budget_errors_name_the_budget_its_limit_and_the_parameter(raise_it, message):
+def test_probe_budget_error_names_max_probes():
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     with pytest.raises(BudgetExhausted) as info:
-        raise_it()
-    assert str(info.value) == message
+        locate_boundary(path, resolution=F(1, 2**30), max_probes=5)
+    assert str(info.value) == "probe budget exhausted: max_probes=5 reached at width 1/8"

@@ -112,6 +112,12 @@ class TestEntropyLap:
         with pytest.raises(PreconditionError):
             entropy_lap(T32, 4)
 
+    def test_short_series_error_names_n_max_and_the_levels_reached(self):
+        with pytest.raises(BudgetExhausted) as info:
+            entropy_lap(Quadratic(-1.9), 8, DEFAULT.with_(piece_budget=4))
+        assert str(info.value) == ("lap series too short to fit a growth rate: "
+                                   "2 levels reached of n_max=8, need 4")
+
 
 class TestEntropyMarkov:
     def test_trapezoid_log2_exact(self, T32):

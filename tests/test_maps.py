@@ -12,10 +12,16 @@ from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         parse_map, serialize_map)
 from chaos_edge.maps import ORBIT_CHUNK, FloatUnimodal, Interval, fill_orbit, iterate_grid
 from chaos_edge.piecewise import PiecewiseLinear
+from chaos_edge.renorm import find_restrictive, renormalize
 
 from conftest import random_xi
 
 F = Fraction
+
+
+def _level_one(m):
+    """The period-2 renormalization of a float map."""
+    return renormalize(m, find_restrictive(m, 2))
 
 
 class TestBase:
@@ -205,14 +211,23 @@ class TestIterate:
         assert out.tolist() == expected
         assert last == expected[-1] and type(last) is float
 
-    @pytest.mark.parametrize("m", [
-        Quadratic(-1.9), build_type_b([(2, -1.9)]), build_type_b([(2, -1.0), (4, -1.2)]),
+    @pytest.mark.parametrize("make, array_exact", [
+        (lambda: Quadratic(-1.9), True),
+        (lambda: _level_one(Quadratic(-1.3)), True),
+        (lambda: build_type_b([(2, -1.9)]), False),
+        (lambda: build_type_b([(2, -1.0), (4, -1.2)]), False),
+        (lambda: _level_one(build_type_b([(2, -1.3)])), False),
         # a callable that takes no arrays
-        FloatUnimodal(lambda x: math.sin(math.pi * x), Interval(0.0, 1.0), 0.5)],
-        ids=["quadratic", "type-b", "type-b-two-stage", "float-unimodal"])
-    def test_iterate_grid_is_the_scalar_iterate(self, m):
+        (lambda: FloatUnimodal(lambda x: math.sin(math.pi * x), Interval(0.0, 1.0), 0.5),
+         False)],
+        ids=["quadratic", "renormalized", "type-b", "type-b-two-stage", "renormalized-type-b",
+             "float-unimodal"])
+    def test_iterate_grid_is_the_scalar_iterate(self, make, array_exact):
         # numpy's x ** ell differs from libm's pow in the last bit of some
-        # x, so a type-B grid must not take the array route
+        # x, so a type-B grid, or one of its levels, must not take the array
+        # route
+        m = make()
+        assert getattr(m, "array_exact", False) == array_exact
         xs = np.linspace(m.domain.lo, m.domain.hi, 1001)
         ys = iterate_grid(m, xs, 7)
         assert ys == [iterate(m, x, 7) for x in xs.tolist()]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (Quadratic, build_base, build_stunted,
+from chaos_edge import (DEFAULT, BudgetExhausted, Quadratic, build_base, build_stunted,
                         is_power_of_two_spectrum, period_set, periodic_points, periods,
                         sharkovskii_forces, sharkovskii_precedes)
 from chaos_edge.maps import FloatUnimodal, Interval, bisect_root, build_type_b, iterate
@@ -149,6 +149,14 @@ def test_lap_roots_match_per_point_sampling(make, n, target, cells, per_call, mo
 
     got = lap_roots(m, n, target, cuts, cells, 1e-12)
     assert got and got == per_point_lap_roots(g, cuts, cells, 1e-12)
+
+
+def test_turning_point_budget_error_names_the_budget_and_the_iterate():
+    # f^k of x^2 - 1.9 has 2^k - 1 turning points: 63 > 50 at k = 6
+    with pytest.raises(BudgetExhausted) as info:
+        turning_points_of_iterate(Quadratic(-1.9), 12, DEFAULT.with_(piece_budget=50))
+    assert str(info.value) == ("turning-point budget exceeded: more than piece_budget=50 "
+                               "turning points at iterate n=6 (of 12)")
 
 
 class TestPeriodSet:
