@@ -11,13 +11,15 @@ cycle with power-of-two periods.  Bisection keeps a certified bracket;
 probes that certify neither way (a budget ran out) are flagged and the
 bracket is refined around them.
 
-The route runs in the lattice coordinates X = N·x of
-``PiecewiseLinear.lattice``: a rational stunted map has integer slopes, so
+The route runs in the lattice coordinates X = N·x of the map's
+``lattice()``, which a stunted map builds first: it has integer slopes, so
 plateau orbits and the Markov closure are int arithmetic, and ``Fraction``s
 appear only in what leaves the route (witness orbits, certificates, JSON).
-Both verdicts are re-checked on the map itself, in ``Fraction``s:
-``verify_witness`` walks every witness orbit, and ``verify_zero_certificate``
-walks every plateau orbit before it recomputes the certificate.
+Both verdicts are re-checked on the map itself by ``entropy.exact_walk``,
+an int re-walk over a denominator of its own that calls nothing on the
+lattice route: ``verify_witness`` checks every listed witness point, and
+``verify_zero_certificate`` every plateau orbit before it recomputes the
+certificate.
 
 The float families (x^2 + c and type-B compositions) get one floating-point
 analogue, ``classify_float``, written against the map.  An even map (x^2 + c,
@@ -38,7 +40,8 @@ maps on one grid pass for all short periods; a cell where R^p(x) - x
 changes sign is skipped when R^d(x) - x does too for a power of two d
 dividing p, since its root is a point of lower period.  A multimodal map
 runs this scan before it follows its turning points.  These float verdicts
-are heuristic: no step is outward-rounded.
+are heuristic: no step is outward-rounded.  numpy is imported only inside
+the float functions, so the exact route never loads it.
 """
 
 from __future__ import annotations
@@ -47,10 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .config import DEFAULT, RunConfig
-from .entropy import Witness, positive_entropy_witness, verify_witness
+from .entropy import Witness, exact_walk, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
                    build_stunted, build_type_b, domain_of, fill_orbit, is_exact, iterate,
@@ -135,9 +136,8 @@ def _plateau_values(T):
 
 
 def _plateau_walks(T):
-    """(N, L, values): the lattice map of ``PiecewiseLinear.lattice`` and the
-    plateau values N·v as ints."""
-    n, lat = as_pl(T).lattice()
+    """(N, L, values): ``T.lattice()`` and the plateau values N·v as ints."""
+    n, lat = T.lattice()
     return n, lat, [on_lattice(v, n) for v in _plateau_values(T)]
 
 
@@ -192,7 +192,7 @@ def decide_exact(T, levels_bound: int, bound: int,
         raise BudgetExhausted(
             f"plateau orbit {recs.index(None)} did not close up within "
             f"orbit_budget={config.orbit_budget} steps")
-    analysis = cycle_analysis(build_markov(as_pl(T), *config.markov_budget()))
+    analysis = cycle_analysis(build_markov(T, *config.markov_budget()))
     if analysis.witness_orbit is not None:
         w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
         if verify_witness(T, w):
@@ -230,31 +230,31 @@ def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = N
     return decide_exact(T, levels_bound, bound, config).certificate
 
 
-def _plateau_record_holds(pl, value, rec: PlateauOrbitRecord) -> bool:
-    """Whether the orbit of ``value`` under ``pl`` first repeats a point after
-    exactly rec.preperiod + rec.period steps, at step rec.preperiod."""
+def _plateau_record_holds(step, value, rec: PlateauOrbitRecord) -> bool:
+    """Whether the orbit of ``value`` under ``step`` (``exact_walk``) first
+    repeats a point after rec.preperiod + rec.period steps, at rec.preperiod."""
     seen = {}
     y = value
     for k in range(rec.preperiod + rec.period):
         if y in seen:
             return False
         seen[y] = k
-        y = pl(y)
+        y = step(y)
     return seen.get(y) == rec.preperiod
 
 
 def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
                             config: RunConfig = DEFAULT) -> bool:
     """Re-derive each plateau record by walking its orbit on the map itself,
-    in ``Fraction``s apart from the lattice route, then recompute the
+    by ``exact_walk`` apart from the lattice route, then recompute the
     certificate and compare."""
-    values = _plateau_values(T)
+    values, step = exact_walk(as_pl(T), _plateau_values(T))
     recs = cert.plateau_orbits
     if [r.plateau for r in recs] != list(range(len(values))):
         return False
     for r in recs:
         if (r.preperiod + r.period > config.orbit_budget
-                or not _plateau_record_holds(as_pl(T), values[r.plateau], r)):
+                or not _plateau_record_holds(step, values[r.plateau], r)):
             return False
     try:
         again = zero_entropy_certificate(T, cert.levels_bound, cert.bound, config)
@@ -287,6 +287,7 @@ def _tail_period(tail, tol: float):
     """The least p below len(tail) // 2 over which the end of the orbit
     samples ``tail`` repeats (the last point within tol, the last 256 within
     10·tol, relative to the tail's scale); None if none does."""
+    import numpy as np
     window = len(tail)
     scale = max(1.0, float(np.max(np.abs(tail))))
     back = tail[-2:-window // 2 - 1:-1]          # back[p - 1] = tail[-1 - p]
@@ -304,6 +305,7 @@ def _attractor_period(m, transient: int, window: int, tol: float, starts=None, d
     ``transient`` steps; None when no period below window // 2 repeats) and
     the orbit's last point x.  ``starts`` continues orbits that an earlier
     call left ``done`` steps along, from the points it returned."""
+    import numpy as np
     out = []
     tail = np.empty(window)
     for x in turning_points_of(m) if starts is None else starts:
@@ -314,6 +316,7 @@ def _attractor_period(m, transient: int, window: int, tol: float, starts=None, d
 
 def _sign_flips(g):
     """Mask of the cells (g[i], g[i + 1]) where g strictly changes sign."""
+    import numpy as np
     sign = np.sign(g)
     return sign[:-1] * sign[1:] < 0
 
@@ -332,6 +335,7 @@ def _tower_descend(m):
     alpha with slope below -2, so only cells where g goes from + to - are
     bisected (the pair of points that straddles 0 is not a cell).
     """
+    import numpy as np
     widths = [domain_of(m).hi]
     for j in range(CASCADE_DEPTH):
         n = 2 ** j
@@ -369,6 +373,7 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
     cell is a point of lower period, which the witness check would reject
     after a full bisection), and it stops at the first verified witness.
     """
+    import numpy as np
     n = 2 ** level
     ps = set(ps)
     twos = {1 << i for p in ps for i in range((p & -p).bit_length())}

@@ -25,7 +25,7 @@ from . import symbolic as sy
 from .config import DEFAULT, RunConfig
 from .errors import (BudgetExhausted, DescriptorError, DomainEscapeError,
                      PreconditionError)
-from .maps import as_pl, build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
+from .maps import build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
 from .piecewise import lattice_orbit, on_lattice
 
 
@@ -248,7 +248,7 @@ def _orbit_samples(m, count: int = 16):
     x = turning_points_of(m)[0]
     try:
         if is_exact(m):
-            n, lat = as_pl(m).lattice()
+            n, lat = m.lattice()
             return [str(Fraction(y, n))
                     for y in islice(lattice_orbit(lat, on_lattice(x, n)), 512, 512 + count)]
         for _ in range(512):

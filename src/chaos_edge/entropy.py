@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -20,7 +21,7 @@ from operator import mul
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
-from .errors import BudgetExhausted, PreconditionError
+from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import as_pl, is_exact
 from .markov import build_markov, cyclic_components
 from .periods import is_power_of_two, turning_points_of_iterate
@@ -235,22 +236,48 @@ class Witness:
         return d
 
 
+def exact_walk(pl, points):
+    """(numerators, step) for re-walking orbits of an exact map apart from the
+    lattice route: over q, the lcm of the denominators of pl's breakpoints
+    and values and of ``points``, the points times q, and step(P), the image
+    of P/q times q by the map's own slopes and its own search of the
+    breakpoints times q (an int while slopes are integral, else exact)."""
+    q = math.lcm(*(v.denominator for v in (*pl.xs, *pl.ys, *points)))
+    xs = [x.numerator * (q // x.denominator) for x in pl.xs]
+    icpt = [y.numerator * (q // y.denominator) - s * x for x, y, s in zip(xs, pl.ys, pl.slopes)]
+    slopes, last = pl.slopes, len(xs) - 1
+
+    def step(p):
+        if not xs[0] <= p <= xs[-1]:
+            raise DomainEscapeError(f"{p}/{q} outside [{pl.lo}, {pl.hi}]")
+        i = bisect_right(xs, p, 1, last) - 1
+        return slopes[i] * p + icpt[i]
+
+    return [x.numerator * (q // x.denominator) for x in points], step
+
+
 def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
-    """Re-verify a periodic-orbit witness against the map itself."""
-    if w.orbit is None or w.period is None:
+    """Re-verify a periodic-orbit witness against the map itself: it lists
+    ``period`` points, not a power of two.  On an exact map, by
+    ``exact_walk``, every listed point maps to the next (the last to the
+    first) and no two are equal; on a float map the first point returns
+    within tol after ``period`` steps and not before."""
+    if (w.orbit is None or w.period is None or len(w.orbit) != w.period
+            or is_power_of_two(w.period)):
         return False
-    x = w.orbit[0]
-    y = x
-    exact = is_exact(m)
-    fn = as_pl(m) if exact else m
+    if is_exact(m):
+        ps, step = exact_walk(as_pl(m), w.orbit)
+        try:
+            return (len(set(ps)) == w.period
+                    and all(step(p) == y for p, y in zip(ps, ps[1:] + ps[:1])))
+        except DomainEscapeError:
+            return False
+    x = y = w.orbit[0]
     for k in range(1, w.period + 1):
-        y = fn(y)
-        close = (y == x) if exact else abs(y - x) <= tol
-        if close and k < w.period:
+        y = m(y)
+        if (abs(y - x) <= tol) != (k == w.period):
             return False
-        if k == w.period and not close:
-            return False
-    return not is_power_of_two(w.period)
+    return True
 
 
 def positive_entropy_witness(m, period_bound: Optional[int] = None,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -89,7 +90,7 @@ class SawtoothBase:
         return Fraction(self.epsilon * self.lam * (-1) ** (i + 1))
 
     def is_max(self, i: int) -> bool:
-        return self.turning_value(i) > 0
+        return self.epsilon * (-1) ** (i + 1) > 0
 
     def lap_slope(self, j: int) -> int:
         """Slope on the j-th lap (0-based, m+1 laps)."""
@@ -132,15 +133,15 @@ class StuntedSawtooth:
     ``xi[i]`` is the plateau value when the i-th turning point is a maximum
     of the base and minus the plateau value when it is a minimum; admissible
     parameters satisfy xi[i] >= -xi[i+1] (disjoint plateau interiors, touching
-    allowed and flagged degenerate).
+    allowed and flagged degenerate).  The map is built on its ``lattice`` from
+    the numerators of xi; ``pl`` and ``plateaus`` are made when first read.
     """
 
     base: SawtoothBase
     xi: tuple
-    plateaus: tuple = field(init=False)
     plateau_values: tuple = field(init=False)
     degenerate: bool = field(init=False)
-    pl: PiecewiseLinear = field(init=False, compare=False, repr=False)
+    _lattice: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         b = self.base
@@ -148,27 +149,47 @@ class StuntedSawtooth:
         object.__setattr__(self, "xi", xi)
         if len(xi) != b.m:
             raise ValueError(f"need {b.m} plateau parameters, got {len(xi)}")
-        for i, v in enumerate(xi):
-            if abs(v) > b.e:
-                raise ValueError(f"xi[{i}]={v} outside [-e, e] = [-{b.e}, {b.e}]")
-        degenerate = False
+        # checks and map on the lattice N·x, N = lcm(lam·lcm(den xi), lam - 1):
+        # the plateau at c = 2i - m - 1 has half-width (N·lam - N·v)/lam and value
+        # ±N·v; -e maps to -epsilon·e, e to epsilon·(-1)^m·e; touching ends merge
+        lam = b.lam
+        n = math.lcm(lam * math.lcm(*(v.denominator for v in xi)), lam - 1)
+        ne = n * b.m * lam // (lam - 1)
+        nxi = [v.numerator * (n // v.denominator) for v in xi]
+        for i, v in enumerate(nxi):
+            if abs(v) > ne:
+                raise ValueError(f"xi[{i}]={xi[i]} outside [-e, e] = [-{b.e}, {b.e}]")
         for i in range(b.m - 1):
-            if xi[i] < -xi[i + 1]:
+            if nxi[i] < -nxi[i + 1]:
                 raise ValueError(
                     f"plateau interiors overlap: xi[{i}]={xi[i]} < -xi[{i+1}]={-xi[i+1]}")
-            if xi[i] == -xi[i + 1]:
-                degenerate = True
-        plateaus = []
-        values = []
-        for i, v in enumerate(xi, start=1):
-            half = Fraction(b.lam - v, b.lam)
-            c = b.turning_points[i - 1]
-            plateaus.append(Interval(c - half, c + half))
-            values.append(v if b.is_max(i) else -v)
-        object.__setattr__(self, "plateaus", tuple(plateaus))
-        object.__setattr__(self, "plateau_values", tuple(values))
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "pl", _lower_stunted(b, plateaus, values))
+        object.__setattr__(self, "degenerate", any(u == -v for u, v in zip(nxi, nxi[1:])))
+        is_max = [b.is_max(i) for i in range(1, b.m + 1)]
+        object.__setattr__(self, "plateau_values",
+                           tuple(v if up else -v for up, v in zip(is_max, xi)))
+        ys = {-ne: -b.epsilon * ne, ne: b.epsilon * (-1) ** b.m * ne}
+        for i, (up, v) in enumerate(zip(is_max, nxi), start=1):
+            c, half = (2 * i - b.m - 1) * n, n - v // lam
+            ys[c - half] = ys[c + half] = v if up else -v
+        xs = sorted(ys)
+        object.__setattr__(self, "_lattice", (n, PiecewiseLinear(xs, [ys[x] for x in xs])))
+
+    def lattice(self):
+        """(N, L) as ``PiecewiseLinear.lattice``, built with the map."""
+        return self._lattice
+
+    @cached_property
+    def pl(self) -> PiecewiseLinear:
+        """The map as a ``Fraction`` ``PiecewiseLinear`` sharing its lattice."""
+        n, lat = self._lattice
+        pl = PiecewiseLinear([Fraction(x, n) for x in lat.xs], [Fraction(y, n) for y in lat.ys])
+        pl._lattice = self._lattice
+        return pl
+
+    @cached_property
+    def plateaus(self) -> tuple:
+        halves = (Fraction(self.base.lam - v, self.base.lam) for v in self.xi)
+        return tuple(Interval(c - h, c + h) for c, h in zip(self.base.turning_points, halves))
 
     @property
     def m(self) -> int:
@@ -190,18 +211,6 @@ class StuntedSawtooth:
     def shifted(self, delta: Sequence) -> "StuntedSawtooth":
         new = tuple(v + rat(d) for v, d in zip(self.xi, delta))
         return StuntedSawtooth(self.base, new)
-
-
-def _lower_stunted(base: SawtoothBase, plateaus, values) -> PiecewiseLinear:
-    """The stunted map as a ``PiecewiseLinear``.  Every breakpoint is a plateau
-    end, where the base takes that plateau's value, or an end of the domain:
-    the base maps -e to -epsilon·e and e to epsilon·(-1)^m·e."""
-    e = base.e
-    ys = {-e: -base.epsilon * e, e: base.epsilon * (-1) ** base.m * e}
-    for z, v in zip(plateaus, values):
-        ys[z.lo] = ys[z.hi] = v
-    xs = sorted(ys)
-    return PiecewiseLinear(xs, [ys[x] for x in xs])
 
 
 def build_stunted(base: SawtoothBase, xi) -> StuntedSawtooth:

@@ -15,8 +15,8 @@ The graph decides periodicity questions without iterating pieces:
   orbits; a component with a branching vertex certifies entropy at least
   log 2 / length and yields a non-power-of-two orbit by splicing two cycles.
 
-The partition is built in the lattice coordinates X = N·x of
-``PiecewiseLinear.lattice``: for a rational stunted map every slope is an
+The partition is built in the lattice coordinates X = N·x of the map's
+``lattice()``: for a rational stunted map every slope is an
 integer, so the closure, the rows and the functional graph are int
 arithmetic.  Only the spliced periodic points x = o/(1 − s), which lie off
 the lattice, are ``Fraction``s; witness orbits leave ``cycle_analysis``
@@ -49,12 +49,11 @@ class MarkovSystem:
         return len(self.points) - 1
 
 
-def build_markov(pl: PiecewiseLinear, budget: int,
-                 budget_name: str = "budget") -> MarkovSystem:
-    """Partition by the forward closure of the breakpoints, in lattice
-    coordinates; raises MarkovBudgetError, naming ``budget_name``, past
-    ``budget`` points."""
-    n, lat = pl.lattice()
+def build_markov(m, budget: int, budget_name: str = "budget") -> MarkovSystem:
+    """Partition by the forward closure of the breakpoints of an exact map m,
+    in the lattice coordinates of ``m.lattice()``; raises MarkovBudgetError,
+    naming ``budget_name``, past ``budget`` points."""
+    n, lat = m.lattice()
     if not lat.is_self_map():
         raise MarkovBudgetError("not a self-map")
     points = set(lat.xs)

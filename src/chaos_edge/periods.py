@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import islice, takewhile
 from typing import Optional
 
-import numpy as np
-
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate, iterate_grid,
@@ -207,6 +205,7 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
     ``LAP_SAMPLES_PER_CALL`` in one ``iterate_grid`` call (one array call for
     x^2 + c).
     """
+    import numpy as np
     def sub(x):
         return x if target is None else target
 

@@ -109,7 +109,8 @@ class PiecewiseLinear:
         """(N, L): N the lcm of the denominators of the breakpoints and
         values, L the map X -> N·f(X/N) on the int breakpoints N·xs with the
         int values N·ys.  L has the slopes of f, so it takes ints to ints
-        when they are integral.  Built once per map."""
+        when they are integral.  Built once per map; the ``pl`` of a stunted
+        map shares the map's own lattice, whose N may be a multiple."""
         if self._lattice is None:
             n = math.lcm(*(v.denominator for v in self.xs + self.ys))
             self._lattice = n, PiecewiseLinear([on_lattice(x, n) for x in self.xs],

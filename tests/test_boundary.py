@@ -53,7 +53,7 @@ class TestZeroCertificate:
 
     def test_plateau_records_rechecked_apart_from_the_lattice(self, base2, monkeypatch):
         # a lattice route that misreports the plateau periods makes a
-        # certificate that re-running it reproduces; the Fraction walks on the
+        # certificate that re-running it reproduces; the int re-walks on the
         # map itself still reject it
         import chaos_edge.boundary as bd
         T = build_stunted(base2, [F(1, 2), F(1, 2)])
@@ -64,6 +64,23 @@ class TestZeroCertificate:
         cert = zero_entropy_certificate(T)
         assert cert is not None and cert == zero_entropy_certificate(T)
         assert not verify_zero_certificate(T, cert)
+
+    def test_plateau_rewalk_calls_nothing_on_the_lattice_route(self, base2, monkeypatch):
+        import chaos_edge.piecewise as pw
+        from chaos_edge.entropy import exact_walk
+        from chaos_edge.maps import StuntedSawtooth
+        cert = zero_entropy_certificate(build_stunted(base2, [F(1, 2), F(1, 2)]))
+
+        def off(*args):
+            raise AssertionError("the re-walk reached the lattice route")
+
+        for owner, name in ((pw.PiecewiseLinear, "lattice"), (pw.PiecewiseLinear, "__call__"),
+                            (StuntedSawtooth, "lattice"), (pw, "lattice_orbit")):
+            monkeypatch.setattr(owner, name, off)
+        T = build_stunted(base2, [F(1, 2), F(1, 2)])
+        values, step = exact_walk(T.pl, T.plateau_values)
+        assert all(boundary._plateau_record_holds(step, values[r.plateau], r)
+                   for r in cert.plateau_orbits)
 
     def test_budget_vs_refutation(self, base1):
         from chaos_edge import BudgetExhausted

@@ -3,8 +3,13 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import chaos_edge
 from chaos_edge import RunConfig
@@ -242,6 +247,39 @@ class TestSweepCmd:
         code, _, err = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
                                "--grid", "1")
         assert code == 3
+
+
+EXACT_ROUTE_SCRIPT = """
+import contextlib, io, sys
+from fractions import Fraction as F
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None          # every import of numpy now fails
+import chaos_edge, chaos_edge.cli
+path = chaos_edge.stunted_path(chaos_edge.build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+chaos_edge.locate_boundary(path, bound=64, resolution=F(1, 2 ** 30))
+trapezoid, path_file = sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in (["entropy", trapezoid], ["boundary", path_file, "--resolution", "1/1073741824"],
+                 ["sweep", path_file, "--grid", "101"]):
+        assert chaos_edge.cli.main(args) == 0, args
+assert sys.modules.get("numpy", "absent") == ("absent" if sys.argv[1] == "free" else None)
+"""
+
+
+@pytest.mark.parametrize("numpy", ["free", "blocked"])
+def test_exact_route_never_imports_numpy(tmp_path, numpy):
+    # numpy is imported inside the float functions only: the stunted locate
+    # and the README's stunted CLI lines neither load it nor need it
+    path = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
+            "t_lo": "1/2", "t_hi": "3/2"}
+    src = str(Path(chaos_edge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", EXACT_ROUTE_SCRIPT, numpy,
+                          write(tmp_path, "trapezoid.json", TRAPEZOID),
+                          write(tmp_path, "path.json", path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_config_field_is_read():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from chaos_edge import (BudgetExhausted, MarkovBudgetError, Quadratic, build_bas
                         positive_entropy_witness, verify_witness,
                         zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
-from chaos_edge.maps import as_pl
+from chaos_edge.maps import StuntedSawtooth, as_pl
 from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, strict_lap_count
 
 from conftest import ZERO_SIDE_2_60, random_xi
@@ -198,6 +199,35 @@ class TestWitness:
 
     def test_fixed_plateau_none(self, T12):
         assert positive_entropy_witness(T12, 64) is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: full_stunted(build_base(1, 1)),
+        # slopes 3/2, -3 and -1: the orbit leaves the lattice
+        lambda: PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(1), F(1, 4), F(0)]),
+    ], ids=["full-m1", "non-integral-slope"])
+    def test_every_listed_point_is_checked(self, make):
+        # the return of orbit[0] alone does not make a witness: every listed
+        # point must map to the next, and the orbit must list period points
+        T = make()
+        w = positive_entropy_witness(T, 64)
+        assert w is not None and verify_witness(T, w)
+        zeros = replace(w, orbit=w.orbit[:1] + (F(0),) * (w.period - 1))
+        cut = replace(w, orbit=w.orbit[:1])
+        backwards = replace(w, orbit=w.orbit[:1] + w.orbit[:0:-1])
+        for bad in (zeros, cut, backwards):
+            assert not verify_witness(T, bad), bad.orbit
+
+    def test_rewalk_calls_nothing_on_the_lattice_route(self, base2, monkeypatch):
+        import chaos_edge.piecewise as pw
+        w = positive_entropy_witness(full_stunted(base2), 64)
+
+        def off(*args):
+            raise AssertionError("the re-walk reached the lattice route")
+
+        for owner, name in ((PiecewiseLinear, "lattice"), (PiecewiseLinear, "__call__"),
+                            (StuntedSawtooth, "lattice"), (pw, "lattice_orbit")):
+            monkeypatch.setattr(owner, name, off)
+        assert verify_witness(full_stunted(base2), w)
 
     def test_quadratic_period_three_window(self):
         w = positive_entropy_witness(Quadratic(-1.7549), 32)

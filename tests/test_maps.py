@@ -145,6 +145,67 @@ class TestStunted:
             T = build_stunted(base, random_xi(rnd, base, 2 ** rnd.randint(1, 40)))
             assert T.pl.ys == tuple(eval_s0(base, x) for x in T.pl.xs), T.xi
 
+def _stunted_cases():
+    """Seeded admissible heights for m = 1..4 and epsilon = +-1: random ones
+    (negative heights among them), touching plateaus xi[i] = -xi[i+1], and
+    heights at +-e."""
+    rnd = random.Random(2000)
+    for m in range(1, 5):
+        for eps in (1, -1):
+            base = build_base(m, eps)
+            e = base.e
+            cases = [random_xi(rnd, base, q) for q in (1, 3, 8, 2 ** 40) for _ in range(3)]
+            cases += [(e,) * m, (-e,) + (e,) * (m - 1), (-e, e) * (m // 2) + (e,) * (m % 2)]
+            for _ in range(3):
+                xi = list(random_xi(rnd, base, 16))
+                i = rnd.randrange(m - 1) if m > 1 else None
+                if i is not None and abs(xi[i]) <= e:
+                    xi[i + 1] = -xi[i]             # touching plateaus
+                    xi[i + 2:] = [e] * (m - i - 2)
+                cases.append(tuple(xi))
+            for xi in cases:
+                yield base, xi
+
+
+def _fraction_stunted(base, xi):
+    """Breakpoints, values and plateaus of the stunted map from the formula:
+    plateaus c_i +- (lam - v)/lam with value v at a maximum and -v at a
+    minimum, and the ends -e and e mapped to -epsilon·e and epsilon·(-1)^m·e."""
+    e, lam = base.e, base.lam
+    ys = {-e: -base.epsilon * e, e: base.epsilon * (-1) ** base.m * e}
+    plateaus = []
+    for i, (c, v) in enumerate(zip(base.turning_points, xi), start=1):
+        half = F(lam - v, lam)
+        value = v if eval_s0(base, c) > 0 else -v
+        ys[c - half] = ys[c + half] = value
+        plateaus.append((c - half, c + half, value))
+    xs = sorted(ys)
+    return xs, [ys[x] for x in xs], plateaus
+
+
+class TestStuntedConstruction:
+    def test_lattice_pl_eq_and_hash(self):
+        cases = 0
+        for base, xi in _stunted_cases():
+            T = build_stunted(base, xi)
+            xs, ys, plateaus = _fraction_stunted(base, T.xi)
+            n, lat = T.lattice()
+            assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys, xi
+            assert T.pl.xs == tuple(xs) and T.pl.ys == tuple(ys)
+            assert [(z.lo, z.hi) for z in T.plateaus] == [(a, b) for a, b, _ in plateaus]
+            assert list(T.plateau_values) == [v for _, _, v in plateaus]
+            assert T.degenerate == any(a[1] == b[0] for a, b in zip(plateaus, plateaus[1:]))
+            samples = {base.e * F(k, 60) for k in range(-60, 61)}
+            samples |= {a for a, _, _ in plateaus} | {b for _, b, _ in plateaus}
+            for x in samples:
+                inside = [v for a, b, v in plateaus if a <= x <= b]
+                assert T.pl(x) == (inside[0] if inside else eval_s0(base, x)), (xi, x)
+            again = build_stunted(base, [str(v) for v in xi])
+            assert again == T and hash(again) == hash(T)
+            cases += 1
+        assert cases > 100
+
+
 class TestIterate:
     def test_trapezoid_orbit(self, T32):
         assert iterate(T32, F(3, 2), 2) == F(-3, 2)
