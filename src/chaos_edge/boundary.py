@@ -41,7 +41,9 @@ changes sign is skipped when R^d(x) - x does too for a power of two d
 dividing p, since its root is a point of lower period.  A multimodal map
 runs this scan before it follows its turning points.  These float verdicts
 are heuristic: no step is outward-rounded.  numpy is imported only inside
-the float functions, so the exact route never loads it.
+the two grid functions, ``_tower_descend`` and ``_grid_period_scan``, so the
+exact route never loads it; the attractor search keeps its orbit tails in
+Python lists.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ from .config import DEFAULT, RunConfig
 from .entropy import Witness, exact_walk, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
-                   build_stunted, build_type_b, domain_of, fill_orbit, is_exact, iterate,
-                   rat, turning_points_of)
+                   build_stunted, build_type_b, domain_of, is_exact, iterate, orbit, rat,
+                   turning_points_of)
 from .markov import build_markov, cycle_analysis
-from .periods import GRID_CELLS, cycle_multiplier, is_power_of_two
+from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
+                      is_power_of_two)
 from .piecewise import on_lattice
 from .symbolic import shape
 
@@ -69,6 +72,7 @@ ATTRACTING_TOL = 1e-8       # relative tolerance for an orbit tail repeating
 CASCADE_DEPTH = 16          # return-map levels the quadratic tower attempts
 FLOAT_WIDTH_FLOOR = 1e-9    # tower fixed points closer to 0 than this are noise
 SCAN_PERIODS = (3, 5, 6, 7, 9, 10, 11, 12)   # non-power-of-two periods the grid scan tries
+ZERO_CERT_LEVELS = 24       # largest k admitted in 2^k plateau periods
 
 
 # ---------------------------------------------------------------------
@@ -224,9 +228,9 @@ def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = N
     if not is_exact(T):
         raise PreconditionError("zero-entropy certificates need an exact map")
     if levels_bound is None:
-        levels_bound = config.zero_cert_levels
+        levels_bound = ZERO_CERT_LEVELS
     if bound is None:
-        bound = config.period_bound_exact
+        bound = PERIOD_BOUND_EXACT
     return decide_exact(T, levels_bound, bound, config).certificate
 
 
@@ -273,7 +277,7 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
     """Exact probe verdict by ``decide_exact``; a budget that runs out gives
     UNDECIDED with the budget named in the note."""
     try:
-        return decide_exact(T, config.zero_cert_levels, bound, config)
+        return decide_exact(T, ZERO_CERT_LEVELS, bound, config)
     except BudgetExhausted as exc:
         return ProbeResult(UNDECIDED, note=str(exc))
 
@@ -287,15 +291,14 @@ def _tail_period(tail, tol: float):
     """The least p below len(tail) // 2 over which the end of the orbit
     samples ``tail`` repeats (the last point within tol, the last 256 within
     10·tol, relative to the tail's scale); None if none does."""
-    import numpy as np
     window = len(tail)
-    scale = max(1.0, float(np.max(np.abs(tail))))
-    back = tail[-2:-window // 2 - 1:-1]          # back[p - 1] = tail[-1 - p]
-    for p in np.nonzero(np.abs(tail[-1] - back) < tol * scale)[0] + 1:
-        p = int(p)
-        k = min(window - p, 256)
-        if np.max(np.abs(tail[-k:] - tail[-k - p:-p])) < 10 * tol * scale:
-            return p
+    scale = max(1.0, max(tail), -min(tail))
+    last, near, close = tail[-1], tol * scale, 10 * tol * scale
+    for p, y in enumerate(tail[-2:-window // 2 - 1:-1], 1):     # y = tail[-1 - p]
+        if abs(last - y) < near:
+            k = min(window - p, 256)
+            if all(abs(a - b) < close for a, b in zip(tail[-k:], tail[-k - p:-p])):
+                return p
     return None
 
 
@@ -305,20 +308,11 @@ def _attractor_period(m, transient: int, window: int, tol: float, starts=None, d
     ``transient`` steps; None when no period below window // 2 repeats) and
     the orbit's last point x.  ``starts`` continues orbits that an earlier
     call left ``done`` steps along, from the points it returned."""
-    import numpy as np
     out = []
-    tail = np.empty(window)
     for x in turning_points_of(m) if starts is None else starts:
-        x = fill_orbit(m, iterate(m, x, transient - done), tail)
-        out.append((_tail_period(tail, tol), x))
+        tail = orbit(m, iterate(m, x, transient - done), window)
+        out.append((_tail_period(tail, tol), tail[-1]))
     return out
-
-
-def _sign_flips(g):
-    """Mask of the cells (g[i], g[i + 1]) where g strictly changes sign."""
-    import numpy as np
-    sign = np.sign(g)
-    return sign[:-1] * sign[1:] < 0
 
 
 def _tower_descend(m):
@@ -385,7 +379,8 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
         ys = iterate(m, ys, k * n - done)
         done = k * n
         g = ys - xs
-        flips = _sign_flips(g)
+        sign = np.sign(g)
+        flips = sign[:-1] * sign[1:] < 0     # cells where g strictly changes sign
         if k in twos:
             lower[k] = flips
         if k not in ps:
@@ -591,7 +586,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     search stops with the budget error.
     """
     if bound is None:
-        bound = config.period_bound_exact if path.exact else config.period_bound_float
+        bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
     if resolution is None:
         resolution = config.resolution_exact if path.exact else config.resolution_float
     probes = 0
@@ -670,7 +665,7 @@ def approximants(T_gamma: StuntedSawtooth, radius, direction=None,
     if radius <= 0:
         raise PreconditionError("radius must be positive")
     if bound is None:
-        bound = config.period_bound_exact
+        bound = PERIOD_BOUND_EXACT
     m = T_gamma.m
     if direction is None:
         direction = (Fraction(1),) * m
@@ -700,7 +695,7 @@ def approximants(T_gamma: StuntedSawtooth, radius, direction=None,
             tried.append((r, "no positive witness"))
             continue
         try:
-            cert = zero_entropy_certificate(minus, config.zero_cert_levels, bound, config)
+            cert = zero_entropy_certificate(minus, ZERO_CERT_LEVELS, bound, config)
         except BudgetExhausted:
             cert = None
         if cert is None:

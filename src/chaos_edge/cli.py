@@ -56,18 +56,13 @@ def _emit_csv(rows, header) -> None:
 
 
 def _config_from(args) -> RunConfig:
+    """DEFAULT with the subcommand's ``--precision`` and ``--budget``, where it
+    has them and they were given."""
     kw = {}
-    if args.precision is not None:
+    if getattr(args, "precision", None) is not None:
         kw["precision"] = args.precision
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    if args.depth is not None:
-        kw["depth"] = args.depth
-    if args.budget is not None:
-        kw["piece_budget"] = args.budget
-        kw["orbit_budget"] = args.budget
-    if args.format is not None:
-        kw["output_format"] = args.format
+    if getattr(args, "budget", None) is not None:
+        kw["piece_budget"] = kw["orbit_budget"] = args.budget
     return DEFAULT.with_(**kw) if kw else DEFAULT
 
 
@@ -98,11 +93,11 @@ def _path_from(desc: dict) -> bd.ParameterPath:
 def cmd_entropy(args) -> None:
     cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
-    if cfg.output_format == "csv":
-        counts, _ = en.lap_series(m, args.n_max or cfg.n_max, cfg)
+    if args.format == "csv":
+        counts, _ = en.lap_series(m, args.n_max, cfg)
         _emit_csv(list(enumerate(counts, start=1)), ["n", "laps"])
         return
-    lap = en.entropy_lap(m, args.n_max or cfg.n_max, cfg)
+    lap = en.entropy_lap(m, args.n_max, cfg)
     out = {"lap": lap.as_dict(), "markov": None}
     if is_exact(m):
         try:
@@ -115,10 +110,9 @@ def cmd_entropy(args) -> None:
 def cmd_periods(args) -> None:
     cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
-    bound = args.bound or (cfg.period_bound_exact if is_exact(m)
-                           else cfg.period_bound_float)
+    bound = args.bound or (pd.PERIOD_BOUND_EXACT if is_exact(m) else pd.PERIOD_BOUND_FLOAT)
     ps = pd.period_set(m, bound, cfg)
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         rows = [[p, oi, pi, str(x), orb.stability]
                 for p in sorted(ps.periods)
                 for oi, orb in enumerate(ps.orbits[p])
@@ -134,9 +128,8 @@ def cmd_periods(args) -> None:
 
 
 def cmd_kneading(args) -> None:
-    cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
-    nu = sy.kneading(m, args.depth or cfg.depth)
+    nu = sy.kneading(m, args.depth)
     _emit_json({"depth": nu.depth, "nu": nu.as_strings()})
 
 
@@ -147,11 +140,10 @@ def cmd_shape(args) -> None:
 
 
 def cmd_psi(args) -> None:
-    cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
     mturn = len(turning_points_of(m))
     base = build_base(mturn, sy.orientation(m))
-    res = sy.psi(m, base, args.depth or cfg.depth)
+    res = sy.psi(m, base, args.depth)
     _emit_json({"m": mturn,
                 "s": [str(s) for s in res.s],
                 "widths": [str(w) for w in res.widths],
@@ -178,10 +170,9 @@ def cmd_renorm(args) -> None:
 
 
 def cmd_feigenbaum(args) -> None:
-    cfg = _config_from(args)
     fam = rn.QuadraticFamily()
-    est = rn.feigenbaum_delta(fam, args.k_max, tol=min(cfg.precision, 1e-13))
-    if cfg.output_format == "csv":
+    est = rn.feigenbaum_delta(fam, args.k_max, tol=min(_config_from(args).precision, 1e-13))
+    if args.format == "csv":
         rows = []
         for k, c in enumerate(est.params):
             d = est.deltas[k - 2] if 2 <= k < 2 + len(est.deltas) else ""
@@ -235,7 +226,7 @@ def cmd_sweep(args) -> None:
             if is_exact(m):
                 h = en.entropy_markov(m, cfg).value
             elif args.with_entropy:
-                h = en.entropy_lap(m, cfg.n_max, cfg).value
+                h = en.entropy_lap(m, args.n_max, cfg).value
         except BudgetExhausted:
             pass
         return [str(t), h, _attracting_summary(m, cfg), ";".join(samples)]
@@ -273,43 +264,66 @@ def _attracting_summary(m, cfg) -> str:
     return ""
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` value above 0."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
+OPTIONS = {
+    "--depth": dict(type=_positive(int), default=64, help="symbol depth of the kneading data"),
+    "--bound": dict(type=int, default=None, help="periodic-orbit search ceiling"),
+    "--n-max": dict(type=_positive(int), default=14, help="lap-growth horizon"),
+    "--precision": dict(type=_positive(float), default=None,
+                        help="relative width of float root bisection"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--budget": dict(type=_positive(int), default=None,
+                     help="pieces per iterate and exact orbit steps"),
+    "--period": dict(type=int, default=2),
+    "--cascade": dict(type=int, default=0, help="trace a doubling cascade to this depth instead"),
+    "--k-max": dict(type=int, default=10),
+    "--resolution": dict(type=str, default=None,
+                         help="bracket width target, e.g. 1/1073741824 or 1e-6"),
+    "--grid": dict(type=int, default=100),
+    "--with-entropy": dict(action="store_true",
+                           help="include the lap estimate for float families (slow)"),
+}
+
+# subcommand -> (help, whether it reads a descriptor, the options it reads)
+SUBCOMMANDS = {
+    "entropy": ("lap and Markov entropy of a map", True,
+                ("--n-max", "--format", "--precision", "--budget")),
+    "periods": ("period set of a map", True,
+                ("--bound", "--format", "--precision", "--budget")),
+    "kneading": ("kneading invariant of a map", True, ("--depth",)),
+    "shape": ("shape (order pattern of critical values)", True, ()),
+    "psi": ("project a map onto the stunted family", True, ("--depth",)),
+    "renorm": ("restrictive intervals and cascades", True,
+               ("--period", "--cascade", "--precision", "--budget")),
+    "feigenbaum": ("superstable parameters and doubling ratio", False,
+                   ("--k-max", "--format", "--precision")),
+    "boundary": ("two-sided boundary certificates on a path", True,
+                 ("--resolution", "--bound", "--budget")),
+    "sweep": ("per-parameter summaries over a grid", True,
+              ("--grid", "--with-entropy", "--n-max", "--precision", "--budget")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chaos-edge",
                                  description="One-dimensional dynamics at the boundary of chaos")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, descriptor=True):
+    for name, (help_text, descriptor, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         if descriptor:
             p.add_argument("descriptor", help="JSON descriptor file, or - for stdin")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--precision", type=float, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--budget", type=int, default=None)
-
-    common(sub.add_parser("entropy", help="lap and Markov entropy of a map"))
-    common(sub.add_parser("periods", help="period set of a map"))
-    common(sub.add_parser("kneading", help="kneading invariant of a map"))
-    common(sub.add_parser("shape", help="shape (order pattern of critical values)"))
-    common(sub.add_parser("psi", help="project a map onto the stunted family"))
-    p = sub.add_parser("renorm", help="restrictive intervals and cascades")
-    common(p)
-    p.add_argument("--period", type=int, default=2)
-    p.add_argument("--cascade", type=int, default=0,
-                   help="trace a doubling cascade to this depth instead")
-    p = sub.add_parser("feigenbaum", help="superstable parameters and doubling ratio")
-    common(p, descriptor=False)
-    p.add_argument("--k-max", dest="k_max", type=int, default=10)
-    p = sub.add_parser("boundary", help="two-sided boundary certificates on a path")
-    common(p)
-    p.add_argument("--resolution", type=str, default=None,
-                   help="bracket width target, e.g. 1/1073741824 or 1e-6")
-    p = sub.add_parser("sweep", help="per-parameter summaries over a grid")
-    common(p)
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--with-entropy", action="store_true",
-                   help="include the lap estimate for float families (slow)")
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
     return ap
 
 

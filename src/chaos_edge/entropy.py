@@ -24,8 +24,11 @@ from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import as_pl, is_exact
 from .markov import build_markov, cyclic_components
-from .periods import is_power_of_two, turning_points_of_iterate
+from .periods import (PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, is_power_of_two,
+                      turning_points_of_iterate)
 from .piecewise import strict_lap_count
+
+LAP_CAP = 10**9                 # lap counts above this saturate a lap series
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
 
 
 def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
-    """(counts, saturated): lap counts for n = 1..n_max, stopping past ``lap_cap``
+    """(counts, saturated): lap counts for n = 1..n_max, stopping past ``LAP_CAP``
     and, for float maps, at the turning-point budget.  An exact map past the
     Markov budget raises ``MarkovBudgetError``."""
     exact = is_exact(m)
@@ -103,7 +106,7 @@ def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
             if exact:
                 raise
             return counts, True
-        if counts[-1] > config.lap_cap:
+        if counts[-1] > LAP_CAP:
             return counts, True
     return counts, False
 
@@ -126,16 +129,13 @@ def _fit_growth(ns, ys):
     return float(h), math.sqrt(float(sum(r * r for r in resid) / len(resid)))
 
 
-def entropy_lap(m, n_max: Optional[int] = None,
-                config: RunConfig = DEFAULT) -> EntropyEstimate:
+def entropy_lap(m, n_max: int = 14, config: RunConfig = DEFAULT) -> EntropyEstimate:
     """Growth rate of log lap counts over the top half of the range.
 
     Zero-entropy maps have polynomially growing lap counts, so the fit is
     log l(f^n) ~ h*n + d*log n + c; the reported value is the coefficient h,
     which is the plain log-slope whenever the growth is exponential.
     """
-    if n_max is None:
-        n_max = config.n_max
     if n_max < 8:
         raise PreconditionError("n_max must be >= 8")
     counts, saturated = lap_series(m, n_max, config)
@@ -260,8 +260,9 @@ def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
     """Re-verify a periodic-orbit witness against the map itself: it lists
     ``period`` points, not a power of two.  On an exact map, by
     ``exact_walk``, every listed point maps to the next (the last to the
-    first) and no two are equal; on a float map the first point returns
-    within tol after ``period`` steps and not before."""
+    first) and no two are equal; on a float map every listed point maps to
+    the next within tol, and the first returns within tol after ``period``
+    steps and not before."""
     if (w.orbit is None or w.period is None or len(w.orbit) != w.period
             or is_power_of_two(w.period)):
         return False
@@ -272,6 +273,8 @@ def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
                     and all(step(p) == y for p, y in zip(ps, ps[1:] + ps[:1])))
         except DomainEscapeError:
             return False
+    if any(abs(m(x) - y) > tol for x, y in zip(w.orbit, w.orbit[1:])):
+        return False
     x = y = w.orbit[0]
     for k in range(1, w.period + 1):
         y = m(y)
@@ -294,15 +297,14 @@ def positive_entropy_witness(m, period_bound: Optional[int] = None,
     entropy.
     """
     if period_bound is None:
-        period_bound = (config.period_bound_exact if is_exact(m)
-                        else config.period_bound_float)
+        period_bound = PERIOD_BOUND_EXACT if is_exact(m) else PERIOD_BOUND_FLOAT
     if period_bound < 3:
         raise PreconditionError("period bound must be >= 3")
     if not is_exact(m):
         from .boundary import classify_float
         return classify_float(m).witness
-    from .boundary import decide_exact
+    from .boundary import ZERO_CERT_LEVELS, decide_exact
     try:
-        return decide_exact(m, config.zero_cert_levels, period_bound, config).witness
+        return decide_exact(m, ZERO_CERT_LEVELS, period_bound, config).witness
     except BudgetExhausted:
         return None

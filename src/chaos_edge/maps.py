@@ -538,46 +538,14 @@ def iterate_grid(m, xs, n: int) -> list:
     return [iterate(m, x, n) for x in xs.tolist()]
 
 
-ORBIT_CHUNK = 4096              # floats per list that fill_orbit copies into its array
-
-
-def fill_orbit(m, x: float, out):
-    """Write the next len(out) images of x under a float map into ``out`` (a
-    numpy array) and return the last one, a float.  ``Quadratic`` steps are
-    written out as in ``iterate``, eight to a loop pass, into a list of at
-    most ``ORBIT_CHUNK`` floats that is copied into ``out`` at once."""
+def orbit(m, x: float, n: int) -> list:
+    """The next n images of x under a float map, as a list of floats equal
+    bit for bit to stepping ``m(x)``; a ``Quadratic`` runs ``x * x + c``
+    inline, as in ``iterate``."""
     if type(m) is Quadratic:
         c = m.c
-        for start in range(0, len(out), ORBIT_CHUNK):
-            k = min(ORBIT_CHUNK, len(out) - start)
-            chunk = []
-            put = chunk.append
-            for _ in range(k >> 3):
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-                x = x * x + c
-                put(x)
-            for _ in range(k & 7):
-                x = x * x + c
-                put(x)
-            out[start:start + k] = chunk
-        return x
-    for i in range(len(out)):
-        x = m(x)
-        out[i] = x
-    return x
+        return [x := x * x + c for _ in range(n)]
+    return [x := m(x) for _ in range(n)]
 
 
 def quadratic_multiplier(m: Quadratic, x: float, p: int) -> float:

@@ -23,6 +23,9 @@ from .maps import (Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate, 
                    quadratic_multiplier, turning_points_of)
 from .piecewise import PieceCursor, fixed_points_of_pieces, lattice_orbit, ratio
 
+PERIOD_BOUND_EXACT = 64         # default periodic-orbit search ceiling, exact maps
+PERIOD_BOUND_FLOAT = 32         # and float maps
+
 
 @dataclass(frozen=True)
 class PeriodicOrbit:

@@ -326,10 +326,11 @@ def psi(m, base: SawtoothBase, depth: int = 64,
     For each turning point, finds the point s_i in the (i+1)-th lap of the
     base zigzag whose right-limit base-itinerary matches the map's kneading
     sequence to the given depth, then truncates the base at height S0(s_i).
-    Eventually periodic kneading tails are solved exactly (reported width 0);
-    otherwise s_i is the left end of the exact candidate interval, whose
-    residual width is reported.  The kneading must consist of lap symbols
-    only.
+    An exact map's eventually periodic kneading tails are solved exactly
+    (reported width 0); otherwise, and always for a float map, whose
+    kneading is known only to ``depth``, s_i is the left end of the exact
+    candidate interval, whose residual width is reported.  The kneading
+    must consist of lap symbols only.
     """
     c = turning_points_of(m)
     if len(c) != base.m:
@@ -348,7 +349,7 @@ def psi(m, base: SawtoothBase, depth: int = 64,
                 "the projection needs lap symbols only")
         target = (k + 1,) + tuple(seq)
         c_lo, c_hi = _pullback_right_limit(base, target)
-        exact_s = _periodic_tail_point(base, target)
+        exact_s = _periodic_tail_point(base, target) if is_exact(m) else None
         if exact_s is not None and c_lo <= exact_s <= c_hi:
             ss.append(exact_s)
             widths.append(Fraction(0))

@@ -13,8 +13,8 @@ from chaos_edge import (DEFAULT, BudgetExhausted, PreconditionError, Quadratic, 
                         verify_zero_certificate, zero_entropy_certificate)
 import chaos_edge.boundary as boundary
 from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECIDED, ZERO,
-                                 _attractor_period, _grid_period_scan, _tower_descend,
-                                 plateau_orbit_analysis)
+                                 _attractor_period, _grid_period_scan, _tail_period,
+                                 _tower_descend, plateau_orbit_analysis)
 from chaos_edge.periods import is_power_of_two
 
 from conftest import random_xi
@@ -197,6 +197,17 @@ class TestQuadraticCascade:
     def test_attractor_period_deep(self, c, period):
         [(p, _)] = _attractor_period(Quadratic(c), 600_000, 65536, ATTRACTING_TOL)
         assert p == period
+
+    def test_tail_period_candidates_stop_below_half_the_window(self):
+        # candidate periods are 1 .. len(tail) // 2 - 1: a tail of 16 samples
+        # repeating with period 8 has no period, one of 18 samples has 8
+        cycle = [0.1 * i - 0.35 for i in range(8)]
+        assert _tail_period(cycle * 2, ATTRACTING_TOL) is None
+        assert _tail_period(cycle * 2 + cycle[:2], ATTRACTING_TOL) == 8
+        assert _tail_period(cycle[:7] * 2 + cycle[:2], ATTRACTING_TOL) == 7
+        # the least period, and the last point alone is not enough
+        assert _tail_period([0.5, -0.5] * 8, ATTRACTING_TOL) == 2
+        assert _tail_period(cycle * 2 + [0.3, cycle[6]], ATTRACTING_TOL) is None
 
     def test_deep_retry_continues_the_first_orbit(self):
         # the retry picks up the first window's last point instead of

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import chaos_edge
+import chaos_edge.cli as cli
 from chaos_edge import RunConfig
 from chaos_edge.cli import main
 
@@ -20,6 +23,13 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _env_with_src():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(chaos_edge.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def write(tmp_path, name, obj):
@@ -202,7 +212,7 @@ class TestBoundaryCmd:
             path = write(tmp_path, "p.json", desc)
             code, out, _ = run_cli(capsys, "boundary", path, "--resolution", res)
             code2, out2, _ = run_cli(capsys, "boundary", path, "--resolution", res,
-                                     "--bound", "3", "--precision", "1e-3")
+                                     "--bound", "3")
             assert code == code2 == 0
             assert json.loads(out)["undecided_count"] == undecided
             assert out2 == out
@@ -249,6 +259,26 @@ class TestSweepCmd:
         assert code == 3
 
 
+QUADRATIC_175 = {"kind": "quadratic", "c": -1.75}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag, desc", [
+    ("entropy", "--budget", TRAPEZOID),
+    ("entropy", "--n-max", TRAPEZOID),
+    ("kneading", "--depth", TRAPEZOID),
+    ("periods", "--precision", QUADRATIC_175),
+])
+def test_non_positive_flag_exit2(tmp_path, command, flag, desc, value):
+    # each once ended in a ValueError traceback (exit 1), and --precision 0
+    # on a float map never returned: bisection to a width of 0 never ends
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
+                          write(tmp_path, "d.json", desc), flag, value],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "must be positive" in run.stderr and "Traceback" not in run.stderr
+
+
 EXACT_ROUTE_SCRIPT = """
 import contextlib, io, sys
 from fractions import Fraction as F
@@ -272,13 +302,10 @@ def test_exact_route_never_imports_numpy(tmp_path, numpy):
     # and the README's stunted CLI lines neither load it nor need it
     path = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
             "t_lo": "1/2", "t_hi": "3/2"}
-    src = str(Path(chaos_edge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     run = subprocess.run([sys.executable, "-c", EXACT_ROUTE_SCRIPT, numpy,
                           write(tmp_path, "trapezoid.json", TRAPEZOID),
                           write(tmp_path, "path.json", path)],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
 
 
@@ -294,3 +321,139 @@ def test_every_config_field_is_read():
     unread = [f.name for f in dataclasses.fields(RunConfig)
               if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+
+
+SUBCOMMAND_OPTIONS = {
+    "entropy": {"--n-max", "--format", "--precision", "--budget"},
+    "periods": {"--bound", "--format", "--precision", "--budget"},
+    "kneading": {"--depth"},
+    "shape": set(),
+    "psi": {"--depth"},
+    "renorm": {"--period", "--cascade", "--precision", "--budget"},
+    "feigenbaum": {"--k-max", "--format", "--precision"},
+    "boundary": {"--resolution", "--bound", "--budget"},
+    "sweep": {"--grid", "--with-entropy", "--n-max", "--precision", "--budget"},
+}
+ALL_OPTIONS = set().union(*SUBCOMMAND_OPTIONS.values())
+
+
+def _subparsers(parser):
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(subparser):
+    return {s for a in subparser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_subcommands_accept_only_the_options_they_read(capsys):
+    subs = _subparsers(cli.build_parser())
+    assert {name: _options(p) for name, p in subs.items()} == SUBCOMMAND_OPTIONS
+    for name in subs:
+        positional = [] if name == "feigenbaum" else ["d.json"]
+        for flag in sorted(ALL_OPTIONS - SUBCOMMAND_OPTIONS[name]):
+            with pytest.raises(SystemExit) as exc:
+                main([name, *positional, flag, "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# per subcommand: a cheap invocation on which every option it accepts takes
+# effect, and a value for each option
+READ_CHECK_ARGS = {
+    "entropy": (QUADRATIC_175, ["--n-max", "8"]),
+    "periods": (QUADRATIC_175, ["--bound", "3"]),
+    "kneading": (TRAPEZOID, []),
+    "shape": (TRAPEZOID, []),
+    "psi": ({"kind": "quadratic", "c": -2.0}, []),
+    "renorm": ({"kind": "quadratic", "c": -1.0}, []),
+    "feigenbaum": (None, ["--k-max", "5"]),
+    "boundary": ({"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
+                  "t_lo": "1/2", "t_hi": "3/2"}, ["--resolution", "1/64"]),
+    "sweep": ({"family": "quadratic", "t_lo": -1.0, "t_hi": -0.9},
+              ["--grid", "2", "--with-entropy", "--n-max", "8"]),
+}
+READ_CHECK_VALUES = {"--n-max": "9", "--format": "csv", "--precision": "1e-11",
+                     "--budget": "300000", "--bound": "4", "--depth": "8", "--period": "2",
+                     "--cascade": "2", "--k-max": "6", "--resolution": "1/128", "--grid": "3"}
+
+
+class _ReadArgs(argparse.Namespace):
+    """A Namespace that logs each attribute read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_log").append(name)
+        return object.__getattribute__(self, name)
+
+
+class _ReadConfig:
+    """A RunConfig stand-in that records which fields were read."""
+
+    def __init__(self, cfg):
+        self._cfg, self.reads = cfg, set()
+
+    def __getattr__(self, name):
+        attr = getattr(RunConfig, name, None)
+        if callable(attr):
+            return attr.__get__(self)     # a method reads its fields through the stand-in
+        self.reads.add(name)
+        return getattr(self._cfg, name)
+
+    def changed_and_read(self):
+        return {name for name in self.reads
+                if getattr(self._cfg, name) != getattr(RunConfig(), name)}
+
+
+def _unread_options(parser, tmp_path, monkeypatch):
+    """[(subcommand, option)] for each option that a subcommand accepts but
+    does not read when it is passed: the parsed value is never read, or it
+    only goes into a RunConfig none of whose changed fields is read."""
+    unread = []
+    configs = []                    # (options _config_from read, the config it made)
+    real_config_from = cli._config_from
+
+    def config_from(args):
+        start = len(args._log)
+        cfg = _ReadConfig(real_config_from(args))
+        configs.append((set(args._log[start:]), cfg))
+        return cfg
+
+    monkeypatch.setattr(cli, "_config_from", config_from)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, sub in _subparsers(parser).items():
+            desc, base = READ_CHECK_ARGS[name]
+            positional = [] if desc is None else [write(tmp_path, "d.json", desc)]
+            for action in sub._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                flag = action.option_strings[0]
+                value = [] if action.nargs == 0 else [READ_CHECK_VALUES.get(flag, "1")]
+                args = _ReadArgs(_log=[])
+                parser.parse_args([name, *positional, *base, flag, *value], namespace=args)
+                args._log.clear()
+                configs.clear()
+                cli.COMMANDS[name](args)
+                via_config = [cfg for dests, cfg in configs if action.dest in dests]
+                if action.dest not in args._log or (
+                        via_config and not any(cfg.changed_and_read() for cfg in via_config)):
+                    unread.append((name, flag))
+    return unread
+
+
+def test_every_option_is_read(tmp_path, monkeypatch):
+    # an option that a subcommand accepts and ignores is a knob that does
+    # nothing; passing each one must reach the code that uses it
+    assert _unread_options(cli.build_parser(), tmp_path, monkeypatch) == []
+
+
+def test_an_unread_option_is_caught(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    _subparsers(parser)["kneading"].add_argument("--unused", type=int, default=None)
+    assert _unread_options(parser, tmp_path, monkeypatch) == [("kneading", "--unused")]
+
+
+def test_config_rejects_non_positive_precision():
+    for bad in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            RunConfig(precision=bad)

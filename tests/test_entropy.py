@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_edge import (BudgetExhausted, MarkovBudgetError, Quadratic, build_base,
-                        build_stunted, entropy_lap, entropy_markov, full_stunted,
-                        lap_count, lap_series, periodic_points,
-                        positive_entropy_witness, verify_witness,
-                        zero_entropy_certificate)
+                        build_stunted, classify_float, entropy_lap, entropy_markov,
+                        full_stunted, lap_count, lap_series, locate_boundary,
+                        periodic_points, positive_entropy_witness, quadratic_path,
+                        type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
 from chaos_edge.maps import StuntedSawtooth, as_pl
 from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, strict_lap_count
@@ -191,6 +191,12 @@ class TestSubmultiplicativity:
                 assert counts[i + j - 1] <= counts[i - 1] * counts[j - 1]
 
 
+def _locate_witness(path, resolution):
+    """(map, witness) at the positive side of a float locate."""
+    t, w = locate_boundary(path, resolution=resolution).positive_side
+    return path.map_at(t), w
+
+
 class TestWitness:
     def test_trapezoid_period_three(self, T32):
         w = positive_entropy_witness(T32, 64)
@@ -228,6 +234,22 @@ class TestWitness:
                             (StuntedSawtooth, "lattice"), (pw, "lattice_orbit")):
             monkeypatch.setattr(owner, name, off)
         assert verify_witness(full_stunted(base2), w)
+
+    @pytest.mark.parametrize("make, period", [
+        (lambda: (Quadratic(-1.75), classify_float(Quadratic(-1.75)).witness), 3),
+        (lambda: (Quadratic(-1.5), classify_float(Quadratic(-1.5)).witness), 6),
+        (lambda: _locate_witness(quadratic_path(-1.5, -1.3), 1e-6), 1536),
+        (lambda: _locate_witness(type_b_path([(2, -1.0)], 0, -2.0, -1.0), 0.05), 24),
+    ], ids=["quadratic-1.75", "quadratic-1.5", "quadratic-locate-1e-6", "type-b-locate-0.05"])
+    def test_float_witness(self, make, period):
+        m, w = make()
+        assert w.period == period and verify_witness(m, w)
+        two = 1 << (period.bit_length() - 1)
+        moved = replace(w, orbit=(w.orbit[0] + 1e-6,) + w.orbit[1:])
+        doubled = replace(w, period=2 * period, orbit=w.orbit * 2)
+        power_of_two = replace(w, period=two, orbit=w.orbit[:two])
+        for bad in (moved, doubled, power_of_two):
+            assert not verify_witness(m, bad), bad.period
 
     def test_quadratic_period_three_window(self):
         w = positive_entropy_witness(Quadratic(-1.7549), 32)

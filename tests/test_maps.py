@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         build_type_b, critical_values, eval_s0, iterate,
                         parse_map, serialize_map)
-from chaos_edge.maps import ORBIT_CHUNK, FloatUnimodal, Interval, fill_orbit, iterate_grid
+from chaos_edge.maps import FloatUnimodal, Interval, iterate_grid, orbit
 from chaos_edge.piecewise import PiecewiseLinear
 from chaos_edge.renorm import find_restrictive, renormalize
 
@@ -261,16 +261,13 @@ class TestIterate:
 
     @pytest.mark.parametrize("m", [Quadratic(-1.9), build_type_b([(2, -1.3), (4, -0.9)])],
                              ids=["quadratic", "type-b"])
-    def test_fill_orbit_matches_one_step_loop(self, m):
-        # a window of two chunks and a remainder that is not a multiple of 8
-        out = np.empty(2 * ORBIT_CHUNK + 13)
-        last = fill_orbit(m, 0.25, out)
+    def test_orbit_matches_one_step_loop(self, m):
         expected, x = [], 0.25
-        for _ in range(len(out)):
+        for _ in range(5000):
             x = m(x)
             expected.append(x)
-        assert out.tolist() == expected
-        assert last == expected[-1] and type(last) is float
+        assert orbit(m, 0.25, 5000) == expected
+        assert orbit(m, 0.25, 0) == []
 
     @pytest.mark.parametrize("make, array_exact", [
         (lambda: Quadratic(-1.9), True),

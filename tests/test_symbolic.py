@@ -131,6 +131,19 @@ class TestPsi:
         assert res.stunted.xi == T.xi
         assert res.s[0] == T.plateaus[0].hi
 
+    def test_exact_periodic_tail_has_width_zero(self, base1):
+        T = build_stunted(base1, [F(5, 4)])
+        assert psi(T, base1, 40).widths == (0,)
+
+    def test_float_map_width_never_zero(self):
+        # the depth-400 kneading prefix of c_inf - 1e-6 looks eventually
+        # periodic, but a float map's kneading is known to that depth only:
+        # width 0 would claim an exact solution (and the projected map is
+        # zero-entropy while x^2 + c there is positive)
+        from chaos_edge import Quadratic, build_base
+        res = psi(Quadratic(-1.4011561890920505), build_base(1, -1), 400)
+        assert res.widths[0] > 0
+
     def test_plateau_kneading_rejected(self, base1):
         T = build_stunted(base1, [F(1)])  # value orbit falls into the plateau
         with pytest.raises(ValueError):
