@@ -690,7 +690,7 @@ def approximants(T_gamma: StuntedSawtooth, radius, direction=None,
         if shape(plus) != tau or shape(minus) != tau:
             tried.append((r, "shape broke"))
             continue
-        w = positive_entropy_witness(plus, bound, config)
+        w = positive_entropy_witness(plus, config)
         if w is None:
             tried.append((r, "no positive witness"))
             continue

@@ -110,7 +110,9 @@ def cmd_entropy(args) -> None:
 def cmd_periods(args) -> None:
     cfg = _config_from(args)
     m = parse_map(_read_descriptor(args.descriptor))
-    bound = args.bound or (pd.PERIOD_BOUND_EXACT if is_exact(m) else pd.PERIOD_BOUND_FLOAT)
+    bound = args.bound
+    if bound is None:
+        bound = pd.PERIOD_BOUND_EXACT if is_exact(m) else pd.PERIOD_BOUND_FLOAT
     ps = pd.period_set(m, bound, cfg)
     if args.format == "csv":
         rows = [[p, oi, pi, str(x), orb.stability]
@@ -277,7 +279,7 @@ def _positive(kind):
 
 OPTIONS = {
     "--depth": dict(type=_positive(int), default=64, help="symbol depth of the kneading data"),
-    "--bound": dict(type=int, default=None, help="periodic-orbit search ceiling"),
+    "--bound": dict(type=_positive(int), default=None, help="periodic-orbit search ceiling"),
     "--n-max": dict(type=_positive(int), default=14, help="lap-growth horizon"),
     "--precision": dict(type=_positive(float), default=None,
                         help="relative width of float root bisection"),

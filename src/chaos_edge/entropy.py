@@ -24,8 +24,7 @@ from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import as_pl, is_exact
 from .markov import build_markov, cyclic_components
-from .periods import (PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, is_power_of_two,
-                      turning_points_of_iterate)
+from .periods import PERIOD_BOUND_EXACT, is_power_of_two, turning_points_of_iterate
 from .piecewise import strict_lap_count
 
 LAP_CAP = 10**9                 # lap counts above this saturate a lap series
@@ -283,28 +282,22 @@ def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
     return True
 
 
-def positive_entropy_witness(m, period_bound: Optional[int] = None,
-                             config: RunConfig = DEFAULT) -> Optional[Witness]:
+def positive_entropy_witness(m, config: RunConfig = DEFAULT) -> Optional[Witness]:
     """A re-verified periodic orbit whose period is not a power of two, or None.
 
     Exact maps go through the exact decision route
     (``boundary.decide_exact``): the witness is a plateau cycle or a splice
-    of two cycles of a branching Markov component, and its period is not
-    capped by ``period_bound``.  None there means zero entropy was certified,
-    or a budget ran out, or a branching component gave no verified orbit.
-    Float maps take the witness of ``boundary.classify_float``, whose periods
-    the bound does not cap.  Absence of a witness is not a proof of zero
-    entropy.
+    of two cycles of a branching Markov component, of any period.  None
+    there means zero entropy was certified, or a budget ran out, or a
+    branching component gave no verified orbit.  Float maps take the
+    witness of ``boundary.classify_float``.  Absence of a witness is not a
+    proof of zero entropy.
     """
-    if period_bound is None:
-        period_bound = PERIOD_BOUND_EXACT if is_exact(m) else PERIOD_BOUND_FLOAT
-    if period_bound < 3:
-        raise PreconditionError("period bound must be >= 3")
     if not is_exact(m):
         from .boundary import classify_float
         return classify_float(m).witness
     from .boundary import ZERO_CERT_LEVELS, decide_exact
     try:
-        return decide_exact(m, ZERO_CERT_LEVELS, period_bound, config).witness
+        return decide_exact(m, ZERO_CERT_LEVELS, PERIOD_BOUND_EXACT, config).witness
     except BudgetExhausted:
         return None

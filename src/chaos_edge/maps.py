@@ -2,7 +2,9 @@
 
 Stunted sawtooth maps are kept exact (rational breakpoints and plateau
 heights), so their dynamics is decidable.  Polynomial families are floating
-point with configurable root-finding precision.
+point with configurable root-finding precision.  ``turning_regions`` is the
+one derivation of a map's turning points, plateaus and their values, and
+``SawtoothBase.pl`` the one form of the base zigzag's laps.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DescriptorError, DomainEscapeError, PreconditionError
+from .errors import DescriptorError, PreconditionError
 from .piecewise import PiecewiseLinear
 
 Rational = Fraction
@@ -85,25 +87,21 @@ class SawtoothBase:
     def domain(self) -> Interval:
         return Interval(-self.e, self.e)
 
-    def turning_value(self, i: int) -> Fraction:
-        """Extremal value at the i-th turning point (1-based): ±lam."""
-        return Fraction(self.epsilon * self.lam * (-1) ** (i + 1))
-
     def is_max(self, i: int) -> bool:
         return self.epsilon * (-1) ** (i + 1) > 0
 
-    def lap_slope(self, j: int) -> int:
-        """Slope on the j-th lap (0-based, m+1 laps)."""
-        return self.epsilon * self.lam * (-1) ** j
-
-    def lap_interval(self, j: int) -> Interval:
-        c = self.turning_points
-        lo = -self.e if j == 0 else c[j - 1]
-        hi = self.e if j == self.m else c[j]
-        return Interval(lo, hi)
+    @cached_property
+    def pl(self) -> PiecewiseLinear:
+        """The zigzag as a ``PiecewiseLinear`` on [-e, e], one segment per lap:
+        int slopes ±lam, ``Fraction`` ends and values (±lam at the turning
+        points), so lap affines and their inverses stay exact."""
+        s, e = self.epsilon, self.e
+        tops = (Fraction(s * self.lam * (-1) ** k) for k in range(self.m))
+        return PiecewiseLinear((-e, *self.turning_points, e),
+                               (-s * e, *tops, s * (-1) ** self.m * e))
 
     def __call__(self, x):
-        return eval_s0(self, x)
+        return self.pl(x)
 
 
 def build_base(m: int, epsilon: int = 1) -> SawtoothBase:
@@ -112,18 +110,7 @@ def build_base(m: int, epsilon: int = 1) -> SawtoothBase:
 
 def eval_s0(base: SawtoothBase, x):
     """Evaluate the base zigzag at x ∈ [-e, e] (exact for rational x)."""
-    if x < -base.e or x > base.e:
-        raise DomainEscapeError(f"{x} outside [{-base.e}, {base.e}]")
-    c = base.turning_points
-    # anchor at the nearest turning point on the left (or c_1 for the first lap)
-    j = 0
-    for k, ck in enumerate(c):
-        if x >= ck:
-            j = k + 1
-        else:
-            break
-    anchor_i = max(j, 1)
-    return base.turning_value(anchor_i) + base.lap_slope(j) * (x - c[anchor_i - 1])
+    return base.pl(x)
 
 
 @dataclass(frozen=True)
@@ -451,20 +438,26 @@ def domain_of(m) -> Interval:
     return m.domain
 
 
-def turning_points_of(m) -> tuple:
+def turning_regions(m) -> tuple:
+    """(lo, hi, value) per turning point, ascending: the one derivation of a
+    map's critical structure.  A stunted map gives its plateaus with their
+    values, a ``PiecewiseLinear`` its plateau runs and, as one-point regions,
+    its direction flips, and any other map (c, c, m(c)) per turning point."""
+    if isinstance(m, StuntedSawtooth):
+        return tuple((z.lo, z.hi, v) for z, v in zip(m.plateaus, m.plateau_values))
     if isinstance(m, PiecewiseLinear):
-        # centers of plateau runs and isolated direction flips
-        pts = []
-        runs = m.plateau_runs()
-        for a, b, _ in runs:
-            pts.append((a + b) / 2)
         xs, ys = m.xs, m.ys
-        for i in range(1, len(xs) - 1):
-            d0 = ys[i] - ys[i - 1]
-            d1 = ys[i + 1] - ys[i]
-            if d0 * d1 < 0:
-                pts.append(xs[i])
-        return tuple(sorted(pts))
+        flips = [(xs[i], xs[i], ys[i]) for i in range(1, len(xs) - 1)
+                 if (ys[i] - ys[i - 1]) * (ys[i + 1] - ys[i]) < 0]
+        return tuple(sorted(m.plateau_runs() + flips))
+    return tuple((c, c, m(c)) for c in m.turning_points)
+
+
+def turning_points_of(m) -> tuple:
+    """A point per turning region: a ``PiecewiseLinear``'s region midpoints,
+    else the map's own turning points."""
+    if isinstance(m, PiecewiseLinear):
+        return tuple((lo + hi) / 2 for lo, hi, _ in turning_regions(m))
     return tuple(m.turning_points)
 
 
@@ -565,12 +558,7 @@ def critical_values(m):
     Returns (values, ranks) where ranks[i] is the 1-based rank of the i-th
     turning point's value among the distinct values.
     """
-    if isinstance(m, StuntedSawtooth):
-        vals = list(m.plateau_values)
-    elif isinstance(m, PiecewiseLinear):
-        vals = [m(c) for c in turning_points_of(m)]
-    else:
-        vals = [m(c) for c in m.turning_points]
+    vals = [v for _, _, v in turning_regions(m)]
     if not vals:
         raise PreconditionError("map has no turning points or plateaus")
     if all(isinstance(v, (Fraction, int)) for v in vals):

@@ -229,7 +229,10 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     period set is the complete set of minimal periods of the map.  Otherwise
     a component branches, and splicing two of its cycles produces an exact
     periodic orbit whose minimal period is not a power of two; the witness
-    orbit is returned in the map's own coordinates.
+    orbit is returned in the map's own coordinates.  Cycles of partition
+    points only add their periods: on a stunted map they are plateau cycles,
+    which ``boundary.decide_exact`` witnesses before it builds the graph, or
+    the cycle of ±e, of period 1 or 2.
     """
     periods = set(_point_cycle_periods(system))
     witness = None                 # (numerators, q): the orbit X = P/q
@@ -266,14 +269,6 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 witness = orbit[:mp], q
                 break
     if witness is None:
-        for p in sorted(periods):
-            if not is_power_of_two(p):
-                # realize the non-power-of-two period as an explicit orbit
-                orbit = _orbit_with_period(system, p)
-                if orbit is not None:
-                    witness = orbit, 1
-                    break
-    if witness is None:
         return CycleAnalysis(complete, frozenset(periods), None, None)
     orbit, q = witness
     return CycleAnalysis(complete, frozenset(periods),
@@ -301,24 +296,4 @@ def _cycle_through(succ, v, first):
             if nx not in parent:
                 parent[nx] = w
                 dq.append(nx)
-    return None
-
-
-def _orbit_with_period(system: MarkovSystem, p: int):
-    """An orbit of minimal period p from the point-cycle graph: a cycle of
-    distinct partition points, in lattice coordinates."""
-    nxt = system.next_point
-    for start in range(len(nxt)):
-        seen = {}
-        v = start
-        k = 0
-        while v not in seen and k <= len(nxt):
-            seen[v] = k
-            v = nxt[v]
-            k += 1
-        if v in seen and k - seen[v] == p:
-            orbit = [v]
-            for _ in range(p - 1):
-                orbit.append(nxt[orbit[-1]])
-            return [system.points[w] for w in orbit]
     return None

@@ -142,23 +142,6 @@ class PiecewiseLinear:
                 i += 1
         return runs
 
-    def image_interval(self, a, b):
-        """Exact image [min, max] of [a, b] ⊆ domain."""
-        if a > b:
-            a, b = b, a
-        va, vb = self(a), self(b)
-        lo = min(va, vb)
-        hi = max(va, vb)
-        i = bisect_right(self.xs, a)
-        j = bisect_left(self.xs, b)
-        for k in range(i, j):
-            y = self.ys[k]
-            if y < lo:
-                lo = y
-            elif y > hi:
-                hi = y
-        return lo, hi
-
     def conjugate(self, phi: Affine) -> "PiecewiseLinear":
         """Return phi ∘ self ∘ phi⁻¹ (exact)."""
         inv = phi.inverse()

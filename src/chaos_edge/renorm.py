@@ -5,7 +5,10 @@ images have pairwise disjoint interiors, with f^n(J) ⊆ J, f^n(∂J) ⊆ ∂J, 
 turning point somewhere in the orbit of J, and J maximal.  Candidate
 boundaries are periodic points of period dividing n next to a turning point,
 paired with their nearest f^n-preimage on the other side; every returned
-interval re-verifies all four conditions.
+interval re-verifies all four conditions.  The images of J follow one hull
+rule for every map: the image of [a, b] is the hull of f(a), f(b) and the
+values of the ``maps.turning_regions`` that meet (a, b), exact on an exact
+map.
 
 A float cascade level k is the map Φ_k ∘ f^N ∘ Φ_k⁻¹ of the original map f,
 where N = 2^k is the product of the relative periods and Φ_k is one affine
@@ -24,7 +27,7 @@ from typing import Optional
 from .config import DEFAULT, RunConfig
 from .errors import BracketError, BudgetExhausted, PreconditionError
 from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
-                   turning_points_of)
+                   turning_points_of, turning_regions)
 from .periods import lap_roots, periodic_points, turning_points_of_iterate
 from .piecewise import Affine, PieceCursor, PiecewiseLinear, solve_on_pieces
 
@@ -91,36 +94,13 @@ class CascadeTrace:
         return len(self.levels)
 
 
-def _turning_regions(m):
-    """Turning structures as closed intervals (plateaus, or degenerate points)."""
-    if hasattr(m, "plateaus"):
-        return [(z.lo, z.hi) for z in m.plateaus]
-    if isinstance(m, PiecewiseLinear):
-        regions = []
-        for a, b, _ in m.plateau_runs():
-            regions.append((a, b))
-        xs, ys = m.xs, m.ys
-        for i in range(1, len(xs) - 1):
-            if (ys[i] - ys[i - 1]) * (ys[i + 1] - ys[i]) < 0:
-                regions.append((xs[i], xs[i]))
-        return sorted(regions)
-    return [(c, c) for c in turning_points_of(m)]
-
-
-def _image_interval(m, a, b):
-    if is_exact(m):
-        return as_pl(m).image_interval(a, b)
-    vals = [m(a), m(b)]
-    for t in turning_points_of(m):
-        if a < t < b:
-            vals.append(m(t))
-    return min(vals), max(vals)
-
-
-def _orbit_intervals(m, a, b, n):
+def _orbit_intervals(m, regions, a, b, n):
+    """The hulls of J = [a, b] and its first n images: each image is the hull
+    of m at the ends and the values of the turning regions meeting (a, b)."""
     out = [(a, b)]
-    for _ in range(n - 1):
-        a, b = _image_interval(m, a, b)
+    for _ in range(n):
+        vals = [m(a), m(b)] + [v for lo, hi, v in regions if lo < b and a < hi]
+        a, b = min(vals), max(vals)
         out.append((a, b))
     return out
 
@@ -144,7 +124,7 @@ def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config, cursor):
     return lap_roots(m, n, target, cuts, 1, config.precision)
 
 
-def _verify_restrictive(m, a, b, n, config) -> Optional[RestrictiveInterval]:
+def _verify_restrictive(m, regions, a, b, n, config) -> Optional[RestrictiveInterval]:
     dom = domain_of(m)
     exact = is_exact(m)
     scale = max(1.0, abs(float(dom.lo)), abs(float(dom.hi)))
@@ -159,20 +139,14 @@ def _verify_restrictive(m, a, b, n, config) -> Optional[RestrictiveInterval]:
         # near-tangent root pairs at a superstable core produce candidate
         # intervals at the sqrt-of-residual scale; genuine ones are O(domain)
         return None
-    orbit = _orbit_intervals(m, a, b, n)
+    *orbit, (fa, fb) = _orbit_intervals(m, regions, a, b, n)
     if not _interiors_disjoint(orbit, tol):
         return None
-    fa, fb = _image_interval(m, *orbit[-1])
     slack = 0 if exact else 1e-8 * max(1.0, float(b - a))
     if fa < a - slack or fb > b + slack:
         return None
-    regions = _turning_regions(m)
-    hits = []
-    for k, (u, v) in enumerate(orbit):
-        for rl, rh in regions:
-            if rl <= v and u <= rh:
-                hits.append(k)
-                break
+    hits = [k for k, (u, v) in enumerate(orbit)
+            if any(lo <= v and u <= hi for lo, hi, _ in regions)]
     if not hits:
         return None
     return RestrictiveInterval(Interval(a, b), n, tuple(hits))
@@ -195,20 +169,21 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT,
         except BudgetExhausted:
             break
     pts = sorted(pts)
+    regions = turning_regions(m)
     best = None
-    for tlo, thi in _turning_regions(m):
+    for tlo, thi, _ in regions:
         left = [p for p in pts if p < tlo][-max_candidates:]
         right = [p for p in pts if p > thi][:max_candidates]
         for p in reversed(left):
             mates = _solve_iterate_on_side(m, period, p, thi, dom.hi, config, cursor)
             for phat in mates[:max_candidates]:
-                ri = _verify_restrictive(m, p, phat, period, config)
+                ri = _verify_restrictive(m, regions, p, phat, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
                     best = ri
         for p in right:
             mates = _solve_iterate_on_side(m, period, p, dom.lo, tlo, config, cursor)
             for phat in reversed(mates[-max_candidates:]):
-                ri = _verify_restrictive(m, phat, p, period, config)
+                ri = _verify_restrictive(m, regions, phat, p, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
                     best = ri
     return best

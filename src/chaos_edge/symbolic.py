@@ -4,7 +4,10 @@ Symbols are small integers: lap j (0-based, m+1 laps) is encoded as ``j`` and
 the address of the j-th turning point / plateau (1-based) as ``-j``.  The
 string form uses the lap digit or ``Cj``.
 
-Two symbol conventions coexist deliberately:
+Every map's symbols come from one resolver, ``_symbol``, read against the
+map's ``maps.turning_regions`` (plateaus, and turning points as one-point
+regions), for stunted, raw ``PiecewiseLinear`` and float maps alike.  Two
+symbol conventions coexist deliberately:
 
 * plain itineraries resolve exact hits of a turning point or any point of a
   closed plateau to the address symbol;
@@ -13,6 +16,9 @@ Two symbol conventions coexist deliberately:
   (one consistent one-sided convention, never left limits), so a kneading
   sequence over laps is directly comparable with right-limit itineraries of
   the base zigzag.
+
+An address symbol continues the orbit through its region's value.  The base
+zigzag's laps are read from ``SawtoothBase.pl`` alone.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError
-from .maps import (SawtoothBase, StuntedSawtooth, build_stunted, domain_of,
-                   eval_s0, is_exact, turning_points_of)
+from .maps import (SawtoothBase, StuntedSawtooth, build_stunted, critical_values,
+                   domain_of, is_exact, turning_points_of, turning_regions)
 
 
 def sym_str(s: int) -> str:
@@ -90,36 +96,31 @@ class Shape:
 # ---------------------------------------------------------------------
 
 
-def _symbol_closed_stunted(T: StuntedSawtooth, y) -> int:
-    for i, z in enumerate(T.plateaus):
-        if z.lo <= y <= z.hi:
-            return -(i + 1)
-    laps = sum(1 for z in T.plateaus if z.hi < y)
-    return laps
+def _symbol(regions, y, right: bool, top) -> int:
+    """Symbol of y against ``turning_regions``: the address of the region
+    holding y, else the lap, the number of regions below y.  A region holds
+    its closed interval, or with ``right`` (the symbol of y + 0⁺) its
+    half-open [lo, hi), so a one-point region holds nothing; at the domain's
+    upper end ``top``, which has no right, the closed rule holds."""
+    closed = not right or y == top
+    for i, (lo, hi, _) in enumerate(regions):
+        if y < lo:
+            return i
+        if y < hi or closed and y == hi:
+            return -i - 1
+    return len(regions)
 
 
-def _symbol_right_stunted(T: StuntedSawtooth, y) -> int:
-    """Symbol of y + 0⁺ (the right-limit convention used for kneading)."""
-    if y == T.domain.hi:
-        return _symbol_closed_stunted(T, y)
-    for i, z in enumerate(T.plateaus):
-        if z.lo <= y < z.hi:
-            return -(i + 1)
-    laps = sum(1 for z in T.plateaus if z.hi <= y)
-    return laps
-
-
-def _symbol_closed_smooth(m, y) -> int:
-    c = turning_points_of(m)
-    for i, ci in enumerate(c):
-        if y == ci:
-            return -(i + 1)
-    return sum(1 for ci in c if ci < y)
-
-
-def _symbol_right_smooth(m, y) -> int:
-    c = turning_points_of(m)
-    return sum(1 for ci in c if ci <= y)
+def _symbols(m, regions, y, depth: int, right: bool) -> tuple:
+    """``depth`` symbols along the orbit of y; an address symbol continues
+    through its region's value."""
+    top = domain_of(m).hi
+    out = []
+    for _ in range(depth):
+        s = _symbol(regions, y, right, top)
+        out.append(s)
+        y = regions[-s - 1][2] if s < 0 else m(y)
+    return tuple(out)
 
 
 def itinerary(m, x, depth: int) -> Itinerary:
@@ -127,22 +128,9 @@ def itinerary(m, x, depth: int) -> Itinerary:
     produce the address symbol and the orbit continues through the image."""
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    dom = domain_of(m)
-    if not dom.contains(x):
+    if not domain_of(m).contains(x):
         raise PreconditionError(f"{x} outside the domain")
-    stunted = isinstance(m, StuntedSawtooth)
-    out = []
-    y = x
-    for _ in range(depth):
-        if stunted:
-            s = _symbol_closed_stunted(m, y)
-            out.append(s)
-            y = m.plateau_values[-s - 1] if s < 0 else m(y)
-        else:
-            s = _symbol_closed_smooth(m, y)
-            out.append(s)
-            y = m(turning_points_of(m)[-s - 1]) if s < 0 else m(y)
-    return Itinerary(tuple(out))
+    return Itinerary(_symbols(m, turning_regions(m), x, depth, False))
 
 
 def kneading(m, depth: int) -> KneadingInvariant:
@@ -154,30 +142,13 @@ def kneading(m, depth: int) -> KneadingInvariant:
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    stunted = isinstance(m, StuntedSawtooth)
-    nu = []
-    if stunted:
-        starts = list(m.plateau_values)
-    else:
-        starts = [m(c) for c in turning_points_of(m)]
-    for v in starts:
-        seq = []
-        y = v
-        for _ in range(depth):
-            if stunted:
-                s = _symbol_right_stunted(m, y)
-                seq.append(s)
-                y = m.plateau_values[-s - 1] if s < 0 else m(y)
-            else:
-                seq.append(_symbol_right_smooth(m, y))
-                y = m(y)
-        nu.append(tuple(seq))
-    return KneadingInvariant(tuple(nu), depth)
+    regions = turning_regions(m)
+    return KneadingInvariant(
+        tuple(_symbols(m, regions, v, depth, True) for _, _, v in regions), depth)
 
 
 def shape(m) -> Shape:
     """Order pattern of turning points versus ranked distinct critical values."""
-    from .maps import critical_values
     distinct, ranks = critical_values(m)
     pairs = tuple((i + 1, r) for i, r in enumerate(ranks))
     return Shape(pairs, len(distinct))
@@ -219,43 +190,35 @@ class PsiResult:
     widths: tuple       # residual candidate-interval widths at this depth
 
 
+def _laps(base: SawtoothBase):
+    """(lo, hi, slope, intercept) per lap of the base zigzag, from ``base.pl``:
+    int slopes and ``Fraction`` intercepts, so the inverses stay exact."""
+    pl = base.pl
+    return [(a, b, s, y - s * a) for a, b, y, s in zip(pl.xs, pl.xs[1:], pl.ys, pl.slopes)]
+
+
 def _pullback_right_limit(base: SawtoothBase, target):
     """Candidate interval (lo, hi) for points whose right-limit base-itinerary
     starts with ``target``, via exact backward pullback through the affine laps."""
+    laps = _laps(base)
     lo, hi = -base.e, base.e
     for sym in reversed(target):
         if sym < 0:
             raise ValueError("address symbol in target; pullback needs lap symbols only")
-        lap = base.lap_interval(sym)
-        slope = base.lap_slope(sym)
-        anchor = lap.lo if sym > 0 else lap.hi  # turning point adjacent to the lap
-        v_anchor = eval_s0(base, anchor)
-        # solve slope*(x - anchor) + v_anchor in [lo, hi] within the lap
-        t0 = anchor + (lo - v_anchor) / Fraction(slope)
-        t1 = anchor + (hi - v_anchor) / Fraction(slope)
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t0 = max(t0, lap.lo)
-        t1 = min(t1, lap.hi)
+        a, b, s, o = laps[sym]
+        t0, t1 = sorted(((lo - o) / s, (hi - o) / s))
+        t0, t1 = max(t0, a), min(t1, b)
         if t0 > t1:
             raise ValueError("target itinerary is not realizable in the base zigzag")
         lo, hi = t0, t1
     return lo, hi
 
 
-def _lap_affine(base: SawtoothBase, j: int):
-    """Slope and intercept of the base zigzag on lap j."""
-    lap = base.lap_interval(j)
-    anchor = lap.lo if j > 0 else lap.hi
-    v = eval_s0(base, anchor)
-    s = Fraction(base.lap_slope(j))
-    return s, v - s * anchor
-
-
 def _signed_itinerary_s0(base: SawtoothBase, y, depth: int):
     """Right-limit itinerary of y under the base zigzag (no plateaus); the
     side flips with the orientation of each lap traversed."""
     c = base.turning_points
+    laps = _laps(base)
     d = 1
     out = []
     for _ in range(depth):
@@ -266,7 +229,7 @@ def _signed_itinerary_s0(base: SawtoothBase, y, depth: int):
             if y > ck or (y == ck and d > 0):
                 j += 1
         out.append(j)
-        s, o = _lap_affine(base, j)
+        _, _, s, o = laps[j]
         y = s * y + o
         d = d if s > 0 else -d
     return out
@@ -281,6 +244,7 @@ def _periodic_tail_point(base: SawtoothBase, target):
     gives the point exactly.  The result is verified symbolically.
     """
     L = len(target)
+    laps = _laps(base)
     for p in range(1, max(2, (L - 4) // 2) + 1):
         q = L - 2 * p - 2
         while q > 0 and target[q - 1] == target[q - 1 + p]:
@@ -291,17 +255,16 @@ def _periodic_tail_point(base: SawtoothBase, target):
             continue
         s, o = Fraction(1), Fraction(0)
         for j in target[q:q + p]:
-            sj, oj = _lap_affine(base, j)
+            _, _, sj, oj = laps[j]
             s, o = sj * s, sj * o + oj
         if s == 1:
             continue
         x = o / (1 - s)
         ok = True
         for j in reversed(target[:q]):
-            sj, oj = _lap_affine(base, j)
+            a, b, sj, oj = laps[j]
             x = (x - oj) / sj
-            lap = base.lap_interval(j)
-            if not lap.lo <= x <= lap.hi:
+            if not a <= x <= b:
                 ok = False
                 break
         if not ok:
@@ -363,6 +326,6 @@ def psi(m, base: SawtoothBase, depth: int = 64,
                 f"depth {depth} leaves candidate width {max(bad)} > {width_tol}")
     xi = []
     for i, s_k in enumerate(ss, start=1):
-        v = eval_s0(base, s_k)
+        v = base.pl(s_k)
         xi.append(v if base.is_max(i) else -v)
     return PsiResult(build_stunted(base, xi), tuple(ss), tuple(widths))

@@ -89,7 +89,7 @@ def test_c3_entropy_period_equivalence():
             h = entropy_markov(T).value
         except BudgetExhausted:
             continue
-        w = positive_entropy_witness(T, 64)
+        w = positive_entropy_witness(T)
         if (w is not None) != (h > 1e-3):
             disagreements += 1
         if w is not None:

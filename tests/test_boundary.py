@@ -435,7 +435,7 @@ class TestExactRoute:
                 assert all(is_power_of_two(o.period) for o in r.certificate.plateau_orbits)
             else:
                 assert verify_witness(T, r.witness)
-            assert (positive_entropy_witness(T, 64) is not None) == (r.kind == POSITIVE)
+            assert (positive_entropy_witness(T) is not None) == (r.kind == POSITIVE)
         assert min(verdicts.values()) > 0
 
 

@@ -45,6 +45,8 @@ QUADRATIC_PATH = {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3}
 TYPE_B_PATH = {"family": "type_b", "stages": [[2, -1.0]], "stage_index": 0,
                "t_lo": -2.0, "t_hi": -1.0}
 C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade of x^2 + c
+STUNTED_PATH = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],
+                "direction": ["1"], "t_lo": "1/2", "t_hi": "3/2"}
 
 
 class TestEntropyCmd:
@@ -268,10 +270,14 @@ QUADRATIC_175 = {"kind": "quadratic", "c": -1.75}
     ("entropy", "--n-max", TRAPEZOID),
     ("kneading", "--depth", TRAPEZOID),
     ("periods", "--precision", QUADRATIC_175),
+    ("periods", "--bound", TRAPEZOID),
+    ("boundary", "--bound", STUNTED_PATH),
 ])
 def test_non_positive_flag_exit2(tmp_path, command, flag, desc, value):
     # each once ended in a ValueError traceback (exit 1), and --precision 0
-    # on a float map never returned: bisection to a width of 0 never ends
+    # on a float map never returned: bisection to a width of 0 never ends;
+    # --bound 0 on periods ran the default bound, and a negative --bound on
+    # boundary printed an empty zero certificate with exit 0
     run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
                           write(tmp_path, "d.json", desc), flag, value],
                          env=_env_with_src(), capture_output=True, text=True, timeout=60)

@@ -199,12 +199,12 @@ def _locate_witness(path, resolution):
 
 class TestWitness:
     def test_trapezoid_period_three(self, T32):
-        w = positive_entropy_witness(T32, 64)
+        w = positive_entropy_witness(T32)
         assert w is not None and w.period == 3
         assert verify_witness(T32, w)
 
     def test_fixed_plateau_none(self, T12):
-        assert positive_entropy_witness(T12, 64) is None
+        assert positive_entropy_witness(T12) is None
 
     @pytest.mark.parametrize("make", [
         lambda: full_stunted(build_base(1, 1)),
@@ -215,7 +215,7 @@ class TestWitness:
         # the return of orbit[0] alone does not make a witness: every listed
         # point must map to the next, and the orbit must list period points
         T = make()
-        w = positive_entropy_witness(T, 64)
+        w = positive_entropy_witness(T)
         assert w is not None and verify_witness(T, w)
         zeros = replace(w, orbit=w.orbit[:1] + (F(0),) * (w.period - 1))
         cut = replace(w, orbit=w.orbit[:1])
@@ -225,7 +225,7 @@ class TestWitness:
 
     def test_rewalk_calls_nothing_on_the_lattice_route(self, base2, monkeypatch):
         import chaos_edge.piecewise as pw
-        w = positive_entropy_witness(full_stunted(base2), 64)
+        w = positive_entropy_witness(full_stunted(base2))
 
         def off(*args):
             raise AssertionError("the re-walk reached the lattice route")
@@ -252,12 +252,12 @@ class TestWitness:
             assert not verify_witness(m, bad), bad.period
 
     def test_quadratic_period_three_window(self):
-        w = positive_entropy_witness(Quadratic(-1.7549), 32)
+        w = positive_entropy_witness(Quadratic(-1.7549))
         assert w is not None and w.period == 3
 
     def test_witness_orbit_reverifies(self, base2):
         T = full_stunted(base2)
-        w = positive_entropy_witness(T, 64)
+        w = positive_entropy_witness(T)
         assert w is not None and verify_witness(T, w)
 
     def test_monotonicity_spot(self):
@@ -283,7 +283,7 @@ class TestWitness:
                 h = entropy_markov(T).value
             except BudgetExhausted:
                 continue
-            w = positive_entropy_witness(T, 64)
+            w = positive_entropy_witness(T)
             assert (w is not None) == (h > 0)
             if w is not None:
                 assert h >= 1e-3

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         build_type_b, critical_values, eval_s0, iterate,
                         parse_map, serialize_map)
-from chaos_edge.maps import FloatUnimodal, Interval, iterate_grid, orbit
+from chaos_edge.maps import (FloatUnimodal, Interval, iterate_grid, orbit, turning_points_of,
+                             turning_regions)
 from chaos_edge.piecewise import PiecewiseLinear
 from chaos_edge.renorm import find_restrictive, renormalize
 
@@ -387,6 +388,25 @@ class TestCriticalValues:
         T2 = build_stunted(base2, [F(1), F(-1)])
         vals2, ranks2 = critical_values(T2)
         assert len(vals2) == 1 and ranks2 == [1, 1]
+
+
+TURNING_REGION_MAPS = {
+    "stunted m=2": lambda: build_stunted(build_base(2, 1), [F(5, 3), F(-1, 7)]),
+    "plateau and flip": lambda: PiecewiseLinear(
+        [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)], [F(0), F(3, 4), F(3, 4), F(0), F(1)]),
+    "quadratic": lambda: Quadratic(-1.5),
+    "type-B two stages": lambda: build_type_b([(2, -1.0), (2, -1.8)]),
+}
+
+
+@pytest.mark.parametrize("name", TURNING_REGION_MAPS)
+def test_turning_regions_agree_with_points_and_values(name):
+    m = TURNING_REGION_MAPS[name]()
+    regions = turning_regions(m)
+    assert list(regions) == sorted(regions) and all(lo <= hi for lo, hi, _ in regions)
+    assert turning_points_of(m) == tuple((lo + hi) / 2 for lo, hi, _ in regions)
+    distinct, ranks = critical_values(m)
+    assert [distinct[r - 1] for r in ranks] == [v for _, _, v in regions]
 
 
 class TestDescriptors:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (build_base, build_stunted, build_type_b, itinerary,
-                        kneading, psi, shape, signed_compare)
+from chaos_edge import (PiecewiseLinear, build_base, build_stunted, build_type_b,
+                        itinerary, kneading, psi, shape, signed_compare)
 from chaos_edge.symbolic import parse_syms, syms_str
 
 from conftest import random_xi
@@ -27,6 +27,16 @@ class TestItinerary:
     def test_address_continues_through_value(self, T12):
         # plateau value 1/2 lies inside the plateau: address forever
         assert str(itinerary(T12, F(0), 4)) == "C1C1C1C1"
+
+    @pytest.mark.parametrize("x", [F(1, 3), F(1, 2)])
+    def test_raw_piecewise_plateau_resolves_to_address(self, x):
+        # a raw PiecewiseLinear plateau follows the closed-plateau rule of a
+        # stunted map: any point of it is the address, and so is its value
+        pl = PiecewiseLinear([F(0), F(1, 4), F(3, 4), F(1)], [F(0), F(3, 4), F(3, 4), F(0)])
+        assert str(itinerary(pl, x, 4)) == "C1C1C1C1"
+        T = build_stunted(build_base(1, 1), [F(1, 2)])
+        assert str(itinerary(T, F(1, 3), 4)) == "C1C1C1C1"
+        assert kneading(pl, 6).as_strings() == ["111111"]
 
     def test_symbol_string_roundtrip(self):
         seq = (1, 0, -2, 3, -1)
