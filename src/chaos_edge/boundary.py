@@ -44,6 +44,18 @@ are heuristic: no step is outward-rounded.  numpy is imported only inside
 the two grid functions, ``_tower_descend`` and ``_grid_period_scan``, so the
 exact route never loads it; the attractor search keeps its orbit tails in
 Python lists.
+
+On an even float map the boundary is the limit of the period-doubling
+cascade, and a parameter's side follows from its critical itinerary
+(``symbolic.doubling_side``).  ``locate_boundary`` takes the side of every
+interior probe of an even map from it, and classifies only the path's ends,
+probes it leaves unsided and, once the bracket is narrow enough, the ends
+the kneading sided: their verdicts are the evidence reported.  When such an
+end's verdict differs from its side, the bisection runs again from the
+path's ends with every probe classified, reusing those verdicts.  ``classify_float`` asks the same
+question of an even map whose critical orbit has not settled: one that the
+kneading puts on the positive side runs the grid scan before the longer
+attractor retry.
 """
 
 from __future__ import annotations
@@ -56,13 +68,13 @@ from .config import DEFAULT, RunConfig
 from .entropy import Witness, exact_walk, positive_entropy_witness, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
-                   build_stunted, build_type_b, domain_of, is_exact, iterate, orbit, rat,
-                   turning_points_of)
+                   build_stunted, build_type_b, domain_of, is_even, is_exact, iterate, orbit,
+                   rat, turning_points_of)
 from .markov import build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
                       is_power_of_two)
 from .piecewise import on_lattice
-from .symbolic import shape
+from .symbolic import doubling_side, shape
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -435,7 +447,10 @@ def classify_float(m) -> ProbeResult:
     2. Each turning point's orbit is followed to its attracting cycle; when
        a tower 6 or more levels deep slows convergence, the same orbit is
        continued to a longer transient and a window of 2^(depth+2) samples.
-       A cycle whose period is not a power of two is a witness.
+       An even map that ``doubling_side`` puts on the positive side runs
+       its grid scan (4) before this deep retry, and the retry only when
+       the scan finds nothing.  A cycle whose period is not a power of two
+       is a witness.
     3. An even map is zero when it attracts a 2^k-cycle with k <= depth.
     4. The grid scan looks for a non-power-of-two period of the return maps
        of the two deepest levels.
@@ -443,17 +458,27 @@ def classify_float(m) -> ProbeResult:
        attracting cycle of power-of-two period and the scan found nothing:
        such attractors can coexist with a repelling period-3 orbit.
     """
-    dom = domain_of(m)
-    even = turning_points_of(m) == (0.0,) and dom.lo == -dom.hi
-    widths, reason = _tower_descend(m) if even else ([dom.hi], "no tower")
+    return _classify_float(m, None)
+
+
+def _classify_float(m, side: Optional[str]) -> ProbeResult:
+    # side: the map's doubling_side when the caller has it, else None
+    even = is_even(m)
+    widths, reason = _tower_descend(m) if even else ([domain_of(m).hi], "no tower")
     depth = len(widths) - 1
     if not even:
         w = _deepest_scan(m, widths)
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
+    scanned = not even              # a multimodal map has run its scan
     transient, window = 60_000, 4096
     atts = _attractor_period(m, transient, window, ATTRACTING_TOL)
     if even and atts[0][0] is None and depth >= 6:
+        if (side or doubling_side(m)) == POSITIVE:
+            scanned = True
+            w = _deepest_scan(m, widths)
+            if w is not None:
+                return ProbeResult(POSITIVE, witness=w)
         atts = _attractor_period(m, 600_000, max(8192, 2 ** (depth + 2)), ATTRACTING_TOL,
                                  starts=[x for _, x in atts], done=transient + window)
     for p, pt in atts:
@@ -469,7 +494,7 @@ def classify_float(m) -> ProbeResult:
     if even:
         if cert is not None and cert.levels <= depth:
             return ProbeResult(ZERO, certificate=cert)
-        w = _deepest_scan(m, widths)
+        w = None if scanned else _deepest_scan(m, widths)
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
     elif cert is not None:
@@ -541,15 +566,27 @@ def type_b_path(stages, stage_index: int, a_lo: float, a_hi: float) -> Parameter
                          stages=tuple(stages), stage_index=stage_index)
 
 
+def _float_map(path: ParameterPath, t):
+    """The map at t on a float path, or None when t leaves the family."""
+    try:
+        return path.map_at(t)
+    except ValueError:
+        return None
+
+
+def _classified(m, side: Optional[str] = None) -> ProbeResult:
+    """``classify_float`` of a float path's map, told its kneading side when
+    known; undecided when there is no map."""
+    if m is None:
+        return ProbeResult(UNDECIDED, note="parameter leaves the family")
+    return _classify_float(m, side)
+
+
 def classify_probe(path: ParameterPath, t, bound: int,
                    config: RunConfig = DEFAULT) -> ProbeResult:
     if path.kind == "stunted":
         return classify_stunted(path.map_at(t), bound, config)
-    try:
-        m = path.map_at(t)
-    except ValueError:
-        return ProbeResult(UNDECIDED, note="parameter leaves the family")
-    return classify_float(m)
+    return _classified(_float_map(path, t))
 
 
 @dataclass(frozen=True)
@@ -583,7 +620,12 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
 
     Probes that certify neither way are counted and the bracket is refined
     around them at quarter points; if every refinement probe is undecided the
-    search stops with the budget error.
+    search stops with the budget error.  On a float path an interior probe
+    of an even map takes its side from ``doubling_side`` when that gives
+    one; the ends so sided are classified at the end (not counted as
+    probes), and if a verdict differs from its side the bisection runs again
+    with every probe classified, with a budget of its own.  Only such a
+    contradiction re-runs it: a budget error of the routed pass is raised.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -591,14 +633,58 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         resolution = config.resolution_exact if path.exact else config.resolution_float
     probes = 0
     undecided = 0
+    sided = {}          # t -> (map, side) of a probe sided by its kneading alone
+    verdicts = {}       # t -> verdict on an end of the routed bisection
 
-    def classified(t):
+    def probe(t, routed=False):
         nonlocal probes
         probes += 1
-        return classify_probe(path, t, bound, config)
+        if t in verdicts:
+            return verdicts[t]
+        if not routed:
+            return classify_probe(path, t, bound, config)
+        m = _float_map(path, t)
+        kind = doubling_side(m) if m is not None and is_even(m) else None
+        if kind is None:
+            return _classified(m)
+        sided[t] = m, kind
+        return ProbeResult(kind, note="sided by the doubling-limit kneading")
 
-    r_lo = classified(path.t_lo)
-    r_hi = classified(path.t_hi)
+    def width(zero, pos):
+        return abs(pos[0] - zero[0])
+
+    def bisect(zero, pos, limit, routed):
+        nonlocal undecided
+        while width(zero, pos) > resolution and probes < limit:
+            mid = (zero[0] + pos[0]) / 2
+            r = probe(mid, routed)
+            if r.kind == ZERO:
+                zero = (mid, r)
+            elif r.kind == POSITIVE:
+                pos = (mid, r)
+            else:
+                undecided += 1
+                moved = False
+                for t in ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
+                    rr = probe(t, routed)
+                    if rr.kind == ZERO:
+                        zero = (t, rr)
+                        moved = True
+                    elif rr.kind == POSITIVE:
+                        pos = (t, rr)
+                        moved = True
+                    else:
+                        undecided += 1
+                if not moved:
+                    raise BudgetExhausted(f"undecided probes block refinement below width "
+                                          f"{width(zero, pos)}")
+        if width(zero, pos) > resolution:
+            raise BudgetExhausted(f"probe budget exhausted: max_probes={max_probes} "
+                                  f"reached at width {width(zero, pos)}")
+        return zero, pos
+
+    r_lo = probe(path.t_lo)
+    r_hi = probe(path.t_hi)
     kinds = {r_lo.kind, r_hi.kind}
     if kinds != {ZERO, POSITIVE}:
         raise PreconditionError(
@@ -611,40 +697,20 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     else:
         zero, pos = (path.t_hi, r_hi), (path.t_lo, r_lo)
         orientation = "decreasing"
-
-    def width():
-        return abs(pos[0] - zero[0])
-
-    while width() > resolution and probes < max_probes:
-        mid = (zero[0] + pos[0]) / 2
-        r = classified(mid)
-        if r.kind == ZERO:
-            zero = (mid, r)
-        elif r.kind == POSITIVE:
-            pos = (mid, r)
-        else:
-            undecided += 1
-            moved = False
-            for t in ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
-                rr = classified(t)
-                if rr.kind == ZERO:
-                    zero = (t, rr)
-                    moved = True
-                elif rr.kind == POSITIVE:
-                    pos = (t, rr)
-                    moved = True
-                else:
-                    undecided += 1
-            if not moved:
-                raise BudgetExhausted(
-                    f"undecided probes block refinement below width {width()}")
-    if width() > resolution:
-        raise BudgetExhausted(
-            f"probe budget exhausted: max_probes={max_probes} reached at width {width()}")
-    t_zero, t_pos = zero[0], pos[0]
+    ends = bisect(zero, pos, max_probes, routed=not path.exact)
+    # an end sided by kneading alone is classified; this is not a new probe
+    for t, r in ends:
+        verdicts[t] = _classified(*sided[t]) if t in sided else r
+    ends = tuple((t, verdicts[t]) for t, _ in ends)
+    if (ends[0][1].kind, ends[1][1].kind) != (ZERO, POSITIVE):
+        # an end's evidence disagrees with its kneading side: bisect again
+        # from the path's ends with every probe classified, the verdicts
+        # above reused
+        ends = bisect(zero, pos, probes + max_probes - 2, routed=False)
+    (t_zero, r_zero), (t_pos, r_pos) = ends
     return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),
-                          (t_zero, zero[1].certificate), (t_pos, pos[1].witness),
-                          width(), probes, undecided, orientation)
+                          (t_zero, r_zero.certificate), (t_pos, r_pos.witness),
+                          width(*ends), probes, undecided, orientation)
 
 
 # ---------------------------------------------------------------------

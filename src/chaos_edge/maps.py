@@ -461,6 +461,13 @@ def turning_points_of(m) -> tuple:
     return tuple(m.turning_points)
 
 
+def is_even(m) -> bool:
+    """One turning point, at 0, on a symmetric domain: x^2 + c and one-stage
+    type-B maps."""
+    dom = domain_of(m)
+    return turning_points_of(m) == (0.0,) and dom.lo == -dom.hi
+
+
 def _quadratic_steps(x: float, c: float, n: int) -> float:
     """n steps of x * x + c on a float, eight to a loop pass."""
     for _ in range(n >> 3):

@@ -29,7 +29,8 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .maps import (SawtoothBase, StuntedSawtooth, build_stunted, critical_values,
-                   domain_of, is_exact, turning_points_of, turning_regions)
+                   domain_of, is_even, is_exact, orbit, turning_points_of,
+                   turning_regions)
 
 
 def sym_str(s: int) -> str:
@@ -176,6 +177,47 @@ def signed_compare(a, b, epsilon: int = 1) -> int:
         if epsilon * (-1) ** x < 0:
             sign = -sign
     return 0
+
+
+DOUBLING_STEPS = 2 ** 18    # symbols doubling_side compares before it gives up
+
+
+def doubling_side(m) -> Optional[str]:
+    """Which side of the period-doubling limit an even map lies on, by
+    Milnor–Thurston monotonicity: "zero" or "positive", the entropy side.
+
+    The critical value's float itinerary is compared, with the sign flips of
+    ``signed_compare``, against the doubling-limit kneading of
+    Metropolis–Stein–Stein in the map's own lap orientation.  Symbol i of
+    the limit is the orientation-reversing lap exactly when the 2-adic
+    valuation of i + 1 is even; equivalently its first 2^k - 1 symbols W_k
+    grow by W_{k+1} = W_k x_k W_k, x_k reversing for even k.  So the orbit
+    is walked in blocks that double: each must read x_k and then repeat the
+    symbols already matched, and no table is kept.  The map is positive
+    when its critical value lies beyond the limit's, away from the turning
+    point.  None when the orbit hits 0 exactly or the first ``DOUBLING_STEPS``
+    symbols all agree.
+    """
+    if not is_even(m):
+        raise PreconditionError("doubling_side needs an even map")
+    rev = orientation(m) > 0        # lap 1 (x > 0) reverses orientation
+    seen = bytearray()              # x > 0 per symbol matched so far: W_k
+    y = 0.0
+    while len(seen) < DOUBLING_STEPS:
+        n = min(len(seen) + 1, DOUBLING_STEPS - len(seen))
+        block = orbit(m, y, n)
+        y = block[-1]
+        end = block.index(0.0) if 0.0 in block else n      # symbols before a hit of 0
+        laps = bytes([v > 0.0 for v in block[:end]])
+        want = (bytes([rev == (len(seen).bit_length() % 2 == 0)]) + seen)[:end]   # x_k W_k
+        if laps != want:
+            i = next(j for j, (a, b) in enumerate(zip(laps, want)) if a != b)
+            flips = (seen + want[:i]).count(rev) % 2 == 1    # the order's sign is reversed
+            return "positive" if (laps[i] != flips) == rev else "zero"
+        if end < n:
+            return None
+        seen += laps
+    return None
 
 
 # ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,12 +17,36 @@ from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECID
                                  _attractor_period, _grid_period_scan, _tail_period,
                                  _tower_descend, plateau_orbit_analysis)
 from chaos_edge.periods import is_power_of_two
+from chaos_edge.symbolic import doubling_side
 
 from conftest import random_xi
 
 F = Fraction
 
 C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade
+
+
+def assert_attracting_cycle(c, z0, period):
+    """z0 returns under plain z*z + c after ``period`` steps, multiplier below 1."""
+    z, mult = z0, 1.0
+    for _ in range(period):
+        mult *= 2 * z
+        z = z * z + c
+    assert abs(mult) < 1
+    assert abs(z - z0) <= 1e-6 * max(1.0, abs(z0))
+
+
+def assert_first_return(c, z0, period, rtol):
+    """z0 first returns under plain z*z + c after ``period`` steps, which is
+    not a power of two."""
+    assert not is_power_of_two(period)
+    tol = rtol * max(1.0, abs(z0))
+    z = z0
+    for k in range(1, period):
+        z = z * z + c
+        assert abs(z - z0) > tol, f"returns at step {k} of {period}"
+    z = z * z + c
+    assert abs(z - z0) <= tol
 
 
 class TestZeroCertificate:
@@ -256,6 +281,19 @@ class TestQuadraticCascade:
         assert w.period == 49152
         assert (w.orbit[0], w.orbit[-1]) == (-5.002009307430253e-06, -1.1837018997631716)
 
+    def test_positive_probe_scans_before_the_deep_retry(self, monkeypatch):
+        # the deepest positive probe of the default locate: its short
+        # attractor does not settle and its kneading sides it positive, so
+        # the scan runs first and the 600,000-step retry is not walked
+        walked = []
+        attractor = boundary._attractor_period
+        monkeypatch.setattr(boundary, "_attractor_period",
+                            lambda m, transient, *args, **kw:
+                            walked.append(transient) or attractor(m, transient, *args, **kw))
+        r = classify_quadratic(-1.401155189424753)
+        assert r.kind == POSITIVE and r.witness.period == 49152
+        assert walked == [60_000]
+
     # tower half-widths at a depth-14 zero probe, recorded from the earlier
     # tower, which bisected every sign change of R_j(x) - x (19 cells)
     DEPTH_14_WIDTHS = (1.7849728357750194, 0.7849728357750163, 0.30694187441208537,
@@ -273,32 +311,29 @@ class TestQuadraticCascade:
         assert (tuple(widths), reason) == (self.DEPTH_14_WIDTHS, "no-alpha")
         assert len(bisected) == 15          # one cell on each of the 15 levels tried
 
-    def test_default_resolution_locate(self):
-        # raised BudgetExhausted while undecided probes blocked refinement
+    def test_default_resolution_locate(self, monkeypatch):
+        # raised BudgetExhausted while undecided probes blocked refinement;
+        # the interior probes are sided by their kneading, so only the path's
+        # ends and the bracket's ends are classified, and the classifier is
+        # told the sides already found instead of walking them again
+        calls, sided = [], []
+        classify, side_of = boundary._classify_float, boundary.doubling_side
+        monkeypatch.setattr(boundary, "_classify_float",
+                            lambda m, side: calls.append(m) or classify(m, side))
+        monkeypatch.setattr(boundary, "doubling_side",
+                            lambda m: sided.append(m) or side_of(m))
         res = locate_boundary(quadratic_path(-1.5, -1.3))
         lo, hi = sorted(res.bracket)
         assert lo <= C_INF <= hi
         assert hi - lo <= DEFAULT.resolution_float
         assert res.undecided == 0
         assert res.probes <= 34
-        # re-check both sides by plain iteration of z*z + c
+        assert len(calls) <= 4
+        assert len(sided) == res.probes - 2
         c0, cert = res.zero_side
-        z, mult = cert.point, 1.0
-        for _ in range(cert.period):
-            mult *= 2 * z
-            z = z * z + c0
-        assert abs(mult) < 1
-        assert abs(z - cert.point) <= 1e-6 * max(1.0, abs(cert.point))
+        assert_attracting_cycle(c0, cert.point, cert.period)
         c1, wit = res.positive_side
-        assert not is_power_of_two(wit.period)
-        x0 = wit.orbit[0]
-        tol = 1e-7 * max(1.0, abs(x0))
-        z = x0
-        for k in range(1, wit.period):
-            z = z * z + c1
-            assert abs(z - x0) > tol, f"returns at step {k} of {wit.period}"
-        z = z * z + c1
-        assert abs(z - x0) <= tol
+        assert_first_return(c1, wit.orbit[0], wit.period, 1e-7)
 
     def test_float_results_hold_plain_floats(self):
         # the grid-scan bisection once ran on numpy scalars, whose x*x + c
@@ -308,6 +343,56 @@ class TestQuadraticCascade:
         for c in (-2.0, -1.5, -1.41):
             points.extend(classify_quadratic(c).witness.orbit)
         assert [x for x in points if type(x) is not float] == []
+
+
+def test_kneading_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
+    # a = -1.25 is the neutral 2 -> 4 doubling: its kneading sides it zero,
+    # which ends the routed bisection at width 0.25, but classify_float leaves
+    # it undecided, so the bisection runs again with every probe classified
+    # and returns the bracket it returned before probes were routed; the
+    # verdicts on the routed ends are reused, not made again
+    classified = []
+    classify = boundary._classify_float
+    monkeypatch.setattr(boundary, "_classify_float",
+                        lambda m, side: classified.append(m.stages) or classify(m, side))
+    path = type_b_path([(2, -1.0)], 0, -2.0, -1.0)
+    res = locate_boundary(path, bound=32, resolution=0.3)
+    assert res.bracket == (-1.375, -1.5)
+    assert len(classified) == len(set(classified)) == 6
+    # the stage (2, a) on [-1, 1] is z = -b x conjugate to z^2 + a, b^2 + a = b
+    def b_of(a):
+        return (1 + math.sqrt(1 - 4 * a)) / 2
+
+    a0, cert = res.zero_side
+    assert_attracting_cycle(a0, -b_of(a0) * cert.point, cert.period)
+    a1, wit = res.positive_side
+    assert_first_return(a1, -b_of(a1) * wit.orbit[0], wit.period, 1e-6)
+
+
+def test_doubling_side_agrees_with_classify_float():
+    # on every parameter the classifier decides: x^2 + c on both sides of
+    # c_inf, and one-stage type-B maps of orders 2 and 4
+    rnd = random.Random(1342)
+    maps = [Quadratic(C_INF + s * 10 ** rnd.uniform(-7, -1)) for s in (1, -1) for _ in range(20)]
+    maps += [build_type_b([(ell, rnd.uniform(lo, -0.2))])
+             for ell, lo in ((2, -2.0), (4, -1.26)) for _ in range(40)]
+    decided = 0
+    for m in maps:
+        r = classify_float(m)
+        if r.kind != UNDECIDED:
+            decided += 1
+            assert doubling_side(m) == r.kind, m
+    assert decided >= 110
+
+
+def test_stunted_locate_never_sides_by_kneading(monkeypatch):
+    def sided(*args):
+        raise AssertionError("doubling_side called on a stunted path")
+
+    monkeypatch.setattr(boundary, "doubling_side", sided)
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    res = locate_boundary(path, bound=64, resolution=F(1, 2**30))
+    assert res.undecided == 0 and res.gap <= F(1, 2**30)
 
 
 def test_type_b_probe_conjugate_to_positive_quadratic():

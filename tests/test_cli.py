@@ -209,8 +209,10 @@ class TestBoundaryCmd:
         assert w & (w - 1) != 0
 
     def test_quadratic_reads_only_resolution(self, tmp_path, capsys):
-        # and so does every float path
-        for desc, res, undecided in ((QUADRATIC_PATH, "1e-6", 0), (TYPE_B_PATH, "1e-4", 1)):
+        # and so does every float path; the type-B probe at the neutral 2 -> 4
+        # doubling a = -1.25, undecided by its attractor, is sided zero by its
+        # kneading
+        for desc, res, undecided in ((QUADRATIC_PATH, "1e-6", 0), (TYPE_B_PATH, "1e-4", 0)):
             path = write(tmp_path, "p.json", desc)
             code, out, _ = run_cli(capsys, "boundary", path, "--resolution", res)
             code2, out2, _ = run_cli(capsys, "boundary", path, "--resolution", res,

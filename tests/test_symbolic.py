@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (PiecewiseLinear, build_base, build_stunted, build_type_b,
-                        itinerary, kneading, psi, shape, signed_compare)
-from chaos_edge.symbolic import parse_syms, syms_str
+from chaos_edge import (PiecewiseLinear, PreconditionError, Quadratic, build_base,
+                        build_stunted, build_type_b, itinerary, kneading, psi, shape,
+                        signed_compare)
+from chaos_edge import symbolic
+from chaos_edge.symbolic import doubling_side, orientation, parse_syms, syms_str
 
 from conftest import random_xi
 
 F = Fraction
+
+C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade
 
 
 class TestItinerary:
@@ -174,3 +178,58 @@ class TestPsi:
         assert res.widths[0] > 0
         with pytest.raises(PreconditionError):
             psi(f, neg_base, 12, width_tol=F(1, 10**30))
+
+
+class TestDoublingSide:
+    """The side of the period-doubling limit by kneading (Milnor–Thurston)."""
+
+    @staticmethod
+    def closed_form(n, rev):
+        # symbol i is the reversing lap exactly when the 2-adic valuation of
+        # i + 1 is even, i.e. when its lowest set bit has an odd bit length
+        return [rev if ((i + 1) & -(i + 1)).bit_length() % 2 else 1 - rev for i in range(n)]
+
+    @pytest.mark.parametrize("rev", [0, 1])
+    def test_closed_form_is_the_doubling_rule(self, rev):
+        w, k = [rev], 1                    # W_1; W_{k+1} = W_k x_k W_k
+        while len(w) < 2 ** 16:
+            w = w + [rev if k % 2 == 0 else 1 - rev] + w
+            k += 1
+        assert self.closed_form(2 ** 16, rev) == w[:2 ** 16]
+
+    @pytest.mark.parametrize("c, side", [(-2.0, "positive"), (-1.75, "positive"),
+                                         (-1.5, "positive"), (-1.4, "zero"), (-1.3, "zero"),
+                                         (-1.0, None)])
+    def test_known_sides(self, c, side):
+        # c = -1 is superstable of period 2: the critical orbit hits 0
+        assert doubling_side(Quadratic(c)) == side
+
+    def test_one_stage_type_b_sides_like_its_quadratic(self):
+        # the stage (2, a) on [-1, 1] is conjugate to x^2 + a, with the
+        # orientation reversed: the map's own laps swap (at a = -1 its float
+        # orbit misses 0 by 7e-17, so that side is not compared)
+        for a in (-2.0, -1.75, -1.5, -1.4, -1.3):
+            assert doubling_side(build_type_b([(2, a)])) == doubling_side(Quadratic(a))
+
+    def test_agrees_with_signed_compare_against_the_closed_form(self):
+        # the doubled blocks of doubling_side against kneading and
+        # signed_compare read against the limit symbol by symbol
+        rnd = random.Random(18)
+        cs = [C_INF + s * 10 ** rnd.uniform(-5, -1) for s in (1, -1) for _ in range(15)]
+        maps = [Quadratic(c) for c in cs] + [build_type_b([(4, rnd.uniform(-1.2, -0.3))])
+                                            for _ in range(10)]
+        for m in maps:
+            eps = orientation(m)
+            limit = self.closed_form(1024, int(eps > 0))
+            cmp = signed_compare(kneading(m, 1024).nu[0], limit, eps)
+            assert cmp != 0
+            assert doubling_side(m) == ("positive" if cmp == eps else "zero"), m
+
+    def test_step_cap(self, monkeypatch):
+        # within 1e-12 of c_inf the first 2^12 symbols match the limit's
+        monkeypatch.setattr(symbolic, "DOUBLING_STEPS", 2 ** 12)
+        assert doubling_side(Quadratic(C_INF)) is None
+
+    def test_needs_an_even_map(self):
+        with pytest.raises(PreconditionError):
+            doubling_side(build_type_b([(2, -1.5), (2, -1.5)]))
