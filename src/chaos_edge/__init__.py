@@ -22,8 +22,7 @@ from .renorm import (CascadeTrace, QuadraticFamily, RestrictiveInterval,
                      renormalize, superstable_parameter, superstable_sequence)
 from .boundary import (BoundaryResult, FloatZeroCertificate, ParameterPath,
                        ZeroEntropyCertificate, approximants, classify_float,
-                       classify_probe, classify_quadratic, classify_stunted,
-                       locate_boundary,
+                       classify_probe, classify_stunted, locate_boundary,
                        quadratic_path, stunted_path, type_b_path,
                        verify_zero_certificate, zero_entropy_certificate)
 

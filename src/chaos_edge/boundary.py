@@ -83,6 +83,7 @@ UNDECIDED = "undecided"
 ATTRACTING_TOL = 1e-8       # relative tolerance for an orbit tail repeating
 CASCADE_DEPTH = 16          # return-map levels the quadratic tower attempts
 FLOAT_WIDTH_FLOOR = 1e-9    # tower fixed points closer to 0 than this are noise
+MAX_PROBES = 400            # probes of one bisection of locate_boundary
 SCAN_PERIODS = (3, 5, 6, 7, 9, 10, 11, 12)   # non-power-of-two periods the grid scan tries
 ZERO_CERT_LEVELS = 24       # largest k admitted in 2^k plateau periods
 
@@ -135,14 +136,6 @@ class ProbeResult:
     witness: Optional[Witness] = None
     certificate: object = None
     note: str = ""
-
-    def as_dict(self):
-        d = {"kind": self.kind, "note": self.note}
-        if self.witness is not None:
-            d["witness"] = self.witness.as_dict()
-        if self.certificate is not None:
-            d["certificate"] = self.certificate.as_dict()
-        return d
 
 
 def _plateau_values(T):
@@ -208,7 +201,7 @@ def decide_exact(T, levels_bound: int, bound: int,
         raise BudgetExhausted(
             f"plateau orbit {recs.index(None)} did not close up within "
             f"orbit_budget={config.orbit_budget} steps")
-    analysis = cycle_analysis(build_markov(T, *config.markov_budget()))
+    analysis = cycle_analysis(build_markov(T, config.orbit_budget))
     if analysis.witness_orbit is not None:
         w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
         if verify_witness(T, w):
@@ -264,7 +257,7 @@ def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
     """Re-derive each plateau record by walking its orbit on the map itself,
     by ``exact_walk`` apart from the lattice route, then recompute the
     certificate and compare."""
-    values, step = exact_walk(as_pl(T), _plateau_values(T))
+    values, step = exact_walk(T, _plateau_values(T))
     recs = cert.plateau_orbits
     if [r.plateau for r in recs] != list(range(len(values))):
         return False
@@ -503,13 +496,6 @@ def _classify_float(m, side: Optional[str]) -> ProbeResult:
                                        f"attractors {[p for p, _ in atts]}")
 
 
-def classify_quadratic(c: float) -> ProbeResult:
-    """``classify_float`` of x^2 + c."""
-    if not (-2.0 <= c <= 0.25):
-        raise PreconditionError(f"c={c} outside [-2, 1/4]")
-    return classify_float(Quadratic(c))
-
-
 # ---------------------------------------------------------------------
 # parameter paths and bisection
 # ---------------------------------------------------------------------
@@ -613,19 +599,19 @@ class BoundaryResult:
 
 
 def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
-                    resolution=None, config: RunConfig = DEFAULT,
-                    max_probes: int = 400) -> BoundaryResult:
+                    resolution=None, config: RunConfig = DEFAULT) -> BoundaryResult:
     """Bisect the path between a zero-certified and a positively-witnessed
     parameter until the certified bracket is narrower than the resolution.
 
     Probes that certify neither way are counted and the bracket is refined
-    around them at quarter points; if every refinement probe is undecided the
-    search stops with the budget error.  On a float path an interior probe
-    of an even map takes its side from ``doubling_side`` when that gives
-    one; the ends so sided are classified at the end (not counted as
-    probes), and if a verdict differs from its side the bisection runs again
-    with every probe classified, with a budget of its own.  Only such a
-    contradiction re-runs it: a budget error of the routed pass is raised.
+    around them at quarter points; if every refinement probe is undecided,
+    or past ``MAX_PROBES`` probes, the search stops with the budget error.
+    On a float path an interior probe of an even map takes its side from
+    ``doubling_side`` when that gives one; the ends so sided are classified
+    at the end (not counted as probes), and if a verdict differs from its
+    side the bisection runs again with every probe classified, with a budget
+    of its own.  Only such a contradiction re-runs it: a budget error of the
+    routed pass is raised.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -679,7 +665,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
                     raise BudgetExhausted(f"undecided probes block refinement below width "
                                           f"{width(zero, pos)}")
         if width(zero, pos) > resolution:
-            raise BudgetExhausted(f"probe budget exhausted: max_probes={max_probes} "
+            raise BudgetExhausted(f"probe budget exhausted: max_probes={MAX_PROBES} "
                                   f"reached at width {width(zero, pos)}")
         return zero, pos
 
@@ -697,7 +683,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     else:
         zero, pos = (path.t_hi, r_hi), (path.t_lo, r_lo)
         orientation = "decreasing"
-    ends = bisect(zero, pos, max_probes, routed=not path.exact)
+    ends = bisect(zero, pos, MAX_PROBES, routed=not path.exact)
     # an end sided by kneading alone is classified; this is not a new probe
     for t, r in ends:
         verdicts[t] = _classified(*sided[t]) if t in sided else r
@@ -706,7 +692,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         # an end's evidence disagrees with its kneading side: bisect again
         # from the path's ends with every probe classified, the verdicts
         # above reused
-        ends = bisect(zero, pos, probes + max_probes - 2, routed=False)
+        ends = bisect(zero, pos, probes + MAX_PROBES - 2, routed=False)
     (t_zero, r_zero), (t_pos, r_pos) = ends
     return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),
                           (t_zero, r_zero.certificate), (t_pos, r_pos.witness),
@@ -718,35 +704,23 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
 # ---------------------------------------------------------------------
 
 
-def approximants(T_gamma: StuntedSawtooth, radius, direction=None,
-                 bound: Optional[int] = None, config: RunConfig = DEFAULT):
+def approximants(T_gamma: StuntedSawtooth, radius, config: RunConfig = DEFAULT):
     """Two stunted maps within sup-distance radius of T_gamma and with its
     shape: one with a positive-entropy witness, one zero-certified.
 
-    The perturbation moves along a coordinatewise-nonnegative direction
-    (default all-ones), which changes the map by at most the step size in
-    sup-norm; shapes are re-checked exactly.
+    Every plateau height moves by the same step, which changes the map by at
+    most the step in sup-norm; shapes are re-checked exactly.
     """
     radius = rat(radius)
     if radius <= 0:
         raise PreconditionError("radius must be positive")
-    if bound is None:
-        bound = PERIOD_BOUND_EXACT
-    m = T_gamma.m
-    if direction is None:
-        direction = (Fraction(1),) * m
-    direction = tuple(rat(d) for d in direction)
-    if any(d < 0 for d in direction) or all(d == 0 for d in direction):
-        raise PreconditionError("direction must be nonnegative and nonzero")
-    scale = max(direction)
-    direction = tuple(d / scale for d in direction)
     tau = shape(T_gamma)
     e = T_gamma.base.e
     tried = []
     for r in (radius, radius / 2, radius / 4):
         try:
-            plus = T_gamma.shifted(tuple(r * d for d in direction))
-            minus = T_gamma.shifted(tuple(-r * d for d in direction))
+            plus = T_gamma.shifted((r,) * T_gamma.m)
+            minus = T_gamma.shifted((-r,) * T_gamma.m)
         except ValueError:
             tried.append((r, "inadmissible"))
             continue
@@ -761,7 +735,7 @@ def approximants(T_gamma: StuntedSawtooth, radius, direction=None,
             tried.append((r, "no positive witness"))
             continue
         try:
-            cert = zero_entropy_certificate(minus, ZERO_CERT_LEVELS, bound, config)
+            cert = zero_entropy_certificate(minus, config=config)
         except BudgetExhausted:
             cert = None
         if cert is None:

@@ -22,12 +22,13 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
-from .maps import as_pl, is_exact
+from .maps import StuntedSawtooth, as_pl, is_exact
 from .markov import build_markov, cyclic_components
 from .periods import PERIOD_BOUND_EXACT, is_power_of_two, turning_points_of_iterate
-from .piecewise import strict_lap_count
+from .piecewise import ratio, strict_lap_count
 
 LAP_CAP = 10**9                 # lap counts above this saturate a lap series
+WITNESS_TOL = 1e-10             # float witness points map to the next within this
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def _graph_laps(pl, config: RunConfig):
     """
     if not pl.is_self_map():
         raise PreconditionError("iterated lap counts need a self-map")
-    system = build_markov(pl, *config.markov_budget())
+    system = build_markov(pl, config.orbit_budget)
     signs = [0 if aff is None else (1 if aff[0] > 0 else -1) for aff in system.affine]
     laps, left, right = [abs(s) for s in signs], signs, signs
     while True:
@@ -209,7 +210,7 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
     pl = as_pl(m)
     if not pl.is_self_map():
         raise PreconditionError("Markov entropy needs a self-map")
-    system = build_markov(pl, *config.markov_budget())
+    system = build_markov(pl, config.orbit_budget)
     lo, hi = _radius_bracket(system.rows, system.size)
     if hi <= 1.0:
         return EntropyEstimate(0.0, "markov-exact", system.size, 0.0)
@@ -235,49 +236,56 @@ class Witness:
         return d
 
 
-def exact_walk(pl, points):
+def exact_walk(m, points):
     """(numerators, step) for re-walking orbits of an exact map apart from the
-    lattice route: over q, the lcm of the denominators of pl's breakpoints
-    and values and of ``points``, the points times q, and step(P), the image
-    of P/q times q by the map's own slopes and its own search of the
-    breakpoints times q (an int while slopes are integral, else exact)."""
-    q = math.lcm(*(v.denominator for v in (*pl.xs, *pl.ys, *points)))
-    xs = [x.numerator * (q // x.denominator) for x in pl.xs]
-    icpt = [y.numerator * (q // y.denominator) - s * x for x, y, s in zip(xs, pl.ys, pl.slopes)]
-    slopes, last = pl.slopes, len(xs) - 1
+    lattice route.  The nodes are the breakpoints and values that a stunted
+    map's ``pl`` is made from, ints over its N, or a raw ``PiecewiseLinear``'s
+    own; over q, the lcm of the denominators of the nodes and of ``points``,
+    the points times q, and step(P), the image of P/q times q by slopes of
+    its own from the nodes times q and a search of the breakpoints times q
+    (an int while slopes are integral, else exact)."""
+    # a stunted map's int nodes are read, not its lattice() route
+    n, nodes = m._lattice if isinstance(m, StuntedSawtooth) else (1, m)
+    q = math.lcm(*(n * v.denominator for v in (*nodes.xs, *nodes.ys)),
+                 *(v.denominator for v in points))
+    xs, ys = ([v.numerator * (q // (n * v.denominator)) for v in vs]
+              for vs in (nodes.xs, nodes.ys))
+    slopes = [ratio(v - u, b - a) for a, b, u, v in zip(xs, xs[1:], ys, ys[1:])]
+    icpt = [y - s * x for x, y, s in zip(xs, ys, slopes)]
+    last = len(xs) - 1
 
     def step(p):
         if not xs[0] <= p <= xs[-1]:
-            raise DomainEscapeError(f"{p}/{q} outside [{pl.lo}, {pl.hi}]")
+            raise DomainEscapeError(f"{p}/{q} outside [{xs[0]}/{q}, {xs[-1]}/{q}]")
         i = bisect_right(xs, p, 1, last) - 1
         return slopes[i] * p + icpt[i]
 
     return [x.numerator * (q // x.denominator) for x in points], step
 
 
-def verify_witness(m, w: Witness, tol: float = 1e-10) -> bool:
+def verify_witness(m, w: Witness) -> bool:
     """Re-verify a periodic-orbit witness against the map itself: it lists
     ``period`` points, not a power of two.  On an exact map, by
     ``exact_walk``, every listed point maps to the next (the last to the
     first) and no two are equal; on a float map every listed point maps to
-    the next within tol, and the first returns within tol after ``period``
-    steps and not before."""
+    the next within ``WITNESS_TOL``, and the first returns within it after
+    ``period`` steps and not before."""
     if (w.orbit is None or w.period is None or len(w.orbit) != w.period
             or is_power_of_two(w.period)):
         return False
     if is_exact(m):
-        ps, step = exact_walk(as_pl(m), w.orbit)
+        ps, step = exact_walk(m, w.orbit)
         try:
             return (len(set(ps)) == w.period
                     and all(step(p) == y for p, y in zip(ps, ps[1:] + ps[:1])))
         except DomainEscapeError:
             return False
-    if any(abs(m(x) - y) > tol for x, y in zip(w.orbit, w.orbit[1:])):
+    if any(abs(m(x) - y) > WITNESS_TOL for x, y in zip(w.orbit, w.orbit[1:])):
         return False
     x = y = w.orbit[0]
     for k in range(1, w.period + 1):
         y = m(y)
-        if (abs(y - x) <= tol) != (k == w.period):
+        if (abs(y - x) <= WITNESS_TOL) != (k == w.period):
             return False
     return True
 

@@ -18,8 +18,6 @@ from typing import Callable, Sequence
 from .errors import DescriptorError, PreconditionError
 from .piecewise import PiecewiseLinear
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to an exact rational."""
@@ -99,9 +97,6 @@ class SawtoothBase:
         tops = (Fraction(s * self.lam * (-1) ** k) for k in range(self.m))
         return PiecewiseLinear((-e, *self.turning_points, e),
                                (-s * e, *tops, s * (-1) ** self.m * e))
-
-    def __call__(self, x):
-        return self.pl(x)
 
 
 def build_base(m: int, epsilon: int = 1) -> SawtoothBase:

@@ -49,30 +49,31 @@ class MarkovSystem:
         return len(self.points) - 1
 
 
-def build_markov(m, budget: int, budget_name: str = "budget") -> MarkovSystem:
+def build_markov(m, budget: int) -> MarkovSystem:
     """Partition by the forward closure of the breakpoints of an exact map m,
     in the lattice coordinates of ``m.lattice()``; raises MarkovBudgetError,
-    naming ``budget_name``, past ``budget`` points."""
+    naming ``orbit_budget``, past ``budget`` points."""
     n, lat = m.lattice()
     if not lat.is_self_map():
         raise MarkovBudgetError("not a self-map")
     points = set(lat.xs)
     frontier = list(points)
+    image = {}              # partition point -> its image, kept from the walk
     while frontier:
         nxt = []
         for x in frontier:
-            y = lat(x)
+            y = image[x] = lat(x)
             if y not in points:
                 points.add(y)
                 nxt.append(y)
                 if len(points) > budget:
                     raise MarkovBudgetError(
-                        f"not Markov within {budget_name}={budget}: "
+                        f"not Markov within orbit_budget={budget}: "
                         f"breakpoint orbits exceed {budget} points")
         frontier = nxt
     pts = sorted(points)
     index = {x: i for i, x in enumerate(pts)}
-    nxt = tuple(index[lat(x)] for x in pts)
+    nxt = tuple(index[image[x]] for x in pts)
     rows = []
     affine = []
     for i in range(len(pts) - 1):

@@ -131,6 +131,7 @@ def _periodic_exact(m, p, config, cursor=None):
 
 GRID_CELLS = 4096               # samples of a float periodic-point grid (2**12)
 LAP_SAMPLES_PER_CALL = 1 << 16  # lap_roots samples per iterate_grid call, to bound memory
+NEWTON_STEPS = 4                # steps of a newton_polish
 
 
 def _preimages(m, w, xtol):
@@ -174,14 +175,15 @@ def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
     return cur
 
 
-def newton_polish(g, x, lo, hi, steps: int = 4):
-    """Polish a root of g in [lo, hi] to machine precision with Newton steps.
+def newton_polish(g, x, lo, hi):
+    """Polish a root of g in [lo, hi] to machine precision with at most
+    ``NEWTON_STEPS`` Newton steps.
 
     g is evaluated only in [lo, hi]: the difference quotient is clamped to
     the interval, and a step that would leave it ends the polish.
     """
     h = 1e-7 * max(1.0, abs(lo), abs(hi))
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         gx = g(x)
         if gx == 0:
             return x

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
@@ -32,6 +33,10 @@ from .periods import lap_roots, periodic_points, turning_points_of_iterate
 from .piecewise import Affine, PieceCursor, PiecewiseLinear, solve_on_pieces
 
 RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
+RESTRICTIVE_CANDIDATES = 8        # boundary candidates find_restrictive tries per side
+# a doubling ratio from a gap of g·tol between superstable parameters is off
+# by about 1.5/g (x^2 + c, tol 1e-13), so gaps below this many tols stop it
+DELTA_GAP_TOLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,6 @@ class RestrictiveInterval:
     interval: Interval
     period: int
     turning_hits: tuple      # orbit steps at which a turning point is inside
-    maximal: bool = True
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,7 @@ def _verify_restrictive(m, regions, a, b, n, config) -> Optional[RestrictiveInte
     return RestrictiveInterval(Interval(a, b), n, tuple(hits))
 
 
-def find_restrictive(m, period: int, config: RunConfig = DEFAULT,
-                     max_candidates: int = 8) -> Optional[RestrictiveInterval]:
+def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[RestrictiveInterval]:
     """Widest verified restrictive interval of the given period, if any."""
     if period < 2:
         raise PreconditionError("period must be >= 2")
@@ -172,17 +175,17 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT,
     regions = turning_regions(m)
     best = None
     for tlo, thi, _ in regions:
-        left = [p for p in pts if p < tlo][-max_candidates:]
-        right = [p for p in pts if p > thi][:max_candidates]
+        left = [p for p in pts if p < tlo][-RESTRICTIVE_CANDIDATES:]
+        right = [p for p in pts if p > thi][:RESTRICTIVE_CANDIDATES]
         for p in reversed(left):
             mates = _solve_iterate_on_side(m, period, p, thi, dom.hi, config, cursor)
-            for phat in mates[:max_candidates]:
+            for phat in mates[:RESTRICTIVE_CANDIDATES]:
                 ri = _verify_restrictive(m, regions, p, phat, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
                     best = ri
         for p in right:
             mates = _solve_iterate_on_side(m, period, p, dom.lo, tlo, config, cursor)
-            for phat in reversed(mates[-max_candidates:]):
+            for phat in reversed(mates[-RESTRICTIVE_CANDIDATES:]):
                 ri = _verify_restrictive(m, regions, phat, p, period, config)
                 if ri and (best is None or ri.interval.width > best.interval.width):
                     best = ri
@@ -312,10 +315,11 @@ class SuperstableSequence:
         return self.deltas[-1]
 
 
-def superstable_sequence(family, k_max: int, tol: float = 1e-13) -> list:
-    """Parameters c_0..c_k_max with the critical point periodic of period 2^k."""
+def _superstable_params(family, tol: float):
+    """c_0, c_1, ...: the parameters with the critical point periodic of
+    period 2^k, each bisected to ``tol``."""
     cs = []
-    for k in range(k_max + 1):
+    for k in count():
         if k == 0:
             lo, hi = family.bracket0
         elif k == 1:
@@ -339,7 +343,12 @@ def superstable_sequence(family, k_max: int, tol: float = 1e-13) -> list:
                 f"no sign change for the period-2^{k} superstable equation "
                 f"near [{lo:.6g}, {hi:.6g}] (phi = {flo:.3g}, {fhi:.3g})")
         cs.append(bisect_root(phi, lo, hi, tol, flo))
-    return cs
+        yield cs[-1]
+
+
+def superstable_sequence(family, k_max: int, tol: float = 1e-13) -> list:
+    """Parameters c_0..c_k_max with the critical point periodic of period 2^k."""
+    return list(islice(_superstable_params(family, tol), k_max + 1))
 
 
 def superstable_parameter(family, k: int, tol: float = 1e-13) -> float:
@@ -349,18 +358,23 @@ def superstable_parameter(family, k: int, tol: float = 1e-13) -> float:
 
 
 def feigenbaum_delta(family, k_max: int, tol: float = 1e-13) -> SuperstableSequence:
-    """Doubling ratios delta_k = (c_{k-1}-c_{k-2})/(c_k-c_{k-1}) up to k_max."""
+    """Doubling ratios delta_k = (c_{k-1}-c_{k-2})/(c_k-c_{k-1}) up to k_max.
+
+    The c_k are made one at a time; a gap c_k - c_{k-1} narrower than
+    ``DELTA_GAP_TOLS`` times ``tol`` is not resolved by the bisection, so
+    the sequence stops there, with that c_k and without its ratio, and
+    ``precision_flag`` set.
+    """
     if k_max < 5:
         raise PreconditionError("k_max must be >= 5 for a stable ratio")
-    cs = superstable_sequence(family, k_max, tol)
+    cs = []
     deltas = []
-    flag = False
-    eps = 2.2e-16
-    for k in range(2, k_max + 1):
-        d_prev = cs[k - 1] - cs[k - 2]
-        d_cur = cs[k] - cs[k - 1]
-        if abs(d_cur) < 1e3 * eps:
-            flag = True
-            break
+    for c in islice(_superstable_params(family, tol), k_max + 1):
+        cs.append(c)
+        if len(cs) < 3:
+            continue
+        d_prev, d_cur = cs[-2] - cs[-3], cs[-1] - cs[-2]
+        if abs(d_cur) < DELTA_GAP_TOLS * tol:
+            return SuperstableSequence(tuple(cs), tuple(deltas), True)
         deltas.append(d_prev / d_cur)
-    return SuperstableSequence(tuple(cs), tuple(deltas), flag)
+    return SuperstableSequence(tuple(cs), tuple(deltas), False)

@@ -60,10 +60,6 @@ def parse_syms(text: str):
 class Itinerary:
     symbols: tuple
 
-    @property
-    def depth(self) -> int:
-        return len(self.symbols)
-
     def __str__(self):
         return syms_str(self.symbols)
 
@@ -324,8 +320,7 @@ def orientation(m) -> int:
     return 1 if m(probe) > m(dom.lo) else -1
 
 
-def psi(m, base: SawtoothBase, depth: int = 64,
-        width_tol: Optional[Fraction] = None) -> PsiResult:
+def psi(m, base: SawtoothBase, depth: int = 64) -> PsiResult:
     """Project a multimodal map onto the stunted family with the same kneading.
 
     For each turning point, finds the point s_i in the (i+1)-th lap of the
@@ -361,11 +356,6 @@ def psi(m, base: SawtoothBase, depth: int = 64,
         else:
             ss.append(c_lo)
             widths.append(c_hi - c_lo)
-    if width_tol is not None:
-        bad = [w for w in widths if w > width_tol]
-        if bad:
-            raise PreconditionError(
-                f"depth {depth} leaves candidate width {max(bad)} > {width_tol}")
     xi = []
     for i, s_k in enumerate(ss, start=1):
         v = base.pl(s_k)

@@ -7,7 +7,6 @@ import pytest
 
 from chaos_edge import (DEFAULT, BudgetExhausted, PreconditionError, Quadratic, build_base,
                         build_stunted, build_type_b, approximants, classify_float, classify_probe,
-                        classify_quadratic,
                         classify_stunted, locate_boundary,
                         positive_entropy_witness, quadratic_path,
                         shape, stunted_path, type_b_path, verify_witness,
@@ -144,12 +143,6 @@ class TestClassify:
         assert r.note == ("not Markov within orbit_budget=2: "
                           "breakpoint orbits exceed 2 points")
 
-    def test_markov_max_states_named(self, T12):
-        r = classify_stunted(T12, 64, DEFAULT.with_(markov_max_states=2))
-        assert r.kind == UNDECIDED
-        assert r.note == ("not Markov within markov_max_states=2: "
-                          "breakpoint orbits exceed 2 points")
-
     def test_plateau_orbit_budget_named(self, base1):
         r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
                              DEFAULT.with_(orbit_budget=5))
@@ -157,8 +150,8 @@ class TestClassify:
         assert r.note == "plateau orbit 0 did not close up within orbit_budget=5 steps"
 
     def test_quadratic_sides(self):
-        assert classify_quadratic(-1.3).kind == ZERO
-        assert classify_quadratic(-1.5).kind == POSITIVE
+        assert classify_float(Quadratic(-1.3)).kind == ZERO
+        assert classify_float(Quadratic(-1.5)).kind == POSITIVE
 
 
 class TestLocate:
@@ -209,6 +202,52 @@ class TestLocate:
         lo, hi = sorted(res.bracket)
         assert lo < -1.4011551 < hi
 
+    def test_undecided_probes_refined_at_quarter_points(self, base1, monkeypatch):
+        # 5/4 undecided: its quarter points are 9/8, also undecided, and
+        # 11/8, positive, which moves the bracket on
+        undecided = []
+        classify = boundary.classify_stunted
+
+        def stunted(T, bound, config):
+            if T.xi[0] in (F(5, 4), F(9, 8)):
+                undecided.append(T.xi[0])
+                return boundary.ProbeResult(UNDECIDED, note="withheld")
+            return classify(T, bound, config)
+
+        monkeypatch.setattr(boundary, "classify_stunted", stunted)
+        path = stunted_path(base1, [F(0)], [F(1)], F(1, 2), F(3, 2))
+        res = locate_boundary(path, bound=64, resolution=F(1, 2**20))
+        assert sorted(set(undecided)) == [F(9, 8), F(5, 4)]
+        assert res.undecided == len(undecided)
+        assert res.gap <= F(1, 2**20)
+        (t_lo, cert), (t_hi, wit) = res.zero_side, res.positive_side
+        assert verify_zero_certificate(path.map_at(t_lo), cert)
+        assert verify_witness(path.map_at(t_hi), wit)
+
+    def test_undecided_refinement_raises_with_the_width(self, base1, monkeypatch):
+        classify = boundary.classify_stunted
+        ends = (F(1, 2), F(3, 2))
+        monkeypatch.setattr(boundary, "classify_stunted", lambda T, bound, config: (
+            classify(T, bound, config) if T.xi[0] in ends
+            else boundary.ProbeResult(UNDECIDED, note="withheld")))
+        path = stunted_path(base1, [F(0)], [F(1)], *ends)
+        with pytest.raises(BudgetExhausted) as info:
+            locate_boundary(path, bound=64, resolution=F(1, 2**20))
+        assert str(info.value) == "undecided probes block refinement below width 1"
+
+    def test_unsided_probes_are_classified(self, monkeypatch):
+        # with no probe sided by its kneading, the routed pass classifies
+        # every one and ends on the bracket that routing finds
+        path = quadratic_path(-1.5, -1.3)
+        routed = locate_boundary(path, resolution=1e-6)
+        monkeypatch.setattr(boundary, "doubling_side", lambda m: None)
+        res = locate_boundary(path, resolution=1e-6)
+        assert res.bracket == routed.bracket
+        c0, cert = res.zero_side
+        assert_attracting_cycle(c0, cert.point, cert.period)
+        c1, wit = res.positive_side
+        assert_first_return(c1, wit.orbit[0], wit.period, 1e-7)
+
 
 
 class TestQuadraticCascade:
@@ -245,7 +284,7 @@ class TestQuadraticCascade:
 
     @pytest.mark.parametrize("c, period", DEEP_ZERO)
     def test_deep_zero_probe(self, c, period):
-        r = classify_quadratic(c)
+        r = classify_float(Quadratic(c))
         assert r.kind == ZERO
         assert r.certificate.period == period
         assert abs(r.certificate.multiplier) < 1
@@ -290,7 +329,7 @@ class TestQuadraticCascade:
         monkeypatch.setattr(boundary, "_attractor_period",
                             lambda m, transient, *args, **kw:
                             walked.append(transient) or attractor(m, transient, *args, **kw))
-        r = classify_quadratic(-1.401155189424753)
+        r = classify_float(Quadratic(-1.401155189424753))
         assert r.kind == POSITIVE and r.witness.period == 49152
         assert walked == [60_000]
 
@@ -341,7 +380,7 @@ class TestQuadraticCascade:
         res = locate_boundary(quadratic_path(-1.5, -1.3), bound=32, resolution=1e-6)
         points = [res.zero_side[1].point, *res.positive_side[1].orbit]
         for c in (-2.0, -1.5, -1.41):
-            points.extend(classify_quadratic(c).witness.orbit)
+            points.extend(classify_float(Quadratic(c)).witness.orbit)
         assert [x for x in points if type(x) is not float] == []
 
 
@@ -411,7 +450,7 @@ def test_one_stage_type_b_agrees_with_quadratic():
     path = type_b_path([(2, -1.0)], 0, -2.0, -1.0)
     for k in range(19):
         a = -1.9 + 0.05 * k
-        rb, rq = classify_probe(path, a, 32), classify_quadratic(a)
+        rb, rq = classify_probe(path, a, 32), classify_float(Quadratic(a))
         assert (rb.kind, _period(rb)) == (rq.kind, _period(rq)), a
 
 
@@ -524,8 +563,9 @@ class TestExactRoute:
         assert min(verdicts.values()) > 0
 
 
-def test_probe_budget_error_names_max_probes():
+def test_probe_budget_error_names_max_probes(monkeypatch):
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    monkeypatch.setattr(boundary, "MAX_PROBES", 5)
     with pytest.raises(BudgetExhausted) as info:
-        locate_boundary(path, resolution=F(1, 2**30), max_probes=5)
+        locate_boundary(path, resolution=F(1, 2**30))
     assert str(info.value) == "probe budget exhausted: max_probes=5 reached at width 1/8"

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,14 @@ class TestFeigenbaumCmd:
         assert rows[0] == ["k", "c_k", "delta_k"]
         assert len(rows) == 7
 
+    def test_deep_k_max_stops_with_the_flag(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "feigenbaum", "--k-max", "30")
+        assert time.perf_counter() - start < 2
+        rep = json.loads(out)
+        assert code == 0 and rep["precision_flag"]
+        assert abs(rep["value"] - 4.6692016) < 1e-3
+
 
 class TestBoundaryCmd:
     def test_stunted_path(self, tmp_path, capsys):
@@ -255,6 +264,18 @@ class TestSweepCmd:
         assert len(hs) >= 15
         for a, b in zip(hs, hs[1:]):
             assert a <= b + 1e-9
+
+    def test_type_b_attracting_period(self, tmp_path, capsys):
+        # the column was empty on every type-B row; at a = -1.0 the one-stage
+        # map attracts a 2-cycle, as the row's own orbit samples show
+        desc = {"family": "type_b", "stages": [[2, -1.0]], "t_lo": -2.0, "t_hi": -1.0}
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
+                               "--grid", "5")
+        rows = {r[0]: r for r in csv.reader(io.StringIO(out))}
+        assert code == 0
+        assert rows["-1.75"][2] == "3" and rows["-1.0"][2] == "2"
+        samples = [float(x) for x in rows["-1.0"][3].split(";")]
+        assert samples[::2] == samples[:1] * 8 and samples[1::2] == samples[1:2] * 8
 
     def test_grid_of_one_rejected(self, tmp_path, capsys):
         desc = {"family": "quadratic", "t_lo": -2.0, "t_hi": 0.25}
@@ -441,7 +462,7 @@ def _unread_options(parser, tmp_path, monkeypatch):
                 parser.parse_args([name, *positional, *base, flag, *value], namespace=args)
                 args._log.clear()
                 configs.clear()
-                cli.COMMANDS[name](args)
+                getattr(cli, f"cmd_{name}")(args)
                 via_config = [cfg for dests, cfg in configs if action.dest in dests]
                 if action.dest not in args._log or (
                         via_config and not any(cfg.changed_and_read() for cfg in via_config)):
@@ -459,6 +480,14 @@ def test_an_unread_option_is_caught(tmp_path, monkeypatch):
     parser = cli.build_parser()
     _subparsers(parser)["kneading"].add_argument("--unused", type=int, default=None)
     assert _unread_options(parser, tmp_path, monkeypatch) == [("kneading", "--unused")]
+
+
+def test_config_has_three_fields():
+    # the two resolutions are class constants: nothing sets them
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "precision", "piece_budget", "orbit_budget"]
+    assert RunConfig().resolution_float == 1e-9
+    assert RunConfig(piece_budget=2000).piece_budget == 2000
 
 
 def test_config_rejects_non_positive_precision():

@@ -148,6 +148,17 @@ class TestEntropyMarkov:
         with pytest.raises(MarkovBudgetError):
             entropy_markov(T, DEFAULT.with_(orbit_budget=10))
 
+    def test_markov_cap_is_the_orbit_budget(self):
+        # slopes 2, 2, -2: a tent map whose breakpoint closure has 22,509
+        # points, past the default budget; one budget caps plateau orbits
+        # and Markov partitions alike, so raising it admits the partition
+        T = PiecewiseLinear([F(0), F(1, 45013), F(1, 2), F(1)],
+                            [F(0), F(2, 45013), F(1), F(0)])
+        est = entropy_markov(T, DEFAULT.with_(orbit_budget=100_000))
+        assert abs(est.value - LOG2) <= 1e-10 and est.n_used == 22509
+        with pytest.raises(MarkovBudgetError, match="not Markov within orbit_budget=20000"):
+            entropy_markov(T)
+
     def test_backend_agreement_on_clean_maps(self, base1, base2):
         maps = [build_stunted(base1, [F(3, 2)]),
                 build_stunted(base1, [F(1, 2)]),

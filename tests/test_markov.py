@@ -108,7 +108,7 @@ class TestLattice:
         return out
 
     def test_partition_matches_fraction_closure(self):
-        budget, _ = DEFAULT.markov_budget()
+        budget = DEFAULT.orbit_budget
         checked = 0
         for T in self.maps():
             ref = fraction_partition(T.pl, budget)

@@ -234,6 +234,17 @@ class TestFeigenbaum:
         tail = est.deltas[-3:]
         assert all(abs(d - 4.6692016) < 0.05 for d in tail)
 
+    def test_stops_where_the_bisection_stops_resolving(self):
+        # c_k is bisected to tol = 1e-13 while the gaps c_k - c_{k-1} shrink
+        # by delta per step; computing all c_k gave delta_16 = 4.6703 and
+        # delta_20 = 1.405 with the flag off, and k_max = 30 did not finish
+        for k_max in (12, 14, 15, 16, 20, 30):
+            est = feigenbaum_delta(QuadraticFamily(), k_max)
+            assert abs(est.value - 4.6692016) < 1e-3, k_max
+            assert est.precision_flag == (k_max > 14)
+            assert len(est.params) == min(k_max, 15) + 1
+            assert len(est.deltas) == min(k_max, 14) - 1
+
     def test_kmax_precondition(self):
         from chaos_edge import PreconditionError
         with pytest.raises(PreconditionError):

@@ -171,13 +171,11 @@ class TestPsi:
 
     def test_width_report(self):
         # an aperiodic kneading prefix cannot be pinned exactly at depth 10
-        from chaos_edge import PreconditionError, Quadratic, build_base
+        from chaos_edge import Quadratic, build_base
         f = Quadratic(-1.401155)
         neg_base = build_base(1, -1)
         res = psi(f, neg_base, 12)
         assert res.widths[0] > 0
-        with pytest.raises(PreconditionError):
-            psi(f, neg_base, 12, width_tol=F(1, 10**30))
 
 
 class TestDoublingSide:
