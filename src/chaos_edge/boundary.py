@@ -7,13 +7,17 @@ parameter is *positive* when a plateau cycle, or a splice of two cycles of a
 branching transition component, is an exactly re-verified orbit whose period
 is not a power of two; it is *zero* when every plateau orbit closes up into a
 cycle of period 2^k (k bounded) and every transition component is a single
-cycle with power-of-two periods.  Bisection keeps a certified bracket;
-probes that certify neither way (a budget ran out) are flagged and the
-bracket is refined around them.
+cycle with power-of-two periods.  The closure is the route's one walk
+(``markov.build_markov``, each point evaluated once): the plateau records
+and a plateau-cycle witness are read off it (``plateau_orbit_analysis``),
+and the transition graph is derived from it only when the plateau cycles
+do not decide.  Bisection keeps a certified bracket; probes that certify
+neither way (a budget ran out) are flagged and the bracket is refined
+around them.
 
 The route runs in the lattice coordinates X = N·x of the map's
 ``lattice()``, which a stunted map builds first: it has integer slopes, so
-plateau orbits and the Markov closure are int arithmetic, and ``Fraction``s
+the closure is int arithmetic, and ``Fraction``s
 appear only in what leaves the route (witness orbits, certificates, JSON).
 Both verdicts are re-checked on the map itself by ``entropy.exact_walk``,
 an int re-walk over a denominator of its own that calls nothing on the
@@ -144,64 +148,47 @@ def _plateau_values(T):
     return [v for _, _, v in as_pl(T).plateau_runs()]
 
 
-def _plateau_walks(T):
-    """(N, L, values): ``T.lattice()`` and the plateau values N·v as ints."""
-    n, lat = T.lattice()
-    return n, lat, [on_lattice(v, n) for v in _plateau_values(T)]
-
-
-def plateau_orbit_analysis(T, budget: int):
-    """Exact eventual period of each plateau value's orbit, or None at budget;
-    the orbits are walked on the lattice, in ints."""
-    _, lat, values = _plateau_walks(T)
+def plateau_orbit_analysis(T, system):
+    """(record, orbit) per plateau value of T: its eventual period and its
+    orbit's distinct lattice points, the preperiod first and the cycle last,
+    read off the breakpoint closure ``system`` of T (``build_markov``), which
+    holds every plateau value's orbit; no lattice call."""
+    image = system.image
     out = []
-    for i, y in enumerate(values):
+    for i, v in enumerate(_plateau_values(T)):
+        y = on_lattice(v, system.scale)
         seen = {}
-        k = 0
-        rec = None
-        while k <= budget:
-            if y in seen:
-                rec = PlateauOrbitRecord(i, seen[y], k - seen[y])
-                break
-            seen[y] = k
-            y = lat(y)
-            k += 1
-        out.append(rec)
+        while y not in seen:
+            seen[y] = len(seen)
+            y = image[y]
+        out.append((PlateauOrbitRecord(i, seen[y], len(seen) - seen[y]), tuple(seen)))
     return out
 
 
 def decide_exact(T, levels_bound: int, bound: int,
                  config: RunConfig = DEFAULT) -> ProbeResult:
-    """The exact decision route: plateau orbits plus the Markov transition graph.
+    """The exact decision route: plateau orbits plus the Markov transition
+    graph, both read off one breakpoint closure (``build_markov``).
 
     Positive when a plateau cycle, or a splice of two cycles of a branching
     transition component, is a re-verified orbit whose period is not a power
     of two.  Zero when every plateau cycle has period 2^k with
     k <= levels_bound and every component is a single cycle with
     power-of-two periods; the certificate lists the periods up to ``bound``.
-    Otherwise undecided, with the reason in the note.  A plateau orbit that
-    does not close up within ``orbit_budget`` steps raises BudgetExhausted,
-    and a partition past the Markov budget raises MarkovBudgetError; both
-    messages name the budget and its limit.
+    Otherwise undecided, with the reason in the note.  A closure past
+    ``orbit_budget`` points, so also a plateau orbit that does not close up
+    within it, raises MarkovBudgetError naming the budget and its limit.
     """
-    recs = plateau_orbit_analysis(T, config.orbit_budget)
-    for r in recs:
-        if r is not None and not is_power_of_two(r.period):
+    system = build_markov(T, config.orbit_budget)
+    plateaus = plateau_orbit_analysis(T, system)
+    for r, orbit in plateaus:
+        if not is_power_of_two(r.period):
             # the plateau cycle itself is a non-power-of-two periodic orbit
-            n, lat, values = _plateau_walks(T)
-            y = iterate(lat, values[r.plateau], r.preperiod)
-            orbit = [y]
-            for _ in range(r.period - 1):
-                orbit.append(lat(orbit[-1]))
             w = Witness("periodic-orbit", r.period,
-                        tuple(Fraction(x, n) for x in orbit))
+                        tuple(Fraction(x, system.scale) for x in orbit[r.preperiod:]))
             if verify_witness(T, w):
                 return ProbeResult(POSITIVE, witness=w)
-    if None in recs:
-        raise BudgetExhausted(
-            f"plateau orbit {recs.index(None)} did not close up within "
-            f"orbit_budget={config.orbit_budget} steps")
-    analysis = cycle_analysis(build_markov(T, config.orbit_budget))
+    analysis = cycle_analysis(system)
     if analysis.witness_orbit is not None:
         w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
         if verify_witness(T, w):
@@ -209,10 +196,11 @@ def decide_exact(T, levels_bound: int, bound: int,
     if not analysis.complete or not all(is_power_of_two(p) for p in analysis.periods):
         return ProbeResult(UNDECIDED,
                            note="entropy is positive but no orbit was verified")
+    recs = tuple(r for r, _ in plateaus)
     if any(r.doubling_level > levels_bound for r in recs):
         return ProbeResult(UNDECIDED,
                            note=f"a plateau period exceeds 2^{levels_bound}")
-    cert = ZeroEntropyCertificate(tuple(recs),
+    cert = ZeroEntropyCertificate(recs,
                                   frozenset(p for p in analysis.periods if p <= bound),
                                   levels_bound, bound)
     return ProbeResult(ZERO, certificate=cert)

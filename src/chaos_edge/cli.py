@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from . import boundary as bd
 from . import entropy as en
@@ -25,8 +24,8 @@ from . import symbolic as sy
 from .config import DEFAULT, RunConfig
 from .errors import (BudgetExhausted, DescriptorError, DomainEscapeError,
                      PreconditionError)
-from .maps import build_base, is_exact, parse_map, rat, serialize_map, turning_points_of
-from .piecewise import lattice_orbit, on_lattice
+from .maps import build_base, is_exact, orbit, parse_map, rat, serialize_map, turning_points_of
+from .markov import build_markov
 
 
 def _read_descriptor(path: str) -> dict:
@@ -222,48 +221,54 @@ def cmd_sweep(args) -> None:
             m = path.map_at(t)
         except (ValueError, DescriptorError) as exc:
             return [str(t), "", "", f"error: {exc}"]
-        samples = _orbit_samples(m)
+        if is_exact(m):
+            return [str(t), *_stunted_columns(m, cfg)]
         h = ""
-        try:
-            if is_exact(m):
-                h = en.entropy_markov(m, cfg).value
-            elif args.with_entropy:
+        if args.with_entropy:
+            try:
                 h = en.entropy_lap(m, args.n_max, cfg).value
-        except BudgetExhausted:
-            pass
-        return [str(t), h, _attracting_summary(m, cfg), ";".join(samples)]
+            except BudgetExhausted:
+                pass
+        return [str(t), h, _attracting_summary(m), ";".join(_orbit_samples(m))]
 
     _emit_csv([row(t) for t in ts], ["t", "entropy", "attracting_period", "orbit_samples"])
 
 
-def _orbit_samples(m, count: int = 16):
-    """Orbit of the first turning point after 512 steps (every family has one)."""
-    x = turning_points_of(m)[0]
+# a sweep prints the first turning point's orbit at steps 513..528; on a
+# stunted map that is the first plateau value's orbit at steps 512..527
+SAMPLE_STEPS = range(512, 528)
+
+
+def _stunted_columns(m, cfg):
+    """Entropy, distinct plateau periods (joined by "/") and orbit samples of
+    a stunted map, all from its one breakpoint closure; all three empty past
+    ``orbit_budget``.  The samples are read off the first plateau value's
+    recorded preperiod and cycle."""
     try:
-        if is_exact(m):
-            n, lat = m.lattice()
-            return [str(Fraction(y, n))
-                    for y in islice(lattice_orbit(lat, on_lattice(x, n)), 512, 512 + count)]
-        for _ in range(512):
-            x = m(x)
-        out = []
-        for _ in range(count):
-            x = m(x)
-            out.append(repr(float(x)))
-        return out
-    except DomainEscapeError:
-        return []
+        system = build_markov(m, cfg.orbit_budget)
+    except BudgetExhausted:
+        return ["", "", ""]
+    plateaus = bd.plateau_orbit_analysis(m, system)
+    periods = "/".join(str(p) for p in sorted({r.period for r, _ in plateaus}))
+    r, points = plateaus[0]
+    pre, per = r.preperiod, r.period
+    samples = (points[k if k < pre else pre + (k - pre) % per] for k in SAMPLE_STEPS)
+    return [en.graph_entropy(system).value, periods,
+            ";".join(str(Fraction(y, system.scale)) for y in samples)]
 
 
-def _attracting_summary(m, cfg) -> str:
-    """Distinct periods, joined by "/": of the plateau orbits of an exact
-    map, of the attracting cycles its turning points reach on a float map."""
-    if is_exact(m):
-        periods = {r.period for r in bd.plateau_orbit_analysis(m, cfg.orbit_budget)
-                   if r is not None}
-    else:
-        periods = {p for p, _ in bd._attractor_period(m, 20_000, 2048, bd.ATTRACTING_TOL)
-                   if p is not None}
+def _orbit_samples(m):
+    """A float map's orbit samples, stepped by ``maps.orbit``."""
+    x = turning_points_of(m)[0]
+    return [repr(y) for y in orbit(m, x, SAMPLE_STEPS.stop)[SAMPLE_STEPS.start:]]
+
+
+def _attracting_summary(m) -> str:
+    """Distinct periods, joined by "/", of the attracting cycles that the
+    turning points of a float map reach: a period is kept only when the
+    cycle's multiplier at the orbit's last point is below 1 in modulus."""
+    periods = {p for p, x in bd._attractor_period(m, 20_000, 2048, bd.ATTRACTING_TOL)
+               if p is not None and abs(pd.cycle_multiplier(m, x, p)) < 1}
     return "/".join(str(p) for p in sorted(periods))
 
 
@@ -286,8 +291,8 @@ OPTIONS = {
                         help="relative width of float root bisection"),
     "--format": dict(choices=["json", "csv"], default="json"),
     "--budget": dict(type=_positive(int), default=None,
-                     help="pieces per iterate, and exact orbit points: plateau "
-                          "orbit steps and Markov partition points"),
+                     help="pieces per iterate, and exact orbit points: the points "
+                          "of the breakpoint closure"),
     "--period": dict(type=int, default=2),
     "--cascade": dict(type=int, default=0, help="trace a doubling cascade to this depth instead"),
     "--k-max": dict(type=int, default=10),

@@ -12,9 +12,10 @@ class RunConfig:
 
     ``precision`` is the only float tolerance a caller sets: the relative
     width to which float roots are bisected before their Newton polish.
-    ``orbit_budget`` caps every count of exact orbit points: the steps of a
-    plateau orbit before it closes up and the points of a Markov partition
-    (on a stunted map, ±e, the plateau ends and the plateau orbits).
+    ``orbit_budget`` caps one count of exact orbit points: the points of
+    the breakpoint closure (``markov.build_markov``), which holds every
+    plateau orbit and is the Markov partition (on a stunted map, ±e, the
+    plateau ends and the plateau orbits).
     ``piece_budget`` caps the pieces of one iterate and the turning points
     of a float iterate.  The float classifiers' fixed tolerances, grid
     sizes and the default period bounds are module constants beside their

@@ -210,7 +210,11 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
     pl = as_pl(m)
     if not pl.is_self_map():
         raise PreconditionError("Markov entropy needs a self-map")
-    system = build_markov(pl, config.orbit_budget)
+    return graph_entropy(build_markov(pl, config.orbit_budget))
+
+
+def graph_entropy(system) -> EntropyEstimate:
+    """``entropy_markov`` of the map whose breakpoint closure is ``system``."""
     lo, hi = _radius_bracket(system.rows, system.size)
     if hi <= 1.0:
         return EntropyEstimate(0.0, "markov-exact", system.size, 0.0)

@@ -250,7 +250,9 @@ class Quadratic:
 
 def bisect_root(g, lo: float, hi: float, xtol: float, g_lo=None) -> float:
     """Root of g in [lo, hi], where g changes sign: the bracket is halved
-    until it is no wider than xtol and its midpoint returned.
+    until it is no wider than xtol, or than one ulp when xtol is below that
+    (the midpoint of adjacent floats is one of them), and its midpoint
+    returned.
 
     A midpoint becomes the right end when g(mid) * g_lo <= 0, so g_lo == 0
     converges to lo; a midpoint where g is exactly 0 is returned at once.
@@ -260,6 +262,8 @@ def bisect_root(g, lo: float, hi: float, xtol: float, g_lo=None) -> float:
         g_lo = g(lo)
     while hi - lo > xtol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         gm = g(mid)
         if gm == 0:
             return mid

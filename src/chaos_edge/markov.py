@@ -15,12 +15,16 @@ The graph decides periodicity questions without iterating pieces:
   orbits; a component with a branching vertex certifies entropy at least
   log 2 / length and yields a non-power-of-two orbit by splicing two cycles.
 
-The partition is built in the lattice coordinates X = N·x of the map's
-``lattice()``: for a rational stunted map every slope is an
-integer, so the closure, the rows and the functional graph are int
-arithmetic.  Only the spliced periodic points x = o/(1 − s), which lie off
-the lattice, are ``Fraction``s; witness orbits leave ``cycle_analysis``
-divided by N, in the map's own coordinates.
+``build_markov`` walks the closure once, evaluating each point and keeping
+its image; the sorted partition, the functional graph, the rows and the
+affine pieces are derived from that record when first read, so a caller
+that needs only the orbits (the plateau records of ``boundary``, a sweep
+row's samples) pays for no graph.  The closure is walked in the lattice
+coordinates X = N·x of the map's ``lattice()``: for a rational stunted map
+every slope is an integer, so the closure, the rows and the functional
+graph are int arithmetic.  Only the spliced periodic points x = o/(1 − s),
+which lie off the lattice, are ``Fraction``s; witness orbits leave
+``cycle_analysis`` divided by N, in the map's own coordinates.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import MarkovBudgetError
@@ -37,56 +42,75 @@ from .piecewise import PiecewiseLinear
 
 @dataclass(frozen=True)
 class MarkovSystem:
+    """The breakpoint closure of a map, walked once, with the partition and
+    transition graph derived from it when first read."""
+
     pl: PiecewiseLinear           # the map in lattice coordinates, X -> N·f(X/N)
     scale: int                    # N; the partition points are N·x
-    points: tuple                 # sorted forward-invariant partition points
-    rows: tuple                   # per state, successor index range [a, b)
-    affine: tuple                 # per state, (slope, intercept) or None when constant
-    next_point: tuple             # functional graph on partition points
+    image: dict                   # closure point -> its image, from the one walk
 
     @property
     def size(self) -> int:
-        return len(self.points) - 1
+        return len(self.image) - 1
+
+    @cached_property
+    def points(self) -> tuple:
+        """The sorted forward-invariant partition points."""
+        return tuple(sorted(self.image))
+
+    @cached_property
+    def next_point(self) -> tuple:
+        """The functional graph on partition points, as indices."""
+        pts = self.points
+        index = dict(zip(pts, range(len(pts))))
+        return tuple(map(index.__getitem__, map(self.image.__getitem__, pts)))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per state, its successor index range [a, b); (0, 0) when constant."""
+        nxt = self.next_point
+        return tuple([(j, k) if j < k else (k, j) if k < j else (0, 0)
+                      for j, k in zip(nxt, nxt[1:])])
+
+    @cached_property
+    def affine(self) -> tuple:
+        """Per state, (slope, intercept), or None when constant."""
+        pts, nxt = self.points, self.next_point
+        xs, slopes = self.pl.xs, self.pl.slopes
+        out = []
+        for x, j, k in zip(pts, nxt, nxt[1:]):
+            if j == k:
+                out.append(None)
+                continue
+            # the state lies in one segment of the map, so this is its slope
+            s = slopes[bisect_right(xs, x) - 1]
+            out.append((s, pts[j] - s * x))
+        return tuple(out)
 
 
 def build_markov(m, budget: int) -> MarkovSystem:
-    """Partition by the forward closure of the breakpoints of an exact map m,
-    in the lattice coordinates of ``m.lattice()``; raises MarkovBudgetError,
-    naming ``orbit_budget``, past ``budget`` points."""
+    """The forward closure of the breakpoints of an exact map m, in the
+    lattice coordinates of ``m.lattice()``: each point is evaluated once and
+    its image kept.  Raises MarkovBudgetError, naming ``orbit_budget``, past
+    ``budget`` points."""
     n, lat = m.lattice()
     if not lat.is_self_map():
         raise MarkovBudgetError("not a self-map")
-    points = set(lat.xs)
-    frontier = list(points)
-    image = {}              # partition point -> its image, kept from the walk
+    image = dict.fromkeys(lat.xs)
+    frontier = list(image)
     while frontier:
         nxt = []
         for x in frontier:
             y = image[x] = lat(x)
-            if y not in points:
-                points.add(y)
+            if y not in image:
+                image[y] = None
                 nxt.append(y)
-                if len(points) > budget:
+                if len(image) > budget:
                     raise MarkovBudgetError(
                         f"not Markov within orbit_budget={budget}: "
                         f"breakpoint orbits exceed {budget} points")
         frontier = nxt
-    pts = sorted(points)
-    index = {x: i for i, x in enumerate(pts)}
-    nxt = tuple(index[image[x]] for x in pts)
-    rows = []
-    affine = []
-    for i in range(len(pts) - 1):
-        j, k = nxt[i], nxt[i + 1]
-        if j == k:
-            rows.append((0, 0))
-            affine.append(None)
-        else:
-            # the state lies in one segment of the map, so this is its slope
-            s = lat.slopes[bisect_right(lat.xs, pts[i]) - 1]
-            affine.append((s, pts[j] - s * pts[i]))
-            rows.append((j, k) if j < k else (k, j))
-    return MarkovSystem(lat, n, tuple(pts), tuple(rows), tuple(affine), nxt)
+    return MarkovSystem(lat, n, image)
 
 
 def _tarjan_sccs(rows, size):
@@ -232,7 +256,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     periodic orbit whose minimal period is not a power of two; the witness
     orbit is returned in the map's own coordinates.  Cycles of partition
     points only add their periods: on a stunted map they are plateau cycles,
-    which ``boundary.decide_exact`` witnesses before it builds the graph, or
+    which ``boundary.decide_exact`` witnesses before it reads the graph, or
     the cycle of ±e, of period 1 or 2.
     """
     periods = set(_point_cycle_periods(system))

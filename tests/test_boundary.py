@@ -15,10 +15,11 @@ import chaos_edge.boundary as boundary
 from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECIDED, ZERO,
                                  _attractor_period, _grid_period_scan, _tail_period,
                                  _tower_descend, plateau_orbit_analysis)
+from chaos_edge.markov import build_markov
 from chaos_edge.periods import is_power_of_two
 from chaos_edge.symbolic import doubling_side
 
-from conftest import random_xi
+from conftest import ZERO_SIDE_2_60, random_xi
 
 F = Fraction
 
@@ -83,8 +84,8 @@ class TestZeroCertificate:
         T = build_stunted(base2, [F(1, 2), F(1, 2)])
         assert verify_zero_certificate(T, zero_entropy_certificate(T))
         honest = bd.plateau_orbit_analysis
-        monkeypatch.setattr(bd, "plateau_orbit_analysis", lambda T, budget: [
-            replace(r, period=2 * r.period) for r in honest(T, budget)])
+        monkeypatch.setattr(bd, "plateau_orbit_analysis", lambda T, system: [
+            (replace(r, period=2 * r.period), orbit) for r, orbit in honest(T, system)])
         cert = zero_entropy_certificate(T)
         assert cert is not None and cert == zero_entropy_certificate(T)
         assert not verify_zero_certificate(T, cert)
@@ -147,7 +148,10 @@ class TestClassify:
         r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
                              DEFAULT.with_(orbit_budget=5))
         assert r.kind == UNDECIDED
-        assert r.note == "plateau orbit 0 did not close up within orbit_budget=5 steps"
+        # an orbit that does not close up within the budget overflows the
+        # breakpoint closure it is walked in
+        assert r.note == ("not Markov within orbit_budget=5: "
+                          "breakpoint orbits exceed 5 points")
 
     def test_quadratic_sides(self):
         assert classify_float(Quadratic(-1.3)).kind == ZERO
@@ -537,9 +541,9 @@ class TestApproximants:
 class TestPlateauAnalysis:
     def test_preperiodic_structure(self, base1):
         T = build_stunted(base1, [F(5, 4)])
-        recs = plateau_orbit_analysis(T, 1000)
-        assert recs[0] is not None
-        assert recs[0].preperiod == 2 and recs[0].period == 1
+        [(rec, orbit)] = plateau_orbit_analysis(T, build_markov(T, 1000))
+        assert rec.preperiod == 2 and rec.period == 1
+        assert len(orbit) == 3
 
 
 class TestExactRoute:
@@ -561,6 +565,35 @@ class TestExactRoute:
                 assert verify_witness(T, r.witness)
             assert (positive_entropy_witness(T) is not None) == (r.kind == POSITIVE)
         assert min(verdicts.values()) > 0
+
+    @pytest.mark.parametrize("m, xi, kind", [
+        (1, (ZERO_SIDE_2_60[1],), ZERO),
+        (2, (ZERO_SIDE_2_60[2],) * 2, ZERO),
+        (1, (F(3, 2),), POSITIVE),          # a plateau 3-cycle
+        (1, (F(5, 4),), POSITIVE),          # a splice of two graph cycles
+    ])
+    def test_one_lattice_walk(self, monkeypatch, m, xi, kind):
+        # the breakpoint closure is the route's only walk: the plateau
+        # records, the witness cycle and the Markov graph are read off it, so
+        # the lattice map is evaluated once per closure point
+        import chaos_edge.piecewise as pw
+        T = build_stunted(build_base(m, 1), xi)
+        _, lat = T.lattice()
+        closure = build_markov(T, DEFAULT.orbit_budget).size + 1
+        honest, calls = pw.PiecewiseLinear.__call__, []
+
+        def counted(self, x):
+            calls.append(self is lat)
+            return honest(self, x)
+
+        def off(*args):
+            raise AssertionError("lattice_orbit was called")
+
+        monkeypatch.setattr(pw.PiecewiseLinear, "__call__", counted)
+        monkeypatch.setattr(pw, "lattice_orbit", off)
+        r = boundary.decide_exact(T, boundary.ZERO_CERT_LEVELS, 64)
+        assert r.kind == kind
+        assert len(calls) == sum(calls) == closure
 
 
 def test_probe_budget_error_names_max_probes(monkeypatch):

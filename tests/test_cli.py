@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,8 @@ TYPE_B_PATH = {"family": "type_b", "stages": [[2, -1.0]], "stage_index": 0,
 C_INF = -1.4011551890920506    # accumulation of the period-doubling cascade of x^2 + c
 STUNTED_PATH = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],
                 "direction": ["1"], "t_lo": "1/2", "t_hi": "3/2"}
+M2_DIAGONAL = {"family": "stunted", "m": 2, "epsilon": 1, "xi0": ["0", "0"],
+               "direction": ["1", "1"], "t_lo": "1/2", "t_hi": "8/3"}
 
 
 class TestEntropyCmd:
@@ -276,6 +279,80 @@ class TestSweepCmd:
         assert rows["-1.75"][2] == "3" and rows["-1.0"][2] == "2"
         samples = [float(x) for x in rows["-1.0"][3].split(";")]
         assert samples[::2] == samples[:1] * 8 and samples[1::2] == samples[1:2] * 8
+
+    def test_attracting_period_lists_attracting_cycles_only(self, tmp_path, capsys):
+        # at c = -2 (a = -2) the critical orbit lands exactly on the
+        # repelling fixed point, multiplier 4, whose period the column once
+        # printed; c = 0.25 keeps its nearly neutral fixed point (0.99991)
+        rows = {}
+        for desc, grid in (({"family": "quadratic", "t_lo": -2.0, "t_hi": 0.25}, "4"),
+                           (TYPE_B_PATH, "5")):
+            code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
+                                   "--grid", grid)
+            assert code == 0
+            rows[desc["family"]] = {r[0]: r[2] for r in csv.reader(io.StringIO(out))}
+        assert rows["quadratic"]["-2.0"] == ""
+        assert rows["quadratic"]["-0.5"] == rows["quadratic"]["0.25"] == "1"
+        assert rows["type_b"]["-2.0"] == ""
+        assert rows["type_b"]["-1.0"] == "2"
+
+    @pytest.mark.parametrize("desc, grid", [
+        (M2_DIAGONAL, 27),                  # every row of the m = 2 diagonal path
+        # its t = 5/4 row's first plateau orbit has preperiod 2
+        (STUNTED_PATH, 5),
+    ])
+    def test_stunted_samples_are_the_closure_orbit(self, tmp_path, capsys, monkeypatch,
+                                                   desc, grid):
+        # the samples of a stunted row are read off its one breakpoint
+        # closure, and match a plain walk of 528 lattice steps; the sweep
+        # evaluates each lattice map once per closure point, nothing more
+        import chaos_edge.piecewise as pw
+        from chaos_edge.boundary import plateau_orbit_analysis
+        from chaos_edge.markov import build_markov
+        from chaos_edge.maps import turning_points_of
+        path = cli._path_from(desc)
+        ts = [path.t_lo + (path.t_hi - path.t_lo) * Fraction(k, grid - 1)
+              for k in range(grid)]
+        want, closure, preperiods = {}, 0, set()
+        for t in ts:
+            m = path.map_at(t)
+            n, lat = m.lattice()
+            y = pw.on_lattice(turning_points_of(m)[0], n)
+            walk = []
+            for _ in range(528):
+                y = lat(y)
+                walk.append(str(Fraction(y, n)))
+            want[str(t)] = ";".join(walk[512:])
+            system = build_markov(m, chaos_edge.DEFAULT.orbit_budget)
+            closure += system.size + 1
+            preperiods.add(plateau_orbit_analysis(m, system)[0][0].preperiod)
+        assert max(preperiods) > 0
+        honest, calls = pw.PiecewiseLinear.__call__, [0]
+
+        def counted(self, x):
+            calls[0] += 1
+            return honest(self, x)
+
+        def off(*args):
+            raise AssertionError("lattice_orbit was called")
+
+        monkeypatch.setattr(pw.PiecewiseLinear, "__call__", counted)
+        monkeypatch.setattr(pw, "lattice_orbit", off)
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
+                               "--grid", str(grid))
+        assert code == 0
+        assert {r[0]: r[3] for r in list(csv.reader(io.StringIO(out)))[1:]} == want
+        assert calls[0] == closure
+
+    def test_stunted_row_past_the_budget_is_empty(self, tmp_path, capsys):
+        # a closure past orbit_budget gives no entropy, no plateau periods
+        # and no samples; the rows that fit keep all three
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", M2_DIAGONAL),
+                               "--grid", "5", "--budget", "8")
+        rows = {r[0]: r[1:] for r in csv.reader(io.StringIO(out))}
+        assert code == 0
+        assert rows["17/8"] == ["", "", ""]
+        assert rows["8/3"][1] == "1" and rows["8/3"][2] == ";".join(["8/3"] * 16)
 
     def test_grid_of_one_rejected(self, tmp_path, capsys):
         desc = {"family": "quadratic", "t_lo": -2.0, "t_hi": 0.25}

@@ -88,6 +88,24 @@ def test_float_root_helpers(got, want, tol):
     assert abs(got() - want) <= tol
 
 
+def test_bisect_root_stops_at_one_ulp():
+    # an xtol below one ulp of the bracket once halved it forever: the
+    # midpoint of two adjacent floats is one of them; g counts its calls so
+    # that the bug fails here instead of hanging
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise AssertionError("bisect_root does not stop at one ulp")
+        return x * x - 2
+
+    root = bisect_root(g, 1.0, 2.0, 1e-17)
+    assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
+    assert calls <= 55          # 1 + 52 halvings of [1, 2] to adjacent floats
+
+
 def test_quadratic_multiplier_is_the_derivative_product():
     m = Quadratic(-1.401155)
     for x0, p in ((0.3, 1), (-0.7, 16), (0.11, 1000)):
