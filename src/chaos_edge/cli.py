@@ -114,9 +114,10 @@ def cmd_periods(args) -> None:
         bound = pd.PERIOD_BOUND_EXACT if is_exact(m) else pd.PERIOD_BOUND_FLOAT
     ps = pd.period_set(m, bound, cfg)
     if args.format == "csv":
+        orbits = ps.orbits or {p: pd.periodic_points(m, p, cfg) for p in ps.periods}
         rows = [[p, oi, pi, str(x), orb.stability]
                 for p in sorted(ps.periods)
-                for oi, orb in enumerate(ps.orbits[p])
+                for oi, orb in enumerate(orbits[p])
                 for pi, x in enumerate(orb.points)]
         _emit_csv(rows, ["period", "orbit", "index", "point", "stability"])
         return

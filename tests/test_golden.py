@@ -53,16 +53,12 @@ def test_stdout_bytes(tmp_path, capsys, golden, descriptor, args):
 
 
 def test_periods_csv_builds_each_level_once(tmp_path, capsys, monkeypatch):
-    # the CSV rows reuse the orbits of period_set: one cursor, so levels
-    # 2..7 of the pieces are each advanced once
-    calls = []
-    advance = piecewise.advance_pieces
+    # the CSV rows of an exact map are its closed walks, read off the
+    # breakpoint closure: no level of pieces is built
+    def off(*args):
+        raise AssertionError("the piece engine was used")
 
-    def counted(pieces, pl, budget):
-        calls.append(len(pieces))
-        return advance(pieces, pl, budget)
-
-    monkeypatch.setattr(piecewise, "advance_pieces", counted)
+    monkeypatch.setattr(piecewise, "advance_pieces", off)
+    monkeypatch.setattr(piecewise.PieceCursor, "level", off)
     out = stdout_of(tmp_path, capsys, FULL_M2, "periods", "--format", "csv", "--bound", "7")
     assert out == (DATA / "periods_full_m2_bound7.csv").read_bytes().decode()
-    assert len(calls) == 6

@@ -1,128 +1,54 @@
-"""The piece engine and the exact orbit walks on the integer lattice.
+"""Exact periods and orbits read off the breakpoint closure, the piece
+engine that renormalization still builds, and the exact orbit walks on the
+integer lattice.
 
-They are checked against a ``Fraction`` oracle: the piece engine as it ran
-in the map's own coordinates (``oracle_advance``, ``oracle_fixed_points``),
-with orbits walked by evaluating the map in ``Fraction``s.
+They are checked against the ``Fraction`` oracle of ``conftest``: the piece
+engine as it ran in the map's own coordinates (``oracle_advance``,
+``oracle_fixed_points``), with orbits walked by evaluating the map in
+``Fraction``s.
 """
 
 import json
 import random
-from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
-from chaos_edge import (RunConfig, build_base, build_stunted, cascade_trace,
-                        find_restrictive, full_stunted, period_set, renormalize)
-from chaos_edge import renorm
+from chaos_edge import (DEFAULT, MarkovBudgetError, RunConfig, build_base, build_stunted,
+                        cascade_trace, find_restrictive, full_stunted, period_set,
+                        periodic_points, renormalize)
+from chaos_edge import piecewise, renorm
 from chaos_edge.cli import main
 from chaos_edge.errors import BudgetExhausted, DomainEscapeError
 from chaos_edge.maps import as_pl
-from chaos_edge.periods import _stability_from_slope
-from chaos_edge.piecewise import (PieceCursor, PiecewiseLinear, advance_pieces,
-                                  fixed_points_of_pieces)
+from chaos_edge.markov import build_markov, cycle_analysis
+from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, advance_pieces
 
-from conftest import ZERO_SIDE_2_60, random_xi
+from conftest import (ZERO_SIDE_2_60, oracle_advance, oracle_levels, oracle_orbits,
+                      oracle_period_set, random_xi)
 
 ZIGZAG3 = PiecewiseLinear([F(0), F(1, 3), F(2, 3), F(1)], [F(0), F(1), F(0), F(1)])
 NON_INTEGER = PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(1), F(1, 4), F(0)])
 WINDOW = build_stunted(build_base(1, 1), [F(1)])
 
-# -- the Fraction oracle ------------------------------------------------
+def orbits_of(T, bound):
+    """(points, stability) of the orbits of each minimal period up to bound
+    that has any, as ``oracle_period_set`` lists them."""
+    found = {p: sorted((o.points, o.stability) for o in periodic_points(T, p))
+             for p in range(1, bound + 1)}
+    return {p: obs for p, obs in found.items() if obs}
 
 
-def oracle_advance(pieces, pl, budget):
-    xs = pl.xs
-    out = []
-    for a, b, fa, fb in pieces:
-        if fa == fb:
-            out.append((a, b, pl(fa), pl(fa)))
-            continue
-        vlo, vhi = (fa, fb) if fa < fb else (fb, fa)
-        cuts = xs[bisect_right(xs, vlo):bisect_left(xs, vhi)]
-        if fa > fb:
-            cuts = cuts[::-1]
-        vals = [fa, *cuts, fb]
-        scale = (b - a) / (fb - fa)
-        nodes = [a] + [a + (t - fa) * scale for t in cuts] + [b]
-        for k in range(len(vals) - 1):
-            out.append((nodes[k], nodes[k + 1], pl(vals[k]), pl(vals[k + 1])))
-        if len(out) > budget:
-            raise BudgetExhausted(f"piece budget ({budget}) exceeded")
-    return out
-
-
-def oracle_fixed_points(pieces):
-    sols = []
-    for a, b, fa, fb in pieces:
-        if fa == fb:
-            if a <= fa <= b:
-                sols.append((fa, F(0)))
-            continue
-        s = (fb - fa) / (b - a)
-        if s == 1:
-            continue
-        x = (fa - s * a) / (1 - s)
-        if a <= x <= b:
-            sols.append((x, s))
-    sols.sort(key=lambda t: t[0])
-    out = []
-    for x, s in sols:
-        if out and out[-1][0] == x:
-            if out[-1][1] == 0 and s != 0:
-                out[-1] = (x, s)
-            continue
-        out.append((x, s))
-    return out
-
-
-def oracle_levels(pl, n_max, budget):
-    """Level-n pieces for n = 1..n_max, fewer where the budget runs out."""
-    levels = [pl.pieces()]
-    while len(levels) < n_max:
-        try:
-            levels.append(oracle_advance(levels[-1], pl, budget))
-        except BudgetExhausted:
-            break
-    return levels
-
-
-def oracle_orbits(pl, pieces, p):
-    """(points, stability) of the orbits of minimal period p, walked in Fractions."""
-    seen, orbits = set(), []
-    for x, s in oracle_fixed_points(pieces):
-        if x in seen:
-            continue
-        y, walk = x, [x]
-        for _ in range(p):
-            y = pl(y)
-            if y == x:
-                break
-            walk.append(y)
-        else:
-            continue
-        if len(walk) < p:
-            seen.add(x)
-            continue
-        seen.update(walk)
-        least = walk.index(min(walk))
-        orbits.append((tuple(walk[least:] + walk[:least]), _stability_from_slope(s)))
-    return sorted(orbits)
-
-
-def oracle_period_set(T, bound, budget):
-    """(periods, complete_upto, orbits per period) as the Fraction engine finds them."""
-    pl = as_pl(T)
-    levels = oracle_levels(pl, bound, budget)
-    found = {p: oracle_orbits(pl, levels[p - 1], p) for p in range(1, len(levels) + 1)}
-    found = {p: o for p, o in found.items() if o}
-    return sorted(found), len(levels), found
-
-
-def as_oracle(ps):
-    return (sorted(ps.periods), ps.complete_upto,
-            {p: sorted((o.points, o.stability) for o in obs) for p, obs in ps.orbits.items()})
+def assert_matches_oracle(T, bound, budget, orbit_bound):
+    """The period set up to the oracle's complete_upto, and the orbits of
+    every period up to orbit_bound, as the Fraction engine finds them."""
+    periods, complete, found = oracle_period_set(T, bound, budget)
+    ps = period_set(T, bound)
+    assert ps.complete_upto == bound
+    assert sorted(p for p in ps.periods if p <= complete) == periods
+    upto = min(complete, orbit_bound)
+    assert orbits_of(T, upto) == {p: o for p, o in found.items() if p <= upto}
 
 
 def seeded_maps():
@@ -145,20 +71,21 @@ BOUND = {1: 8, 2: 6, 3: 5}
 @pytest.mark.parametrize("T", seeded_maps(),
                          ids=lambda T: f"m{T.m}e{T.base.epsilon}:" + ",".join(map(str, T.xi)))
 def test_period_sets_match_oracle(T):
-    cfg = RunConfig(piece_budget=1000)
-    ps = period_set(T, BOUND[T.m], cfg)
-    assert as_oracle(ps) == oracle_period_set(T, BOUND[T.m], cfg.piece_budget)
+    assert_matches_oracle(T, BOUND[T.m], 1000, BOUND[T.m])
     # piece counts per level (the benchmark's piecewise.pieces counter)
-    cursor = PieceCursor(as_pl(T), cfg.piece_budget)
-    levels = oracle_levels(as_pl(T), BOUND[T.m] + 1, cfg.piece_budget)
+    cursor = PieceCursor(as_pl(T), 1000)
+    levels = oracle_levels(as_pl(T), BOUND[T.m] + 1, 1000)
     assert [len(cursor.level(n)) for n in range(1, len(levels) + 1)] == list(map(len, levels))
     if len(levels) <= BOUND[T.m]:
         with pytest.raises(BudgetExhausted):
             cursor.level(len(levels) + 1)
-    # where a small budget stops the search
-    small = RunConfig(piece_budget=60)
-    assert (period_set(T, 12, small).complete_upto
-            == len(oracle_levels(as_pl(T), 12, small.piece_budget)))
+    # where orbit_budget stops the closure before its last point, no period
+    # is claimed (the full maps' closures are their breakpoints)
+    closure = len(build_markov(T, DEFAULT.orbit_budget).image)
+    if closure > len(T.lattice()[1].xs):
+        small = closure - 1
+        with pytest.raises(MarkovBudgetError, match=f"orbit_budget={small}: .* exceed {small} "):
+            period_set(T, 12, RunConfig(orbit_budget=small))
 
 
 def test_budget_raises_while_the_level_is_built():
@@ -188,11 +115,7 @@ def test_exact_results_hold_no_float(T):
     # ints would make a float
     ps = period_set(T, 6)
     assert ps.complete_upto == 6 and 1 in ps.periods
-    assert all(_exact(x) for obs in ps.orbits.values() for o in obs for x in o.points)
-    cursor = PieceCursor(as_pl(T), 1000)
-    for n in range(1, 7):
-        assert all(_exact(x) and _exact(s)
-                   for x, s in fixed_points_of_pieces(cursor.level(n), cursor.lam ** (n - 1)))
+    assert all(_exact(x) for p in ps.periods for o in periodic_points(T, p) for x in o.points)
     ri = find_restrictive(T, 2)
     if ri is not None:
         assert _exact(ri.interval.lo) and _exact(ri.interval.hi)
@@ -201,7 +124,62 @@ def test_exact_results_hold_no_float(T):
 
 
 def test_non_integer_slope_orbits_match_oracle():
-    assert as_oracle(period_set(NON_INTEGER, 6)) == oracle_period_set(NON_INTEGER, 6, 10**6)
+    assert_matches_oracle(NON_INTEGER, 6, 10**6, 6)
+
+
+# -- periods off the breakpoint closure ---------------------------------
+
+
+@pytest.mark.parametrize("T", [WINDOW, build_stunted(build_base(1, 1), [F(3, 2)]),
+                               full_stunted(build_base(2, 1)), ZIGZAG3, NON_INTEGER],
+                         ids=["window", "trapezoid", "full-m2", "zigzag3", "non-integer-slope"])
+def test_periods_build_no_piece(T, monkeypatch):
+    want = period_set(T, 12), [periodic_points(T, p) for p in range(1, 6)]
+
+    def off(*args):
+        raise AssertionError("the piece engine was used")
+
+    monkeypatch.setattr(piecewise, "advance_pieces", off)
+    monkeypatch.setattr(PieceCursor, "level", off)
+    assert (period_set(T, 12), [periodic_points(T, p) for p in range(1, 6)]) == want
+
+
+def test_trapezoid_has_every_period_to_64():
+    ps = period_set(build_stunted(build_base(1, 1), [F(3, 2)]), 64)
+    assert ps.periods == frozenset(range(1, 65)) and ps.complete_upto == 64
+
+
+def test_zero_entropy_set_is_the_graph_cycles():
+    rnd = random.Random(3)
+    checked = 0
+    while checked < 10:
+        b = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
+        T = build_stunted(b, random_xi(rnd, b, rnd.randint(4, 30)))
+        analysis = cycle_analysis(build_markov(T, DEFAULT.orbit_budget))
+        if analysis.complete:
+            checked += 1
+            assert period_set(T, 64).periods == {p for p in analysis.periods if p <= 64}
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2) for k in (60, 40, 20)])
+def test_near_boundary_maps_match_oracle(m, k):
+    # positive entropy just past the zero sides at 2^-60, where the period
+    # set runs far beyond what the piece engine reaches
+    T = build_stunted(build_base(m, 1), [ZERO_SIDE_2_60[m] + F(1, 2**k)] * m)
+    assert_matches_oracle(T, 64, 2000, 7)
+
+
+def test_a_segment_of_periodic_points_raises():
+    # the identity is a segment of fixed points; the flip x -> 1 - x has one
+    # fixed point, and its square is the identity
+    identity = PiecewiseLinear([F(0), F(1)], [F(0), F(1)])
+    flip = PiecewiseLinear([F(0), F(1)], [F(1), F(0)])
+    assert [o.points for o in periodic_points(flip, 1)] == [(F(1, 2),)]
+    for T, p in ((identity, 1), (flip, 2)):
+        with pytest.raises(ValueError, match="segment of fixed points"):
+            period_set(T, p)
+        with pytest.raises(ValueError, match="segment of fixed points"):
+            periodic_points(T, p)
 
 
 # -- the exact renorm route ---------------------------------------------
@@ -223,7 +201,7 @@ class OracleCursor:
         return pieces
 
 
-def _oracle_periodic_points(m, d, config, cursor=None):
+def _oracle_periodic_points(m, d, config):
     pl = as_pl(m)
     pieces = oracle_levels(pl, d, config.piece_budget)[d - 1]
     return [SimpleNamespace(points=pts) for pts, _ in oracle_orbits(pl, pieces, d)]

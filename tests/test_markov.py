@@ -1,5 +1,5 @@
 """Cross-validation of the transition-graph period analysis against the
-piece-based exact solver, of the lattice-coordinate partition against a
+``Fraction`` piece engine of ``conftest``, of the lattice-coordinate partition against a
 plain ``Fraction`` closure, plus spectral radius checks (numpy's dense
 eigenvalues are the reference on branching graphs)."""
 
@@ -21,7 +21,7 @@ from chaos_edge.markov import build_markov, cycle_analysis
 from chaos_edge.periods import is_power_of_two
 from chaos_edge.piecewise import PiecewiseLinear
 
-from conftest import ZERO_SIDE_2_60, random_xi
+from conftest import ZERO_SIDE_2_60, oracle_period_set, random_xi
 
 F = Fraction
 
@@ -40,13 +40,10 @@ class TestCycleAnalysis:
         analysis = cycle_analysis(system)
         if not analysis.complete:
             return
-        bound = 8
-        try:
-            ps = period_set(T, bound, DEFAULT.with_(piece_budget=200_000))
-        except BudgetExhausted:
-            return
-        graph_side = {p for p in analysis.periods if p <= ps.complete_upto}
-        assert graph_side == set(p for p in ps.periods if p <= ps.complete_upto)
+        # the reference is the Fraction piece engine: period_set reads the
+        # same closure as cycle_analysis
+        periods, complete, _ = oracle_period_set(T, 8, 200_000)
+        assert {p for p in analysis.periods if p <= complete} == set(periods)
 
     def test_branching_yields_nonpow2(self, T32):
         system = build_markov(T32.pl, 1024)
