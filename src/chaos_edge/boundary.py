@@ -112,7 +112,7 @@ class PlateauOrbitRecord:
 class ZeroEntropyCertificate:
     plateau_orbits: tuple          # PlateauOrbitRecord per plateau
     periods_found: frozenset      # all minimal periods <= bound (powers of two)
-    levels_bound: int              # admitted k in 2^k
+    levels_bound: int              # admitted k in 2^k (ZERO_CERT_LEVELS)
     bound: int
 
     def as_dict(self):
@@ -165,15 +165,14 @@ def plateau_orbit_analysis(T, system):
     return out
 
 
-def decide_exact(T, levels_bound: int, bound: int,
-                 config: RunConfig = DEFAULT) -> ProbeResult:
+def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
     """The exact decision route: plateau orbits plus the Markov transition
     graph, both read off one breakpoint closure (``build_markov``).
 
     Positive when a plateau cycle, or a splice of two cycles of a branching
     transition component, is a re-verified orbit whose period is not a power
     of two.  Zero when every plateau cycle has period 2^k with
-    k <= levels_bound and every component is a single cycle with
+    k <= ``ZERO_CERT_LEVELS`` and every component is a single cycle with
     power-of-two periods; the certificate lists the periods up to ``bound``.
     Otherwise undecided, with the reason in the note.  A closure past
     ``orbit_budget`` points, so also a plateau orbit that does not close up
@@ -197,17 +196,16 @@ def decide_exact(T, levels_bound: int, bound: int,
         return ProbeResult(UNDECIDED,
                            note="entropy is positive but no orbit was verified")
     recs = tuple(r for r, _ in plateaus)
-    if any(r.doubling_level > levels_bound for r in recs):
+    if any(r.doubling_level > ZERO_CERT_LEVELS for r in recs):
         return ProbeResult(UNDECIDED,
-                           note=f"a plateau period exceeds 2^{levels_bound}")
+                           note=f"a plateau period exceeds 2^{ZERO_CERT_LEVELS}")
     cert = ZeroEntropyCertificate(recs,
                                   frozenset(p for p in analysis.periods if p <= bound),
-                                  levels_bound, bound)
+                                  ZERO_CERT_LEVELS, bound)
     return ProbeResult(ZERO, certificate=cert)
 
 
-def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = None,
-                             bound: Optional[int] = None,
+def zero_entropy_certificate(T: StuntedSawtooth, bound: Optional[int] = None,
                              config: RunConfig = DEFAULT
                              ) -> Optional[ZeroEntropyCertificate]:
     """Exact evidence that every plateau orbit is eventually 2^k-periodic and
@@ -220,11 +218,9 @@ def zero_entropy_certificate(T: StuntedSawtooth, levels_bound: Optional[int] = N
     """
     if not is_exact(T):
         raise PreconditionError("zero-entropy certificates need an exact map")
-    if levels_bound is None:
-        levels_bound = ZERO_CERT_LEVELS
     if bound is None:
         bound = PERIOD_BOUND_EXACT
-    return decide_exact(T, levels_bound, bound, config).certificate
+    return decide_exact(T, bound, config).certificate
 
 
 def _plateau_record_holds(step, value, rec: PlateauOrbitRecord) -> bool:
@@ -254,7 +250,7 @@ def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
                 or not _plateau_record_holds(step, values[r.plateau], r)):
             return False
     try:
-        again = zero_entropy_certificate(T, cert.levels_bound, cert.bound, config)
+        again = zero_entropy_certificate(T, cert.bound, config)
     except BudgetExhausted:
         return False
     return again == cert
@@ -270,7 +266,7 @@ def classify_stunted(T: StuntedSawtooth, bound: int,
     """Exact probe verdict by ``decide_exact``; a budget that runs out gives
     UNDECIDED with the budget named in the note."""
     try:
-        return decide_exact(T, ZERO_CERT_LEVELS, bound, config)
+        return decide_exact(T, bound, config)
     except BudgetExhausted as exc:
         return ProbeResult(UNDECIDED, note=str(exc))
 

@@ -16,7 +16,8 @@ class RunConfig:
     the breakpoint closure (``markov.build_markov``), which holds every
     plateau orbit and is the Markov partition (on a stunted map, ±e, the
     plateau ends and the plateau orbits).
-    ``piece_budget`` caps the pieces of one iterate, the turning points of
+    ``piece_budget`` caps the pieces of one iterate on an interval
+    (``piecewise.pieces_on``, exact renormalization), the turning points of
     a float iterate and the closed-walk steps that list an exact map's
     orbits of one period.  The float classifiers' fixed tolerances, grid
     sizes and the default period bounds are module constants beside their

@@ -84,7 +84,7 @@ def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
         raise PreconditionError("iterate index must be >= 1")
     if is_exact(m):
         if n == 1:
-            return LapCount(1, strict_lap_count(m.lattice()[1].pieces()))
+            return LapCount(1, strict_lap_count(m.lattice()[1].slopes))
         return LapCount(n, next(islice(_graph_laps(m, config), n - 1, None)))
     return LapCount(n, len(turning_points_of_iterate(m, n, config)) + 1)
 
@@ -298,8 +298,8 @@ def positive_entropy_witness(m, config: RunConfig = DEFAULT) -> Optional[Witness
     if not is_exact(m):
         from .boundary import classify_float
         return classify_float(m).witness
-    from .boundary import ZERO_CERT_LEVELS, decide_exact
+    from .boundary import decide_exact
     try:
-        return decide_exact(m, ZERO_CERT_LEVELS, PERIOD_BOUND_EXACT, config).witness
+        return decide_exact(m, PERIOD_BOUND_EXACT, config).witness
     except BudgetExhausted:
         return None

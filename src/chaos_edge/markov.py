@@ -107,16 +107,16 @@ def build_markov(m, budget: int) -> MarkovSystem:
     image = dict.fromkeys(lat.xs)
     frontier = list(image)
     while frontier:
+        # the breakpoints count too, so a budget below them raises at once
+        if len(image) > budget:
+            raise MarkovBudgetError(f"not Markov within orbit_budget={budget}: "
+                                    f"breakpoint orbits exceed {budget} points")
         nxt = []
         for x in frontier:
             y = image[x] = lat(x)
             if y not in image:
                 image[y] = None
                 nxt.append(y)
-                if len(image) > budget:
-                    raise MarkovBudgetError(
-                        f"not Markov within orbit_budget={budget}: "
-                        f"breakpoint orbits exceed {budget} points")
         frontier = nxt
     return MarkovSystem(lat, n, image)
 

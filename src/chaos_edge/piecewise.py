@@ -11,12 +11,14 @@ X = N·x, where N is the lcm of the denominators of the breakpoints and
 values: its breakpoints and values are ints, so a map with integral slopes
 takes ints to ints and its orbits from lattice points are int arithmetic.
 
-The n-th iterate of a map is represented by its *pieces*: maximal intervals on
-which the iterate is affine (or constant), each carried as
-``(a, b, f(a), f(b))``.  A ``PieceCursor`` produces them level by level by
-pulling the outer map's breakpoints back through each affine piece.  Its one
-reader is the exact renormalization (``renorm``), which needs every piece of
-f^n on an interval; periods, laps and entropy read the breakpoint closure
+The n-th iterate of a map on an interval [lo, hi] is represented by its
+*pieces*: maximal intervals on which the iterate is affine (or constant),
+each carried as ``(a, b, f(a), f(b))``.  ``pieces_on`` produces them by
+pushing the identity piece on [lo, hi] through the map n times, pulling the
+map's breakpoints back through each affine piece, so no piece outside
+[lo, hi] is built.  Its one reader is the exact renormalization (``renorm``),
+which needs every piece of f^n on a side of a turning region or on a
+restrictive interval; periods, laps and entropy read the breakpoint closure
 (``markov.build_markov``) instead.
 """
 
@@ -115,11 +117,6 @@ class PiecewiseLinear:
                                                [on_lattice(y, n) for y in self.ys])
         return self._lattice
 
-    def pieces(self):
-        """Level-1 pieces (the map's own segments)."""
-        xs, ys = self.xs, self.ys
-        return [(xs[i], xs[i + 1], ys[i], ys[i + 1]) for i in range(len(xs) - 1)]
-
     def is_self_map(self) -> bool:
         lo, hi = self.lo, self.hi
         return all(lo <= y <= hi for y in self.ys)
@@ -188,48 +185,29 @@ def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
             x0, w0 = x1, ys[c]
         out.append((x0, b, w0, pl(fb)))
         if len(out) > budget:
-            raise BudgetExhausted(f"piece budget ({budget}) exceeded")
+            raise BudgetExhausted(f"piece budget exceeded: more than piece_budget={budget} pieces")
     if len(out) > budget:
-        raise BudgetExhausted(f"piece budget ({budget}) exceeded")
+        raise BudgetExhausted(f"piece budget exceeded: more than piece_budget={budget} pieces")
     return out
 
 
-class PieceCursor:
-    """Lazily extended pieces of f, f², f³, … for one exact map."""
-
-    def __init__(self, pl: PiecewiseLinear, budget: int):
-        self.pl, self.budget = pl, budget
-        self._levels = [pl.pieces()]
-
-    def level(self, n: int):
-        if n < 1:
-            raise ValueError("iterate index must be >= 1")
-        while len(self._levels) < n:
-            self._levels.append(advance_pieces(self._levels[-1], self.pl, self.budget))
-        return self._levels[n - 1]
-
-    def clipped(self, n: int, lo, hi):
-        """Pieces of f^n on [lo, hi] ⊆ domain."""
-        out = []
-        for a, b, fa, fb in self.level(n):
-            if b <= lo or a >= hi:
-                continue
-            s = ratio(fb - fa, b - a)
-            if a < lo:
-                a, fa = lo, fa + (lo - a) * s
-            if b > hi:
-                b, fb = hi, fa + (hi - a) * s
-            out.append((a, b, fa, fb))
-        return out
+def pieces_on(pl: PiecewiseLinear, n: int, lo, hi, budget: int):
+    """Pieces of f^n on [lo, hi] ⊆ domain (f = pl): the identity piece on
+    [lo, hi] advanced n times."""
+    pieces = [(lo, hi, lo, hi)]
+    for _ in range(n):
+        pieces = advance_pieces(pieces, pl, budget)
+    return pieces
 
 
-def strict_lap_count(pieces) -> int:
-    """Number of maximal intervals of strict monotonicity (plateaus excluded,
-    but an everywhere-constant iterate still counts as one lap)."""
+def strict_lap_count(slopes) -> int:
+    """Number of maximal intervals of strict monotonicity of a map with these
+    segment slopes (plateaus excluded, but an everywhere-constant map still
+    counts as one lap)."""
     count = 0
     prev_dir = 0
-    for a, b, fa, fb in pieces:
-        d = 1 if fb > fa else (-1 if fb < fa else 0)
+    for s in slopes:
+        d = 1 if s > 0 else (-1 if s < 0 else 0)
         if d == 0:
             prev_dir = 0
             continue

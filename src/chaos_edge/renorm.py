@@ -5,10 +5,14 @@ images have pairwise disjoint interiors, with f^n(J) ⊆ J, f^n(∂J) ⊆ ∂J, 
 turning point somewhere in the orbit of J, and J maximal.  Candidate
 boundaries are periodic points of period dividing n next to a turning point,
 paired with their nearest f^n-preimage on the other side; every returned
-interval re-verifies all four conditions.  The images of J follow one hull
-rule for every map: the image of [a, b] is the hull of f(a), f(b) and the
-values of the ``maps.turning_regions`` that meet (a, b), exact on an exact
-map.
+interval re-verifies all four conditions.  The preimages on one side are
+solved on the pieces of f^n on that side alone (``piecewise.pieces_on``) on
+an exact map, and between the turning points of f^n on a float map; either
+is built once per side, and only when the side has candidates.  The images
+of J follow one hull rule for every map: the image of [a, b] is the hull of
+f(a), f(b) and the values of the ``maps.turning_regions`` that meet (a, b),
+exact on an exact map.  An exact map's renormalization conjugates the
+pieces of f^n on J alone.
 
 A float cascade level k is the map Φ_k ∘ f^N ∘ Φ_k⁻¹ of the original map f,
 where N = 2^k is the product of the relative periods and Φ_k is one affine
@@ -30,7 +34,7 @@ from .errors import BracketError, BudgetExhausted, MarkovBudgetError, Preconditi
 from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
                    turning_points_of, turning_regions)
 from .periods import lap_roots, periodic_points, turning_points_of_iterate
-from .piecewise import Affine, PieceCursor, PiecewiseLinear, solve_on_pieces
+from .piecewise import Affine, PiecewiseLinear, pieces_on, solve_on_pieces
 
 RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
 RESTRICTIVE_CANDIDATES = 8        # boundary candidates find_restrictive tries per side
@@ -117,15 +121,18 @@ def _interiors_disjoint(intervals, tol) -> bool:
     return True
 
 
-def _solve_iterate_on_side(m, n, target, side_lo, side_hi, config, cursor):
-    """Solutions of f^n(x) = target with x in [side_lo, side_hi]."""
+def _mate_solver(m, n, side_lo, side_hi, config):
+    """target -> the solutions of f^n(x) = target with x in [side_lo, side_hi],
+    ascending: read off the pieces of f^n on the side on an exact map, and
+    bracketed between the turning points of f^n on a float map."""
     if not side_lo < side_hi:
-        return []
-    if cursor is not None:
-        return solve_on_pieces(cursor.clipped(n, side_lo, side_hi), target)
+        return lambda target: []
+    if is_exact(m):
+        pieces = pieces_on(as_pl(m), n, side_lo, side_hi, config.piece_budget)
+        return lambda target: solve_on_pieces(pieces, target)
     turns = turning_points_of_iterate(m, n, config)
     cuts = [side_lo] + [t for t in turns if side_lo < t < side_hi] + [side_hi]
-    return lap_roots(m, n, target, cuts, 1, config.precision)
+    return lambda target: lap_roots(m, n, target, cuts, 1, config.precision)
 
 
 def _verify_restrictive(m, regions, a, b, n, config) -> Optional[RestrictiveInterval]:
@@ -161,7 +168,6 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[Re
     if period < 2:
         raise PreconditionError("period must be >= 2")
     dom = domain_of(m)
-    cursor = PieceCursor(as_pl(m), config.piece_budget) if is_exact(m) else None
     pts = set()
     for d in range(1, period + 1):
         if period % d != 0:
@@ -179,18 +185,20 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[Re
     for tlo, thi, _ in regions:
         left = [p for p in pts if p < tlo][-RESTRICTIVE_CANDIDATES:]
         right = [p for p in pts if p > thi][:RESTRICTIVE_CANDIDATES]
-        for p in reversed(left):
-            mates = _solve_iterate_on_side(m, period, p, thi, dom.hi, config, cursor)
-            for phat in mates[:RESTRICTIVE_CANDIDATES]:
-                ri = _verify_restrictive(m, regions, p, phat, period, config)
-                if ri and (best is None or ri.interval.width > best.interval.width):
-                    best = ri
-        for p in right:
-            mates = _solve_iterate_on_side(m, period, p, dom.lo, tlo, config, cursor)
-            for phat in reversed(mates[-RESTRICTIVE_CANDIDATES:]):
-                ri = _verify_restrictive(m, regions, phat, p, period, config)
-                if ri and (best is None or ri.interval.width > best.interval.width):
-                    best = ri
+        if left:
+            mates = _mate_solver(m, period, thi, dom.hi, config)
+            for p in reversed(left):
+                for phat in mates(p)[:RESTRICTIVE_CANDIDATES]:
+                    ri = _verify_restrictive(m, regions, p, phat, period, config)
+                    if ri and (best is None or ri.interval.width > best.interval.width):
+                        best = ri
+        if right:
+            mates = _mate_solver(m, period, dom.lo, tlo, config)
+            for p in right:
+                for phat in reversed(mates(p)[-RESTRICTIVE_CANDIDATES:]):
+                    ri = _verify_restrictive(m, regions, phat, p, period, config)
+                    if ri and (best is None or ri.interval.width > best.interval.width):
+                        best = ri
     return best
 
 
@@ -205,7 +213,7 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
     J = ri.interval
     dom = domain_of(m)
     if is_exact(m):
-        pieces = PieceCursor(as_pl(m), config.piece_budget).clipped(n, J.lo, J.hi)
+        pieces = pieces_on(as_pl(m), n, J.lo, J.hi, config.piece_budget)
         xs = [pieces[0][0]] + [p[1] for p in pieces]
         ys = [pieces[0][2]] + [p[3] for p in pieces]
         restricted = PiecewiseLinear(xs, ys)

@@ -102,7 +102,7 @@ def oracle_fixed_points(pieces):
 
 def oracle_levels(pl, n_max, budget):
     """Level-n pieces for n = 1..n_max, fewer where the budget runs out."""
-    levels = [pl.pieces()]
+    levels = [list(zip(pl.xs, pl.xs[1:], pl.ys, pl.ys[1:]))]
     while len(levels) < n_max:
         try:
             levels.append(oracle_advance(levels[-1], pl, budget))

@@ -76,6 +76,15 @@ class TestZeroCertificate:
                     replace(rec, period=2 * rec.period)):
             assert not verify_zero_certificate(T, replace(cert, plateau_orbits=(bad,)))
 
+    def test_altered_levels_bound_rejected(self, base1):
+        # the admitted doubling depth is the constant ZERO_CERT_LEVELS, so a
+        # certificate that states another one, higher or lower, is rejected
+        T = build_stunted(base1, [F(159, 128)])      # plateau period 4
+        cert = zero_entropy_certificate(T)
+        assert cert.levels_bound == boundary.ZERO_CERT_LEVELS
+        for levels in (1, boundary.ZERO_CERT_LEVELS + 1):
+            assert not verify_zero_certificate(T, replace(cert, levels_bound=levels))
+
     def test_plateau_records_rechecked_apart_from_the_lattice(self, base2, monkeypatch):
         # a lattice route that misreports the plateau periods makes a
         # certificate that re-running it reproduces; the int re-walks on the
@@ -587,7 +596,7 @@ class TestExactRoute:
             return honest(self, x)
 
         monkeypatch.setattr(pw.PiecewiseLinear, "__call__", counted)
-        r = boundary.decide_exact(T, boundary.ZERO_CERT_LEVELS, 64)
+        r = boundary.decide_exact(T, 64)
         assert r.kind == kind
         assert len(calls) == sum(calls) == closure
 

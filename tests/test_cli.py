@@ -126,6 +126,14 @@ class TestPeriodsCmd:
         assert err == ("budget exhausted: closed-walk budget exceeded: more than "
                        "piece_budget=20 walk steps at period p=5\n")
 
+    def test_past_the_orbit_budget_exit4(self, tmp_path, capsys):
+        # the trapezoid's breakpoint closure is its 4 breakpoints, which a
+        # budget of 3 does not hold
+        code, out, err = run_cli(capsys, "periods", write(tmp_path, "t.json", TRAPEZOID),
+                                 "--budget", "3")
+        assert code == 4 and out == ""
+        assert "orbit_budget=3" in err
+
     def test_newton_polish_stays_in_domain(self, capsys, monkeypatch):
         # a root at x = -0.99999999999996 once sent the polish's difference
         # quotient and its step below -1, where 12 iterates overflow
@@ -181,6 +189,14 @@ class TestRenormCmd:
         rep = json.loads(out)
         assert rep["restrictive"] is not None
         assert abs(float(rep["restrictive"]["lo"]) + 0.6180339887) < 1e-8
+
+    @pytest.mark.parametrize("desc", [TRAPEZOID, {"kind": "quadratic", "c": -2.0}],
+                             ids=["trapezoid", "full-quadratic"])
+    def test_no_restrictive_interval(self, tmp_path, capsys, desc):
+        code, out, _ = run_cli(capsys, "renorm", write(tmp_path, "t.json", desc),
+                               "--period", "2")
+        assert code == 0
+        assert out == '{"period": 2, "restrictive": null}\n'
 
     def test_cascade(self, tmp_path, capsys):
         desc = {"kind": "quadratic", "c": -1.3815474844320617}

@@ -14,9 +14,9 @@ from chaos_edge import (BudgetExhausted, MarkovBudgetError, PreconditionError, Q
                         type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
 from chaos_edge.maps import StuntedSawtooth, as_pl
-from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, strict_lap_count
+from chaos_edge.piecewise import PiecewiseLinear, strict_lap_count
 
-from conftest import ZERO_SIDE_2_60, random_xi
+from conftest import ZERO_SIDE_2_60, oracle_levels, random_xi
 
 F = Fraction
 
@@ -63,21 +63,17 @@ class TestLapCount:
 
 
 class TestGraphLaps:
-    """Lap counts on the Markov graph against the piece engine."""
+    """Lap counts on the Markov graph against the Fraction oracle's pieces."""
 
     def _agree(self, T, n_max=10, budget=1500):
-        """Compare every level the piece engine reaches within its budget;
-        returns how many that is."""
+        """Compare every level the oracle reaches within its budget; returns
+        how many that is."""
         counts, saturated = lap_series(T, n_max)
         assert len(counts) == n_max and not saturated
-        cursor = PieceCursor(as_pl(T), budget)
-        for n in range(1, n_max + 1):
-            try:
-                pieces = cursor.level(n)
-            except BudgetExhausted:
-                return n - 1
-            assert counts[n - 1] == strict_lap_count(pieces), n
-        return n_max
+        levels = oracle_levels(as_pl(T), n_max, budget)
+        for n, pieces in enumerate(levels, start=1):
+            assert counts[n - 1] == strict_lap_count([fb - fa for _, _, fa, fb in pieces]), n
+        return len(levels)
 
     def test_fixture_maps(self, base1, base2, T32, T12):
         maps = [T32, T12, build_stunted(base1, [F(1)]), full_stunted(base2),

@@ -59,6 +59,6 @@ def test_periods_csv_builds_each_level_once(tmp_path, capsys, monkeypatch):
         raise AssertionError("the piece engine was used")
 
     monkeypatch.setattr(piecewise, "advance_pieces", off)
-    monkeypatch.setattr(piecewise.PieceCursor, "level", off)
+    monkeypatch.setattr(piecewise, "pieces_on", off)
     out = stdout_of(tmp_path, capsys, FULL_M2, "periods", "--format", "csv", "--bound", "7")
     assert out == (DATA / "periods_full_m2_bound7.csv").read_bytes().decode()

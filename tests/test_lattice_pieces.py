@@ -1,5 +1,5 @@
-"""Exact periods and orbits read off the breakpoint closure, the piece
-engine that renormalization still builds, and the exact orbit walks on the
+"""Exact periods and orbits read off the breakpoint closure, the restricted
+piece walks that renormalization builds, and the exact orbit walks on the
 integer lattice.
 
 They are checked against the ``Fraction`` oracle of ``conftest``: the piece
@@ -23,7 +23,7 @@ from chaos_edge.cli import main
 from chaos_edge.errors import BudgetExhausted, DomainEscapeError
 from chaos_edge.maps import as_pl
 from chaos_edge.markov import build_markov, cycle_analysis
-from chaos_edge.piecewise import PieceCursor, PiecewiseLinear, advance_pieces
+from chaos_edge.piecewise import PiecewiseLinear, advance_pieces, pieces_on
 
 from conftest import (ZERO_SIDE_2_60, oracle_advance, oracle_levels, oracle_orbits,
                       oracle_period_set, random_xi)
@@ -72,20 +72,20 @@ BOUND = {1: 8, 2: 6, 3: 5}
                          ids=lambda T: f"m{T.m}e{T.base.epsilon}:" + ",".join(map(str, T.xi)))
 def test_period_sets_match_oracle(T):
     assert_matches_oracle(T, BOUND[T.m], 1000, BOUND[T.m])
-    # piece counts per level (the benchmark's piecewise.pieces counter)
-    cursor = PieceCursor(as_pl(T), 1000)
-    levels = oracle_levels(as_pl(T), BOUND[T.m] + 1, 1000)
-    assert [len(cursor.level(n)) for n in range(1, len(levels) + 1)] == list(map(len, levels))
+    # the pieces of each level on the whole domain, and the budget one level
+    # past the last the oracle builds
+    pl = as_pl(T)
+    levels = oracle_levels(pl, BOUND[T.m] + 1, 1000)
+    for n, level in enumerate(levels, start=1):
+        assert pieces_on(pl, n, pl.lo, pl.hi, 1000) == level, n
     if len(levels) <= BOUND[T.m]:
-        with pytest.raises(BudgetExhausted):
-            cursor.level(len(levels) + 1)
+        with pytest.raises(BudgetExhausted, match="piece_budget=1000 "):
+            pieces_on(pl, len(levels) + 1, pl.lo, pl.hi, 1000)
     # where orbit_budget stops the closure before its last point, no period
-    # is claimed (the full maps' closures are their breakpoints)
-    closure = len(build_markov(T, DEFAULT.orbit_budget).image)
-    if closure > len(T.lattice()[1].xs):
-        small = closure - 1
-        with pytest.raises(MarkovBudgetError, match=f"orbit_budget={small}: .* exceed {small} "):
-            period_set(T, 12, RunConfig(orbit_budget=small))
+    # is claimed; a full map's closure is its breakpoints, which count too
+    small = len(build_markov(T, DEFAULT.orbit_budget).image) - 1
+    with pytest.raises(MarkovBudgetError, match=f"orbit_budget={small}: .* exceed {small} "):
+        period_set(T, 12, RunConfig(orbit_budget=small))
 
 
 def test_budget_raises_while_the_level_is_built():
@@ -93,7 +93,7 @@ def test_budget_raises_while_the_level_is_built():
     # piece, which leaves the domain, is never reached
     _, lat = ZIGZAG3.lattice()
     pieces = [(0, 3, 0, 3), (3, 4, 5, 9)]
-    with pytest.raises(BudgetExhausted, match=r"piece budget \(2\) exceeded"):
+    with pytest.raises(BudgetExhausted, match=r"more than piece_budget=2 pieces"):
         advance_pieces(pieces, lat, 2)
     with pytest.raises(DomainEscapeError):
         advance_pieces(pieces, lat, 3)
@@ -140,7 +140,7 @@ def test_periods_build_no_piece(T, monkeypatch):
         raise AssertionError("the piece engine was used")
 
     monkeypatch.setattr(piecewise, "advance_pieces", off)
-    monkeypatch.setattr(PieceCursor, "level", off)
+    monkeypatch.setattr(piecewise, "pieces_on", off)
     assert (period_set(T, 12), [periodic_points(T, p) for p in range(1, 6)]) == want
 
 
@@ -185,20 +185,14 @@ def test_a_segment_of_periodic_points_raises():
 # -- the exact renorm route ---------------------------------------------
 
 
-class OracleCursor:
+def oracle_pieces_on(pl, n, lo, hi, budget):
     """The restricted route: restrict the map to [lo, hi], then advance in
     Fractions."""
-
-    def __init__(self, pl, budget):
-        self.pl, self.budget = pl, budget
-
-    def clipped(self, n, lo, hi):
-        pl = self.pl
-        xs = [lo] + [x for x in pl.xs if lo < x < hi] + [hi]
-        pieces = [(a, b, pl(a), pl(b)) for a, b in zip(xs, xs[1:])]
-        for _ in range(n - 1):
-            pieces = oracle_advance(pieces, pl, self.budget)
-        return pieces
+    xs = [lo] + [x for x in pl.xs if lo < x < hi] + [hi]
+    pieces = [(a, b, pl(a), pl(b)) for a, b in zip(xs, xs[1:])]
+    for _ in range(n - 1):
+        pieces = oracle_advance(pieces, pl, budget)
+    return pieces
 
 
 def _oracle_periodic_points(m, d, config):
@@ -218,7 +212,7 @@ def test_renorm_matches_restricted_oracle(T, monkeypatch):
     ri = find_restrictive(T, 2)
     core = renormalize(T, ri, return_phi=True) if ri is not None else None
     trace = cascade_trace(T, 4)
-    monkeypatch.setattr(renorm, "PieceCursor", OracleCursor)
+    monkeypatch.setattr(renorm, "pieces_on", oracle_pieces_on)
     monkeypatch.setattr(renorm, "periodic_points", _oracle_periodic_points)
     assert find_restrictive(T, 2) == ri
     if ri is not None:
