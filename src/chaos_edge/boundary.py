@@ -69,14 +69,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
-from .entropy import Witness, exact_walk, positive_entropy_witness, verify_witness
+from .entropy import Witness, exact_walk, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
                    build_stunted, build_type_b, domain_of, is_even, is_exact, iterate, orbit,
                    rat, turning_points_of)
 from .markov import build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
-                      is_power_of_two)
+                      is_power_of_two, minimal_period)
 from .piecewise import on_lattice
 from .symbolic import doubling_side, shape
 
@@ -388,21 +388,13 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
 
 def _float_orbit_witness(m, x0: float, period_hint) -> Optional[Witness]:
     """Package a float periodic point as a witness if its minimal period is
-    not a power of two (first-return with a relative tolerance)."""
+    not a power of two (``minimal_period`` with a relative tolerance)."""
     if period_hint is None or is_power_of_two(period_hint):
         return None
-    tol = 1e-7 * max(1.0, abs(x0))
-    orbit = [x0]
-    for _ in range(period_hint):
-        y = m(orbit[-1])
-        if abs(y - x0) < tol:
-            break
-        orbit.append(y)
-    else:
+    p = minimal_period(m, x0, period_hint, 1e-7 * max(1.0, abs(x0)))
+    if p is None or is_power_of_two(p):
         return None
-    if is_power_of_two(len(orbit)):
-        return None
-    return Witness("periodic-orbit", len(orbit), tuple(orbit))
+    return Witness("periodic-orbit", p, (x0, *orbit(m, x0, p - 1)))
 
 
 def _deepest_scan(m, widths) -> Optional[Witness]:
@@ -627,27 +619,23 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         nonlocal undecided
         while width(zero, pos) > resolution and probes < limit:
             mid = (zero[0] + pos[0]) / 2
-            r = probe(mid, routed)
-            if r.kind == ZERO:
-                zero = (mid, r)
-            elif r.kind == POSITIVE:
-                pos = (mid, r)
-            else:
-                undecided += 1
+            # the midpoint, then, if it is undecided, the two quarter points,
+            # made only then: exact paths pay for each Fraction sum
+            for ts in ((mid,), None):
                 moved = False
-                for t in ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
-                    rr = probe(t, routed)
-                    if rr.kind == ZERO:
-                        zero = (t, rr)
-                        moved = True
-                    elif rr.kind == POSITIVE:
-                        pos = (t, rr)
-                        moved = True
+                for t in ts or ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
+                    r = probe(t, routed)
+                    if r.kind == ZERO:
+                        zero, moved = (t, r), True
+                    elif r.kind == POSITIVE:
+                        pos, moved = (t, r), True
                     else:
                         undecided += 1
-                if not moved:
-                    raise BudgetExhausted(f"undecided probes block refinement below width "
-                                          f"{width(zero, pos)}")
+                if moved:
+                    break
+            else:
+                raise BudgetExhausted(f"undecided probes block refinement below width "
+                                      f"{width(zero, pos)}")
         if width(zero, pos) > resolution:
             raise BudgetExhausted(f"probe budget exhausted: max_probes={MAX_PROBES} "
                                   f"reached at width {width(zero, pos)}")
@@ -714,17 +702,14 @@ def approximants(T_gamma: StuntedSawtooth, radius, config: RunConfig = DEFAULT):
         if shape(plus) != tau or shape(minus) != tau:
             tried.append((r, "shape broke"))
             continue
-        w = positive_entropy_witness(plus, config)
-        if w is None:
+        above = classify_stunted(plus, PERIOD_BOUND_EXACT, config)
+        if above.kind != POSITIVE:
             tried.append((r, "no positive witness"))
             continue
-        try:
-            cert = zero_entropy_certificate(minus, config=config)
-        except BudgetExhausted:
-            cert = None
-        if cert is None:
+        below = classify_stunted(minus, PERIOD_BOUND_EXACT, config)
+        if below.kind != ZERO:
             tried.append((r, "no zero certificate"))
             continue
-        return plus, minus, w, cert, r
+        return plus, minus, above.witness, below.certificate, r
     raise PreconditionError(
         f"could not certify both sides within radius {radius}; attempts: {tried}")

@@ -173,7 +173,7 @@ def cmd_renorm(args) -> None:
 
 def cmd_feigenbaum(args) -> None:
     fam = rn.QuadraticFamily()
-    est = rn.feigenbaum_delta(fam, args.k_max, tol=min(_config_from(args).precision, 1e-13))
+    est = rn.feigenbaum_delta(fam, args.k_max)
     if args.format == "csv":
         rows = []
         for k, c in enumerate(est.params):
@@ -318,7 +318,7 @@ SUBCOMMANDS = {
     "renorm": ("restrictive intervals and cascades", True,
                ("--period", "--cascade", "--precision", "--budget")),
     "feigenbaum": ("superstable parameters and doubling ratio", False,
-                   ("--k-max", "--format", "--precision")),
+                   ("--k-max", "--format")),
     "boundary": ("two-sided boundary certificates on a path", True,
                  ("--resolution", "--bound", "--budget")),
     "sweep": ("per-parameter summaries over a grid", True,

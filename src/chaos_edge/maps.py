@@ -370,27 +370,19 @@ class PolynomialTypeB:
             x = -(b_ell * x ** ell + a) / b
         return x
 
-    def preimages(self, w):
+    def _pull_back(self, w, k):
+        """The preimages of w under q_k ∘ … ∘ q_1, stages k-1 down to 0, sorted."""
         targets = [w]
-        for i in range(len(self.stages) - 1, -1, -1):
-            nxt = []
-            for t in targets:
-                nxt.extend(self.stage_preimages(i, t))
-            targets = sorted(set(nxt))
+        for i in range(k - 1, -1, -1):
+            targets = sorted({x for t in targets for x in self.stage_preimages(i, t)})
         return targets
 
+    def preimages(self, w):
+        return self._pull_back(w, len(self.stages))
+
     def _turning_points(self):
-        # turning points of q_k∘…∘q_1 = turnings so far ∪ preimages of 0 under the prefix
-        turns = {0.0}
-        for i in range(1, len(self.stages)):
-            prefix_pre = [0.0]
-            for j in range(i - 1, -1, -1):
-                nxt = []
-                for t in prefix_pre:
-                    nxt.extend(self.stage_preimages(j, t))
-                prefix_pre = nxt
-            turns.update(prefix_pre)
-        return sorted(turns)
+        # turning points of q_k∘…∘q_1: 0 and the preimages of 0 under each proper prefix
+        return sorted({0.0}.union(*(self._pull_back(0.0, i) for i in range(1, len(self.stages)))))
 
 
 def build_type_b(stages) -> PolynomialTypeB:

@@ -11,9 +11,11 @@ The graph decides periodicity questions without iterating pieces:
 * every other periodic orbit avoids plateaus and corresponds to a closed walk
   through expanding states, solved exactly as a fixed point of an affine
   composition;
-* strongly connected components that are single cycles enumerate all such
-  orbits; a component with a branching vertex certifies entropy at least
-  log 2 / length and yields a non-power-of-two orbit by splicing two cycles;
+* strongly connected components, found by Gabow's path-based depth-first
+  search and listed in reverse topological order, split the graph: those
+  that are single cycles enumerate all such orbits; a component with a
+  branching vertex certifies entropy at least log 2 / length and yields a
+  non-power-of-two orbit by splicing two cycles;
 * traces of the transition matrix count the points of each period.
 
 ``build_markov`` walks the closure once, evaluating each point and keeping
@@ -121,51 +123,43 @@ def build_markov(m, budget: int) -> MarkovSystem:
     return MarkovSystem(lat, n, image)
 
 
-def _tarjan_sccs(rows, size):
-    """Iterative Tarjan over range-successor rows; returns list of components."""
-    indices = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack = []
-    sccs = []
-    counter = [0]
+def _components(rows, size):
+    """The strongly connected components of the range-successor rows, by
+    Gabow's path-based depth-first search: reverse topological order, each
+    component from its last-reached state to its root.  ``index`` is -1 for
+    an unreached state, its place on ``stack`` until it is placed in a
+    component, then ``size``; ``bounds`` holds the stack places of the
+    tentative roots on the search path, which an edge back into the stack
+    merges."""
+    index = [-1] * size
+    comps = []
     for root in range(size):
-        if indices[root] != -1:
+        if index[root] >= 0:
             continue
+        # every state reached from an earlier root is placed: the stack is empty
+        stack, bounds, index[root] = [root], [0], 0
         work = [(root, iter(range(*rows[root])))]
-        indices[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if indices[w] == -1:
-                    indices[w] = low[w] = counter[0]
-                    counter[0] += 1
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:
+                    index[w] = len(stack)
                     stack.append(w)
-                    on_stack[w] = True
+                    bounds.append(index[w])
                     work.append((w, iter(range(*rows[w]))))
-                    advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], indices[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == indices[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+                while bounds[-1] > index[w]:
+                    bounds.pop()
+            else:
+                work.pop()
+                if bounds[-1] == index[v]:
+                    bounds.pop()
+                    comp = stack[index[v]:][::-1]
+                    del stack[index[v]:]
+                    for w in comp:
+                        index[w] = size
+                    comps.append(comp)
+    return comps
 
 
 @dataclass(frozen=True)
@@ -177,10 +171,12 @@ class CycleAnalysis:
 
 
 def cyclic_components(rows, size):
-    """Strongly connected components with an internal edge, in Tarjan order,
-    each as (states, {state: its in-component successors, ascending}).  A
-    component branches unless every state has exactly one successor."""
-    for scc in _tarjan_sccs(rows, size):
+    """Strongly connected components with an internal edge, in the order of
+    ``_components`` (reverse topological, each from its last-reached state to
+    its root), each as (states, {state: its in-component successors,
+    ascending}).  A component branches unless every state has exactly one
+    successor."""
+    for scc in _components(rows, size):
         scc_set = set(scc)
         succ = {v: [w for w in range(*rows[v]) if w in scc_set] for v in scc}
         if any(succ.values()):
@@ -306,7 +302,9 @@ def periodic_orbits(system: MarkovSystem, p: int, budget: int):
     X = P/q from the least, and the slope of T^p there (at a partition
     point, on its left unless that is 0 or absent).  Besides the p-cycles of
     partition points, each orbit is a primitive closed walk, composed along
-    a search from the state v of its least point through states >= v.
+    a search from the state v of its least point through states >= v and
+    solved once: at the least of its rotations that start at v, the one
+    rotation a primitive walk has and a repeated walk lacks.
     Raises BudgetExhausted, naming ``piece_budget``, past ``budget`` steps."""
     pts, rows, affine = system.points, system.rows, system.affine
     out = []
@@ -333,10 +331,12 @@ def periodic_orbits(system: MarkovSystem, p: int, budget: int):
                 elif rows[w][0] <= v < rows[w][1]:
                     if s == 1:
                         raise ValueError(SEGMENT)
+                    if any(path[i:] + path[:i] <= path for i in range(1, p) if path[i] == v):
+                        continue
                     orbit, q = _cycle_orbit(system, path, (s, o))
-                    if (orbit[0] not in (pts[v] * q, pts[v + 1] * q)
-                            and _first_return(orbit) == p and orbit[0] == min(orbit)):
-                        out.append((orbit, q, s))
+                    if orbit[0] not in (pts[v] * q, pts[v + 1] * q) and _first_return(orbit) == p:
+                        i = orbit.index(min(orbit))
+                        out.append((orbit[i:] + orbit[:i], q, s))
     return out
 
 

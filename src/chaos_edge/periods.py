@@ -19,7 +19,7 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, bisect_root, domain_of, is_exact, iterate, iterate_grid,
+from .maps import (Quadratic, bisect_root, domain_of, is_exact, iterate, iterate_grid, orbit,
                    quadratic_multiplier, turning_points_of)
 from .markov import build_markov, periodic_orbits, periodic_point_counts
 
@@ -55,7 +55,7 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _minimal_period(m, x, p: int, tol: float):
+def minimal_period(m, x, p: int, tol: float):
     """First-return time of x under m within p steps, to within tol (None if
     it never returns)."""
     y = x
@@ -67,11 +67,7 @@ def _minimal_period(m, x, p: int, tol: float):
 
 
 def _orbit_of(m, x, p: int):
-    pts = [x]
-    y = x
-    for _ in range(p - 1):
-        y = m(y)
-        pts.append(y)
+    pts = [x, *orbit(m, x, p - 1)]
     least = min(range(p), key=lambda i: pts[i])
     return tuple(pts[least:] + pts[:least])
 
@@ -245,11 +241,11 @@ def _periodic_float(m, p, config):
         i = bisect.bisect_left(taken, x)
         if any(abs(x - t) <= tol for t in taken[max(i - 1, 0):i + 1]):
             continue
-        mp = _minimal_period(m, x, p, tol)
+        mp = minimal_period(m, x, p, tol)
         if mp != p:
             continue
-        orbit = _orbit_of(m, x, p)
-        for y in orbit:
+        cycle = _orbit_of(m, x, p)
+        for y in cycle:
             bisect.insort(taken, y)
         a = abs(cycle_multiplier(m, x, p))
         if abs(a - 1.0) < 1e-6:
@@ -258,7 +254,7 @@ def _periodic_float(m, p, config):
             stab = "attracting"
         else:
             stab = "repelling"
-        orbits.append(PeriodicOrbit(orbit, p, stab))
+        orbits.append(PeriodicOrbit(cycle, p, stab))
     return orbits
 
 

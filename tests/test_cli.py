@@ -462,7 +462,7 @@ SUBCOMMAND_OPTIONS = {
     "shape": set(),
     "psi": {"--depth"},
     "renorm": {"--period", "--cascade", "--precision", "--budget"},
-    "feigenbaum": {"--k-max", "--format", "--precision"},
+    "feigenbaum": {"--k-max", "--format"},
     "boundary": {"--resolution", "--bound", "--budget"},
     "sweep": {"--grid", "--with-entropy", "--n-max", "--precision", "--budget"},
 }

@@ -18,7 +18,7 @@ import pytest
 from chaos_edge import (DEFAULT, MarkovBudgetError, RunConfig, build_base, build_stunted,
                         cascade_trace, find_restrictive, full_stunted, period_set,
                         periodic_points, renormalize)
-from chaos_edge import piecewise, renorm
+from chaos_edge import markov, piecewise, renorm
 from chaos_edge.cli import main
 from chaos_edge.errors import BudgetExhausted, DomainEscapeError
 from chaos_edge.maps import as_pl
@@ -147,6 +147,22 @@ def test_periods_build_no_piece(T, monkeypatch):
 def test_trapezoid_has_every_period_to_64():
     ps = period_set(build_stunted(build_base(1, 1), [F(3, 2)]), 64)
     assert ps.periods == frozenset(range(1, 65)) and ps.complete_upto == 64
+
+
+def test_each_periodic_orbit_is_solved_once(monkeypatch):
+    # only the least rotation of a primitive closed walk is solved; the
+    # trapezoid has 32,769 closed walks of length 16 that start at their
+    # least state, and 4,080 orbits of period 16
+    solved = [0]
+    real = markov._cycle_orbit
+
+    def counted(*args):
+        solved[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(markov, "_cycle_orbit", counted)
+    orbits = periodic_points(build_stunted(build_base(1, 1), [F(3, 2)]), 16)
+    assert len({o.points for o in orbits}) == len(orbits) == solved[0] == 4080
 
 
 def test_zero_entropy_set_is_the_graph_cycles():

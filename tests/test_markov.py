@@ -17,7 +17,7 @@ from chaos_edge import (BudgetExhausted, MarkovBudgetError, build_base, build_st
 from chaos_edge.boundary import plateau_orbit_analysis
 from chaos_edge.config import DEFAULT
 from chaos_edge.entropy import Witness, spectral_radius, verify_witness
-from chaos_edge.markov import build_markov, cycle_analysis
+from chaos_edge.markov import _components, build_markov, cycle_analysis, cyclic_components
 from chaos_edge.periods import is_power_of_two
 from chaos_edge.piecewise import PiecewiseLinear
 
@@ -62,6 +62,50 @@ class TestCycleAnalysis:
         analysis = cycle_analysis(build_markov(T.pl, 1024))
         assert analysis.complete
         assert analysis.periods == frozenset({1, 2})
+
+
+def reachable(rows, size):
+    """Per state, the set of states its walks reach, itself included."""
+    out = []
+    for v in range(size):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in range(*rows[todo.pop()]):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        out.append(seen)
+    return out
+
+
+def random_rows(rnd, size):
+    """Interval rows [a, b) over size states, a quarter of them empty."""
+    rows = []
+    for _ in range(size):
+        a = rnd.randrange(size)
+        rows.append((0, 0) if rnd.random() < 0.25
+                    else (a, rnd.randint(a + 1, min(size, a + rnd.choice((1, 2, 4, size))))))
+    return rows
+
+
+class TestComponents:
+    def test_components_match_a_reachability_oracle(self):
+        rnd = random.Random(29)
+        for _ in range(400):
+            size = rnd.randint(1, 30)
+            rows = random_rows(rnd, size)
+            comps = _components(rows, size)
+            reach = reachable(rows, size)
+            assert sorted(v for c in comps for v in c) == list(range(size))
+            assert {frozenset(c) for c in comps} == {
+                frozenset(w for w in reach[v] if v in reach[w]) for v in range(size)}
+            # reverse topological order: every edge stays in its component or
+            # leads to an earlier one
+            where = {v: i for i, c in enumerate(comps) for v in c}
+            assert all(where[w] <= where[v] for v in range(size) for w in range(*rows[v]))
+            internal = [c for c in comps
+                        if any(where[w] == where[v] for v in c for w in range(*rows[v]))]
+            assert [scc for scc, _ in cyclic_components(rows, size)] == internal
 
 
 def fraction_partition(pl, budget):
