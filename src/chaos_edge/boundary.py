@@ -581,7 +581,8 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
 
     Probes that certify neither way are counted and the bracket is refined
     around them at quarter points; if every refinement probe is undecided,
-    or past ``MAX_PROBES`` probes, the search stops with the budget error.
+    past ``MAX_PROBES`` probes, or when no float lies strictly between the
+    ends of a float bracket, the search stops with the budget error.
     On a float path an interior probe of an even map takes its side from
     ``doubling_side`` when that gives one; the ends so sided are classified
     at the end (not counted as probes), and if a verdict differs from its
@@ -619,6 +620,9 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         nonlocal undecided
         while width(zero, pos) > resolution and probes < limit:
             mid = (zero[0] + pos[0]) / 2
+            if mid in (zero[0], pos[0]):     # adjacent floats; a Fraction never is
+                raise BudgetExhausted(f"no float lies between the bracket ends: resolution "
+                                      f"{resolution} is below the width {width(zero, pos)}")
             # the midpoint, then, if it is undecided, the two quarter points,
             # made only then: exact paths pay for each Fraction sum
             for ts in ((mid,), None):

@@ -190,10 +190,9 @@ def cmd_feigenbaum(args) -> None:
 def cmd_boundary(args) -> None:
     cfg = _config_from(args)
     path = _path_from(_read_descriptor(args.descriptor))
-    resolution = None
-    if args.resolution is not None:
-        resolution = (Fraction(args.resolution) if path.exact
-                      else float(Fraction(args.resolution)))
+    resolution = args.resolution
+    if resolution is not None and not path.exact:
+        resolution = float(resolution)
     res = bd.locate_boundary(path, bound=args.bound, resolution=resolution, config=cfg)
     report = res.as_dict()
     if path.kind == "quadratic":
@@ -276,7 +275,10 @@ def _attracting_summary(m) -> str:
 def _positive(kind):
     """argparse type: a ``kind`` value above 0."""
     def parse(text):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ZeroDivisionError as exc:    # Fraction("1/0"), which argparse lets through
+            raise ValueError(text) from exc
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {text}")
         return value
@@ -297,7 +299,7 @@ OPTIONS = {
     "--period": dict(type=int, default=2),
     "--cascade": dict(type=int, default=0, help="trace a doubling cascade to this depth instead"),
     "--k-max": dict(type=int, default=10),
-    "--resolution": dict(type=str, default=None,
+    "--resolution": dict(type=_positive(Fraction), default=None,
                          help="bracket width target, e.g. 1/1073741824 or 1e-6"),
     "--grid": dict(type=int, default=100),
     "--with-entropy": dict(action="store_true",

@@ -18,11 +18,12 @@ class RunConfig:
     plateau ends and the plateau orbits).
     ``piece_budget`` caps the pieces of one iterate on an interval
     (``piecewise.pieces_on``, exact renormalization), the turning points of
-    a float iterate and the closed-walk steps that list an exact map's
-    orbits of one period.  The float classifiers' fixed tolerances, grid
-    sizes and the default period bounds are module constants beside their
-    code; the two resolutions, the default bracket widths of a locate, are
-    constants of this class, not fields.
+    a float iterate and the prefix extensions that the Lyndon closed-walk
+    search keeps while it lists an exact map's orbits of one period.  The
+    float classifiers' fixed tolerances, grid sizes and the default period
+    bounds are module constants beside their code; the two resolutions, the
+    default bracket widths of a locate, are constants of this class, not
+    fields.
     """
 
     resolution_exact = Fraction(1, 2**40)

@@ -8,9 +8,10 @@ rows are index ranges.
 The graph decides periodicity questions without iterating pieces:
 
 * orbits through partition points are walks in a functional graph;
-* every other periodic orbit avoids plateaus and corresponds to a closed walk
-  through expanding states, solved exactly as a fixed point of an affine
-  composition;
+* every other periodic orbit avoids plateaus and corresponds to one Lyndon
+  closed walk through expanding states (the least of its rotations, not a
+  repeat), generated prefix by prefix by the necklace rule and solved
+  exactly as a fixed point of an affine composition;
 * strongly connected components, found by Gabow's path-based depth-first
   search and listed in reverse topological order, split the graph: those
   that are single cycles enumerate all such orbits; a component with a
@@ -33,7 +34,7 @@ which lie off the lattice, are ``Fraction``s; witness orbits leave
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -197,7 +198,7 @@ def _cycle_orbit(system: MarkovSystem, states, comp=None):
     The point X = o/(1 - s) of the walk's composed affine map (``comp``, if
     given) lies off the lattice; its orbit is walked by the states' affine
     maps as numerators P over one denominator q > 0, X = P/q, and returned
-    as (numerators, q).
+    as (numerators, q), cut at its first return: one period.
     """
     affine = [system.affine[st] for st in states]
     if None in affine:
@@ -210,9 +211,7 @@ def _cycle_orbit(system: MarkovSystem, states, comp=None):
     if s == 1:
         return None
     q, p0 = (1 - s, o) if s < 1 else (s - 1, -o)
-    pts = system.points
-    p = p0
-    orbit = []
+    pts, p, orbit = system.points, p0, []
     for st, (a, b) in zip(states, affine):
         if not pts[st] * q <= p <= pts[st + 1] * q:
             return None
@@ -220,12 +219,8 @@ def _cycle_orbit(system: MarkovSystem, states, comp=None):
         p = a * p + b * q
     if p != p0:
         return None
-    return orbit, q
-
-
-def _first_return(orbit):
-    """Minimal period of a periodic orbit listed over one closed walk."""
-    return next((k for k in range(1, len(orbit)) if orbit[k] == orbit[0]), len(orbit))
+    orbit.append(p)
+    return orbit[:orbit.index(p, 1)], q
 
 
 def point_cycles(system: MarkovSystem):
@@ -301,11 +296,15 @@ def periodic_orbits(system: MarkovSystem, p: int, budget: int):
     """The orbits of minimal period p as (numerators, q, slope): points
     X = P/q from the least, and the slope of T^p there (at a partition
     point, on its left unless that is 0 or absent).  Besides the p-cycles of
-    partition points, each orbit is a primitive closed walk, composed along
-    a search from the state v of its least point through states >= v and
-    solved once: at the least of its rotations that start at v, the one
-    rotation a primitive walk has and a repeated walk lacks.
-    Raises BudgetExhausted, naming ``piece_budget``, past ``budget`` steps."""
+    partition points, each orbit is one Lyndon closed walk, the least of its
+    rotations and not a repeat.  A depth-first search per component makes
+    them by the necklace rule of Fredricksen, Kessler and Maiorana: a prefix
+    is extended only by states >= the one ``run`` places back, ``run`` the
+    length of its longest Lyndon prefix, so each walk is reached once.  A
+    Lyndon walk off the partition points has minimal period p; a closed walk
+    with run < p dividing p repeats a shorter one and is only checked for
+    slope 1.  Raises BudgetExhausted, naming ``piece_budget``, past
+    ``budget`` kept prefix extensions."""
     pts, rows, affine = system.points, system.rows, system.affine
     out = []
     for cyc in point_cycles(system):
@@ -316,25 +315,28 @@ def periodic_orbits(system: MarkovSystem, p: int, budget: int):
             out.append(([pts[k] for k in cyc[i:] + cyc[:i]], 1, left or right))
     steps, path = 0, [None] * p
     for scc, succ in cyclic_components(rows, system.size):
+        moves = {w: [(u, *affine[u]) for u in ws] for w, ws in succ.items()}
         for v in scc:
-            later = {w: [(u, *affine[u]) for u in ws if u >= v] for w, ws in succ.items()}
-            stack = [(1, v, *affine[v])]      # (walk length, last state, T^length on it)
+            stack = [(1, 1, v, *affine[v])]   # (length, run, last state, T^length on it)
             while stack:
-                k, w, s, o = stack.pop()
+                k, run, w, s, o = stack.pop()
                 path[k - 1] = w
                 if k < p:
-                    steps += len(later[w])
+                    least = path[k - run]
+                    ext = moves[w][bisect_left(succ[w], least):]
+                    steps += len(ext)
                     if steps > budget:
                         raise BudgetExhausted(f"closed-walk budget exceeded: more than "
                                               f"piece_budget={budget} walk steps at period p={p}")
-                    stack += [(k + 1, u, a * s, a * o + b) for u, a, b in later[w]]
-                elif rows[w][0] <= v < rows[w][1]:
+                    stack += [(k + 1, run if u == least else k + 1, u, a * s, a * o + b)
+                              for u, a, b in ext]
+                elif p % run == 0 and rows[w][0] <= v < rows[w][1]:
                     if s == 1:
                         raise ValueError(SEGMENT)
-                    if any(path[i:] + path[:i] <= path for i in range(1, p) if path[i] == v):
+                    if run < p:
                         continue
                     orbit, q = _cycle_orbit(system, path, (s, o))
-                    if orbit[0] not in (pts[v] * q, pts[v + 1] * q) and _first_return(orbit) == p:
+                    if orbit[0] not in (pts[v] * q, pts[v + 1] * q):
                         i = orbit.index(min(orbit))
                         out.append((orbit[i:] + orbit[:i], q, s))
     return out
@@ -366,7 +368,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 v = succ[v][0]
             traced = _cycle_orbit(system, cyc)
             if traced is not None:
-                periods.add(_first_return(traced[0]))
+                periods.add(len(traced[0]))
             continue
         # branching component: two distinct cycles through branch_vertex
         complete = False
@@ -379,12 +381,8 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
             continue
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
             traced = _cycle_orbit(system, w1 * a + w2 * b)
-            if traced is None:
-                continue
-            orbit, q = traced
-            mp = _first_return(orbit)
-            if mp & (mp - 1):      # not a power of two
-                witness = orbit[:mp], q
+            if traced is not None and len(traced[0]) & (len(traced[0]) - 1):
+                witness = traced   # its period is not a power of two
                 break
     if witness is None:
         return CycleAnalysis(complete, frozenset(periods), None, None)

@@ -397,6 +397,39 @@ class TestQuadraticCascade:
         assert [x for x in points if type(x) is not float] == []
 
 
+@pytest.mark.xfail(strict=True, reason="a float zero verdict is not validated: the critical "
+                   "orbit's 2^16-step return is taken for an attracting cycle "
+                   "(ROADMAP items 2 and 12)")
+def test_just_past_c_inf_is_not_zero():
+    # c lies 2.6e-12 beyond c_inf, where x^2 + c has positive entropy; at 40
+    # digits the critical orbit's 65,536-step return distance grows about
+    # 1.7-fold a period and collapses again, between 3e-11 and 2e-9 over 40
+    # periods, yet the classifier returns zero with a 65,536-cycle whose
+    # multiplier it puts at -0.36
+    c = -1.401155189094658
+    assert C_INF - c > 2e-12
+    assert classify_float(Quadratic(c)).kind != ZERO
+
+
+def test_float_bisection_stops_at_adjacent_floats(monkeypatch):
+    # a resolution below the spacing of doubles near c_inf: the bisection
+    # re-probed an end until MAX_PROBES (400 probes, width 2.22e-16); it now
+    # stops at the first pair of adjacent floats, which straddles c_inf
+    sided = []
+
+    def side(m):
+        sided.append(m.c)
+        return ZERO if m.c > C_INF else POSITIVE
+
+    monkeypatch.setattr(boundary, "doubling_side", side)
+    monkeypatch.setattr(boundary, "_classify_float", lambda m, s: boundary.ProbeResult(side(m)))
+    with pytest.raises(BudgetExhausted) as info:
+        locate_boundary(quadratic_path(-1.5, -1.3), resolution=1e-17)
+    assert str(info.value) == ("no float lies between the bracket ends: resolution 1e-17 "
+                               "is below the width 2.220446049250313e-16")
+    assert len(sided) == len(set(sided)) < 64
+
+
 def test_kneading_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
     # a = -1.25 is the neutral 2 -> 4 doubling: its kneading sides it zero,
     # which ends the routed bisection at width 0.25, but classify_float leaves

@@ -411,6 +411,25 @@ def test_non_positive_flag_exit2(tmp_path, command, flag, desc, value):
     assert "must be positive" in run.stderr and "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--resolution", "abc"], "invalid positive Fraction value: 'abc'"),
+    (["--resolution", "1/0"], "invalid positive Fraction value: '1/0'"),
+    (["--resolution", "0"], "must be positive, got 0"),
+    (["--resolution=-1/2"], "must be positive, got -1/2"),
+])
+@pytest.mark.parametrize("desc", [STUNTED_PATH, QUADRATIC_PATH], ids=["stunted", "quadratic"])
+def test_bad_resolution_exit2(tmp_path, desc, args, message):
+    # abc and 1/0 ended in a ValueError or ZeroDivisionError traceback (exit
+    # 1); 0 made 400 probes on the stunted path and exited 4, and on the
+    # quadratic path it never returned
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", "boundary",
+                          write(tmp_path, "d.json", desc), *args],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert f"argument --resolution: {message}" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 EXACT_ROUTE_SCRIPT = """
 import contextlib, io, sys
 from fractions import Fraction as F

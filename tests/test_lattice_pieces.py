@@ -150,9 +150,8 @@ def test_trapezoid_has_every_period_to_64():
 
 
 def test_each_periodic_orbit_is_solved_once(monkeypatch):
-    # only the least rotation of a primitive closed walk is solved; the
-    # trapezoid has 32,769 closed walks of length 16 that start at their
-    # least state, and 4,080 orbits of period 16
+    # only Lyndon closed walks, the least rotations of primitive walks, are
+    # solved: the trapezoid has 4,080 orbits of period 16
     solved = [0]
     real = markov._cycle_orbit
 
@@ -163,6 +162,16 @@ def test_each_periodic_orbit_is_solved_once(monkeypatch):
     monkeypatch.setattr(markov, "_cycle_orbit", counted)
     orbits = periodic_points(build_stunted(build_base(1, 1), [F(3, 2)]), 16)
     assert len({o.points for o in orbits}) == len(orbits) == solved[0] == 4080
+
+
+def test_period_16_is_listed_within_the_kept_prefix_extensions():
+    # the search extends only prefixes of least rotations, 19,112 of them for
+    # the trapezoid's period-16 orbits; generating every closed walk from
+    # its least state and then filtering the rotations took 65,549 steps
+    T = build_stunted(build_base(1, 1), [F(3, 2)])
+    assert len(periodic_points(T, 16, RunConfig(piece_budget=20_000))) == 4080
+    with pytest.raises(BudgetExhausted, match=r"piece_budget=19111 walk steps at period p=16$"):
+        periodic_points(T, 16, RunConfig(piece_budget=19_111))
 
 
 def test_zero_entropy_set_is_the_graph_cycles():
