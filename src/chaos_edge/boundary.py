@@ -11,9 +11,11 @@ cycle with power-of-two periods.  The closure is the route's one walk
 (``markov.build_markov``, each point evaluated once): the plateau records
 and a plateau-cycle witness are read off it (``plateau_orbit_analysis``),
 and the transition graph is derived from it only when the plateau cycles
-do not decide.  Bisection keeps a certified bracket; probes that certify
-neither way (a budget ran out) are flagged and the bracket is refined
-around them.
+do not decide.  The same closure gives the map's side, the sign of its
+exact entropy, without evidence (``exact_side``): positive when a plateau
+cycle has a period that is not a power of two, otherwise exactly when a
+transition component branches; ``decide_exact`` builds its evidence on top
+of that side.
 
 The route runs in the lattice coordinates X = N·x of the map's
 ``lattice()``, which a stunted map builds first: it has integer slopes, so
@@ -49,14 +51,19 @@ the two grid functions, ``_tower_descend`` and ``_grid_period_scan``, so the
 exact route never loads it; the attractor search keeps its orbit tails in
 Python lists.
 
-On an even float map the boundary is the limit of the period-doubling
-cascade, and a parameter's side follows from its critical itinerary
-(``symbolic.doubling_side``).  ``locate_boundary`` takes the side of every
-interior probe of an even map from it, and classifies only the path's ends,
-probes it leaves unsided and, once the bracket is narrow enough, the ends
-the kneading sided: their verdicts are the evidence reported.  When such an
-end's verdict differs from its side, the bisection runs again from the
-path's ends with every probe classified, reusing those verdicts.  ``classify_float`` asks the same
+Entropy is monotone along a stunted path, whose heights never fall
+(Milnor–Tresser), and along an even float family (Milnor–Thurston), so a
+bisection bracket is proven by the evidence at its two ends alone.
+``locate_boundary`` takes the side of every interior probe without
+evidence: a stunted map's from ``exact_side``, an even float map's from
+its critical itinerary (``symbolic.doubling_side``: on an even float map
+the boundary is the limit of the period-doubling cascade).  It classifies
+only the path's ends, probes left unsided and, once the bracket is narrow
+enough, the sided ends: their verdicts are the evidence reported.  When
+such an end's verdict differs from its side, the bisection runs again from
+the path's ends with every probe classified, reusing those verdicts.
+Probes that certify neither way (a budget ran out) are counted and the
+bracket is refined around them.  ``classify_float`` asks the kneading's
 question of an even map whose critical orbit has not settled: one that the
 kneading puts on the positive side runs the grid scan before the longer
 attractor retry.
@@ -74,7 +81,7 @@ from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
                    build_stunted, build_type_b, domain_of, is_even, is_exact, iterate, orbit,
                    rat, turning_points_of)
-from .markov import build_markov, cycle_analysis
+from .markov import branches, build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
                       is_power_of_two, minimal_period)
 from .piecewise import on_lattice
@@ -165,36 +172,67 @@ def plateau_orbit_analysis(T, system):
     return out
 
 
-def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
-    """The exact decision route: plateau orbits plus the Markov transition
-    graph, both read off one breakpoint closure (``build_markov``).
+def _closure_side(T, config: RunConfig):
+    """(side, system, plateaus): the sign of T's exact entropy, POSITIVE or
+    ZERO, with the breakpoint closure ``system`` (``build_markov``) and the
+    plateau records ``plateaus`` (``plateau_orbit_analysis``) it is read off.
 
-    Positive when a plateau cycle, or a splice of two cycles of a branching
-    transition component, is a re-verified orbit whose period is not a power
-    of two.  Zero when every plateau cycle has period 2^k with
-    k <= ``ZERO_CERT_LEVELS`` and every component is a single cycle with
-    power-of-two periods; the certificate lists the periods up to ``bound``.
-    Otherwise undecided, with the reason in the note.  A closure past
-    ``orbit_budget`` points, so also a plateau orbit that does not close up
-    within it, raises MarkovBudgetError naming the budget and its limit.
+    Positive when a plateau cycle has a period that is not a power of two
+    (Misiurewicz), read before the transition graph is made; otherwise
+    exactly when a cyclic component of the graph branches (spectral radius
+    > 1).  Raises MarkovBudgetError past ``orbit_budget`` closure points.
     """
     system = build_markov(T, config.orbit_budget)
     plateaus = plateau_orbit_analysis(T, system)
-    for r, orbit in plateaus:
-        if not is_power_of_two(r.period):
-            # the plateau cycle itself is a non-power-of-two periodic orbit
-            w = Witness("periodic-orbit", r.period,
-                        tuple(Fraction(x, system.scale) for x in orbit[r.preperiod:]))
+    if (not all(is_power_of_two(r.period) for r, _ in plateaus)
+            or any(branches(succ) for _, succ in system.components)):
+        return POSITIVE, system, plateaus
+    return ZERO, system, plateaus
+
+
+def exact_side(T, config: RunConfig = DEFAULT) -> Optional[str]:
+    """The side of an exact map, POSITIVE or ZERO, by the sign of its exact
+    entropy (``_closure_side``); None when its closure passes
+    ``orbit_budget``.  The side is not evidence: no orbit is verified and no
+    certificate is made."""
+    try:
+        return _closure_side(T, config)[0]
+    except BudgetExhausted:
+        return None
+
+
+def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
+    """The exact decision route: the evidence for T's side (``_closure_side``).
+
+    On the positive side, a plateau cycle, or a splice of two cycles of a
+    branching transition component, that is a re-verified orbit whose
+    period is not a power of two.  On the zero side, a certificate when
+    every plateau cycle has period 2^k with k <= ``ZERO_CERT_LEVELS`` and
+    every component's cycle has a power-of-two period; it lists the periods
+    up to ``bound``.  Otherwise undecided, with the reason in the note.  A
+    closure past ``orbit_budget`` points, so also a plateau orbit that does
+    not close up within it, raises MarkovBudgetError naming the budget and
+    its limit.
+    """
+    side, system, plateaus = _closure_side(T, config)
+    if side == POSITIVE:
+        for r, orbit in plateaus:
+            if not is_power_of_two(r.period):
+                # the plateau cycle itself is a non-power-of-two periodic orbit
+                w = Witness("periodic-orbit", r.period,
+                            tuple(Fraction(x, system.scale) for x in orbit[r.preperiod:]))
+                if verify_witness(T, w):
+                    return ProbeResult(POSITIVE, witness=w)
+        analysis = cycle_analysis(system)
+        if analysis.witness_orbit is not None:
+            w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
             if verify_witness(T, w):
                 return ProbeResult(POSITIVE, witness=w)
+        return ProbeResult(UNDECIDED, note="entropy is positive but no orbit was verified")
     analysis = cycle_analysis(system)
-    if analysis.witness_orbit is not None:
-        w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
-        if verify_witness(T, w):
-            return ProbeResult(POSITIVE, witness=w)
-    if not analysis.complete or not all(is_power_of_two(p) for p in analysis.periods):
-        return ProbeResult(UNDECIDED,
-                           note="entropy is positive but no orbit was verified")
+    if not all(is_power_of_two(p) for p in analysis.periods):
+        return ProbeResult(UNDECIDED, note="a cycle's period is not a power of two, "
+                                           "yet no component branches")
     recs = tuple(r for r, _ in plateaus)
     if any(r.doubling_level > ZERO_CERT_LEVELS for r in recs):
         return ProbeResult(UNDECIDED,
@@ -528,17 +566,32 @@ def type_b_path(stages, stage_index: int, a_lo: float, a_hi: float) -> Parameter
                          stages=tuple(stages), stage_index=stage_index)
 
 
-def _float_map(path: ParameterPath, t):
-    """The map at t on a float path, or None when t leaves the family."""
+def _probe_map(path: ParameterPath, t):
+    """The map at t; on a float path None when t leaves the family."""
+    if path.exact:
+        return path.map_at(t)
     try:
         return path.map_at(t)
     except ValueError:
         return None
 
 
-def _classified(m, side: Optional[str] = None) -> ProbeResult:
-    """``classify_float`` of a float path's map, told its kneading side when
-    known; undecided when there is no map."""
+def _probe_side(path: ParameterPath, m, config: RunConfig) -> Optional[str]:
+    """A probe's side without evidence, or None: the sign of the exact
+    entropy of a stunted map (``exact_side``), the doubling-limit kneading
+    of an even float map (``doubling_side``)."""
+    if path.exact:
+        return exact_side(m, config)
+    return doubling_side(m) if m is not None and is_even(m) else None
+
+
+def _classified(path: ParameterPath, m, bound: int, config: RunConfig,
+                side: Optional[str] = None) -> ProbeResult:
+    """The verdict on the map m of a path: ``classify_stunted`` on a stunted
+    path, else ``classify_float`` told its kneading side when known, and
+    undecided when there is no map."""
+    if path.exact:
+        return classify_stunted(m, bound, config)
     if m is None:
         return ProbeResult(UNDECIDED, note="parameter leaves the family")
     return _classify_float(m, side)
@@ -546,9 +599,7 @@ def _classified(m, side: Optional[str] = None) -> ProbeResult:
 
 def classify_probe(path: ParameterPath, t, bound: int,
                    config: RunConfig = DEFAULT) -> ProbeResult:
-    if path.kind == "stunted":
-        return classify_stunted(path.map_at(t), bound, config)
-    return _classified(_float_map(path, t))
+    return _classified(path, _probe_map(path, t), bound, config)
 
 
 @dataclass(frozen=True)
@@ -583,12 +634,13 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     around them at quarter points; if every refinement probe is undecided,
     past ``MAX_PROBES`` probes, or when no float lies strictly between the
     ends of a float bracket, the search stops with the budget error.
-    On a float path an interior probe of an even map takes its side from
-    ``doubling_side`` when that gives one; the ends so sided are classified
-    at the end (not counted as probes), and if a verdict differs from its
-    side the bisection runs again with every probe classified, with a budget
-    of its own.  Only such a contradiction re-runs it: a budget error of the
-    routed pass is raised.
+    An interior probe takes its side without evidence when it has one
+    (``_probe_side``: ``exact_side`` on a stunted path, ``doubling_side`` on
+    an even float map) and is classified otherwise; the ends so sided are
+    classified at the end (not counted as probes), and if a verdict differs
+    from its side the bisection runs again with every probe classified, with
+    a budget of its own.  Only such a contradiction re-runs it: a budget
+    error of the routed pass is raised.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -596,7 +648,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         resolution = config.resolution_exact if path.exact else config.resolution_float
     probes = 0
     undecided = 0
-    sided = {}          # t -> (map, side) of a probe sided by its kneading alone
+    sided = {}          # t -> (map, side) of a bracket end sided without evidence
     verdicts = {}       # t -> verdict on an end of the routed bisection
 
     def probe(t, routed=False):
@@ -606,12 +658,12 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
             return verdicts[t]
         if not routed:
             return classify_probe(path, t, bound, config)
-        m = _float_map(path, t)
-        kind = doubling_side(m) if m is not None and is_even(m) else None
+        m = _probe_map(path, t)
+        kind = _probe_side(path, m, config)
         if kind is None:
-            return _classified(m)
+            return _classified(path, m, bound, config)
         sided[t] = m, kind
-        return ProbeResult(kind, note="sided by the doubling-limit kneading")
+        return ProbeResult(kind, note="sided without evidence")
 
     def width(zero, pos):
         return abs(pos[0] - zero[0])
@@ -640,6 +692,8 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
             else:
                 raise BudgetExhausted(f"undecided probes block refinement below width "
                                       f"{width(zero, pos)}")
+            for old in sided.keys() - {zero[0], pos[0]}:   # keep the ends' maps only
+                del sided[old]
         if width(zero, pos) > resolution:
             raise BudgetExhausted(f"probe budget exhausted: max_probes={MAX_PROBES} "
                                   f"reached at width {width(zero, pos)}")
@@ -659,15 +713,17 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     else:
         zero, pos = (path.t_hi, r_hi), (path.t_lo, r_lo)
         orientation = "decreasing"
-    ends = bisect(zero, pos, MAX_PROBES, routed=not path.exact)
-    # an end sided by kneading alone is classified; this is not a new probe
+    ends = bisect(zero, pos, MAX_PROBES, routed=True)
+    # an end sided without evidence is classified; this is not a new probe
     for t, r in ends:
-        verdicts[t] = _classified(*sided[t]) if t in sided else r
+        if t in sided:
+            m, side = sided[t]
+            r = _classified(path, m, bound, config, side)
+        verdicts[t] = r
     ends = tuple((t, verdicts[t]) for t, _ in ends)
     if (ends[0][1].kind, ends[1][1].kind) != (ZERO, POSITIVE):
-        # an end's evidence disagrees with its kneading side: bisect again
-        # from the path's ends with every probe classified, the verdicts
-        # above reused
+        # an end's evidence disagrees with its side: bisect again from the
+        # path's ends with every probe classified, the verdicts above reused
         ends = bisect(zero, pos, probes + MAX_PROBES - 2, routed=False)
     (t_zero, r_zero), (t_pos, r_pos) = ends
     return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),

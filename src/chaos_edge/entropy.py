@@ -23,7 +23,7 @@ from typing import Optional
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import StuntedSawtooth, is_exact
-from .markov import build_markov, component_spans, cyclic_components
+from .markov import branches, build_markov, component_spans, cyclic_components
 from .periods import PERIOD_BOUND_EXACT, is_power_of_two, turning_points_of_iterate
 from .piecewise import ratio, strict_lap_count
 
@@ -171,13 +171,13 @@ def _perron_bracket(spans):
     return lo, hi
 
 
-def _radius_bracket(rows, size: int):
+def _radius_bracket(components):
     """(lo, hi) around the spectral radius of a 0/1 matrix whose rows are
-    column ranges: the largest over its strongly connected components, with
-    lo == hi where it is exact (no cycle: 0, only simple cycles: 1)."""
+    column ranges, from its ``cyclic_components``: the largest over them,
+    with lo == hi where it is exact (no cycle: 0, only simple cycles: 1)."""
     lo = hi = 0.0
-    for scc, succ in cyclic_components(rows, size):
-        if all(len(ws) == 1 for ws in succ.values()):     # a simple cycle
+    for scc, succ in components:
+        if not branches(succ):                            # a simple cycle
             c_lo = c_hi = 1.0
         else:
             c_lo, c_hi = _perron_bracket(component_spans(scc, succ)[1])
@@ -188,7 +188,7 @@ def _radius_bracket(rows, size: int):
 def spectral_radius(rows, size: int) -> float:
     """Spectral radius of a 0/1 matrix whose rows are column ranges, per
     strongly connected component; exact when no component branches."""
-    lo, hi = _radius_bracket(rows, size)
+    lo, hi = _radius_bracket(cyclic_components(rows, size))
     return (lo + hi) / 2
 
 
@@ -205,7 +205,7 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
 
 def graph_entropy(system) -> EntropyEstimate:
     """``entropy_markov`` of the map whose breakpoint closure is ``system``."""
-    lo, hi = _radius_bracket(system.rows, system.size)
+    lo, hi = _radius_bracket(system.components)
     if hi <= 1.0:
         return EntropyEstimate(0.0, "markov-exact", system.size, 0.0)
     return EntropyEstimate(math.log((lo + hi) / 2), "markov-exact", system.size,

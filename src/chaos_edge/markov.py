@@ -95,6 +95,11 @@ class MarkovSystem:
             out.append((s, pts[j] - s * x))
         return tuple(out)
 
+    @cached_property
+    def components(self) -> tuple:
+        """The ``cyclic_components`` of the transition graph."""
+        return tuple(cyclic_components(self.rows, self.size))
+
 
 def build_markov(m, budget: int) -> MarkovSystem:
     """The forward closure of the breakpoints of an exact map m, in the
@@ -175,13 +180,23 @@ def cyclic_components(rows, size):
     """Strongly connected components with an internal edge, in the order of
     ``_components`` (reverse topological, each from its last-reached state to
     its root), each as (states, {state: its in-component successors,
-    ascending}).  A component branches unless every state has exactly one
-    successor."""
+    ascending}).  A component branches (``branches``) unless every state has
+    exactly one successor."""
     for scc in _components(rows, size):
+        if len(scc) == 1:           # most states: cyclic only by a loop
+            v = scc[0]
+            if rows[v][0] <= v < rows[v][1]:
+                yield scc, {v: [v]}
+            continue
         scc_set = set(scc)
-        succ = {v: [w for w in range(*rows[v]) if w in scc_set] for v in scc}
-        if any(succ.values()):
-            yield scc, succ
+        yield scc, {v: [w for w in range(*rows[v]) if w in scc_set] for v in scc}
+
+
+def branches(succ) -> bool:
+    """Whether a cyclic component, given by its successors ``succ``, branches:
+    some state has two in-component successors, so its spectral radius
+    exceeds 1 and the map's entropy is positive."""
+    return any(len(ws) > 1 for ws in succ.values())
 
 
 def component_spans(scc, succ):
@@ -258,8 +273,8 @@ def periodic_point_counts(system: MarkovSystem, bound: int):
     germs that come back to a partition point on their own side, plus the
     partition points T^p fixes."""
     fix = [0] * (bound + 1)
-    for scc, succ in cyclic_components(system.rows, system.size):
-        if all(len(ws) == 1 for ws in succ.values()):
+    for scc, succ in system.components:
+        if not branches(succ):
             # a simple cycle of length n adds its n walks at each multiple of n
             n, s = len(scc), math.prod(system.affine[v][0] for v in scc)
             if s * s == 1 and (n if s == 1 else 2 * n) <= bound:
@@ -314,7 +329,7 @@ def periodic_orbits(system: MarkovSystem, p: int, budget: int):
                            for side in (-1, 1))
             out.append(([pts[k] for k in cyc[i:] + cyc[:i]], 1, left or right))
     steps, path = 0, [None] * p
-    for scc, succ in cyclic_components(rows, system.size):
+    for scc, succ in system.components:
         moves = {w: [(u, *affine[u]) for u in ws] for w, ws in succ.items()}
         for v in scc:
             stack = [(1, 1, v, *affine[v])]   # (length, run, last state, T^length on it)
@@ -357,9 +372,8 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     periods = {len(cyc) for cyc in point_cycles(system)}
     witness = None                 # (numerators, q): the orbit X = P/q
     complete = True
-    for scc, succ in cyclic_components(system.rows, system.size):
-        branch_vertex = next((v for v in scc if len(succ[v]) > 1), None)
-        if branch_vertex is None:
+    for scc, succ in system.components:
+        if not branches(succ):
             # follow the unique in-component successor around the cycle
             cyc = [scc[0]]
             v = succ[scc[0]][0]
@@ -374,6 +388,7 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
         complete = False
         if witness is not None:
             continue
+        branch_vertex = next(v for v in scc if len(succ[v]) > 1)
         u1, u2 = succ[branch_vertex][:2]
         w1 = _cycle_through(succ, branch_vertex, u1)
         w2 = _cycle_through(succ, branch_vertex, u2)

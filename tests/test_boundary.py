@@ -7,7 +7,7 @@ import pytest
 
 from chaos_edge import (DEFAULT, BudgetExhausted, PreconditionError, Quadratic, build_base,
                         build_stunted, build_type_b, approximants, classify_float, classify_probe,
-                        classify_stunted, locate_boundary,
+                        classify_stunted, entropy_markov, locate_boundary,
                         positive_entropy_witness, quadratic_path,
                         shape, stunted_path, type_b_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
@@ -152,6 +152,8 @@ class TestClassify:
         assert r.kind == UNDECIDED
         assert r.note == ("not Markov within orbit_budget=2: "
                           "breakpoint orbits exceed 2 points")
+        # past the budget a probe has no side either, so it is classified
+        assert boundary.exact_side(T12, DEFAULT.with_(orbit_budget=2)) is None
 
     def test_plateau_orbit_budget_named(self, base1):
         r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
@@ -217,17 +219,22 @@ class TestLocate:
 
     def test_undecided_probes_refined_at_quarter_points(self, base1, monkeypatch):
         # 5/4 undecided: its quarter points are 9/8, also undecided, and
-        # 11/8, positive, which moves the bracket on
+        # 11/8, positive, which moves the bracket on.  Both are withheld from
+        # the side as well as from the classifier, so the routed bisection
+        # classifies them and refines around them
         undecided = []
-        classify = boundary.classify_stunted
+        withheld = (F(5, 4), F(9, 8))
+        classify, side = boundary.classify_stunted, boundary.exact_side
 
         def stunted(T, bound, config):
-            if T.xi[0] in (F(5, 4), F(9, 8)):
+            if T.xi[0] in withheld:
                 undecided.append(T.xi[0])
                 return boundary.ProbeResult(UNDECIDED, note="withheld")
             return classify(T, bound, config)
 
         monkeypatch.setattr(boundary, "classify_stunted", stunted)
+        monkeypatch.setattr(boundary, "exact_side",
+                            lambda T, config: None if T.xi[0] in withheld else side(T, config))
         path = stunted_path(base1, [F(0)], [F(1)], F(1, 2), F(3, 2))
         res = locate_boundary(path, bound=64, resolution=F(1, 2**20))
         assert sorted(set(undecided)) == [F(9, 8), F(5, 4)]
@@ -478,6 +485,111 @@ def test_stunted_locate_never_sides_by_kneading(monkeypatch):
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     res = locate_boundary(path, bound=64, resolution=F(1, 2**30))
     assert res.undecided == 0 and res.gap <= F(1, 2**30)
+
+
+def test_exact_side_agrees_with_classify_stunted():
+    # the side is the sign of the exact entropy: on random maps of m = 1, 2, 3
+    # and on dyadic maps within 2^-40 of two located boundaries, it is the
+    # verdict wherever one is reached and the sign of the Markov entropy
+    rnd = random.Random(2025)
+    maps = []
+    for _ in range(180):
+        base = build_base(rnd.randint(1, 3), 1)
+        maps.append(build_stunted(base, random_xi(rnd, base, rnd.randint(8, 32))))
+    for path in (stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2)),
+                 stunted_path(build_base(2, 1), [F(0)] * 2, [F(1)] * 2, F(1, 2), F(8, 3))):
+        t_zero, _ = locate_boundary(path, bound=64, resolution=F(1, 2**40)).bracket
+        maps += [path.map_at(t_zero + k * F(1, 2**43)) for k in range(-10, 12)]
+    decided, sides = 0, {ZERO: 0, POSITIVE: 0}
+    for T in maps:
+        side = boundary.exact_side(T)
+        r = classify_stunted(T, 64)
+        if r.kind != UNDECIDED:
+            decided += 1
+            assert side == r.kind, T.xi
+        assert side == (POSITIVE if entropy_markov(T).value > 0 else ZERO), T.xi
+        sides[side] += 1
+    assert len(maps) >= 200 and decided >= 200
+    assert min(sides.values()) >= 50
+
+
+def seeded_stunted_path(m, seed):
+    """A path t -> xi0 + t (e - xi0), t in [0, 1], from a zero-certified map
+    whose heights are at most e/3, with denominator 8, 16 or 32, to the full
+    map."""
+    rnd = random.Random(seed)
+    base = build_base(m, 1)
+    while True:
+        xi0 = random_xi(rnd, base, rnd.choice((8, 16, 32)))
+        if max(xi0) > base.e / 3:
+            continue
+        path = stunted_path(base, xi0, [base.e - x for x in xi0], 0, 1)
+        if (classify_probe(path, 0, 64).kind, classify_probe(path, 1, 64).kind) == (ZERO, POSITIVE):
+            return path
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
+    # interior probes are sided by the sign of their exact entropy, so
+    # decide_exact runs on the path's two ends and the bracket's two ends
+    # alone, and the result is the one of a locate that classifies every probe
+    path = seeded_stunted_path(m, 25 + m)
+    decided, decide = [], boundary.decide_exact
+    monkeypatch.setattr(boundary, "decide_exact",
+                        lambda T, bound, config: decided.append(T.xi) or decide(T, bound, config))
+    routed = locate_boundary(path, bound=64, resolution=F(1, 2**60))
+    assert len(decided) == 4
+    assert routed.probes > 60 and routed.undecided == 0
+    monkeypatch.setattr(boundary, "exact_side", lambda T, config: None)
+    assert locate_boundary(path, bound=64, resolution=F(1, 2**60)) == routed
+    assert len(decided) == 4 + routed.probes
+
+
+def test_sided_maps_kept_only_at_the_bracket_ends(monkeypatch):
+    # a sided probe's map is kept until the end is classified, but only
+    # while it is a bracket end: at each side taken, at most the two ends and
+    # a quarter point of the step under way are still alive
+    import weakref
+    refs, alive, side = [], [], boundary.exact_side
+
+    def sided(T, config):
+        alive.append(sum(r() is not None for r in refs))
+        refs.append(weakref.ref(T))
+        return side(T, config)
+
+    monkeypatch.setattr(boundary, "exact_side", sided)
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    res = locate_boundary(path, bound=64, resolution=F(1, 2**60))
+    assert len(refs) == res.probes - 2 == 60
+    assert max(alive) <= 3
+
+
+def test_exact_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
+    # the classifier leaves the zero end of the routed bisection undecided,
+    # so the bisection runs again with every probe classified; the verdicts
+    # on the routed ends are reused, not made again, and the ends it returns
+    # carry evidence that the re-checks accept
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    resolution = F(1, 2**30)
+    t_refuted, t_pos = locate_boundary(path, bound=64, resolution=resolution).bracket
+    classified, classify = [], boundary.classify_stunted
+
+    def stunted(T, bound, config):
+        classified.append(T.xi[0])
+        if T.xi[0] == t_refuted:
+            return boundary.ProbeResult(UNDECIDED, note="withheld")
+        return classify(T, bound, config)
+
+    monkeypatch.setattr(boundary, "classify_stunted", stunted)
+    res = locate_boundary(path, bound=64, resolution=resolution)
+    assert classified[:4] == [F(1, 2), F(3, 2), t_refuted, t_pos]
+    assert len(classified) == len(set(classified)) > 4
+    # the reused verdict leaves t_refuted undecided each time the rerun meets it
+    assert res.undecided >= 1 and res.gap <= resolution
+    (t0, cert), (t1, wit) = res.zero_side, res.positive_side
+    assert t0 != t_refuted
+    assert verify_zero_certificate(path.map_at(t0), cert)
+    assert verify_witness(path.map_at(t1), wit)
 
 
 def test_type_b_probe_conjugate_to_positive_quadratic():
