@@ -6,7 +6,7 @@ from .errors import (BracketError, BudgetExhausted, ChaosEdgeError,
                      PreconditionError)
 from .maps import (Interval, PolynomialTypeB, Quadratic, SawtoothBase,
                    StuntedSawtooth, build_base, build_stunted, build_type_b,
-                   critical_values, eval_s0, full_stunted, iterate, parse_map,
+                   critical_values, full_stunted, iterate, parse_map,
                    rat, serialize_map)
 from .piecewise import Affine, PiecewiseLinear
 from .symbolic import (Itinerary, KneadingInvariant, Shape, itinerary,

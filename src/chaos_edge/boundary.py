@@ -55,9 +55,11 @@ Entropy is monotone along a stunted path, whose heights never fall
 (Milnor–Tresser), and along an even float family (Milnor–Thurston), so a
 bisection bracket is proven by the evidence at its two ends alone.
 ``locate_boundary`` takes the side of every interior probe without
-evidence: a stunted map's from ``exact_side``, an even float map's from
-its critical itinerary (``symbolic.doubling_side``: on an even float map
-the boundary is the limit of the period-doubling cascade).  It classifies
+evidence: on a stunted path from ``path_side``, ``exact_side``'s rules on
+an int lattice built from the path's numerators at an int position (no map
+or ``Fraction`` is made for the probe), on an even float map from its
+critical itinerary (``symbolic.doubling_side``: on an even float map the
+boundary is the limit of the period-doubling cascade).  It classifies
 only the path's ends, probes left unsided and, once the bracket is narrow
 enough, the sided ends: their verdicts are the evidence reported.  When
 such an end's verdict differs from its side, the bisection runs again from
@@ -71,8 +73,10 @@ attractor retry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
@@ -80,7 +84,7 @@ from .entropy import Witness, exact_walk, verify_witness
 from .errors import BudgetExhausted, PreconditionError
 from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
                    build_stunted, build_type_b, domain_of, is_even, is_exact, iterate, orbit,
-                   rat, turning_points_of)
+                   rat, stunted_lattice, turning_points_of)
 from .markov import branches, build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
                       is_power_of_two, minimal_period)
@@ -159,11 +163,14 @@ def plateau_orbit_analysis(T, system):
     """(record, orbit) per plateau value of T: its eventual period and its
     orbit's distinct lattice points, the preperiod first and the cycle last,
     read off the breakpoint closure ``system`` of T (``build_markov``), which
-    holds every plateau value's orbit; no lattice call."""
+    holds every plateau value's orbit; no lattice call.  T is an exact map,
+    or the tuple of its plateau values in lattice coordinates (an interior
+    probe of ``locate_boundary``, whose map is not made)."""
     image = system.image
     out = []
-    for i, v in enumerate(_plateau_values(T)):
-        y = on_lattice(v, system.scale)
+    values = T if isinstance(T, tuple) else (on_lattice(v, system.scale)
+                                             for v in _plateau_values(T))
+    for i, y in enumerate(values):
         seen = {}
         while y not in seen:
             seen[y] = len(seen)
@@ -172,17 +179,19 @@ def plateau_orbit_analysis(T, system):
     return out
 
 
-def _closure_side(T, config: RunConfig):
+def _closure_side(T, config: RunConfig, lattice=None):
     """(side, system, plateaus): the sign of T's exact entropy, POSITIVE or
     ZERO, with the breakpoint closure ``system`` (``build_markov``) and the
     plateau records ``plateaus`` (``plateau_orbit_analysis``) it is read off.
+    An interior probe of a locate passes its ``lattice`` (N, L), T its
+    plateau values in lattice coordinates.
 
     Positive when a plateau cycle has a period that is not a power of two
     (Misiurewicz), read before the transition graph is made; otherwise
     exactly when a cyclic component of the graph branches (spectral radius
     > 1).  Raises MarkovBudgetError past ``orbit_budget`` closure points.
     """
-    system = build_markov(T, config.orbit_budget)
+    system = build_markov(lattice or T, config.orbit_budget)
     plateaus = plateau_orbit_analysis(T, system)
     if (not all(is_power_of_two(r.period) for r, _ in plateaus)
             or any(branches(succ) for _, succ in system.components)):
@@ -190,15 +199,24 @@ def _closure_side(T, config: RunConfig):
     return ZERO, system, plateaus
 
 
-def exact_side(T, config: RunConfig = DEFAULT) -> Optional[str]:
+def exact_side(T, config: RunConfig = DEFAULT, lattice=None) -> Optional[str]:
     """The side of an exact map, POSITIVE or ZERO, by the sign of its exact
-    entropy (``_closure_side``); None when its closure passes
-    ``orbit_budget``.  The side is not evidence: no orbit is verified and no
-    certificate is made."""
+    entropy (``_closure_side``, which also says what ``lattice`` is); None
+    when its closure passes ``orbit_budget``.  The side is not evidence: no
+    orbit is verified and no certificate is made."""
     try:
-        return _closure_side(T, config)[0]
+        return _closure_side(T, config, lattice)[0]
     except BudgetExhausted:
         return None
+
+
+def path_side(path: "ParameterPath", k: int, depth: int,
+              config: RunConfig = DEFAULT) -> Optional[str]:
+    """``exact_side`` of the map at position k/2^depth of a stunted path (t =
+    t_lo + (t_hi - t_lo)·k/2^depth), read off the int lattice that
+    ``ParameterPath.lattice_at`` builds: no ``Fraction`` or map is made."""
+    n, lat, values = path.lattice_at(k, depth)
+    return exact_side(values, config, (n, lat))
 
 
 def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
@@ -539,6 +557,24 @@ class ParameterPath:
     def exact(self) -> bool:
         return self.kind == "stunted"
 
+    @cached_property
+    def _heights(self):
+        """(q, a, b): the heights at t = t_lo + s·(t_hi - t_lo) of a stunted
+        path are (a[i] + b[i]·s)/q, in ints."""
+        lo = [x + self.t_lo * d for x, d in zip(self.xi0, self.direction)]
+        step = [(self.t_hi - self.t_lo) * d for d in self.direction]
+        q = math.lcm(*(v.denominator for v in lo + step))
+        return q, [on_lattice(v, q) for v in lo], [on_lattice(v, q) for v in step]
+
+    def lattice_at(self, k: int, depth: int):
+        """``maps.stunted_lattice`` of the map at position k/2^depth of a
+        stunted path, built from the int numerators of its heights."""
+        low = (k & -k).bit_length() - 1 if k else depth     # k/2^depth in lowest terms
+        k, depth = k >> low, depth - low
+        q, a, b = self._heights
+        return stunted_lattice(self.base, [(x << depth) + y * k for x, y in zip(a, b)],
+                               q << depth)
+
     def map_at(self, t):
         if self.kind == "stunted":
             xi = tuple(x + t * d for x, d in zip(self.xi0, self.direction))
@@ -574,15 +610,6 @@ def _probe_map(path: ParameterPath, t):
         return path.map_at(t)
     except ValueError:
         return None
-
-
-def _probe_side(path: ParameterPath, m, config: RunConfig) -> Optional[str]:
-    """A probe's side without evidence, or None: the sign of the exact
-    entropy of a stunted map (``exact_side``), the doubling-limit kneading
-    of an even float map (``doubling_side``)."""
-    if path.exact:
-        return exact_side(m, config)
-    return doubling_side(m) if m is not None and is_even(m) else None
 
 
 def _classified(path: ParameterPath, m, bound: int, config: RunConfig,
@@ -635,12 +662,13 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     past ``MAX_PROBES`` probes, or when no float lies strictly between the
     ends of a float bracket, the search stops with the budget error.
     An interior probe takes its side without evidence when it has one
-    (``_probe_side``: ``exact_side`` on a stunted path, ``doubling_side`` on
-    an even float map) and is classified otherwise; the ends so sided are
-    classified at the end (not counted as probes), and if a verdict differs
-    from its side the bisection runs again with every probe classified, with
-    a budget of its own.  Only such a contradiction re-runs it: a budget
-    error of the routed pass is raised.
+    (``path_side`` on a stunted path, ``doubling_side`` on an even float
+    map) and is classified otherwise; the ends so sided are classified at
+    the end (not counted as probes), and if a verdict differs from its side
+    the bisection runs again with every probe classified, with a budget of
+    its own.  Only such a contradiction re-runs it: a budget error of the
+    routed pass is raised.  A stunted path is bisected in int positions k,
+    t = t_lo + (t_hi - t_lo)·k/2^depth, a float path in its floats.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -648,43 +676,60 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         resolution = config.resolution_exact if path.exact else config.resolution_float
     probes = 0
     undecided = 0
-    sided = {}          # t -> (map, side) of a bracket end sided without evidence
-    verdicts = {}       # t -> verdict on an end of the routed bisection
+    verdicts = {}       # position -> (kind, verdict) on an end of the routed bisection
+    if path.exact:
+        # a step halves the bracket at most twice and a pass makes at most
+        # MAX_PROBES probes, so every midpoint is an int k over 2^depth; a
+        # bracket of width w in these units is within the resolution iff w <= tol
+        depth, span = 2 * MAX_PROBES, path.t_hi - path.t_lo
+        lo, hi, tol = 0, 1 << depth, math.floor(Fraction(resolution) * 2**depth / span)
+    else:
+        lo, hi, tol = path.t_lo, path.t_hi, resolution
 
-    def probe(t, routed=False):
+    def t_at(k):
+        return path.t_lo + span * Fraction(k, 1 << depth) if path.exact else k
+
+    def between(a, b):
+        return (a + b) >> 1 if path.exact else (a + b) / 2
+
+    def probe(k, routed):       # (kind, verdict); no verdict for a side taken without evidence
         nonlocal probes
         probes += 1
-        if t in verdicts:
-            return verdicts[t]
+        if k in verdicts:
+            return verdicts[k]
         if not routed:
-            return classify_probe(path, t, bound, config)
-        m = _probe_map(path, t)
-        kind = _probe_side(path, m, config)
-        if kind is None:
-            return _classified(path, m, bound, config)
-        sided[t] = m, kind
-        return ProbeResult(kind, note="sided without evidence")
+            r = classify_probe(path, t_at(k), bound, config)
+            return r.kind, r
+        if path.exact:
+            side = path_side(path, k, depth, config)
+            m = None if side else path.map_at(t_at(k))
+        else:
+            m = _probe_map(path, k)
+            side = doubling_side(m) if m is not None and is_even(m) else None
+        if side is not None:
+            return side, None
+        r = _classified(path, m, bound, config)
+        return r.kind, r
 
     def width(zero, pos):
-        return abs(pos[0] - zero[0])
+        return abs(t_at(pos[0]) - t_at(zero[0]))
 
     def bisect(zero, pos, limit, routed):
         nonlocal undecided
-        while width(zero, pos) > resolution and probes < limit:
-            mid = (zero[0] + pos[0]) / 2
-            if mid in (zero[0], pos[0]):     # adjacent floats; a Fraction never is
+        while abs(pos[0] - zero[0]) > tol and probes < limit:
+            mid = between(zero[0], pos[0])
+            if mid in (zero[0], pos[0]):     # adjacent floats; never two int positions
                 raise BudgetExhausted(f"no float lies between the bracket ends: resolution "
                                       f"{resolution} is below the width {width(zero, pos)}")
-            # the midpoint, then, if it is undecided, the two quarter points,
-            # made only then: exact paths pay for each Fraction sum
-            for ts in ((mid,), None):
+            # the midpoint, then, if it is undecided, the two quarter points
+            for ks in ((mid,), None):
                 moved = False
-                for t in ts or ((zero[0] + mid) / 2, (pos[0] + mid) / 2):
-                    r = probe(t, routed)
-                    if r.kind == ZERO:
-                        zero, moved = (t, r), True
-                    elif r.kind == POSITIVE:
-                        pos, moved = (t, r), True
+                for k in ks or (between(zero[0], mid), between(pos[0], mid)):
+                    kind, r = probe(k, routed)
+                    if kind == ZERO:
+                        zero, moved = (k, kind, r), True
+                    elif kind == POSITIVE:
+                        pos, moved = (k, kind, r), True
                     else:
                         undecided += 1
                 if moved:
@@ -692,43 +737,36 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
             else:
                 raise BudgetExhausted(f"undecided probes block refinement below width "
                                       f"{width(zero, pos)}")
-            for old in sided.keys() - {zero[0], pos[0]}:   # keep the ends' maps only
-                del sided[old]
-        if width(zero, pos) > resolution:
+        if abs(pos[0] - zero[0]) > tol:
             raise BudgetExhausted(f"probe budget exhausted: max_probes={MAX_PROBES} "
                                   f"reached at width {width(zero, pos)}")
         return zero, pos
 
-    r_lo = probe(path.t_lo)
-    r_hi = probe(path.t_hi)
-    kinds = {r_lo.kind, r_hi.kind}
-    if kinds != {ZERO, POSITIVE}:
+    r_lo = (lo, *probe(lo, False))
+    r_hi = (hi, *probe(hi, False))
+    if {r_lo[1], r_hi[1]} != {ZERO, POSITIVE}:
         raise PreconditionError(
-            f"path endpoints must certify differently, got {r_lo.kind}/{r_hi.kind}")
+            f"path endpoints must certify differently, got {r_lo[1]}/{r_hi[1]}")
     # only the results at the two bracket ends are kept: a witness near the
     # boundary holds an orbit of up to ~10^5 floats
-    if r_lo.kind == ZERO:
-        zero, pos = (path.t_lo, r_lo), (path.t_hi, r_hi)
-        orientation = "increasing"
-    else:
-        zero, pos = (path.t_hi, r_hi), (path.t_lo, r_lo)
-        orientation = "decreasing"
+    zero, pos = (r_lo, r_hi) if r_lo[1] == ZERO else (r_hi, r_lo)
     ends = bisect(zero, pos, MAX_PROBES, routed=True)
     # an end sided without evidence is classified; this is not a new probe
-    for t, r in ends:
-        if t in sided:
-            m, side = sided[t]
-            r = _classified(path, m, bound, config, side)
-        verdicts[t] = r
-    ends = tuple((t, verdicts[t]) for t, _ in ends)
-    if (ends[0][1].kind, ends[1][1].kind) != (ZERO, POSITIVE):
+    for k, side, r in ends:
+        if r is None:
+            r = _classified(path, _probe_map(path, t_at(k)), bound, config, side)
+        verdicts[k] = r.kind, r
+    ends = tuple((k, *verdicts[k]) for k, _, _ in ends)
+    if (ends[0][1], ends[1][1]) != (ZERO, POSITIVE):
         # an end's evidence disagrees with its side: bisect again from the
         # path's ends with every probe classified, the verdicts above reused
         ends = bisect(zero, pos, probes + MAX_PROBES - 2, routed=False)
-    (t_zero, r_zero), (t_pos, r_pos) = ends
+    (k_zero, _, r_zero), (k_pos, _, r_pos) = ends
+    t_zero, t_pos = t_at(k_zero), t_at(k_pos)
     return BoundaryResult((t_zero + t_pos) / 2, (t_zero, t_pos),
                           (t_zero, r_zero.certificate), (t_pos, r_pos.witness),
-                          width(*ends), probes, undecided, orientation)
+                          width(*ends), probes, undecided,
+                          "increasing" if zero[0] == lo else "decreasing")
 
 
 # ---------------------------------------------------------------------

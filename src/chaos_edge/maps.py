@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DescriptorError, PreconditionError
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, on_lattice
 
 
 def rat(x) -> Fraction:
@@ -103,11 +103,6 @@ def build_base(m: int, epsilon: int = 1) -> SawtoothBase:
     return SawtoothBase(m, epsilon)
 
 
-def eval_s0(base: SawtoothBase, x):
-    """Evaluate the base zigzag at x ∈ [-e, e] (exact for rational x)."""
-    return base.pl(x)
-
-
 @dataclass(frozen=True)
 class StuntedSawtooth:
     """Base zigzag truncated to constant plateaus of signed heights xi.
@@ -131,30 +126,13 @@ class StuntedSawtooth:
         object.__setattr__(self, "xi", xi)
         if len(xi) != b.m:
             raise ValueError(f"need {b.m} plateau parameters, got {len(xi)}")
-        # checks and map on the lattice N·x, N = lcm(lam·lcm(den xi), lam - 1):
-        # the plateau at c = 2i - m - 1 has half-width (N·lam - N·v)/lam and value
-        # ±N·v; -e maps to -epsilon·e, e to epsilon·(-1)^m·e; touching ends merge
-        lam = b.lam
-        n = math.lcm(lam * math.lcm(*(v.denominator for v in xi)), lam - 1)
-        ne = n * b.m * lam // (lam - 1)
-        nxi = [v.numerator * (n // v.denominator) for v in xi]
-        for i, v in enumerate(nxi):
-            if abs(v) > ne:
-                raise ValueError(f"xi[{i}]={xi[i]} outside [-e, e] = [-{b.e}, {b.e}]")
-        for i in range(b.m - 1):
-            if nxi[i] < -nxi[i + 1]:
-                raise ValueError(
-                    f"plateau interiors overlap: xi[{i}]={xi[i]} < -xi[{i+1}]={-xi[i+1]}")
-        object.__setattr__(self, "degenerate", any(u == -v for u, v in zip(nxi, nxi[1:])))
-        is_max = [b.is_max(i) for i in range(1, b.m + 1)]
-        object.__setattr__(self, "plateau_values",
-                           tuple(v if up else -v for up, v in zip(is_max, xi)))
-        ys = {-ne: -b.epsilon * ne, ne: b.epsilon * (-1) ** b.m * ne}
-        for i, (up, v) in enumerate(zip(is_max, nxi), start=1):
-            c, half = (2 * i - b.m - 1) * n, n - v // lam
-            ys[c - half] = ys[c + half] = v if up else -v
-        xs = sorted(ys)
-        object.__setattr__(self, "_lattice", (n, PiecewiseLinear(xs, [ys[x] for x in xs])))
+        q = math.lcm(*(v.denominator for v in xi))
+        n, lat, values = stunted_lattice(b, [on_lattice(v, q) for v in xi], q)
+        # touching plateaus, xi[i] = -xi[i+1], have the same value
+        object.__setattr__(self, "degenerate", any(u == v for u, v in zip(values, values[1:])))
+        object.__setattr__(self, "plateau_values", tuple(
+            v if b.is_max(i) else -v for i, v in enumerate(xi, start=1)))
+        object.__setattr__(self, "_lattice", (n, lat))
 
     def lattice(self):
         """(N, L) as ``PiecewiseLinear.lattice``, built with the map."""
@@ -193,6 +171,36 @@ class StuntedSawtooth:
     def shifted(self, delta: Sequence) -> "StuntedSawtooth":
         new = tuple(v + rat(d) for v, d in zip(self.xi, delta))
         return StuntedSawtooth(self.base, new)
+
+
+def stunted_lattice(base: SawtoothBase, nums, q: int):
+    """(N, L, values): the stunted map with signed heights xi = nums/q, built
+    from those ints in lattice coordinates X = N·x, N = lcm(lam·lcm(den xi),
+    lam - 1): the map L on int breakpoints and values, its plateau values.
+    The plateau at c = 2i - m - 1 has half-width (N·lam - N·xi[i])/lam; -e
+    maps to -epsilon·e, e to epsilon·(-1)^m·e; touching ends merge."""
+    lam, m = base.lam, base.m
+    g = math.gcd(q, *nums)          # lcm(den xi) = q/g
+    n = math.lcm(lam * (q // g), lam - 1)
+    ne = n * m * lam // (lam - 1)
+    nxi = [v * n // q for v in nums]
+    for i, v in enumerate(nxi):
+        if abs(v) > ne:
+            raise ValueError(f"xi[{i}]={Fraction(nums[i], q)} outside [-e, e] = "
+                             f"[-{base.e}, {base.e}]")
+    for i in range(m - 1):
+        if nxi[i] < -nxi[i + 1]:
+            raise ValueError(f"plateau interiors overlap: xi[{i}]={Fraction(nums[i], q)} "
+                             f"< -xi[{i+1}]={-Fraction(nums[i + 1], q)}")
+    ys = {-ne: -base.epsilon * ne, ne: base.epsilon * (-1) ** m * ne}
+    values, sign = [], base.epsilon       # +1 at a maximum of the base (``is_max``)
+    for c, v in zip(range((1 - m) * n, m * n, 2 * n), nxi):
+        half = n - v // lam
+        ys[c - half] = ys[c + half] = sign * v
+        values.append(sign * v)
+        sign = -sign
+    xs = sorted(ys)
+    return n, PiecewiseLinear(xs, [ys[x] for x in xs]), tuple(values)
 
 
 def build_stunted(base: SawtoothBase, xi) -> StuntedSawtooth:

@@ -19,11 +19,11 @@ The graph decides periodicity questions without iterating pieces:
   non-power-of-two orbit by splicing two cycles;
 * traces of the transition matrix count the points of each period.
 
-``build_markov`` walks the closure once, evaluating each point and keeping
-its image; the sorted partition, the functional graph, the rows and the
-affine pieces are derived from that record when first read, so a caller
-that needs only the orbits (the plateau records of ``boundary``, a sweep
-row's samples) pays for no graph.  The closure is walked in the lattice
+``build_markov`` walks the closure once, evaluating each point off the
+breakpoints and keeping its image; the sorted partition, the functional
+graph, the rows and the affine pieces are derived from that record when
+first read, so a caller that needs only the orbits (the plateau records of
+``boundary``, a sweep row's samples) pays for no graph.  The closure is walked in the lattice
 coordinates X = N·x of the map's ``lattice()``: for a rational stunted map
 every slope is an integer, so the closure, the rows and the functional
 graph are int arithmetic.  Only the spliced periodic points x = o/(1 − s),
@@ -103,30 +103,28 @@ class MarkovSystem:
 
 def build_markov(m, budget: int) -> MarkovSystem:
     """The forward closure of the breakpoints of an exact map m, in the
-    lattice coordinates of ``m.lattice()``: each point is evaluated once and
-    its image kept.  Raises PreconditionError unless m maps its domain into
-    itself, and MarkovBudgetError, naming ``orbit_budget``, past ``budget``
-    points."""
-    if not is_exact(m):
+    lattice coordinates of ``m.lattice()``, or of that pair (N, L) itself: a
+    breakpoint's image is its value, and each other point is evaluated once
+    and its image kept.  Raises PreconditionError unless m maps its domain
+    into itself, and MarkovBudgetError, naming ``orbit_budget``, past
+    ``budget`` points."""
+    if not (isinstance(m, tuple) or is_exact(m)):
         raise TypeError(f"{m!r} is not an exact piecewise-linear map")
-    n, lat = m.lattice()
+    n, lat = m if isinstance(m, tuple) else m.lattice()
     if not lat.is_self_map():
         raise PreconditionError("the breakpoint closure needs a self-map")
-    image = dict.fromkeys(lat.xs)
-    frontier = list(image)
-    while frontier:
-        # the breakpoints count too, so a budget below them raises at once
-        if len(image) > budget:
-            raise MarkovBudgetError(f"not Markov within orbit_budget={budget}: "
-                                    f"breakpoint orbits exceed {budget} points")
-        nxt = []
-        for x in frontier:
-            y = image[x] = lat(x)
-            if y not in image:
-                image[y] = None
-                nxt.append(y)
-        frontier = nxt
-    return MarkovSystem(lat, n, image)
+    image = dict(zip(lat.xs, lat.ys))       # a breakpoint's image is its value
+    reached = list(lat.ys)                  # points reached, evaluated when first taken
+    # the breakpoints count too, so a budget below them raises at once
+    while len(image) <= budget:
+        if not reached:
+            return MarkovSystem(lat, n, image)
+        x = reached.pop()
+        if x not in image:
+            image[x] = y = lat(x)
+            reached.append(y)
+    raise MarkovBudgetError(f"not Markov within orbit_budget={budget}: "
+                            f"breakpoint orbits exceed {budget} points")
 
 
 def _components(rows, size):
@@ -136,35 +134,47 @@ def _components(rows, size):
     an unreached state, its place on ``stack`` until it is placed in a
     component, then ``size``; ``bounds`` holds the stack places of the
     tentative roots on the search path, which an edge back into the stack
-    merges."""
+    merges.  The state v under search scans its successors from the cursor
+    w up to ``end``; ``path`` keeps (v, w, end) of the states above it."""
     index = [-1] * size
     comps = []
+    stack, bounds, path = [], [], []
     for root in range(size):
         if index[root] >= 0:
             continue
-        # every state reached from an earlier root is placed: the stack is empty
-        stack, bounds, index[root] = [root], [0], 0
-        work = [(root, iter(range(*rows[root])))]
-        while work:
-            v, succ = work[-1]
-            for w in succ:
-                if index[w] < 0:
-                    index[w] = len(stack)
-                    stack.append(w)
-                    bounds.append(index[w])
-                    work.append((w, iter(range(*rows[w]))))
+        # every state reached from an earlier root is placed: the stacks are empty
+        v, (w, end) = root, rows[root]
+        index[root] = 0
+        stack.append(root)
+        bounds.append(0)
+        while True:
+            while w < end:
+                i = index[w]
+                if i < 0:
                     break
-                while bounds[-1] > index[w]:
+                while bounds[-1] > i:
                     bounds.pop()
+                w += 1
             else:
-                work.pop()
-                if bounds[-1] == index[v]:
+                # v is done: it closes a component when it is a root
+                i = index[v]
+                if bounds[-1] == i:
                     bounds.pop()
-                    comp = stack[index[v]:][::-1]
-                    del stack[index[v]:]
-                    for w in comp:
-                        index[w] = size
+                    comp = stack[i:][::-1]
+                    del stack[i:]
+                    for u in comp:
+                        index[u] = size
                     comps.append(comp)
+                if not path:
+                    break
+                v, w, end = path.pop()
+                continue
+            path.append((v, w + 1, end))
+            v = w
+            index[v] = i = len(stack)
+            stack.append(v)
+            bounds.append(i)
+            w, end = rows[v]
     return comps
 
 
@@ -188,15 +198,17 @@ def cyclic_components(rows, size):
             if rows[v][0] <= v < rows[v][1]:
                 yield scc, {v: [v]}
             continue
-        scc_set = set(scc)
-        yield scc, {v: [w for w in range(*rows[v]) if w in scc_set] for v in scc}
+        order = sorted(scc)         # a state's successors: the members within its row
+        yield scc, {v: order[bisect_left(order, rows[v][0]):bisect_left(order, rows[v][1])]
+                    for v in scc}
 
 
 def branches(succ) -> bool:
     """Whether a cyclic component, given by its successors ``succ``, branches:
     some state has two in-component successors, so its spectral radius
-    exceeds 1 and the map's entropy is positive."""
-    return any(len(ws) > 1 for ws in succ.values())
+    exceeds 1 and the map's entropy is positive (each state has one at
+    least, so the successors then outnumber the states)."""
+    return sum(map(len, succ.values())) > len(succ)
 
 
 def component_spans(scc, succ):

@@ -55,6 +55,8 @@ def ratio(p, q):
 def _slope(x0, x1, y0, y1):
     """(y1 - y0) / (x1 - x0) exactly for rationals x0 < x1, as an int when it
     is integral; cross-multiplied, so no intermediate ``Fraction`` is made."""
+    if type(x0) is int and type(x1) is int and type(y0) is int and type(y1) is int:
+        return ratio(y1 - y0, x1 - x0)      # a segment of a lattice map
     p = ((y1.numerator * y0.denominator - y0.numerator * y1.denominator)
          * x0.denominator * x1.denominator)
     q = ((x1.numerator * x0.denominator - x0.numerator * x1.denominator)
@@ -96,14 +98,14 @@ class PiecewiseLinear:
         return self.xs[-1]
 
     def __call__(self, x):
-        xs, ys = self.xs, self.ys
-        if x < xs[0] or x > xs[-1]:
-            raise DomainEscapeError(f"{x} outside [{xs[0]}, {xs[-1]}]")
+        xs, ys, slopes = self.xs, self.ys, self.slopes
         i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
+        if 0 <= i < len(slopes):
+            s = slopes[i]
+            return ys[i] + (x - xs[i]) * s if s else ys[i]
+        if x == xs[-1]:
             return ys[-1]
-        s = self.slopes[i]
-        return ys[i] + (x - xs[i]) * s if s else ys[i]
+        raise DomainEscapeError(f"{x} outside [{xs[0]}, {xs[-1]}]")
 
     def lattice(self):
         """(N, L): N the lcm of the denominators of the breakpoints and
@@ -118,8 +120,7 @@ class PiecewiseLinear:
         return self._lattice
 
     def is_self_map(self) -> bool:
-        lo, hi = self.lo, self.hi
-        return all(lo <= y <= hi for y in self.ys)
+        return self.lo <= min(self.ys) and max(self.ys) <= self.hi
 
     def plateau_runs(self):
         """Maximal intervals on which the map is constant, with their values."""

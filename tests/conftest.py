@@ -49,6 +49,22 @@ def random_xi(rnd: random.Random, base, q: int):
     return tuple(xi)
 
 
+def fraction_stunted(base, xi):
+    """Breakpoints, values and plateaus of the stunted map from the formula:
+    plateaus c_i +- (lam - v)/lam with value v at a maximum and -v at a
+    minimum, and the ends -e and e mapped to -epsilon·e and epsilon·(-1)^m·e."""
+    e, lam = base.e, base.lam
+    ys = {-e: -base.epsilon * e, e: base.epsilon * (-1) ** base.m * e}
+    plateaus = []
+    for i, (c, v) in enumerate(zip(base.turning_points, xi), start=1):
+        half = Fraction(lam - v, lam)
+        value = v if base.pl(c) > 0 else -v
+        ys[c - half] = ys[c + half] = value
+        plateaus.append((c - half, c + half, value))
+    xs = sorted(ys)
+    return xs, [ys[x] for x in xs], plateaus
+
+
 # -- the Fraction oracle ------------------------------------------------
 # The piece engine as it ran in a map's own coordinates, with orbits walked
 # by evaluating the map in Fractions: the reference that the period sets and

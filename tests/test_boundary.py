@@ -17,9 +17,10 @@ from chaos_edge.boundary import (ATTRACTING_TOL, POSITIVE, SCAN_PERIODS, UNDECID
                                  _tower_descend, plateau_orbit_analysis)
 from chaos_edge.markov import build_markov
 from chaos_edge.periods import is_power_of_two
+from chaos_edge.piecewise import on_lattice
 from chaos_edge.symbolic import doubling_side
 
-from conftest import ZERO_SIDE_2_60, random_xi
+from conftest import ZERO_SIDE_2_60, fraction_stunted, random_xi
 
 F = Fraction
 
@@ -224,7 +225,7 @@ class TestLocate:
         # classifies them and refines around them
         undecided = []
         withheld = (F(5, 4), F(9, 8))
-        classify, side = boundary.classify_stunted, boundary.exact_side
+        classify, side = boundary.classify_stunted, boundary.path_side
 
         def stunted(T, bound, config):
             if T.xi[0] in withheld:
@@ -233,8 +234,8 @@ class TestLocate:
             return classify(T, bound, config)
 
         monkeypatch.setattr(boundary, "classify_stunted", stunted)
-        monkeypatch.setattr(boundary, "exact_side",
-                            lambda T, config: None if T.xi[0] in withheld else side(T, config))
+        monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
+            None if path_t(path, k, depth) in withheld else side(path, k, depth, config)))
         path = stunted_path(base1, [F(0)], [F(1)], F(1, 2), F(3, 2))
         res = locate_boundary(path, bound=64, resolution=F(1, 2**20))
         assert sorted(set(undecided)) == [F(9, 8), F(5, 4)]
@@ -513,6 +514,50 @@ def test_exact_side_agrees_with_classify_stunted():
     assert min(sides.values()) >= 50
 
 
+def path_t(path, k, depth):
+    """The parameter at position k/2^depth of a stunted path."""
+    return path.t_lo + (path.t_hi - path.t_lo) * F(k, 2**depth)
+
+
+def test_int_probe_agrees_with_the_map():
+    # an interior probe builds only the lattice of the map at a dyadic
+    # position, from the path's int numerators: the same N, breakpoints,
+    # values and plateau values as the map made there (and as the Fraction
+    # formula, whose dict merges touching plateau ends), and the same side.
+    # Paths run from random heights (denominators 8 to 32) to random ones
+    # above them; on the touching ones xi[m-2] = -xi[m-1] and neither moves
+    rnd = random.Random(26)
+    checked, degenerate, sides = 0, 0, set()
+    for m in (1, 2, 3):
+        for eps in (1, -1):
+            base = build_base(m, eps)
+            for touching in (False, True) if m > 1 else (False,):
+                for _ in range(4):
+                    xi0 = list(random_xi(rnd, base, rnd.randint(8, 32)))
+                    if touching:
+                        xi0[-1] = -xi0[-2]
+                    xi1 = [x + F(rnd.randint(0, math.floor((base.e - x) * 32)), 32) for x in xi0]
+                    if touching:
+                        xi1[-2:] = xi0[-2:]
+                    path = stunted_path(base, xi0, [b - a for a, b in zip(xi0, xi1)], 0, 1)
+                    for _ in range(8):
+                        depth = rnd.randint(1, 62)
+                        k = rnd.randint(0, 2**depth)
+                        T = path.map_at(path_t(path, k, depth))
+                        n, lat, values = path.lattice_at(k, depth)
+                        assert (n, lat) == T.lattice(), (T.xi, k, depth)
+                        assert values == tuple(on_lattice(v, n) for v in T.plateau_values)
+                        xs, ys, _ = fraction_stunted(base, T.xi)
+                        assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys
+                        side = boundary.path_side(path, k, depth)
+                        assert side == boundary.exact_side(T), (T.xi, k, depth)
+                        checked += 1
+                        degenerate += T.degenerate
+                        sides.add(side)
+    assert checked >= 200 and degenerate >= 50
+    assert sides == {ZERO, POSITIVE}
+
+
 def seeded_stunted_path(m, seed):
     """A path t -> xi0 + t (e - xi0), t in [0, 1], from a zero-certified map
     whose heights are at most e/3, with denominator 8, 16 or 32, to the full
@@ -540,28 +585,26 @@ def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
     routed = locate_boundary(path, bound=64, resolution=F(1, 2**60))
     assert len(decided) == 4
     assert routed.probes > 60 and routed.undecided == 0
-    monkeypatch.setattr(boundary, "exact_side", lambda T, config: None)
+    monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: None)
     assert locate_boundary(path, bound=64, resolution=F(1, 2**60)) == routed
     assert len(decided) == 4 + routed.probes
 
 
 def test_sided_maps_kept_only_at_the_bracket_ends(monkeypatch):
-    # a sided probe's map is kept until the end is classified, but only
-    # while it is a bracket end: at each side taken, at most the two ends and
-    # a quarter point of the step under way are still alive
-    import weakref
-    refs, alive, side = [], [], boundary.exact_side
-
-    def sided(T, config):
-        alive.append(sum(r() is not None for r in refs))
-        refs.append(weakref.ref(T))
-        return side(T, config)
-
-    monkeypatch.setattr(boundary, "exact_side", sided)
+    # an interior probe is sided on its int lattice and makes no map: a
+    # locate builds the maps of the path's two ends and, once the bisection
+    # stops, of the bracket's two ends, and no other
+    from chaos_edge.maps import StuntedSawtooth
+    built, sided = [], []
+    post_init, side = StuntedSawtooth.__post_init__, boundary.path_side
+    monkeypatch.setattr(StuntedSawtooth, "__post_init__",
+                        lambda T: post_init(T) or built.append(T.xi[0]))
+    monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
+        sided.append(path_t(path, k, depth)) or side(path, k, depth, config)))
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     res = locate_boundary(path, bound=64, resolution=F(1, 2**60))
-    assert len(refs) == res.probes - 2 == 60
-    assert max(alive) <= 3
+    assert len(sided) == len(set(sided)) == res.probes - 2 == 60
+    assert built == [F(1, 2), F(3, 2), *res.bracket]
 
 
 def test_exact_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
@@ -729,11 +772,12 @@ class TestExactRoute:
     def test_one_lattice_walk(self, monkeypatch, m, xi, kind):
         # the breakpoint closure is the route's only walk: the plateau
         # records, the witness cycle and the Markov graph are read off it, so
-        # the lattice map is evaluated once per closure point
+        # the lattice map is evaluated once per closure point off its
+        # breakpoints (a breakpoint's image is its value)
         import chaos_edge.piecewise as pw
         T = build_stunted(build_base(m, 1), xi)
         _, lat = T.lattice()
-        closure = build_markov(T, DEFAULT.orbit_budget).size + 1
+        closure = build_markov(T, DEFAULT.orbit_budget).size + 1 - len(lat.xs)
         honest, calls = pw.PiecewiseLinear.__call__, []
 
         def counted(self, x):

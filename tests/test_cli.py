@@ -335,7 +335,8 @@ class TestSweepCmd:
                                                    desc, grid):
         # the samples of a stunted row are read off its one breakpoint
         # closure, and match a plain walk of 528 lattice steps; the sweep
-        # evaluates each lattice map once per closure point, nothing more
+        # evaluates each lattice map once per closure point off its
+        # breakpoints, nothing more
         import chaos_edge.piecewise as pw
         from chaos_edge.boundary import plateau_orbit_analysis
         from chaos_edge.markov import build_markov
@@ -354,7 +355,7 @@ class TestSweepCmd:
                 walk.append(str(Fraction(y, n)))
             want[str(t)] = ";".join(walk[512:])
             system = build_markov(m, chaos_edge.DEFAULT.orbit_budget)
-            closure += system.size + 1
+            closure += system.size + 1 - len(lat.xs)
             preperiods.add(plateau_orbit_analysis(m, system)[0][0].preperiod)
         assert max(preperiods) > 0
         honest, calls = pw.PiecewiseLinear.__call__, [0]

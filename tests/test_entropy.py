@@ -35,8 +35,7 @@ class TestLapCount:
     def test_base_zigzag_m2(self, base2):
         # the raw zigzag has m+1 laps
         xs = [-base2.e, *base2.turning_points, base2.e]
-        from chaos_edge import eval_s0
-        pl = PiecewiseLinear(xs, [eval_s0(base2, x) for x in xs])
+        pl = PiecewiseLinear(xs, [base2.pl(x) for x in xs])
         assert lap_count(pl, 1).laps == 3
 
     def test_trapezoid_iterates(self, T32):

@@ -5,6 +5,11 @@ program, from before the exact core moved to lattice coordinates.  JSON keys
 are sorted and no report has a timing field, so equal inputs must give equal
 bytes.
 
+The three stunted ``boundary`` goldens at 2^-60 (the m = 2 and m = 3
+diagonal paths and the epsilon = -1, m = 1 path) were written before the
+interior probes of an exact locate were built in ints, and pin their
+bisection, probe count included.
+
 The two float ``boundary`` goldens (the quadratic path and the one-stage
 type-B path) were written before the float orbit kernels were rewritten and
 pin their output bit for bit.  They assume IEEE doubles and the Linux libm
@@ -24,6 +29,13 @@ DATA = Path(__file__).parent / "data"
 
 PATH = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
         "t_lo": "1/2", "t_hi": "3/2"}
+M2_DIAGONAL = {"family": "stunted", "m": 2, "epsilon": 1, "xi0": ["0", "0"],
+               "direction": ["1", "1"], "t_lo": "1/2", "t_hi": "8/3"}
+M3_DIAGONAL = {"family": "stunted", "m": 3, "epsilon": 1, "xi0": ["0", "0", "0"],
+               "direction": ["1", "1", "1"], "t_lo": "1/2", "t_hi": "15/4"}
+M1_EPS_MINUS = {"family": "stunted", "m": 1, "epsilon": -1, "xi0": ["0"], "direction": ["1"],
+                "t_lo": "1/2", "t_hi": "3/2"}
+RES_2_60 = ("--resolution", "1/1152921504606846976")
 QUADRATIC_PATH = {"family": "quadratic", "t_lo": -1.5, "t_hi": -1.3}
 TYPE_B_PATH = {"family": "type_b", "stages": [[2, -1.5]], "t_lo": -2, "t_hi": -1}
 TRAPEZOID = {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["3/2"]}
@@ -45,6 +57,9 @@ def stdout_of(tmp_path, capsys, descriptor, *args):
     ("entropy_trapezoid.csv", TRAPEZOID, ("entropy", "--format", "csv")),
     ("boundary_quadratic_res1e-7.json", QUADRATIC_PATH, ("boundary", "--resolution", "1e-7")),
     ("boundary_type_b_res0.05.json", TYPE_B_PATH, ("boundary", "--resolution", "0.05")),
+    ("boundary_m2_diagonal_res2pow-60.json", M2_DIAGONAL, ("boundary", *RES_2_60)),
+    ("boundary_m3_diagonal_res2pow-60.json", M3_DIAGONAL, ("boundary", *RES_2_60)),
+    ("boundary_m1_eps-1_res2pow-60.json", M1_EPS_MINUS, ("boundary", *RES_2_60)),
 ])
 def test_stdout_bytes(tmp_path, capsys, golden, descriptor, args):
     # read as bytes: the CSV rows end in \r\n, which read_text would change

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
-                        build_type_b, critical_values, eval_s0, iterate,
-                        parse_map, serialize_map)
+                        build_type_b, critical_values, iterate, parse_map,
+                        serialize_map)
 from chaos_edge.maps import (FloatUnimodal, Interval, iterate_grid, orbit, turning_points_of,
                              turning_regions)
 from chaos_edge.piecewise import PiecewiseLinear
 from chaos_edge.renorm import find_restrictive, renormalize
 
-from conftest import random_xi
+from conftest import fraction_stunted, random_xi
 
 F = Fraction
 
@@ -49,29 +49,29 @@ class TestBase:
 
     def test_eval_examples(self):
         b = build_base(1, 1)
-        assert eval_s0(b, F(-3, 2)) == F(-3, 2)
-        assert eval_s0(b, F(0)) == 3
-        assert eval_s0(b, F(1, 2)) == F(3, 2)
+        assert b.pl(F(-3, 2)) == F(-3, 2)
+        assert b.pl(F(0)) == 3
+        assert b.pl(F(1, 2)) == F(3, 2)
 
     def test_eval_outside_domain(self):
         b = build_base(1, 1)
         with pytest.raises(DomainEscapeError):
-            eval_s0(b, F(2))
+            b.pl(F(2))
 
     @given(m=st.integers(1, 4), eps=st.sampled_from([1, -1]))
     def test_endpoints_map_to_endpoints(self, m, eps):
         b = build_base(m, eps)
-        assert eval_s0(b, -b.e) in (-b.e, b.e)
-        assert eval_s0(b, b.e) in (-b.e, b.e)
+        assert b.pl(-b.e) in (-b.e, b.e)
+        assert b.pl(b.e) in (-b.e, b.e)
 
     @given(m=st.integers(1, 4), eps=st.sampled_from([1, -1]),
            num=st.integers(-100, 100))
     def test_extremal_values(self, m, eps, num):
         b = build_base(m, eps)
         for i, c in enumerate(b.turning_points, start=1):
-            assert abs(eval_s0(b, c)) == b.lam
+            assert abs(b.pl(c)) == b.lam
         x = -b.e + (2 * b.e) * F(num + 100, 200)
-        assert abs(eval_s0(b, x)) <= b.lam
+        assert abs(b.pl(x)) <= b.lam
 
 
 class TestStunted:
@@ -144,7 +144,7 @@ class TestStunted:
         for _ in range(200):
             base = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
             T = build_stunted(base, random_xi(rnd, base, 2 ** rnd.randint(1, 40)))
-            assert T.pl.ys == tuple(eval_s0(base, x) for x in T.pl.xs), T.xi
+            assert T.pl.ys == tuple(base.pl(x) for x in T.pl.xs), T.xi
 
 def _stunted_cases():
     """Seeded admissible heights for m = 1..4 and epsilon = +-1: random ones
@@ -168,28 +168,12 @@ def _stunted_cases():
                 yield base, xi
 
 
-def _fraction_stunted(base, xi):
-    """Breakpoints, values and plateaus of the stunted map from the formula:
-    plateaus c_i +- (lam - v)/lam with value v at a maximum and -v at a
-    minimum, and the ends -e and e mapped to -epsilon·e and epsilon·(-1)^m·e."""
-    e, lam = base.e, base.lam
-    ys = {-e: -base.epsilon * e, e: base.epsilon * (-1) ** base.m * e}
-    plateaus = []
-    for i, (c, v) in enumerate(zip(base.turning_points, xi), start=1):
-        half = F(lam - v, lam)
-        value = v if eval_s0(base, c) > 0 else -v
-        ys[c - half] = ys[c + half] = value
-        plateaus.append((c - half, c + half, value))
-    xs = sorted(ys)
-    return xs, [ys[x] for x in xs], plateaus
-
-
 class TestStuntedConstruction:
     def test_lattice_pl_eq_and_hash(self):
         cases = 0
         for base, xi in _stunted_cases():
             T = build_stunted(base, xi)
-            xs, ys, plateaus = _fraction_stunted(base, T.xi)
+            xs, ys, plateaus = fraction_stunted(base, T.xi)
             n, lat = T.lattice()
             assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys, xi
             assert T.pl.xs == tuple(xs) and T.pl.ys == tuple(ys)
@@ -200,7 +184,7 @@ class TestStuntedConstruction:
             samples |= {a for a, _, _ in plateaus} | {b for _, b, _ in plateaus}
             for x in samples:
                 inside = [v for a, b, v in plateaus if a <= x <= b]
-                assert T.pl(x) == (inside[0] if inside else eval_s0(base, x)), (xi, x)
+                assert T.pl(x) == (inside[0] if inside else base.pl(x)), (xi, x)
             again = build_stunted(base, [str(v) for v in xi])
             assert again == T and hash(again) == hash(T)
             cases += 1
