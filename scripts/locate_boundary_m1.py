@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Locate the boundary of chaos for the one-plateau stunted family.
 
-Walks the path xi(t) = (t), t in [1/2, 3/2], bisects between a zero-entropy
-certificate and a positive-entropy witness, and prints the certified bracket
-as JSON.  The run is exact: both certificates re-verify in rational
-arithmetic.
+Walks the path xi(t) = (t), t in [1/2, 3/2], and prints as JSON the bracket
+of width 2^-30 between a zero-entropy certificate and a positive-entropy
+witness.  The bracket is read off the cylinder of the doubling-limit
+kneading, the one cell of that width the boundary lies in, and only its two
+ends and the path's are classified.  The run is exact: both certificates
+re-verify in rational arithmetic.
 """
 
 import json

@@ -65,10 +65,12 @@ enough, the sided ends: their verdicts are the evidence reported.  When
 such an end's verdict differs from its side, the bisection runs again from
 the path's ends with every probe classified, reusing those verdicts.
 Probes that certify neither way (a budget ran out) are counted and the
-bracket is refined around them.  ``classify_float`` asks the kneading's
-question of an even map whose critical orbit has not settled: one that the
-kneading puts on the positive side runs the grid scan before the longer
-attractor retry.
+bracket is refined around them.  A one-plateau stunted path makes no
+interior probe: the cell of its doubling-limit cylinder (``_doubling_cell``)
+is the bisection's last bracket, and only its ends are classified.
+``classify_float`` asks the kneading's question of an even map whose
+critical orbit has not settled: one that the kneading puts on the positive
+side runs the grid scan before the longer attractor retry.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .markov import branches, build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
                       is_power_of_two, minimal_period)
 from .piecewise import on_lattice
-from .symbolic import doubling_side, shape
+from .symbolic import cylinders, doubling_side, shape
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -629,6 +631,42 @@ def classify_probe(path: ParameterPath, t, bound: int,
     return _classified(path, _probe_map(path, t), bound, config)
 
 
+def _doubling_cell(path: ParameterPath, depth: int, tol: int):
+    """The positions (j·w, (j + 1)·w) of the bracket on which the routed
+    bisection of a one-plateau stunted path stops, w the first dyadic
+    width <= tol.  The boundary's plateau value has the kneading W_∞ of
+    Metropolis–Stein–Stein (``doubling_side``'s rule in the base's lap
+    orientation), so its plateau end, irrational, lies in every cylinder of
+    (1,) + W_∞[:D] (``symbolic.cylinders``): one inside a cell names the
+    bisection's cell.  Depths run from where the cylinder, at most 2e/lam^D
+    wide, can fit a cell to where it is narrower than a position.  None when
+    the bisection would not reach w within MAX_PROBES, when no depth gives
+    a cell, or when the cell leaves the path.
+    """
+    if tol < 1:
+        return None
+    level = depth - min(tol.bit_length() - 1, depth)       # the bisection's probes to w
+    if level > MAX_PROBES - 2:
+        return None
+    base, w = path.base, 1 << depth - level
+    q, (a,), (b,) = path._heights
+    # lap 1 starts at the turning point 0, where the base is ys[1]; its
+    # point x, of height xi = ±base(x), is at 2^depth·(f·x + g)/b
+    sign = 1 if base.is_max(1) else -1
+    f, g = q * sign * base.pl.slopes[1], q * sign * int(base.pl.ys[1]) - a
+    size = math.log(2 * base.e.numerator * abs(f)) - math.log(base.e.denominator * b)
+    first, last = (math.ceil((size + k * math.log(2)) / math.log(base.lam)) for k in (level, depth))
+    # W_∞'s symbol i - 1, the word's i, is the reversing lap iff v2(i) is even
+    rev = int(base.epsilon > 0)
+    word = (1 if i == 0 else rev if (i & -i).bit_length() % 2 else 1 - rev for i in range(last))
+    for d, (den, lo, hi) in enumerate(cylinders(base, word), 1):
+        u, v = sorted((f * lo + g * den, f * hi + g * den))
+        j = (u << level) // (b * den)
+        if d >= first and v << level <= (j + 1) * b * den:
+            return (j * w, (j + 1) * w) if 0 <= j < 1 << level else None
+    return None
+
+
 @dataclass(frozen=True)
 class BoundaryResult:
     t_star: object
@@ -654,8 +692,8 @@ class BoundaryResult:
 
 def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
                     resolution=None, config: RunConfig = DEFAULT) -> BoundaryResult:
-    """Bisect the path between a zero-certified and a positively-witnessed
-    parameter until the certified bracket is narrower than the resolution.
+    """Bracket the boundary between a zero-certified and a positively-witnessed
+    parameter, by bisection, until the bracket is narrower than the resolution.
 
     Probes that certify neither way are counted and the bracket is refined
     around them at quarter points; if every refinement probe is undecided,
@@ -668,7 +706,10 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     the bisection runs again with every probe classified, with a budget of
     its own.  Only such a contradiction re-runs it: a budget error of the
     routed pass is raised.  A stunted path is bisected in int positions k,
-    t = t_lo + (t_hi - t_lo)·k/2^depth, a float path in its floats.
+    t = t_lo + (t_hi - t_lo)·k/2^depth, a float path in its floats.  A
+    one-plateau stunted path classifies the ends of ``_doubling_cell`` as
+    probes and runs the routed pass, reusing them, only when they are not
+    zero and positive or there is no cell.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -676,7 +717,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         resolution = config.resolution_exact if path.exact else config.resolution_float
     probes = 0
     undecided = 0
-    verdicts = {}       # position -> (kind, verdict) on an end of the routed bisection
+    verdicts = {}       # position -> (kind, verdict) of a classified end
     if path.exact:
         # a step halves the bracket at most twice and a pass makes at most
         # MAX_PROBES probes, so every midpoint is an int k over 2^depth; a
@@ -742,21 +783,27 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
                                   f"reached at width {width(zero, pos)}")
         return zero, pos
 
-    r_lo = (lo, *probe(lo, False))
-    r_hi = (hi, *probe(hi, False))
+    verdicts[lo], verdicts[hi] = probe(lo, False), probe(hi, False)
+    r_lo, r_hi = (lo, *verdicts[lo]), (hi, *verdicts[hi])
     if {r_lo[1], r_hi[1]} != {ZERO, POSITIVE}:
         raise PreconditionError(
             f"path endpoints must certify differently, got {r_lo[1]}/{r_hi[1]}")
     # only the results at the two bracket ends are kept: a witness near the
     # boundary holds an orbit of up to ~10^5 floats
     zero, pos = (r_lo, r_hi) if r_lo[1] == ZERO else (r_hi, r_lo)
-    ends = bisect(zero, pos, MAX_PROBES, routed=True)
-    # an end sided without evidence is classified; this is not a new probe
-    for k, side, r in ends:
-        if r is None:
-            r = _classified(path, _probe_map(path, t_at(k)), bound, config, side)
-        verdicts[k] = r.kind, r
-    ends = tuple((k, *verdicts[k]) for k, _, _ in ends)
+    cell = _doubling_cell(path, depth, tol) if path.exact and path.base.m == 1 else None
+    if cell is not None:
+        # the one-plateau route: the bisection's last bracket, classified
+        verdicts.update({k: probe(k, False) for k in cell if k not in verdicts})
+        ends = tuple((k, *verdicts[k]) for k in (cell if zero[0] == lo else cell[::-1]))
+    if cell is None or (ends[0][1], ends[1][1]) != (ZERO, POSITIVE):
+        ends = bisect(zero, pos, probes + MAX_PROBES - 2, routed=True)
+        # an end sided without evidence is classified; this is not a new probe
+        for k, side, r in ends:
+            if r is None:
+                r = _classified(path, _probe_map(path, t_at(k)), bound, config, side)
+            verdicts[k] = r.kind, r
+        ends = tuple((k, *verdicts[k]) for k, _, _ in ends)
     if (ends[0][1], ends[1][1]) != (ZERO, POSITIVE):
         # an end's evidence disagrees with its side: bisect again from the
         # path's ends with every probe classified, the verdicts above reused

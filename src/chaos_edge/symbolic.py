@@ -31,6 +31,7 @@ from .errors import PreconditionError
 from .maps import (SawtoothBase, StuntedSawtooth, build_stunted, critical_values,
                    domain_of, is_even, is_exact, orbit, turning_points_of,
                    turning_regions)
+from .piecewise import on_lattice
 
 
 def sym_str(s: int) -> str:
@@ -39,21 +40,6 @@ def sym_str(s: int) -> str:
 
 def syms_str(seq) -> str:
     return "".join(sym_str(s) for s in seq)
-
-
-def parse_syms(text: str):
-    # one digit per symbol (maps with more than nine turning points would
-    # need a delimited format)
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "C":
-            out.append(-int(text[i + 1]))
-            i += 2
-        else:
-            out.append(int(text[i]))
-            i += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -235,21 +221,36 @@ def _laps(base: SawtoothBase):
     return [(a, b, s, y - s * a) for a, b, y, s in zip(pl.xs, pl.xs[1:], pl.ys, pl.slopes)]
 
 
-def _pullback_right_limit(base: SawtoothBase, target):
-    """Candidate interval (lo, hi) for points whose right-limit base-itinerary
-    starts with ``target``, via exact backward pullback through the affine laps."""
-    laps = _laps(base)
-    lo, hi = -base.e, base.e
-    for sym in reversed(target):
+def cylinders(base: SawtoothBase, word):
+    """The exact cylinder of the points whose right-limit base-itinerary
+    starts with the lap word ``word``, built forward one symbol at a time.
+
+    Yields, after each of the first D symbols, (den, lo, hi): the closed
+    interval [lo/den, hi/den], den = n·lam^D, of the points that follow
+    those D laps and that f^D maps into the domain.  On it n·f^D(x) is
+    sign·X + c in X = den·x, so a symbol costs a few int operations: cut X
+    to the symbol's lap, scale by lam, cut to the domain.
+    """
+    n = base.e.denominator          # the laps end at ints and ±e, their intercepts are ints
+    laps = [(on_lattice(a, n), on_lattice(b, n), s, on_lattice(o, n)) for a, b, s, o in _laps(base)]
+    ne = on_lattice(base.e, n)
+    den, lo, hi, sign, c = n, -ne, ne, 1, 0
+
+    def cut(u, v):              # the X in [lo, hi] with sign·X + c in [u, v]
+        a, b = sorted((sign * (u - c), sign * (v - c)))
+        return max(lo, a), min(hi, b)
+
+    for sym in word:
         if sym < 0:
             raise ValueError("address symbol in target; pullback needs lap symbols only")
         a, b, s, o = laps[sym]
-        t0, t1 = sorted(((lo - o) / s, (hi - o) / s))
-        t0, t1 = max(t0, a), min(t1, b)
-        if t0 > t1:
+        lo, hi = cut(a, b)
+        den, lo, hi = den * base.lam, lo * base.lam, hi * base.lam
+        sign, c = sign if s > 0 else -sign, s * c + o
+        lo, hi = cut(-ne, ne)
+        if lo > hi:
             raise ValueError("target itinerary is not realizable in the base zigzag")
-        lo, hi = t0, t1
-    return lo, hi
+        yield den, lo, hi
 
 
 def _signed_itinerary_s0(base: SawtoothBase, y, depth: int):
@@ -348,7 +349,8 @@ def psi(m, base: SawtoothBase, depth: int = 64) -> PsiResult:
                 f"kneading sequence {k + 1} enters a plateau; "
                 "the projection needs lap symbols only")
         target = (k + 1,) + tuple(seq)
-        c_lo, c_hi = _pullback_right_limit(base, target)
+        *_, (den, lo, hi) = cylinders(base, target)
+        c_lo, c_hi = Fraction(lo, den), Fraction(hi, den)
         exact_s = _periodic_tail_point(base, target) if is_exact(m) else None
         if exact_s is not None and c_lo <= exact_s <= c_hi:
             ss.append(exact_s)

@@ -233,6 +233,7 @@ class TestLocate:
                 return boundary.ProbeResult(UNDECIDED, note="withheld")
             return classify(T, bound, config)
 
+        route_off(monkeypatch)
         monkeypatch.setattr(boundary, "classify_stunted", stunted)
         monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
             None if path_t(path, k, depth) in withheld else side(path, k, depth, config)))
@@ -519,6 +520,12 @@ def path_t(path, k, depth):
     return path.t_lo + (path.t_hi - path.t_lo) * F(k, 2**depth)
 
 
+def route_off(monkeypatch):
+    """Keep a one-plateau locate on the bisection: with no cylinder the
+    doubling-limit route names no cell."""
+    monkeypatch.setattr(boundary, "cylinders", lambda base, word: iter(()))
+
+
 def test_int_probe_agrees_with_the_map():
     # an interior probe builds only the lattice of the map at a dyadic
     # position, from the path's int numerators: the same N, breakpoints,
@@ -558,12 +565,12 @@ def test_int_probe_agrees_with_the_map():
     assert sides == {ZERO, POSITIVE}
 
 
-def seeded_stunted_path(m, seed):
+def seeded_stunted_path(m, seed, epsilon=1):
     """A path t -> xi0 + t (e - xi0), t in [0, 1], from a zero-certified map
     whose heights are at most e/3, with denominator 8, 16 or 32, to the full
     map."""
     rnd = random.Random(seed)
-    base = build_base(m, 1)
+    base = build_base(m, epsilon)
     while True:
         xi0 = random_xi(rnd, base, rnd.choice((8, 16, 32)))
         if max(xi0) > base.e / 3:
@@ -578,6 +585,7 @@ def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
     # interior probes are sided by the sign of their exact entropy, so
     # decide_exact runs on the path's two ends and the bracket's two ends
     # alone, and the result is the one of a locate that classifies every probe
+    route_off(monkeypatch)
     path = seeded_stunted_path(m, 25 + m)
     decided, decide = [], boundary.decide_exact
     monkeypatch.setattr(boundary, "decide_exact",
@@ -597,6 +605,7 @@ def test_sided_maps_kept_only_at_the_bracket_ends(monkeypatch):
     from chaos_edge.maps import StuntedSawtooth
     built, sided = [], []
     post_init, side = StuntedSawtooth.__post_init__, boundary.path_side
+    route_off(monkeypatch)
     monkeypatch.setattr(StuntedSawtooth, "__post_init__",
                         lambda T: post_init(T) or built.append(T.xi[0]))
     monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
@@ -612,6 +621,7 @@ def test_exact_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
     # so the bisection runs again with every probe classified; the verdicts
     # on the routed ends are reused, not made again, and the ends it returns
     # carry evidence that the re-checks accept
+    route_off(monkeypatch)
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     resolution = F(1, 2**30)
     t_refuted, t_pos = locate_boundary(path, bound=64, resolution=resolution).bracket
@@ -633,6 +643,102 @@ def test_exact_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
     assert t0 != t_refuted
     assert verify_zero_certificate(path.map_at(t0), cert)
     assert verify_witness(path.map_at(t1), wit)
+
+
+def m1_paths():
+    """The README m = 1 paths (epsilon = +-1) and seeded m = 1 paths."""
+    yield from (stunted_path(build_base(1, eps), [F(0)], [F(1)], F(1, 2), F(3, 2))
+                for eps in (1, -1))
+    yield from (seeded_stunted_path(1, seed, eps) for seed in (1, 2, 3) for eps in (1, -1))
+
+
+def locate_both_ways(monkeypatch, path, resolution):
+    """(located, bisected): ``locate_boundary`` with its one-plateau route
+    and with the route off."""
+    located = locate_boundary(path, bound=64, resolution=resolution)
+    with monkeypatch.context() as patch:
+        route_off(patch)
+        return located, locate_boundary(path, bound=64, resolution=resolution)
+
+
+@pytest.mark.parametrize("exponent", [20, 60, 200])
+def test_one_plateau_locate_reads_the_doubling_cell(monkeypatch, exponent):
+    # the cell of the doubling-limit cylinder is the bisection's last
+    # bracket: the same result in every field but probes, which counts the
+    # path's two ends and the bracket's two ends, the only maps decided
+    resolution = F(1, 2**exponent)
+    decided, decide = [], boundary.decide_exact
+    monkeypatch.setattr(boundary, "decide_exact",
+                        lambda T, bound, config: decided.append(T.xi) or decide(T, bound, config))
+    for path in m1_paths():
+        decided.clear()
+        located, bisected = locate_both_ways(monkeypatch, path, resolution)
+        ends = [path.map_at(t).xi for t in (path.t_lo, path.t_hi, *located.bracket)]
+        assert located.probes == 4 and decided == ends + ends
+        assert replace(located, probes=bisected.probes) == bisected
+        assert bisected.probes == exponent + 2 and located.gap <= resolution
+
+
+def test_doubling_cell_reaches_as_far_as_the_bisection():
+    # the routed bisection has MAX_PROBES - 2 probes after the path's ends
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    assert locate_boundary(path, bound=64, resolution=F(1, 2**398)).probes == 4
+    with pytest.raises(BudgetExhausted, match="max_probes=400 reached"):
+        locate_boundary(path, bound=64, resolution=F(1, 2**399))
+
+
+def assert_reverified(path, res):
+    (t0, cert), (t1, wit) = res.zero_side, res.positive_side
+    assert verify_zero_certificate(path.map_at(t0), cert)
+    assert verify_witness(path.map_at(t1), wit)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_doubling_cell_of_a_wrong_word_falls_back(monkeypatch, eps):
+    # a flipped symbol names a cell whose ends classify alike: the route
+    # falls back to the bisection, which ends where it ends without the route
+    cylinders = boundary.cylinders
+    monkeypatch.setattr(boundary, "cylinders", lambda base, word: cylinders(
+        base, (1 - s if i == 12 else s for i, s in enumerate(word))))
+    path = stunted_path(build_base(1, eps), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    located, bisected = locate_both_ways(monkeypatch, path, F(1, 2**40))
+    assert located.probes == bisected.probes + 2
+    assert replace(located, probes=bisected.probes) == bisected
+    assert_reverified(path, located)
+
+
+def test_doubling_cell_off_the_path_falls_back(monkeypatch):
+    # the word of the fixed point in lap 1, xi = 3/4, names a cell below
+    # this path: no end is classified and the bisection runs as without it
+    monkeypatch.setattr(boundary, "cylinders", lambda base, word, cylinders=boundary.cylinders:
+                        cylinders(base, (1 for _ in word)))
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1), F(3, 2))
+    located, bisected = locate_both_ways(monkeypatch, path, F(1, 2**40))
+    assert located == bisected
+    assert_reverified(path, located)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["zero", "positive"])
+def test_doubling_cell_refuted_at_an_end_falls_back(monkeypatch, end):
+    # the classifier leaves an end of the cell undecided: the route falls
+    # back, the bisection reuses the cell's verdicts, and the result is the
+    # one that the bisection alone finds under the same classifier
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    resolution = F(1, 2**40)
+    cell = locate_boundary(path, bound=64, resolution=resolution).bracket
+    classify = boundary.classify_stunted
+
+    def stunted(T, bound, config):
+        if T.xi[0] == cell[end]:
+            return boundary.ProbeResult(UNDECIDED, note="withheld")
+        return classify(T, bound, config)
+
+    monkeypatch.setattr(boundary, "classify_stunted", stunted)
+    located, bisected = locate_both_ways(monkeypatch, path, resolution)
+    assert located.probes > 4 and located.undecided >= 1
+    assert replace(located, probes=bisected.probes) == bisected
+    assert located.bracket != cell and located.gap <= resolution
+    assert_reverified(path, located)
 
 
 def test_type_b_probe_conjugate_to_positive_quadratic():

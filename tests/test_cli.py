@@ -271,6 +271,16 @@ class TestBoundaryCmd:
         lo, hi = sorted(float(t) for t in json.loads(out)["t_star_bracket"])
         assert lo <= C_INF <= hi and hi - lo <= 0.01
 
+    def test_one_plateau_route_has_the_bisections_reach(self, tmp_path, capsys):
+        # 2^-500 needs 500 halvings, past the bisection's 400 probes; the
+        # doubling-limit cylinder could name that bracket, but the route
+        # stops where the bisection stops, with the same error
+        code, out, err = run_cli(capsys, "boundary", write(tmp_path, "p.json", STUNTED_PATH),
+                                 "--resolution", f"1/{2**500}")
+        assert code == 4 and out == ""
+        assert err == ("budget exhausted: probe budget exhausted: max_probes=400 reached "
+                       f"at width 1/{2**398}\n")
+
     def test_equal_endpoints_exit3(self, tmp_path, capsys):
         desc = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],
                 "direction": ["1"], "t_lo": "1/2", "t_hi": "3/4"}

@@ -10,6 +10,12 @@ diagonal paths and the epsilon = -1, m = 1 path) were written before the
 interior probes of an exact locate were built in ints, and pin their
 bisection, probe count included.
 
+The three m = 1 ``boundary`` goldens (the default resolution, 2^-30, and
+the epsilon = -1 path at 2^-60) were rewritten when a one-plateau locate
+began to read its bracket off the doubling-limit cylinder: only
+``probes`` changed (42, 32 and 62 to 4); every other byte is the
+bisection's.
+
 The two float ``boundary`` goldens (the quadratic path and the one-stage
 type-B path) were written before the float orbit kernels were rewritten and
 pin their output bit for bit.  They assume IEEE doubles and the Linux libm

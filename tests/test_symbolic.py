@@ -9,7 +9,7 @@ from chaos_edge import (PiecewiseLinear, PreconditionError, Quadratic, build_bas
                         build_stunted, build_type_b, itinerary, kneading, psi, shape,
                         signed_compare)
 from chaos_edge import symbolic
-from chaos_edge.symbolic import doubling_side, orientation, parse_syms, syms_str
+from chaos_edge.symbolic import cylinders, doubling_side, orientation, syms_str
 
 from conftest import random_xi
 
@@ -43,8 +43,7 @@ class TestItinerary:
         assert kneading(pl, 6).as_strings() == ["111111"]
 
     def test_symbol_string_roundtrip(self):
-        seq = (1, 0, -2, 3, -1)
-        assert parse_syms(syms_str(seq)) == seq
+        assert syms_str((1, 0, -2, 3, -1)) == "10C23C1"
 
 
 class TestKneading:
@@ -176,6 +175,87 @@ class TestPsi:
         neg_base = build_base(1, -1)
         res = psi(f, neg_base, 12)
         assert res.widths[0] > 0
+
+
+def psi_cases():
+    """(map, base, depth): the maps above, and a seeded set of near-full
+    stunted maps, x^2 + c and two-stage type-B maps."""
+    b1 = build_base(1, 1)
+    yield build_type_b([(2, -2.0)]), b1, 32
+    yield build_stunted(b1, [F(5, 4)]), b1, 40
+    yield Quadratic(-1.4011561890920505), build_base(1, -1), 400
+    yield Quadratic(-1.401155), build_base(1, -1), 12
+    rnd = random.Random(27)
+    for m in (1, 2, 3):
+        for eps in (1, -1):
+            base = build_base(m, eps)
+            for _ in range(12):
+                q = rnd.choice((16, 32, 81, 128))
+                xi = [base.e - F(rnd.randint(0, q // 4), q) for _ in range(m)]
+                yield build_stunted(base, xi), base, rnd.choice((16, 40, 64))
+    for _ in range(20):
+        yield Quadratic(rnd.uniform(-2.0, -1.3)), build_base(1, -1), rnd.choice((12, 64, 200))
+    for _ in range(20):
+        f = build_type_b([(2, rnd.uniform(-2.0, -1.3)), (2, rnd.uniform(-2.0, -1.3))])
+        yield f, build_base(3, orientation(f)), rnd.choice((12, 48, 100))
+
+
+def test_psi_s_and_widths_pinned():
+    # the digest of every (s, widths), or error text, on psi_cases, written
+    # when the cylinder was still pulled back from the word's end in Fractions
+    import hashlib
+    digest, projected = hashlib.sha256(), 0
+    for m, base, depth in psi_cases():
+        try:
+            res = psi(m, base, depth)
+        except (ValueError, PreconditionError) as exc:
+            digest.update(("E" + str(exc)).encode())
+            continue
+        projected += 1
+        digest.update(repr((res.s, res.widths)).encode())
+    assert projected == 47
+    assert digest.hexdigest() == "b91a20531e08d2b96e46191c820d7f24ac873ef3f6f22d8b231400dfd4a36117"
+
+
+def pullback(base, word):
+    """The cylinder of ``word`` pulled back from its end through the lap
+    affines in Fractions: the points that follow the word's laps and that
+    f^len(word) maps into the domain; None when there are none."""
+    pl = base.pl
+    lo, hi = -base.e, base.e
+    for j in reversed(word):
+        a, b, s = pl.xs[j], pl.xs[j + 1], pl.slopes[j]
+        o = pl.ys[j] - s * a
+        t0, t1 = sorted(((lo - o) / s, (hi - o) / s))
+        lo, hi = max(t0, a), min(t1, b)
+        if lo > hi:
+            return None
+    return lo, hi
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cylinders_are_the_pullback_of_every_prefix(m):
+    # each yielded cylinder is the backward pullback of the prefix read so
+    # far, and each lies in the one before it
+    rnd = random.Random(m)
+    for eps in (1, -1):
+        base = build_base(m, eps)
+        for _ in range(10):
+            word = [rnd.randint(0, m) for _ in range(rnd.randint(1, 40))]
+            prev = (-base.e, base.e)
+            got = list(cylinders(base, word))
+            assert len(got) == len(word)
+            for d, (den, lo, hi) in enumerate(got, 1):
+                cyl = (F(lo, den), F(hi, den))
+                assert cyl == pullback(base, word[:d])
+                assert den == base.e.denominator * base.lam ** d
+                assert prev[0] <= cyl[0] <= cyl[1] <= prev[1]
+                prev = cyl
+
+
+def test_cylinders_reject_an_address_symbol():
+    with pytest.raises(ValueError, match="address symbol in target"):
+        list(cylinders(build_base(1, 1), (1, 0, -1, 1)))
 
 
 class TestDoublingSide:
