@@ -15,8 +15,7 @@ from .entropy import (EntropyEstimate, LapCount, Witness, entropy_lap,
                       entropy_markov, lap_count, lap_series,
                       positive_entropy_witness, verify_witness)
 from .periods import (PeriodicOrbit, PeriodSet, is_power_of_two,
-                      is_power_of_two_spectrum, period_set, periodic_points,
-                      sharkovskii_forces, sharkovskii_precedes)
+                      is_power_of_two_spectrum, period_set, periodic_points)
 from .renorm import (CascadeTrace, QuadraticFamily, RestrictiveInterval,
                      cascade_trace, feigenbaum_delta, find_restrictive,
                      renormalize, superstable_parameter, superstable_sequence)

@@ -57,7 +57,10 @@ bisection bracket is proven by the evidence at its two ends alone.
 ``locate_boundary`` takes the side of every interior probe without
 evidence: on a stunted path from ``path_side``, ``exact_side``'s rules on
 an int lattice built from the path's numerators at an int position (no map
-or ``Fraction`` is made for the probe), on an even float map from its
+or ``Fraction`` is made for the probe), or, with no walk, from the closure
+window of an earlier probe (``_closure_window``: the positions where no
+two points of its closure, each affine in the position, cross, so the map
+has the same closure graph and side), on an even float map from its
 critical itinerary (``symbolic.doubling_side``: on an even float map the
 boundary is the limit of the period-doubling cascade).  It classifies
 only the path's ends, probes left unsided and, once the bracket is narrow
@@ -76,6 +79,7 @@ side runs the grid scan before the longer attractor retry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -201,24 +205,95 @@ def _closure_side(T, config: RunConfig, lattice=None):
     return ZERO, system, plateaus
 
 
-def exact_side(T, config: RunConfig = DEFAULT, lattice=None) -> Optional[str]:
+def exact_side(T, config: RunConfig = DEFAULT) -> Optional[str]:
     """The side of an exact map, POSITIVE or ZERO, by the sign of its exact
-    entropy (``_closure_side``, which also says what ``lattice`` is); None
-    when its closure passes ``orbit_budget``.  The side is not evidence: no
-    orbit is verified and no certificate is made."""
+    entropy (``_closure_side``); None when its closure passes
+    ``orbit_budget``.  The side is not evidence: no orbit is verified and no
+    certificate is made."""
     try:
-        return _closure_side(T, config, lattice)[0]
+        return _closure_side(T, config)[0]
     except BudgetExhausted:
         return None
 
 
 def path_side(path: "ParameterPath", k: int, depth: int,
-              config: RunConfig = DEFAULT) -> Optional[str]:
-    """``exact_side`` of the map at position k/2^depth of a stunted path (t =
-    t_lo + (t_hi - t_lo)·k/2^depth), read off the int lattice that
-    ``ParameterPath.lattice_at`` builds: no ``Fraction`` or map is made."""
+              config: RunConfig = DEFAULT, windows=()) -> tuple:
+    """(side, window): ``exact_side`` of the map at position k/2^depth of a
+    stunted path (t = t_lo + (t_hi - t_lo)·k/2^depth).  When k lies in one
+    of ``windows``, (lo, hi, side) of earlier probes, the side is that
+    window's and window is None: nothing is built or walked.  Otherwise the
+    side is read off the int lattice that ``ParameterPath.lattice_at``
+    builds (no ``Fraction`` or map is made) and window is the probe's own
+    (``_closure_window``), None when it has none or the closure passes
+    ``orbit_budget`` (side None)."""
+    for lo, hi, side in reversed(windows):
+        if lo <= k <= hi:
+            return side, None
     n, lat, values = path.lattice_at(k, depth)
-    return exact_side(values, config, (n, lat))
+    try:
+        side, system, _ = _closure_side(values, config, (n, lat))
+    except BudgetExhausted:
+        return None, None
+    window = _closure_window(path, k, depth, values, system)
+    return side, window and (*window, side)
+
+
+def _closure_window(path: "ParameterPath", k: int, depth: int, values, system):
+    """(lo, hi): the positions K over 2^depth, lo <= K <= hi, at which the
+    map of a stunted path has the breakpoint closure ``system`` of its map at
+    k, point for point; None when two of its points meet at k.
+
+    Every plateau height is affine in the position, and the laps of the base
+    are fixed, so each breakpoint is an affine function of it and so is each
+    closure point: a point on a lap maps to the slope times it, one on a
+    plateau to the plateau's value.  While no two adjacent points of the
+    sorted closure cross, the closure is the same functions in the same
+    order, each in the same segment of the map: the same transition rows,
+    plateau records and side (Milnor–Thurston: entropy is fixed by that
+    combinatorics).  Rates are d/ds in lattice units times q·lam (``_heights``):
+    the domain ends get 0, plateau i's ends ±n·b_i and its value
+    sign_i·n·b_i·lam.  Two rates at one point are two functions that meet
+    there, so the combinatorics changes at k itself."""
+    base, pl, image = path.base, system.pl, system.image
+    lam, m, n = base.lam, base.m, system.scale
+    q, _, b = path._heights
+    # breakpoint -> (its rate, its image's rate)
+    ends = {pl.xs[0]: (0, 0), pl.xs[-1]: (0, 0)}
+    sign = base.epsilon
+    for i, (v, bi) in enumerate(zip(values, b)):
+        c, half, dv = (2 * i + 1 - m) * n, n - sign * v // lam, n * bi
+        for x, rates in ((c - half, (dv, sign * dv * lam)), (c + half, (-dv, sign * dv * lam))):
+            if ends.setdefault(x, rates) != rates:
+                return None
+        sign = -sign
+    rate = {x: r for x, (r, _) in ends.items()}
+    xs, slopes = pl.xs, pl.slopes
+    # each point after the breakpoints was reached from an earlier one
+    for x, y in image.items():
+        if x in ends:
+            r = ends[x][1]
+        else:
+            j = bisect_right(xs, x) - 1
+            r = slopes[j] * rate[x] if slopes[j] else ends[xs[j]][1]
+        if rate.setdefault(y, r) != r:
+            return None
+    # the nearest crossing on each side, as (gap, closing rate)
+    left = right = None
+    pts = system.points
+    for u, v in zip(pts, pts[1:]):
+        g, r = v - u, rate[v] - rate[u]
+        if r < 0 and (right is None or g * right[1] < right[0] * -r):
+            right = g, -r
+        elif r > 0 and (left is None or g * left[1] < left[0] * r):
+            left = g, r
+    # the gap closes after g·q·lam/r of s, g·q·lam·2^depth/r positions:
+    # the last position strictly before it is (g·q·lam·2^depth - 1)//r away
+    lo, hi = 0, 1 << depth
+    if left:
+        lo = k - ((left[0] * q * lam << depth) - 1) // left[1]
+    if right:
+        hi = k + ((right[0] * q * lam << depth) - 1) // right[1]
+    return lo, hi
 
 
 def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
@@ -701,8 +776,11 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     ends of a float bracket, the search stops with the budget error.
     An interior probe takes its side without evidence when it has one
     (``path_side`` on a stunted path, ``doubling_side`` on an even float
-    map) and is classified otherwise; the ends so sided are classified at
-    the end (not counted as probes), and if a verdict differs from its side
+    map) and is classified otherwise.  On a stunted path each walked probe
+    keeps its closure window, the positions where the map has its closure
+    graph (``_closure_window``), and a later probe inside one takes its
+    side with no walk.  The ends so sided are classified at the end (not
+    counted as probes), and if a verdict differs from its side
     the bisection runs again with every probe classified, with a budget of
     its own.  Only such a contradiction re-runs it: a budget error of the
     routed pass is raised.  A stunted path is bisected in int positions k,
@@ -718,6 +796,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     probes = 0
     undecided = 0
     verdicts = {}       # position -> (kind, verdict) of a classified end
+    windows = []        # (lo, hi, side) per closure window of a stunted path
     if path.exact:
         # a step halves the bracket at most twice and a pass makes at most
         # MAX_PROBES probes, so every midpoint is an int k over 2^depth; a
@@ -742,7 +821,9 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
             r = classify_probe(path, t_at(k), bound, config)
             return r.kind, r
         if path.exact:
-            side = path_side(path, k, depth, config)
+            side, window = path_side(path, k, depth, config, windows)
+            if window:
+                windows.append(window)
             m = None if side else path.map_at(t_at(k))
         else:
             m = _probe_map(path, k)

@@ -1,4 +1,4 @@
-"""Periodic orbits, period sets, power-of-two spectra and Sharkovskii order.
+"""Periodic orbits, period sets and power-of-two spectra.
 
 Exact maps read both off their breakpoint closure (``markov.build_markov``):
 the period set from the counts of points of each minimal period, made in
@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
@@ -57,13 +56,9 @@ def is_power_of_two(n: int) -> bool:
 
 def minimal_period(m, x, p: int, tol: float):
     """First-return time of x under m within p steps, to within tol (None if
-    it never returns)."""
-    y = x
-    for k in range(1, p + 1):
-        y = m(y)
-        if abs(y - x) <= tol:
-            return k
-    return None
+    it never returns); the p steps are ``orbit``'s, bit for bit those of
+    stepping ``m(y)``."""
+    return next((k for k, y in enumerate(orbit(m, x, p), 1) if abs(y - x) <= tol), None)
 
 
 def _orbit_of(m, x, p: int):
@@ -286,64 +281,3 @@ def is_power_of_two_spectrum(ps: PeriodSet):
             return ("no", p)
     return ("yes-up-to-bound", None)
 
-
-# -- Sharkovskii order -------------------------------------------------
-
-
-def _sharkovskii_key(n: int):
-    """Total-order key; smaller key = earlier (stronger) in the order."""
-    if n < 1:
-        raise ValueError("periods are positive")
-    a = 0
-    q = n
-    while q % 2 == 0:
-        q //= 2
-        a += 1
-    if q > 1:
-        return (0, a, q)
-    return (1, -a, 0)
-
-
-def sharkovskii_precedes(p: int, q: int) -> bool:
-    """True when p forces q (p strictly earlier, or equal)."""
-    return _sharkovskii_key(p) <= _sharkovskii_key(q)
-
-
-@dataclass(frozen=True)
-class SharkovskiiTail:
-    """The set of periods forced by p (a downward tail of the order)."""
-
-    head: int
-
-    def __contains__(self, q: int) -> bool:
-        return sharkovskii_precedes(self.head, q)
-
-    @property
-    def is_finite(self) -> bool:
-        return is_power_of_two(self.head)
-
-    def materialize(self, bound: Optional[int] = None):
-        """Forced periods in Sharkovskii order (strongest first).
-
-        Powers of two have a finite tail and need no bound; any other head
-        forces infinitely many periods, so a bound is required.
-        """
-        if self.is_finite:
-            out = [self.head]
-            k = self.head // 2
-            while k >= 1:
-                out.append(k)
-                k //= 2
-            return out
-        if bound is None:
-            raise PreconditionError(
-                f"period {self.head} forces infinitely many periods; pass a bound")
-        out = [q for q in range(1, bound + 1) if sharkovskii_precedes(self.head, q)]
-        out.sort(key=_sharkovskii_key)
-        return out
-
-
-def sharkovskii_forces(p: int) -> SharkovskiiTail:
-    if p < 1:
-        raise PreconditionError("period must be >= 1")
-    return SharkovskiiTail(p)

@@ -235,8 +235,9 @@ class TestLocate:
 
         route_off(monkeypatch)
         monkeypatch.setattr(boundary, "classify_stunted", stunted)
-        monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
-            None if path_t(path, k, depth) in withheld else side(path, k, depth, config)))
+        monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config, windows: (
+            (None, None) if path_t(path, k, depth) in withheld
+            else side(path, k, depth, config, windows)))
         path = stunted_path(base1, [F(0)], [F(1)], F(1, 2), F(3, 2))
         res = locate_boundary(path, bound=64, resolution=F(1, 2**20))
         assert sorted(set(undecided)) == [F(9, 8), F(5, 4)]
@@ -556,8 +557,11 @@ def test_int_probe_agrees_with_the_map():
                         assert values == tuple(on_lattice(v, n) for v in T.plateau_values)
                         xs, ys, _ = fraction_stunted(base, T.xi)
                         assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys
-                        side = boundary.path_side(path, k, depth)
+                        side, window = boundary.path_side(path, k, depth)
                         assert side == boundary.exact_side(T), (T.xi, k, depth)
+                        # the probe lies in its own window, which has its side
+                        assert window is None or (window[0] <= k <= window[1]
+                                                  and window[2] == side), (T.xi, k, depth)
                         checked += 1
                         degenerate += T.degenerate
                         sides.add(side)
@@ -584,16 +588,23 @@ def seeded_stunted_path(m, seed, epsilon=1):
 def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
     # interior probes are sided by the sign of their exact entropy, so
     # decide_exact runs on the path's two ends and the bracket's two ends
-    # alone, and the result is the one of a locate that classifies every probe
+    # alone, and the result is the one of a locate that classifies every
+    # probe; a probe inside an earlier probe's closure window walks nothing
     route_off(monkeypatch)
     path = seeded_stunted_path(m, 25 + m)
     decided, decide = [], boundary.decide_exact
     monkeypatch.setattr(boundary, "decide_exact",
                         lambda T, bound, config: decided.append(T.xi) or decide(T, bound, config))
+    walked, walk = [], boundary.build_markov
+    monkeypatch.setattr(boundary, "build_markov",
+                        lambda T, budget: walked.append(isinstance(T, tuple)) or walk(T, budget))
     routed = locate_boundary(path, bound=64, resolution=F(1, 2**60))
     assert len(decided) == 4
     assert routed.probes > 60 and routed.undecided == 0
-    monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: None)
+    # the walks of interior probes, on their int lattices, against the sided
+    assert sum(walked) < routed.probes - 2
+    monkeypatch.setattr(boundary, "path_side",
+                        lambda path, k, depth, config, windows: (None, None))
     assert locate_boundary(path, bound=64, resolution=F(1, 2**60)) == routed
     assert len(decided) == 4 + routed.probes
 
@@ -601,19 +612,67 @@ def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
 def test_sided_maps_kept_only_at_the_bracket_ends(monkeypatch):
     # an interior probe is sided on its int lattice and makes no map: a
     # locate builds the maps of the path's two ends and, once the bisection
-    # stops, of the bracket's two ends, and no other
+    # stops, of the bracket's two ends, and no other.  A probe inside an
+    # earlier probe's closure window walks no closure either
     from chaos_edge.maps import StuntedSawtooth
-    built, sided = [], []
-    post_init, side = StuntedSawtooth.__post_init__, boundary.path_side
+    built, sided, walked = [], [], []
+    post_init, side, walk = StuntedSawtooth.__post_init__, boundary.path_side, boundary.build_markov
     route_off(monkeypatch)
     monkeypatch.setattr(StuntedSawtooth, "__post_init__",
                         lambda T: post_init(T) or built.append(T.xi[0]))
-    monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config: (
-        sided.append(path_t(path, k, depth)) or side(path, k, depth, config)))
+    monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config, windows: (
+        sided.append(path_t(path, k, depth)) or side(path, k, depth, config, windows)))
+    monkeypatch.setattr(boundary, "build_markov",
+                        lambda T, budget: walked.append(isinstance(T, tuple)) or walk(T, budget))
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     res = locate_boundary(path, bound=64, resolution=F(1, 2**60))
     assert len(sided) == len(set(sided)) == res.probes - 2 == 60
     assert built == [F(1, 2), F(3, 2), *res.bracket]
+    # four classified maps walk their own closures, the rest are interior probes
+    assert len(walked) - sum(walked) == 4
+    assert sum(walked) < len(sided)
+
+
+TOUCHING_PATHS = {
+    # m = 3 paths whose first two plateaus touch, xi[0] = -xi[1], and stay
+    # put while the third rises from a zero-certified map
+    1: ([F(-3, 2), F(3, 2), F(-5, 4)], [F(0), F(0), F(5)]),
+    -1: ([F(-39, 16), F(39, 16), F(-5, 8)], [F(0), F(0), F(35, 8)]),
+}
+
+
+@pytest.mark.parametrize("m, eps, touching", [(2, 1, False), (2, -1, False), (3, 1, False),
+                                              (3, -1, False), (3, 1, True), (3, -1, True)])
+def test_closure_window_keeps_the_graph(monkeypatch, m, eps, touching):
+    # the closure window of a walked probe: at its two ends and at positions
+    # drawn inside it, the map's breakpoint closure has the probe's size,
+    # transition rows, plateau records and side.  The probes are those of a
+    # locate on a seeded path or on a path with touching plateaus
+    depth = 2 * boundary.MAX_PROBES
+    path = (stunted_path(build_base(m, eps), *TOUCHING_PATHS[eps], 0, 1) if touching
+            else seeded_stunted_path(m, 28 + m, eps))
+    made, window_of = [], boundary._closure_window
+
+    def recorded(path, k, depth, values, system):
+        window = window_of(path, k, depth, values, system)
+        made.append((k, window))
+        return window
+
+    def graph(k):
+        n, lat, values = path.lattice_at(k, depth)
+        side, system, plateaus = boundary._closure_side(values, DEFAULT, (n, lat))
+        return system.size, system.rows, [r for r, _ in plateaus], side
+
+    monkeypatch.setattr(boundary, "_closure_window", recorded)
+    locate_boundary(path, bound=64, resolution=F(1, 2**60))
+    rnd = random.Random(28)
+    windows = [(k, window) for k, window in made if window is not None]
+    for k, (lo, hi) in windows:
+        assert lo <= k <= hi
+        want = graph(k)
+        for K in (lo, hi, *(rnd.randint(lo, hi) for _ in range(6))):
+            assert graph(K) == want, (k, K)
+    assert len(windows) >= 8
 
 
 def test_exact_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):

@@ -7,16 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_edge import (DEFAULT, BudgetExhausted, Quadratic, build_base, build_stunted,
-                        is_power_of_two_spectrum, period_set, periodic_points, periods,
-                        sharkovskii_forces, sharkovskii_precedes)
+                        is_power_of_two_spectrum, period_set, periodic_points, periods)
 from chaos_edge.maps import FloatUnimodal, Interval, bisect_root, build_type_b, iterate
 from chaos_edge.periods import (PeriodSet, _merge_close, cycle_multiplier, is_power_of_two,
-                                lap_roots, newton_polish, turning_points_of_iterate)
+                                lap_roots, minimal_period, newton_polish,
+                                turning_points_of_iterate)
 from chaos_edge.renorm import find_restrictive, renormalize
 
 from conftest import random_xi
 
 F = Fraction
+
+
+def sharkovskii_precedes(p: int, q: int) -> bool:
+    """Whether period p forces period q: 3 > 5 > 7 > ... > 2·3 > 2·5 > ... >
+    4·3 > ... > 8 > 4 > 2 > 1, p = q included."""
+    def key(n):
+        a = (n & -n).bit_length() - 1          # n = 2^a · odd
+        return (0, a, n >> a) if n >> a > 1 else (1, -a, 0)
+    return key(p) <= key(q)
 
 
 class TestPeriodicPoints:
@@ -231,30 +240,8 @@ class TestSpectrum:
 
 
 class TestSharkovskii:
-    def test_power_of_two_tail(self):
-        assert sharkovskii_forces(4).materialize() == [4, 2, 1]
-
-    def test_three_forces_everything(self):
-        tail = sharkovskii_forces(3)
-        assert not tail.is_finite
-        assert all(q in tail for q in range(1, 200))
-        from chaos_edge import PreconditionError
-        with pytest.raises(PreconditionError):
-            tail.materialize()
-
-    def test_six(self):
-        tail = sharkovskii_forces(6)
-        assert 3 not in tail and 5 not in tail
-        assert 10 in tail and 12 in tail and 20 in tail
-        for k in range(7):
-            assert 2**k in tail
-        out = tail.materialize(20)
-        assert out[0] == 6 and out[-1] == 1
-        # descending Sharkovskii order: each entry forces the next
-        for a, b in zip(out, out[1:]):
-            assert sharkovskii_precedes(a, b)
-
     def test_order_classic_chain(self):
+        # the order test_sharkovskii_consistency reads:
         # 3 > 5 > 7 > ... > 2*3 > 2*5 > ... > 8 > 4 > 2 > 1
         chain = [3, 5, 7, 9, 6, 10, 14, 12, 20, 24, 8, 4, 2, 1]
         for a, b in zip(chain, chain[1:]):
@@ -263,3 +250,32 @@ class TestSharkovskii:
 
     def test_is_power_of_two(self):
         assert [n for n in range(1, 20) if is_power_of_two(n)] == [1, 2, 4, 8, 16]
+
+
+def test_minimal_period_matches_stepping_the_map():
+    # the return time read off ``orbit`` is the one of stepping m(y) once a
+    # call, on x^2 + c and type-B maps, from points on attracting cycles of
+    # periods 1 to 8 (which return) and from points of chaotic maps (which
+    # mostly do not), at several tolerances and step counts
+    def stepped(m, x, p, tol):
+        y = x
+        for k in range(1, p + 1):
+            y = m(y)
+            if abs(y - x) <= tol:
+                return k
+        return None
+
+    maps = [Quadratic(c) for c in (-0.5, -1.0, -1.3107, -1.3815, -1.75, -1.9)]
+    maps += [build_type_b(stages) for stages in ([(2, -1.3)], [(4, -0.9)],
+                                                 [(2, -1.3), (4, -0.9)], [(2, -1.9)])]
+    rnd = random.Random(27)
+    returned = 0
+    for m in maps:
+        starts = [iterate(m, 0.0, 5000), rnd.uniform(m.domain.lo, m.domain.hi)]
+        for x in starts:
+            for p in (1, 3, 16, 200):
+                for tol in (0.0, 1e-12, 1e-7, 1e-3):
+                    k = minimal_period(m, x, p, tol)
+                    assert k == stepped(m, x, p, tol), (m, x, p, tol)
+                    returned += k is not None
+    assert returned >= 60
