@@ -11,14 +11,13 @@ from .maps import (Interval, PolynomialTypeB, Quadratic, SawtoothBase,
 from .piecewise import Affine, PiecewiseLinear
 from .symbolic import (Itinerary, KneadingInvariant, Shape, itinerary,
                        kneading, psi, shape, signed_compare)
-from .entropy import (EntropyEstimate, LapCount, Witness, entropy_lap,
-                      entropy_markov, lap_count, lap_series,
-                      positive_entropy_witness, verify_witness)
+from .entropy import (EntropyEstimate, Witness, entropy_lap, entropy_markov,
+                      lap_count, lap_series, verify_witness)
 from .periods import (PeriodicOrbit, PeriodSet, is_power_of_two,
                       is_power_of_two_spectrum, period_set, periodic_points)
 from .renorm import (CascadeTrace, QuadraticFamily, RestrictiveInterval,
                      cascade_trace, feigenbaum_delta, find_restrictive,
-                     renormalize, superstable_parameter, superstable_sequence)
+                     renormalize, superstable_sequence)
 from .boundary import (BoundaryResult, FloatZeroCertificate, ParameterPath,
                        ZeroEntropyCertificate, approximants, classify_float,
                        classify_probe, classify_stunted, locate_boundary,

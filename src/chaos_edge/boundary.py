@@ -12,7 +12,7 @@ cycle with power-of-two periods.  The closure is the route's one walk
 and a plateau-cycle witness are read off it (``plateau_orbit_analysis``),
 and the transition graph is derived from it only when the plateau cycles
 do not decide.  The same closure gives the map's side, the sign of its
-exact entropy, without evidence (``exact_side``): positive when a plateau
+exact entropy, without evidence (``_closure_side``): positive when a plateau
 cycle has a period that is not a power of two, otherwise exactly when a
 transition component branches; ``decide_exact`` builds its evidence on top
 of that side.
@@ -55,7 +55,7 @@ Entropy is monotone along a stunted path, whose heights never fall
 (Milnor–Tresser), and along an even float family (Milnor–Thurston), so a
 bisection bracket is proven by the evidence at its two ends alone.
 ``locate_boundary`` takes the side of every interior probe without
-evidence: on a stunted path from ``path_side``, ``exact_side``'s rules on
+evidence: on a stunted path from ``path_side``, ``_closure_side``'s rules on
 an int lattice built from the path's numerators at an int position (no map
 or ``Fraction`` is made for the probe), or, with no walk, from the closure
 window of an earlier probe (``_closure_window``: the positions where no
@@ -205,27 +205,16 @@ def _closure_side(T, config: RunConfig, lattice=None):
     return ZERO, system, plateaus
 
 
-def exact_side(T, config: RunConfig = DEFAULT) -> Optional[str]:
-    """The side of an exact map, POSITIVE or ZERO, by the sign of its exact
-    entropy (``_closure_side``); None when its closure passes
-    ``orbit_budget``.  The side is not evidence: no orbit is verified and no
-    certificate is made."""
-    try:
-        return _closure_side(T, config)[0]
-    except BudgetExhausted:
-        return None
-
-
 def path_side(path: "ParameterPath", k: int, depth: int,
               config: RunConfig = DEFAULT, windows=()) -> tuple:
-    """(side, window): ``exact_side`` of the map at position k/2^depth of a
-    stunted path (t = t_lo + (t_hi - t_lo)·k/2^depth).  When k lies in one
-    of ``windows``, (lo, hi, side) of earlier probes, the side is that
-    window's and window is None: nothing is built or walked.  Otherwise the
-    side is read off the int lattice that ``ParameterPath.lattice_at``
-    builds (no ``Fraction`` or map is made) and window is the probe's own
-    (``_closure_window``), None when it has none or the closure passes
-    ``orbit_budget`` (side None)."""
+    """(side, window): the side (``_closure_side``), not evidence, of the
+    map at position k/2^depth of a stunted path (t = t_lo + (t_hi - t_lo)·
+    k/2^depth).  When k lies in one of ``windows``, (lo, hi, side) of earlier
+    probes, the side is that window's and window is None: nothing is built
+    or walked.  Otherwise the side is read off the int lattice that
+    ``ParameterPath.lattice_at`` builds (no ``Fraction`` or map is made) and
+    window is the probe's own (``_closure_window``), None when it has none
+    or the closure passes ``orbit_budget`` (side None)."""
     for lo, hi, side in reversed(windows):
         if lo <= k <= hi:
             return side, None
@@ -318,9 +307,9 @@ def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
                             tuple(Fraction(x, system.scale) for x in orbit[r.preperiod:]))
                 if verify_witness(T, w):
                     return ProbeResult(POSITIVE, witness=w)
-        analysis = cycle_analysis(system)
-        if analysis.witness_orbit is not None:
-            w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
+        orbit = cycle_analysis(system).witness_orbit
+        if orbit is not None:
+            w = Witness("periodic-orbit", len(orbit), orbit)
             if verify_witness(T, w):
                 return ProbeResult(POSITIVE, witness=w)
         return ProbeResult(UNDECIDED, note="entropy is positive but no orbit was verified")
@@ -625,6 +614,10 @@ class ParameterPath:
         if not self.t_lo < self.t_hi:
             raise PreconditionError("need t_lo < t_hi")
         if self.kind == "stunted":
+            if not len(self.xi0) == len(self.direction) == self.base.m:
+                raise PreconditionError(
+                    f"a stunted path needs m = {self.base.m} heights and directions, "
+                    f"got {len(self.xi0)} and {len(self.direction)}")
             if any(d < 0 for d in self.direction):
                 raise PreconditionError("stunted path directions must be >= 0")
         elif self.kind not in ("quadratic", "type_b"):
@@ -679,31 +672,18 @@ def type_b_path(stages, stage_index: int, a_lo: float, a_hi: float) -> Parameter
                          stages=tuple(stages), stage_index=stage_index)
 
 
-def _probe_map(path: ParameterPath, t):
-    """The map at t; on a float path None when t leaves the family."""
-    if path.exact:
-        return path.map_at(t)
+def classify_probe(path: ParameterPath, t, bound: int, config: RunConfig = DEFAULT,
+                   side: Optional[str] = None) -> ProbeResult:
+    """The verdict on the map of a path at t: ``classify_stunted`` on a
+    stunted path, else ``classify_float`` told the map's kneading ``side``
+    when the caller has it; undecided when t leaves the family."""
     try:
-        return path.map_at(t)
-    except ValueError:
-        return None
-
-
-def _classified(path: ParameterPath, m, bound: int, config: RunConfig,
-                side: Optional[str] = None) -> ProbeResult:
-    """The verdict on the map m of a path: ``classify_stunted`` on a stunted
-    path, else ``classify_float`` told its kneading side when known, and
-    undecided when there is no map."""
+        m = path.map_at(t)
+    except ValueError as exc:
+        return ProbeResult(UNDECIDED, note=f"parameter leaves the family: {exc}")
     if path.exact:
         return classify_stunted(m, bound, config)
-    if m is None:
-        return ProbeResult(UNDECIDED, note="parameter leaves the family")
     return _classify_float(m, side)
-
-
-def classify_probe(path: ParameterPath, t, bound: int,
-                   config: RunConfig = DEFAULT) -> ProbeResult:
-    return _classified(path, _probe_map(path, t), bound, config)
 
 
 def _doubling_cell(path: ParameterPath, depth: int, tol: int):
@@ -787,7 +767,9 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     t = t_lo + (t_hi - t_lo)·k/2^depth, a float path in its floats.  A
     one-plateau stunted path classifies the ends of ``_doubling_cell`` as
     probes and runs the routed pass, reusing them, only when they are not
-    zero and positive or there is no cell.
+    zero and positive or there is no cell.  Every verdict is
+    ``classify_probe``'s; path ends that are not one zero and one positive
+    raise PreconditionError with the note of each undecided end.
     """
     if bound is None:
         bound = PERIOD_BOUND_EXACT if path.exact else PERIOD_BOUND_FLOAT
@@ -817,20 +799,20 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         probes += 1
         if k in verdicts:
             return verdicts[k]
-        if not routed:
-            r = classify_probe(path, t_at(k), bound, config)
-            return r.kind, r
-        if path.exact:
+        side = None
+        if routed and path.exact:
             side, window = path_side(path, k, depth, config, windows)
             if window:
                 windows.append(window)
-            m = None if side else path.map_at(t_at(k))
-        else:
-            m = _probe_map(path, k)
+        elif routed:
+            try:
+                m = path.map_at(k)
+            except ValueError:      # classify_probe notes it
+                m = None
             side = doubling_side(m) if m is not None and is_even(m) else None
         if side is not None:
             return side, None
-        r = _classified(path, m, bound, config)
+        r = classify_probe(path, t_at(k), bound, config)
         return r.kind, r
 
     def width(zero, pos):
@@ -867,8 +849,10 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
     verdicts[lo], verdicts[hi] = probe(lo, False), probe(hi, False)
     r_lo, r_hi = (lo, *verdicts[lo]), (hi, *verdicts[hi])
     if {r_lo[1], r_hi[1]} != {ZERO, POSITIVE}:
+        notes = "".join(f"; {t_at(k)}: {r.note}" for k, kind, r in (r_lo, r_hi)
+                        if kind == UNDECIDED)
         raise PreconditionError(
-            f"path endpoints must certify differently, got {r_lo[1]}/{r_hi[1]}")
+            f"path endpoints must certify differently, got {r_lo[1]}/{r_hi[1]}{notes}")
     # only the results at the two bracket ends are kept: a witness near the
     # boundary holds an orbit of up to ~10^5 floats
     zero, pos = (r_lo, r_hi) if r_lo[1] == ZERO else (r_hi, r_lo)
@@ -882,7 +866,7 @@ def locate_boundary(path: ParameterPath, bound: Optional[int] = None,
         # an end sided without evidence is classified; this is not a new probe
         for k, side, r in ends:
             if r is None:
-                r = _classified(path, _probe_map(path, t_at(k)), bound, config, side)
+                r = classify_probe(path, t_at(k), bound, config, side)
             verdicts[k] = r.kind, r
         ends = tuple((k, *verdicts[k]) for k, _, _ in ends)
     if (ends[0][1], ends[1][1]) != (ZERO, POSITIVE):

@@ -1,4 +1,4 @@
-"""Topological entropy: lap growth, exact Markov backend, positivity witnesses.
+"""Topological entropy: lap growth, exact Markov backend, witness re-checks.
 
 Entropy is the exponential growth rate of the lap count of the iterates
 (Misiurewicz–Szlenk).  An exact map gets both from the one transition graph
@@ -23,18 +23,12 @@ from typing import Optional
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import StuntedSawtooth, is_exact
-from .markov import branches, build_markov, component_spans, cyclic_components
-from .periods import PERIOD_BOUND_EXACT, is_power_of_two, turning_points_of_iterate
+from .markov import branches, build_markov, component_spans
+from .periods import is_power_of_two, turning_points_of_iterate
 from .piecewise import ratio, strict_lap_count
 
 LAP_CAP = 10**9                 # lap counts above this saturate a lap series
 WITNESS_TOL = 1e-10             # float witness points map to the next within this
-
-
-@dataclass(frozen=True)
-class LapCount:
-    n: int
-    laps: int
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,15 @@ def _graph_laps(m, config: RunConfig):
         laps, left, right = zip(*level)
 
 
-def lap_count(m, n: int, config: RunConfig = DEFAULT) -> LapCount:
+def lap_count(m, n: int, config: RunConfig = DEFAULT) -> int:
     """Number of maximal intervals of strict monotonicity of the n-th iterate."""
     if n < 1:
         raise PreconditionError("iterate index must be >= 1")
     if is_exact(m):
         if n == 1:
-            return LapCount(1, strict_lap_count(m.lattice()[1].slopes))
-        return LapCount(n, next(islice(_graph_laps(m, config), n - 1, None)))
-    return LapCount(n, len(turning_points_of_iterate(m, n, config)) + 1)
+            return strict_lap_count(m.lattice()[1].slopes)
+        return next(islice(_graph_laps(m, config), n - 1, None))
+    return len(turning_points_of_iterate(m, n, config)) + 1
 
 
 def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
@@ -98,7 +92,7 @@ def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
     counts = []
     for n in range(1, n_max + 1):
         try:
-            counts.append(next(levels) if exact else lap_count(m, n, config).laps)
+            counts.append(next(levels) if exact else lap_count(m, n, config))
         except BudgetExhausted:
             if exact:
                 raise
@@ -183,13 +177,6 @@ def _radius_bracket(components):
             c_lo, c_hi = _perron_bracket(component_spans(scc, succ)[1])
         lo, hi = max(lo, c_lo), max(hi, c_hi)
     return lo, hi
-
-
-def spectral_radius(rows, size: int) -> float:
-    """Spectral radius of a 0/1 matrix whose rows are column ranges, per
-    strongly connected component; exact when no component branches."""
-    lo, hi = _radius_bracket(cyclic_components(rows, size))
-    return (lo + hi) / 2
 
 
 def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
@@ -282,24 +269,3 @@ def verify_witness(m, w: Witness) -> bool:
         if (abs(y - x) <= WITNESS_TOL) != (k == w.period):
             return False
     return True
-
-
-def positive_entropy_witness(m, config: RunConfig = DEFAULT) -> Optional[Witness]:
-    """A re-verified periodic orbit whose period is not a power of two, or None.
-
-    Exact maps go through the exact decision route
-    (``boundary.decide_exact``): the witness is a plateau cycle or a splice
-    of two cycles of a branching Markov component, of any period.  None
-    there means zero entropy was certified, or a budget ran out, or a
-    branching component gave no verified orbit.  Float maps take the
-    witness of ``boundary.classify_float``.  Absence of a witness is not a
-    proof of zero entropy.
-    """
-    if not is_exact(m):
-        from .boundary import classify_float
-        return classify_float(m).witness
-    from .boundary import decide_exact
-    try:
-        return decide_exact(m, PERIOD_BOUND_EXACT, config).witness
-    except BudgetExhausted:
-        return None

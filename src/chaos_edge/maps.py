@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DescriptorError, PreconditionError
 from .piecewise import PiecewiseLinear, on_lattice
@@ -395,23 +395,6 @@ class PolynomialTypeB:
 
 def build_type_b(stages) -> PolynomialTypeB:
     return PolynomialTypeB(tuple(stages))
-
-
-@dataclass(frozen=True)
-class FloatUnimodal:
-    """Unimodal float map given by a callable."""
-
-    fn: Callable
-    domain: Interval
-    turning: float
-    kind: str = "float-unimodal"
-
-    @property
-    def turning_points(self) -> tuple:
-        return (self.turning,)
-
-    def __call__(self, x):
-        return self.fn(x)
 
 
 # =====================================================================

@@ -180,10 +180,8 @@ def _components(rows, size):
 
 @dataclass(frozen=True)
 class CycleAnalysis:
-    complete: bool                 # whole period structure enumerated
-    periods: frozenset             # all minimal periods (complete=True only)
+    periods: frozenset             # all minimal periods when no component branches
     witness_orbit: Optional[tuple]
-    witness_period: Optional[int]
 
 
 def cyclic_components(rows, size):
@@ -383,7 +381,6 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
     """
     periods = {len(cyc) for cyc in point_cycles(system)}
     witness = None                 # (numerators, q): the orbit X = P/q
-    complete = True
     for scc, succ in system.components:
         if not branches(succ):
             # follow the unique in-component successor around the cycle
@@ -397,7 +394,6 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 periods.add(len(traced[0]))
             continue
         # branching component: two distinct cycles through branch_vertex
-        complete = False
         if witness is not None:
             continue
         branch_vertex = next(v for v in scc if len(succ[v]) > 1)
@@ -412,10 +408,9 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
                 witness = traced   # its period is not a power of two
                 break
     if witness is None:
-        return CycleAnalysis(complete, frozenset(periods), None, None)
+        return CycleAnalysis(frozenset(periods), None)
     orbit, q = witness
-    return CycleAnalysis(complete, frozenset(periods),
-                         tuple(Fraction(p, q * system.scale) for p in orbit), len(orbit))
+    return CycleAnalysis(frozenset(periods), tuple(Fraction(p, q * system.scale) for p in orbit))
 
 
 def _cycle_through(succ, v, first):

@@ -275,7 +275,7 @@ def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
 
 
 def is_power_of_two_spectrum(ps: PeriodSet):
-    """('yes-up-to-bound', None) or ('no', witness_period)."""
+    """('yes-up-to-bound', None) or ('no', p), p the least period not a power of two."""
     for p in sorted(ps.periods):
         if not is_power_of_two(p):
             return ("no", p)

@@ -163,7 +163,10 @@ class PiecewiseLinear:
 def advance_pieces(pieces, pl: PiecewiseLinear, budget: int):
     """Pieces of f∘g from the pieces of g (f = pl), exactly: affine pieces
     are cut at preimages of the outer breakpoints; constant pieces stay
-    constant."""
+    constant.  Adjacent constant pieces of one value are not merged:
+    ``solve_on_pieces`` reports each one's left end, so ``find_restrictive``
+    tries each as a mate (on m = 2, xi = (0, 31/16), period 3, merging
+    narrows its widest interval from [0, 2] to [0, 97/64])."""
     xs, ys = pl.xs, pl.ys
     lo_dom, hi_dom = pl.lo, pl.hi
     out = []

@@ -38,8 +38,12 @@ from .piecewise import Affine, PiecewiseLinear, pieces_on, solve_on_pieces
 
 RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
 RESTRICTIVE_CANDIDATES = 8        # boundary candidates find_restrictive tries per side
-# a doubling ratio from a gap of g·tol between superstable parameters is off
-# by about 1.5/g (x^2 + c, tol 1e-13), so gaps below this many tols stop it
+# each superstable parameter is bisected to this width; below it the float
+# value of f^(2^k)(0) no longer resolves c_k (1e-15 gave a wrong delta)
+SUPERSTABLE_TOL = 1e-13
+# a doubling ratio from a gap of g·SUPERSTABLE_TOL between superstable
+# parameters is off by about 1.5/g (x^2 + c), so gaps below this many
+# tolerances stop it
 DELTA_GAP_TOLS = 10_000
 
 
@@ -202,9 +206,9 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[Re
     return best
 
 
-def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
-                return_phi: bool = False):
-    """Affine rescaling of f^n restricted to the restrictive interval.
+def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT):
+    """(map, phi): the affine rescaling of f^n restricted to the restrictive
+    interval, and the affine phi from the interval onto the map's domain.
 
     The rescaled map acts on the same interval as the input map; orientation
     is chosen so the result increases at its left endpoint whenever possible.
@@ -223,8 +227,7 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
         increasing_right_flip = last is not None and last[3] > last[2]
         flip = (not increasing_left) and increasing_right_flip
         phi = _affine_onto(J.lo, J.hi, dom.lo, dom.hi, flip)
-        out = restricted.conjugate(phi)
-        return (out, phi) if return_phi else out
+        return restricted.conjugate(phi), phi
     # float route: the cascade keeps return maps unimodal
     width = float(J.width)
     if width < RENORM_DEGENERATE_WIDTH:
@@ -240,8 +243,7 @@ def renormalize(m, ri: RestrictiveInterval, config: RunConfig = DEFAULT,
     base, to_level, steps = m, phi, n
     if isinstance(m, RenormalizedMap):
         base, to_level, steps = m.base, _compose(phi, m.phi), m.n * n
-    out = RenormalizedMap(base, to_level, steps, Interval(dom.lo, dom.hi), phi(c))
-    return (out, phi) if return_phi else out
+    return RenormalizedMap(base, to_level, steps, Interval(dom.lo, dom.hi), phi(c)), phi
 
 
 def _compose(outer: Affine, inner: Affine) -> Affine:
@@ -284,7 +286,7 @@ def cascade_trace(m, max_depth: int, config: RunConfig = DEFAULT) -> CascadeTrac
             lo, hi = hi, lo
         levels.append(CascadeLevel(ri.interval, Interval(lo, hi), 2))
         try:
-            current, phi = renormalize(current, ri, config, return_phi=True)
+            current, phi = renormalize(current, ri, config)
         except PreconditionError:
             reason = "degenerate-width"
             levels.pop()
@@ -325,9 +327,9 @@ class SuperstableSequence:
         return self.deltas[-1]
 
 
-def _superstable_params(family, tol: float):
+def _superstable_params(family):
     """c_0, c_1, ...: the parameters with the critical point periodic of
-    period 2^k, each bisected to ``tol``."""
+    period 2^k, each bisected to ``SUPERSTABLE_TOL``."""
     cs = []
     for k in count():
         if k == 0:
@@ -352,39 +354,34 @@ def _superstable_params(family, tol: float):
             raise BracketError(
                 f"no sign change for the period-2^{k} superstable equation "
                 f"near [{lo:.6g}, {hi:.6g}] (phi = {flo:.3g}, {fhi:.3g})")
-        cs.append(bisect_root(phi, lo, hi, tol, flo))
+        cs.append(bisect_root(phi, lo, hi, SUPERSTABLE_TOL, flo))
         yield cs[-1]
 
 
-def superstable_sequence(family, k_max: int, tol: float = 1e-13) -> list:
-    """Parameters c_0..c_k_max with the critical point periodic of period 2^k."""
-    return list(islice(_superstable_params(family, tol), k_max + 1))
+def superstable_sequence(family, k_max: int) -> list:
+    """Parameters c_0..c_k_max with the critical point periodic of period 2^k,
+    each to ``SUPERSTABLE_TOL``."""
+    return list(islice(_superstable_params(family), k_max + 1))
 
 
-def superstable_parameter(family, k: int, tol: float = 1e-13) -> float:
-    if k < 0:
-        raise PreconditionError("k must be >= 0")
-    return superstable_sequence(family, k, tol)[-1]
-
-
-def feigenbaum_delta(family, k_max: int, tol: float = 1e-13) -> SuperstableSequence:
+def feigenbaum_delta(family, k_max: int) -> SuperstableSequence:
     """Doubling ratios delta_k = (c_{k-1}-c_{k-2})/(c_k-c_{k-1}) up to k_max.
 
     The c_k are made one at a time; a gap c_k - c_{k-1} narrower than
-    ``DELTA_GAP_TOLS`` times ``tol`` is not resolved by the bisection, so
-    the sequence stops there, with that c_k and without its ratio, and
-    ``precision_flag`` set.
+    ``DELTA_GAP_TOLS`` times ``SUPERSTABLE_TOL`` is not resolved by the
+    bisection, so the sequence stops there, with that c_k and without its
+    ratio, and ``precision_flag`` set.
     """
     if k_max < 5:
         raise PreconditionError("k_max must be >= 5 for a stable ratio")
     cs = []
     deltas = []
-    for c in islice(_superstable_params(family, tol), k_max + 1):
+    for c in islice(_superstable_params(family), k_max + 1):
         cs.append(c)
         if len(cs) < 3:
             continue
         d_prev, d_cur = cs[-2] - cs[-3], cs[-1] - cs[-2]
-        if abs(d_cur) < DELTA_GAP_TOLS * tol:
+        if abs(d_cur) < DELTA_GAP_TOLS * SUPERSTABLE_TOL:
             return SuperstableSequence(tuple(cs), tuple(deltas), True)
         deltas.append(d_prev / d_cur)
     return SuperstableSequence(tuple(cs), tuple(deltas), False)

@@ -1,16 +1,37 @@
 import math
 import random
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
 from chaos_edge import build_base, build_stunted
 from chaos_edge.errors import BudgetExhausted
-from chaos_edge.maps import as_pl
+from chaos_edge.maps import Interval, as_pl
 from chaos_edge.periods import _stability_from_slope
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class FloatUnimodal:
+    """Unimodal float map given by a callable: the tests' adaptor for maps
+    the library has no class for (a logistic map, a conjugate, a return map)."""
+
+    fn: Callable
+    domain: Interval
+    turning: float
+    kind: str = "float-unimodal"
+
+    @property
+    def turning_points(self) -> tuple:
+        return (self.turning,)
+
+    def __call__(self, x):
+        return self.fn(x)
+
 
 # zero sides of locate_boundary(..., resolution=2^-60) on the m = 1 path
 # xi = (t), t in [1/2, 3/2], and on the m = 2 diagonal path xi = (t, t),

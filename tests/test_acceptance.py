@@ -12,15 +12,14 @@ from fractions import Fraction
 
 from chaos_edge import (BudgetExhausted, Quadratic, QuadraticFamily,
                         build_base, build_stunted, build_type_b, cascade_trace,
-                        entropy_lap, entropy_markov, feigenbaum_delta,
+                        classify_stunted, entropy_lap, entropy_markov, feigenbaum_delta,
                         find_restrictive, itinerary, kneading, locate_boundary,
-                        positive_entropy_witness, psi, renormalize, shape,
-                        stunted_path, quadratic_path, superstable_parameter,
-                        verify_witness, verify_zero_certificate)
-from chaos_edge.maps import FloatUnimodal, Interval
+                        psi, renormalize, shape, stunted_path, quadratic_path,
+                        superstable_sequence, verify_witness, verify_zero_certificate)
+from chaos_edge.maps import Interval
 from chaos_edge.periods import is_power_of_two
 
-from conftest import random_xi
+from conftest import FloatUnimodal, random_xi
 
 F = Fraction
 LOG2 = math.log(2)
@@ -89,7 +88,7 @@ def test_c3_entropy_period_equivalence():
             h = entropy_markov(T).value
         except BudgetExhausted:
             continue
-        w = positive_entropy_witness(T)
+        w = classify_stunted(T, 64).witness
         if (w is not None) != (h > 1e-3):
             disagreements += 1
         if w is not None:
@@ -102,9 +101,9 @@ def test_c3_entropy_period_equivalence():
 def test_c4_feigenbaum_reproduction():
     t0 = time.time()
     fam = QuadraticFamily()
-    c0 = superstable_parameter(fam, 0)
-    c1 = superstable_parameter(fam, 1)
-    c2 = superstable_parameter(fam, 2)
+    c0 = superstable_sequence(fam, 0)[-1]
+    c1 = superstable_sequence(fam, 1)[-1]
+    c2 = superstable_sequence(fam, 2)[-1]
     assert abs(c0) <= 1e-12
     assert abs(c1 + 1) <= 1e-12
     assert abs(c2 + 1.3107026) <= 1e-6
@@ -171,7 +170,7 @@ def test_c8_renormalization_conjugacy():
     alpha = (1 - math.sqrt(5)) / 2
     assert abs(float(ri.interval.lo) - alpha) <= 1e-10
     assert abs(float(ri.interval.hi) + alpha) <= 1e-10
-    R = renormalize(f, ri)
+    R, _ = renormalize(f, ri)
     lo, hi = float(ri.interval.lo), float(ri.interval.hi)
     induced = FloatUnimodal(lambda x: f(f(x)), Interval(lo, hi), 0.0)
     rnd = random.Random(1)
@@ -188,7 +187,7 @@ def test_c8_renormalization_conjugacy():
 
 
 def test_c9_cascade_structure():
-    c5 = superstable_parameter(QuadraticFamily(), 5)
+    c5 = superstable_sequence(QuadraticFamily(), 5)[-1]
     trace = cascade_trace(Quadratic(c5), 10)
     assert trace.depth == 5
     assert all(l.relative_period == 2 for l in trace.levels)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from chaos_edge import (DEFAULT, BudgetExhausted, PreconditionError, Quadratic, build_base,
-                        build_stunted, build_type_b, approximants, classify_float, classify_probe,
-                        classify_stunted, entropy_markov, locate_boundary,
-                        positive_entropy_witness, quadratic_path,
+from chaos_edge import (DEFAULT, BudgetExhausted, MarkovBudgetError, PreconditionError,
+                        Quadratic, build_base, build_stunted, build_type_b, approximants,
+                        classify_float, classify_probe, classify_stunted, entropy_markov,
+                        locate_boundary, quadratic_path,
                         shape, stunted_path, type_b_path, verify_witness,
                         verify_zero_certificate, zero_entropy_certificate)
 import chaos_edge.boundary as boundary
@@ -154,7 +154,8 @@ class TestClassify:
         assert r.note == ("not Markov within orbit_budget=2: "
                           "breakpoint orbits exceed 2 points")
         # past the budget a probe has no side either, so it is classified
-        assert boundary.exact_side(T12, DEFAULT.with_(orbit_budget=2)) is None
+        with pytest.raises(MarkovBudgetError):
+            boundary._closure_side(T12, DEFAULT.with_(orbit_budget=2))
 
     def test_plateau_orbit_budget_named(self, base1):
         r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
@@ -480,6 +481,30 @@ def test_doubling_side_agrees_with_classify_float():
     assert decided >= 110
 
 
+def test_classify_probe_off_the_family_is_undecided():
+    # on every path kind the probe's map is made inside classify_probe: a
+    # parameter outside the family is undecided with the reason, and a
+    # locate from there names that end
+    r = classify_probe(stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(9)), F(9), 64)
+    assert r.kind == UNDECIDED
+    assert r.note == "parameter leaves the family: xi[0]=9 outside [-e, e] = [-3/2, 3/2]"
+    path = quadratic_path(-1.5, 0.5)
+    r = classify_probe(path, 0.5, 32)
+    assert r.kind == UNDECIDED and r.note.startswith("parameter leaves the family: ")
+    with pytest.raises(PreconditionError, match=r"positive/undecided; 0\.5: parameter leaves"):
+        locate_boundary(path, resolution=1e-3)
+
+
+@pytest.mark.parametrize("xi0, direction, got", [
+    ([F(0)], [F(1), F(1)], "1 and 2"),
+    ([F(0), F(0)], [F(1)], "2 and 1"),
+    ([F(0)], [F(1)], "1 and 1"),
+])
+def test_stunted_path_needs_m_heights(xi0, direction, got):
+    with pytest.raises(PreconditionError, match=f"needs m = 2 heights and directions, got {got}"):
+        stunted_path(build_base(2, 1), xi0, direction, F(1, 2), F(8, 3))
+
+
 def test_stunted_locate_never_sides_by_kneading(monkeypatch):
     def sided(*args):
         raise AssertionError("doubling_side called on a stunted path")
@@ -505,7 +530,7 @@ def test_exact_side_agrees_with_classify_stunted():
         maps += [path.map_at(t_zero + k * F(1, 2**43)) for k in range(-10, 12)]
     decided, sides = 0, {ZERO: 0, POSITIVE: 0}
     for T in maps:
-        side = boundary.exact_side(T)
+        side = boundary._closure_side(T, DEFAULT)[0]
         r = classify_stunted(T, 64)
         if r.kind != UNDECIDED:
             decided += 1
@@ -558,7 +583,7 @@ def test_int_probe_agrees_with_the_map():
                         xs, ys, _ = fraction_stunted(base, T.xi)
                         assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys
                         side, window = boundary.path_side(path, k, depth)
-                        assert side == boundary.exact_side(T), (T.xi, k, depth)
+                        assert side == boundary._closure_side(T, DEFAULT)[0], (T.xi, k, depth)
                         # the probe lies in its own window, which has its side
                         assert window is None or (window[0] <= k <= window[1]
                                                   and window[2] == side), (T.xi, k, depth)
@@ -925,7 +950,7 @@ class TestExactRoute:
                 assert all(is_power_of_two(o.period) for o in r.certificate.plateau_orbits)
             else:
                 assert verify_witness(T, r.witness)
-            assert (positive_entropy_witness(T) is not None) == (r.kind == POSITIVE)
+            assert (r.witness is not None) == (r.kind == POSITIVE)
         assert min(verdicts.values()) > 0
 
     @pytest.mark.parametrize("m, xi, kind", [

@@ -441,6 +441,23 @@ def test_bad_resolution_exit2(tmp_path, desc, args, message):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("desc, code, cause", [
+    ({**STUNTED_PATH, "t_hi": "9"}, 3,
+     "got zero/undecided; 9: parameter leaves the family: xi[0]=9 outside [-e, e]"),
+    ({**M2_DIAGONAL, "xi0": ["0"]}, 2, "needs m = 2 heights and directions, got 1 and 2"),
+    ({key: v for key, v in M2_DIAGONAL.items() if key != "direction"} | {"xi0": ["0"]}, 2,
+     "needs m = 2 heights and directions, got 1 and 2"),
+], ids=["end-leaves-the-family", "one-height", "one-height-default-direction"])
+def test_malformed_stunted_path_named(tmp_path, desc, code, cause):
+    # each ended in a ValueError traceback (exit 1): the end's map was made
+    # outside the classifier, and the heights were zipped with the directions
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", "boundary",
+                          write(tmp_path, "d.json", desc)],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == code and run.stdout == ""
+    assert cause in run.stderr and "Traceback" not in run.stderr
+
+
 EXACT_ROUTE_SCRIPT = """
 import contextlib, io, sys
 from fractions import Fraction as F

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_edge import (BudgetExhausted, MarkovBudgetError, PreconditionError, Quadratic,
-                        build_base, build_stunted, classify_float, entropy_lap,
+                        build_base, build_stunted, classify_float, classify_stunted, entropy_lap,
                         entropy_markov, full_stunted, lap_count, lap_series, locate_boundary,
-                        period_set, periodic_points, positive_entropy_witness, quadratic_path,
+                        period_set, periodic_points, quadratic_path,
                         type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
 from chaos_edge.maps import StuntedSawtooth, as_pl
@@ -36,17 +36,17 @@ class TestLapCount:
         # the raw zigzag has m+1 laps
         xs = [-base2.e, *base2.turning_points, base2.e]
         pl = PiecewiseLinear(xs, [base2.pl(x) for x in xs])
-        assert lap_count(pl, 1).laps == 3
+        assert lap_count(pl, 1) == 3
 
     def test_trapezoid_iterates(self, T32):
-        assert lap_count(T32, 1).laps == 2
-        assert lap_count(T32, 2).laps == 4
-        assert lap_count(T32, 6).laps == 64
+        assert lap_count(T32, 1) == 2
+        assert lap_count(T32, 2) == 4
+        assert lap_count(T32, 6) == 64
 
     def test_r_plus_one_at_depth_one(self):
         b = build_base(3, 1)
         T = build_stunted(b, [F(2), F(1), F(3, 2)])
-        assert lap_count(T, 1).laps == 4
+        assert lap_count(T, 1) == 4
 
     def test_past_markov_budget(self, base1):
         # the breakpoint closure of this window map needs 12 points
@@ -228,12 +228,12 @@ def _locate_witness(path, resolution):
 
 class TestWitness:
     def test_trapezoid_period_three(self, T32):
-        w = positive_entropy_witness(T32)
+        w = classify_stunted(T32, 64).witness
         assert w is not None and w.period == 3
         assert verify_witness(T32, w)
 
     def test_fixed_plateau_none(self, T12):
-        assert positive_entropy_witness(T12) is None
+        assert classify_stunted(T12, 64).witness is None
 
     @pytest.mark.parametrize("make", [
         lambda: full_stunted(build_base(1, 1)),
@@ -244,7 +244,7 @@ class TestWitness:
         # the return of orbit[0] alone does not make a witness: every listed
         # point must map to the next, and the orbit must list period points
         T = make()
-        w = positive_entropy_witness(T)
+        w = classify_stunted(T, 64).witness
         assert w is not None and verify_witness(T, w)
         zeros = replace(w, orbit=w.orbit[:1] + (F(0),) * (w.period - 1))
         cut = replace(w, orbit=w.orbit[:1])
@@ -253,7 +253,7 @@ class TestWitness:
             assert not verify_witness(T, bad), bad.orbit
 
     def test_rewalk_calls_nothing_on_the_lattice_route(self, base2, monkeypatch):
-        w = positive_entropy_witness(full_stunted(base2))
+        w = classify_stunted(full_stunted(base2), 64).witness
 
         def off(*args):
             raise AssertionError("the re-walk reached the lattice route")
@@ -280,12 +280,12 @@ class TestWitness:
             assert not verify_witness(m, bad), bad.period
 
     def test_quadratic_period_three_window(self):
-        w = positive_entropy_witness(Quadratic(-1.7549))
+        w = classify_float(Quadratic(-1.7549)).witness
         assert w is not None and w.period == 3
 
     def test_witness_orbit_reverifies(self, base2):
         T = full_stunted(base2)
-        w = positive_entropy_witness(T)
+        w = classify_stunted(T, 64).witness
         assert w is not None and verify_witness(T, w)
 
     def test_monotonicity_spot(self):
@@ -311,7 +311,7 @@ class TestWitness:
                 h = entropy_markov(T).value
             except BudgetExhausted:
                 continue
-            w = positive_entropy_witness(T)
+            w = classify_stunted(T, 64).witness
             assert (w is not None) == (h > 0)
             if w is not None:
                 assert h >= 1e-3
@@ -324,4 +324,4 @@ class TestWitness:
                 if p % q == 0:
                     sols.extend(o for o in periodic_points(T32, q))
             npts = sum(len(o.points) for o in sols if p % o.period == 0)
-            assert npts <= lap_count(T32, p).laps + 1
+            assert npts <= lap_count(T32, p) + 1

@@ -21,9 +21,14 @@ type-B path) were written before the float orbit kernels were rewritten and
 pin their output bit for bit.  They assume IEEE doubles and the Linux libm
 ``pow``: a type-B step computes ``x ** ell`` with ``pow``, whose last bit
 other libms may round differently.
+
+The README's library tour is run too, statement by statement, and a few of
+the values its comments state are checked.
 """
 
+import ast
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -83,3 +88,34 @@ def test_periods_csv_builds_each_level_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(piecewise, "pieces_on", off)
     out = stdout_of(tmp_path, capsys, FULL_M2, "periods", "--format", "csv", "--bound", "7")
     assert out == (DATA / "periods_full_m2_bound7.csv").read_bytes().decode()
+
+
+def library_tour():
+    """{source: value} of each expression statement of the README's library
+    tour, run in order in one namespace."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_readme_library_tour():
+    values = library_tour()
+    assert values["ce.entropy_markov(T).value"] == math.log(2)
+    assert abs(values["ce.entropy_lap(T, 14).value"] - math.log(2)) < 1e-3
+    assert values["ce.kneading(T, 8).as_strings()"] == ["10000000"]
+    witness = values["ce.classify_stunted(T, 64).witness"]
+    assert witness.period == 3 and len(witness.orbit) == 3
+    assert values["qres.zero_side[1].period"] == 16384
+    assert values["ce.classify_float(ce.build_type_b([(2, -1.40625)])).kind"] == "positive"
+    assert abs(values["ce.superstable_sequence(fam, 2)[-1]"] + 1.3107026) < 1e-7
+    assert abs(values["ce.feigenbaum_delta(fam, 10).value"] - 4.66920) < 1e-5
+    assert values["ce.feigenbaum_delta(fam, 30).precision_flag"] is True
+    cascade = "ce.cascade_trace(ce.Quadratic(ce.superstable_sequence(fam, 5)[-1]), 10).depth"
+    assert values[cascade] == 5

@@ -22,7 +22,7 @@ from chaos_edge import markov, piecewise, renorm
 from chaos_edge.cli import main
 from chaos_edge.errors import BudgetExhausted, DomainEscapeError
 from chaos_edge.maps import as_pl
-from chaos_edge.markov import build_markov, cycle_analysis
+from chaos_edge.markov import branches, build_markov, cycle_analysis
 from chaos_edge.piecewise import PiecewiseLinear, advance_pieces, pieces_on
 
 from conftest import (ZERO_SIDE_2_60, oracle_advance, oracle_levels, oracle_orbits,
@@ -119,7 +119,7 @@ def test_exact_results_hold_no_float(T):
     ri = find_restrictive(T, 2)
     if ri is not None:
         assert _exact(ri.interval.lo) and _exact(ri.interval.hi)
-        core = renormalize(T, ri)
+        core, _ = renormalize(T, ri)
         assert all(_exact(v) for v in core.xs + core.ys)
 
 
@@ -180,10 +180,11 @@ def test_zero_entropy_set_is_the_graph_cycles():
     while checked < 10:
         b = build_base(rnd.randint(1, 3), rnd.choice((1, -1)))
         T = build_stunted(b, random_xi(rnd, b, rnd.randint(4, 30)))
-        analysis = cycle_analysis(build_markov(T, DEFAULT.orbit_budget))
-        if analysis.complete:
+        system = build_markov(T, DEFAULT.orbit_budget)
+        if not any(branches(succ) for _, succ in system.components):
             checked += 1
-            assert period_set(T, 64).periods == {p for p in analysis.periods if p <= 64}
+            periods = cycle_analysis(system).periods
+            assert period_set(T, 64).periods == {p for p in periods if p <= 64}
 
 
 @pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2) for k in (60, 40, 20)])
@@ -235,13 +236,13 @@ RENORM_MAPS = [build_stunted(build_base(1, 1), [F(3, 2)]), WINDOW,
 @pytest.mark.parametrize("T", RENORM_MAPS, ids=lambda T: str(T.xi))
 def test_renorm_matches_restricted_oracle(T, monkeypatch):
     ri = find_restrictive(T, 2)
-    core = renormalize(T, ri, return_phi=True) if ri is not None else None
+    core = renormalize(T, ri) if ri is not None else None
     trace = cascade_trace(T, 4)
     monkeypatch.setattr(renorm, "pieces_on", oracle_pieces_on)
     monkeypatch.setattr(renorm, "periodic_points", _oracle_periodic_points)
     assert find_restrictive(T, 2) == ri
     if ri is not None:
-        assert renormalize(T, ri, return_phi=True) == core
+        assert renormalize(T, ri) == core
     assert cascade_trace(T, 4) == trace
 
 

@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         build_type_b, critical_values, iterate, parse_map,
                         serialize_map)
-from chaos_edge.maps import (FloatUnimodal, Interval, iterate_grid, orbit, turning_points_of,
+from chaos_edge.maps import (Interval, iterate_grid, orbit, turning_points_of,
                              turning_regions)
 from chaos_edge.piecewise import PiecewiseLinear
 from chaos_edge.renorm import find_restrictive, renormalize
 
-from conftest import fraction_stunted, random_xi
+from conftest import FloatUnimodal, fraction_stunted, random_xi
 
 F = Fraction
 
 
 def _level_one(m):
     """The period-2 renormalization of a float map."""
-    return renormalize(m, find_restrictive(m, 2))
+    return renormalize(m, find_restrictive(m, 2))[0]
 
 
 class TestBase:

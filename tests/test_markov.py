@@ -16,14 +16,27 @@ from chaos_edge import (BudgetExhausted, MarkovBudgetError, build_base, build_st
                         full_stunted, period_set)
 from chaos_edge.boundary import plateau_orbit_analysis
 from chaos_edge.config import DEFAULT
-from chaos_edge.entropy import Witness, spectral_radius, verify_witness
-from chaos_edge.markov import _components, build_markov, cycle_analysis, cyclic_components
+from chaos_edge.entropy import Witness, _radius_bracket, verify_witness
+from chaos_edge.markov import _components, branches, build_markov, cycle_analysis, cyclic_components
 from chaos_edge.periods import is_power_of_two
 from chaos_edge.piecewise import PiecewiseLinear
 
 from conftest import ZERO_SIDE_2_60, oracle_period_set, random_xi
 
 F = Fraction
+
+
+def branching(system) -> bool:
+    """Whether a component of the transition graph branches: the period
+    structure is then not enumerated, and a witness is spliced instead."""
+    return any(branches(succ) for _, succ in system.components)
+
+
+def spectral_radius(rows, size: int) -> float:
+    """The midpoint of the spectral-radius bracket that the Markov entropy
+    reads, over the cyclic components of a 0/1 matrix of column ranges."""
+    lo, hi = _radius_bracket(cyclic_components(rows, size))
+    return (lo + hi) / 2
 
 
 class TestCycleAnalysis:
@@ -37,9 +50,9 @@ class TestCycleAnalysis:
             system = build_markov(T.pl, 4096)
         except BudgetExhausted:
             return
-        analysis = cycle_analysis(system)
-        if not analysis.complete:
+        if branching(system):
             return
+        analysis = cycle_analysis(system)
         # the reference is the Fraction piece engine: period_set reads the
         # same closure as cycle_analysis
         periods, complete, _ = oracle_period_set(T, 8, 200_000)
@@ -48,20 +61,20 @@ class TestCycleAnalysis:
     def test_branching_yields_nonpow2(self, T32):
         system = build_markov(T32.pl, 1024)
         analysis = cycle_analysis(system)
-        assert not analysis.complete
-        assert analysis.witness_period is not None
-        assert not is_power_of_two(analysis.witness_period)
+        assert branching(system)
+        period = len(analysis.witness_orbit)
+        assert not is_power_of_two(period)
         x = analysis.witness_orbit[0]
         y = x
-        for _ in range(analysis.witness_period):
+        for _ in range(period):
             y = T32.pl(y)
         assert y == x
 
     def test_simple_cycles_for_window_map(self, base1):
         T = build_stunted(base1, [F(1)])
-        analysis = cycle_analysis(build_markov(T.pl, 1024))
-        assert analysis.complete
-        assert analysis.periods == frozenset({1, 2})
+        system = build_markov(T.pl, 1024)
+        assert not branching(system)
+        assert cycle_analysis(system).periods == frozenset({1, 2})
 
 
 def reachable(rows, size):
@@ -196,9 +209,9 @@ class TestLattice:
         pts, rows, nxt = fraction_partition(pl, 100)
         assert [F(x, system.scale) for x in system.points] == pts
         assert list(system.rows) == rows and list(system.next_point) == nxt
-        analysis = cycle_analysis(system)
-        assert not analysis.complete
-        w = Witness("periodic-orbit", analysis.witness_period, analysis.witness_orbit)
+        orbit = cycle_analysis(system).witness_orbit
+        assert branching(system)
+        w = Witness("periodic-orbit", len(orbit), orbit)
         assert verify_witness(pl, w)
         assert period_set(pl, 8).periods == frozenset(range(1, 9))
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from chaos_edge import (DEFAULT, BudgetExhausted, Quadratic, build_base, build_stunted,
                         is_power_of_two_spectrum, period_set, periodic_points, periods)
-from chaos_edge.maps import FloatUnimodal, Interval, bisect_root, build_type_b, iterate
+from chaos_edge.maps import Interval, bisect_root, build_type_b, iterate
 from chaos_edge.periods import (PeriodSet, _merge_close, cycle_multiplier, is_power_of_two,
                                 lap_roots, minimal_period, newton_polish,
                                 turning_points_of_iterate)
 from chaos_edge.renorm import find_restrictive, renormalize
 
-from conftest import random_xi
+from conftest import FloatUnimodal, random_xi
 
 F = Fraction
 
@@ -155,7 +155,7 @@ def per_point_lap_roots(g, cuts, cells, precision):
 
 def _renormalized_quadratic():
     m = Quadratic(-1.3)
-    return renormalize(m, find_restrictive(m, 2))
+    return renormalize(m, find_restrictive(m, 2))[0]
 
 
 LOGISTIC = FloatUnimodal(lambda x: 3.9 * x * (1 - x), Interval(0.0, 1.0), 0.5)

@@ -7,10 +7,11 @@ import pytest
 
 from chaos_edge import (BracketError, Quadratic, QuadraticFamily,
                         build_stunted, cascade_trace, feigenbaum_delta,
-                        find_restrictive, itinerary, renormalize,
-                        superstable_parameter, superstable_sequence)
-from chaos_edge.maps import FloatUnimodal, Interval
+                        find_restrictive, itinerary, renormalize, superstable_sequence)
+from chaos_edge.maps import Interval
 from chaos_edge.piecewise import Affine
+
+from conftest import FloatUnimodal
 
 F = Fraction
 GOLDEN_ALPHA = (1 - math.sqrt(5)) / 2
@@ -28,7 +29,7 @@ class TestFindRestrictive:
         assert find_restrictive(T32, 2) is None
 
     def test_superstable_16_has_period_two_interval(self):
-        c = superstable_parameter(QuadraticFamily(), 4)
+        c = superstable_sequence(QuadraticFamily(), 4)[-1]
         ri = find_restrictive(Quadratic(c), 2)
         assert ri is not None
 
@@ -51,19 +52,19 @@ class TestFindRestrictive:
         T = build_stunted(base1, [F(1)])
         ri = find_restrictive(T, 2)
         assert ri is not None
-        core = renormalize(T, ri)
+        core, _ = renormalize(T, ri)
         assert find_restrictive(core, 2) is None
 
 
 class TestRenormalize:
     def test_superstable_core(self):
         f = Quadratic(-1.0)
-        R = renormalize(f, find_restrictive(f, 2))
+        R, _ = renormalize(f, find_restrictive(f, 2))
         assert abs(R(R.turning) - R.turning) < 1e-8
 
     def test_orientation_normalized(self):
         f = Quadratic(-1.0)
-        R = renormalize(f, find_restrictive(f, 2))
+        R, _ = renormalize(f, find_restrictive(f, 2))
         dom = R.domain
         probe = dom.lo + (dom.hi - dom.lo) * 1e-6
         assert R(probe) > R(dom.lo) - 1e-12
@@ -79,8 +80,8 @@ class TestRenormalize:
         ri_g = find_restrictive(g, 2)
         assert ri_g is not None
         assert abs(phi(float(ri_f.interval.lo)) - float(ri_g.interval.lo)) < 1e-7
-        Rf = renormalize(f, ri_f)
-        Rg = renormalize(g, ri_g)
+        Rf, _ = renormalize(f, ri_f)
+        Rg, _ = renormalize(g, ri_g)
         for t in (0.1, 0.4, 0.7):
             x = Rf.domain.lo + t * (Rf.domain.hi - Rf.domain.lo)
             y = Rg.domain.lo + t * (Rg.domain.hi - Rg.domain.lo)
@@ -91,7 +92,7 @@ class TestRenormalize:
     def test_conjugacy_of_itineraries(self):
         f = Quadratic(-1.0)
         ri = find_restrictive(f, 2)
-        R = renormalize(f, ri)
+        R, _ = renormalize(f, ri)
         lo, hi = float(ri.interval.lo), float(ri.interval.hi)
         induced = FloatUnimodal(lambda x: f(f(x)), Interval(lo, hi), 0.0)
         rnd = random.Random(7)
@@ -109,7 +110,7 @@ def _level_maps(f, depth):
     out = []
     for _ in range(depth):
         ri = find_restrictive(f, 2)
-        f, phi = renormalize(f, ri, return_phi=True)
+        f, phi = renormalize(f, ri)
         out.append((f, phi))
     return out
 
@@ -163,13 +164,13 @@ class TestCascade:
     def test_superstable_depths(self):
         fam = QuadraticFamily()
         for k in (2, 3):
-            c = superstable_parameter(fam, k)
+            c = superstable_sequence(fam, k)[-1]
             tr = cascade_trace(Quadratic(c), 8)
             assert tr.depth == k
             assert all(l.relative_period == 2 for l in tr.levels)
 
     def test_nesting(self):
-        c = superstable_parameter(QuadraticFamily(), 3)
+        c = superstable_sequence(QuadraticFamily(), 3)[-1]
         tr = cascade_trace(Quadratic(c), 8)
         for a, b in zip(tr.levels, tr.levels[1:]):
             assert a.original.lo <= b.original.lo and b.original.hi <= a.original.hi
@@ -205,9 +206,9 @@ class TestCascade:
 class TestSuperstable:
     def test_first_three(self):
         fam = QuadraticFamily()
-        assert abs(superstable_parameter(fam, 0)) <= 1e-12
-        assert abs(superstable_parameter(fam, 1) + 1) <= 1e-12
-        assert abs(superstable_parameter(fam, 2) + 1.3107026) <= 1e-6
+        assert abs(superstable_sequence(fam, 0)[-1]) <= 1e-12
+        assert abs(superstable_sequence(fam, 1)[-1] + 1) <= 1e-12
+        assert abs(superstable_sequence(fam, 2)[-1] + 1.3107026) <= 1e-6
 
     def test_monotone_decreasing(self):
         cs = superstable_sequence(QuadraticFamily(), 6)
