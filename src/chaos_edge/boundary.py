@@ -529,8 +529,9 @@ def _deepest_scan(m, widths) -> Optional[Witness]:
     return None
 
 
-def classify_float(m) -> ProbeResult:
-    """Heuristic verdict for a float map (x^2 + c, type-B compositions).
+def classify_float(m, side: Optional[str] = None) -> ProbeResult:
+    """Heuristic verdict for a float map (x^2 + c, type-B compositions);
+    ``side`` is the map's ``doubling_side`` when the caller has it.
 
     1. An even map (one turning point, at 0, on a symmetric domain) gets the
        doubling tower.  Any other map has depth 0 and runs its grid scan (4)
@@ -549,11 +550,6 @@ def classify_float(m) -> ProbeResult:
        attracting cycle of power-of-two period and the scan found nothing:
        such attractors can coexist with a repelling period-3 orbit.
     """
-    return _classify_float(m, None)
-
-
-def _classify_float(m, side: Optional[str]) -> ProbeResult:
-    # side: the map's doubling_side when the caller has it, else None
     even = is_even(m)
     widths, reason = _tower_descend(m) if even else ([domain_of(m).hi], "no tower")
     depth = len(widths) - 1
@@ -622,6 +618,12 @@ class ParameterPath:
                 raise PreconditionError("stunted path directions must be >= 0")
         elif self.kind not in ("quadratic", "type_b"):
             raise PreconditionError(f"unknown path kind {self.kind!r}")
+        elif not math.isfinite(self.t_lo) or not math.isfinite(self.t_hi):
+            raise PreconditionError(f"path ends must be finite, got {self.t_lo} and {self.t_hi}")
+        elif self.kind == "type_b" and not -len(self.stages) <= self.stage_index < len(self.stages):
+            # no index is inside an empty stage list
+            raise PreconditionError(f"stage_index {self.stage_index} is outside the path's "
+                                    f"{len(self.stages)} stages")
 
     @property
     def exact(self) -> bool:
@@ -683,7 +685,7 @@ def classify_probe(path: ParameterPath, t, bound: int, config: RunConfig = DEFAU
         return ProbeResult(UNDECIDED, note=f"parameter leaves the family: {exc}")
     if path.exact:
         return classify_stunted(m, bound, config)
-    return _classify_float(m, side)
+    return classify_float(m, side)
 
 
 def _doubling_cell(path: ParameterPath, depth: int, tol: int):
@@ -897,17 +899,13 @@ def approximants(T_gamma: StuntedSawtooth, radius, config: RunConfig = DEFAULT):
     if radius <= 0:
         raise PreconditionError("radius must be positive")
     tau = shape(T_gamma)
-    e = T_gamma.base.e
     tried = []
     for r in (radius, radius / 2, radius / 4):
+        path = stunted_path(T_gamma.base, T_gamma.xi, (1,) * T_gamma.m, -r, r)
         try:
-            plus = T_gamma.shifted((r,) * T_gamma.m)
-            minus = T_gamma.shifted((-r,) * T_gamma.m)
+            plus, minus = path.map_at(r), path.map_at(-r)
         except ValueError:
             tried.append((r, "inadmissible"))
-            continue
-        if any(abs(x) > e for x in plus.xi) or any(abs(x) > e for x in minus.xi):
-            tried.append((r, "outside parameter cube"))
             continue
         if shape(plus) != tau or shape(minus) != tau:
             tried.append((r, "shape broke"))

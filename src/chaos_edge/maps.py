@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DescriptorError, PreconditionError
 from .piecewise import PiecewiseLinear, on_lattice
@@ -163,14 +162,8 @@ class StuntedSawtooth:
     def turning_points(self) -> tuple:
         return self.base.turning_points
 
-    kind = "stunted"
-
     def __call__(self, x):
         return self.pl(x)
-
-    def shifted(self, delta: Sequence) -> "StuntedSawtooth":
-        new = tuple(v + rat(d) for v, d in zip(self.xi, delta))
-        return StuntedSawtooth(self.base, new)
 
 
 def stunted_lattice(base: SawtoothBase, nums, q: int):
@@ -225,12 +218,10 @@ class Quadratic:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        disc = 1 - 4 * self.c
-        if disc < 0 or self.c < -2:
+        if not -2 <= self.c <= 0.25:     # also rejects NaN
             raise ValueError(f"no invariant interval for c={self.c}")
-        object.__setattr__(self, "beta", (1 + math.sqrt(disc)) / 2)
+        object.__setattr__(self, "beta", (1 + math.sqrt(1 - 4 * self.c)) / 2)
 
-    kind = "quadratic"
     array_exact = True      # x * x + c on a numpy array gives the scalar floats
 
     @property
@@ -352,8 +343,6 @@ class PolynomialTypeB:
             (ell, a, b, b ** ell) for (ell, a), b in zip(stages, bs)))
         object.__setattr__(self, "turning_points", tuple(self._turning_points()))
 
-    kind = "type_b"
-
     @property
     def domain(self) -> Interval:
         return Interval(-1.0, 1.0)
@@ -473,8 +462,8 @@ def iterate(m, x, n: int):
     ``x * x + c`` inline, the arithmetic of ``Quadratic.__call__`` without a
     call per step (on a float eight steps to a loop pass); an array gets one
     new array at the first step and is then stepped in place (the argument
-    is left unchanged).  A ``PolynomialTypeB`` runs the stage expression of
-    its ``__call__`` inline over ``coeffs``.
+    is left unchanged).  A one-stage ``PolynomialTypeB`` runs the stage
+    expression of its ``__call__`` inline; any other map steps by its call.
     """
     if n < 0:
         raise ValueError("iterate count must be >= 0")
@@ -487,17 +476,12 @@ def iterate(m, x, n: int):
             x *= x
             x += c
         return x
-    if type(m) is PolynomialTypeB:
-        if len(m.coeffs) == 1:
-            # one stage unpacked once: the loop over one stage is a third of
-            # a step's cost, and the type-B locate is float-locate's median op
-            ((ell, a, b, b_ell),) = m.coeffs
-            for _ in range(n):
-                x = -(b_ell * x ** ell + a) / b
-            return x
+    if type(m) is PolynomialTypeB and len(m.coeffs) == 1:
+        # one stage unpacked once: the loop over one stage is a third of a
+        # step's cost, and the type-B locate is float-locate's median op
+        ((ell, a, b, b_ell),) = m.coeffs
         for _ in range(n):
-            for ell, a, b, b_ell in m.coeffs:
-                x = -(b_ell * x ** ell + a) / b
+            x = -(b_ell * x ** ell + a) / b
         return x
     f = m.pl if isinstance(m, StuntedSawtooth) else m
     for _ in range(n):

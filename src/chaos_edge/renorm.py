@@ -67,7 +67,6 @@ class RenormalizedMap:
     n: int
     domain: Interval
     turning: float
-    kind = "renormalized"
     _coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -303,7 +302,6 @@ def cascade_trace(m, max_depth: int, config: RunConfig = DEFAULT) -> CascadeTrac
 class QuadraticFamily:
     """The family x -> x^2 + c on its invariant interval, c in [-2, 1/4]."""
 
-    kind = "quadratic"
     bracket0 = (-0.75, 0.2)
     bracket1 = (-1.5, -0.6)
 

@@ -317,7 +317,7 @@ def orientation(m) -> int:
     """+1 when the map increases on its first lap, -1 when it decreases: the
     epsilon of the base zigzag that ``psi`` projects it onto."""
     dom = domain_of(m)
-    probe = dom.lo + (dom.hi - dom.lo) / (10**6 if is_exact(m) else 1e6)
+    probe = dom.lo + (dom.hi - dom.lo) / 10**6
     return 1 if m(probe) > m(dom.lo) else -1
 
 

@@ -23,7 +23,6 @@ class FloatUnimodal:
     fn: Callable
     domain: Interval
     turning: float
-    kind: str = "float-unimodal"
 
     @property
     def turning_points(self) -> tuple:

@@ -380,8 +380,8 @@ class TestQuadraticCascade:
         # ends and the bracket's ends are classified, and the classifier is
         # told the sides already found instead of walking them again
         calls, sided = [], []
-        classify, side_of = boundary._classify_float, boundary.doubling_side
-        monkeypatch.setattr(boundary, "_classify_float",
+        classify, side_of = boundary.classify_float, boundary.doubling_side
+        monkeypatch.setattr(boundary, "classify_float",
                             lambda m, side: calls.append(m) or classify(m, side))
         monkeypatch.setattr(boundary, "doubling_side",
                             lambda m: sided.append(m) or side_of(m))
@@ -433,7 +433,7 @@ def test_float_bisection_stops_at_adjacent_floats(monkeypatch):
         return ZERO if m.c > C_INF else POSITIVE
 
     monkeypatch.setattr(boundary, "doubling_side", side)
-    monkeypatch.setattr(boundary, "_classify_float", lambda m, s: boundary.ProbeResult(side(m)))
+    monkeypatch.setattr(boundary, "classify_float", lambda m, s: boundary.ProbeResult(side(m)))
     with pytest.raises(BudgetExhausted) as info:
         locate_boundary(quadratic_path(-1.5, -1.3), resolution=1e-17)
     assert str(info.value) == ("no float lies between the bracket ends: resolution 1e-17 "
@@ -448,8 +448,8 @@ def test_kneading_side_refuted_at_an_end_reruns_the_bisection(monkeypatch):
     # and returns the bracket it returned before probes were routed; the
     # verdicts on the routed ends are reused, not made again
     classified = []
-    classify = boundary._classify_float
-    monkeypatch.setattr(boundary, "_classify_float",
+    classify = boundary.classify_float
+    monkeypatch.setattr(boundary, "classify_float",
                         lambda m, side: classified.append(m.stages) or classify(m, side))
     path = type_b_path([(2, -1.0)], 0, -2.0, -1.0)
     res = locate_boundary(path, bound=32, resolution=0.3)
@@ -503,6 +503,28 @@ def test_classify_probe_off_the_family_is_undecided():
 def test_stunted_path_needs_m_heights(xi0, direction, got):
     with pytest.raises(PreconditionError, match=f"needs m = 2 heights and directions, got {got}"):
         stunted_path(build_base(2, 1), xi0, direction, F(1, 2), F(8, 3))
+
+
+@pytest.mark.parametrize("make, cause", [
+    (lambda: type_b_path([(2, -1.0)], 5, -2.0, -1.0), "stage_index 5 is outside the path's 1 stages"),
+    (lambda: type_b_path([(2, -1.0)], -3, -2.0, -1.0),
+     "stage_index -3 is outside the path's 1 stages"),
+    (lambda: type_b_path([], -1, -2.0, -1.0), "stage_index -1 is outside the path's 0 stages"),
+    (lambda: quadratic_path(-1.5, math.inf), "path ends must be finite, got -1.5 and inf"),
+    (lambda: type_b_path([(2, -1.0)], 0, -math.inf, -1.0),
+     "path ends must be finite, got -inf and -1.0"),
+], ids=["stage-index-5", "stage-index-minus-3", "no-stages", "quadratic-inf", "type-b-minus-inf"])
+def test_float_path_needs_its_stage_and_finite_ends(make, cause):
+    # a stage index outside the stages raised IndexError at the first probe,
+    # and an infinite end made a probe at inf, or a sweep row at nan
+    with pytest.raises(PreconditionError) as info:
+        make()
+    assert str(info.value) == cause
+
+
+def test_type_b_path_counts_stage_index_from_the_end():
+    path = type_b_path([(2, -1.0), (2, -1.5)], -2, -1.2, -1.1)
+    assert path.map_at(-1.15).stages == ((2, -1.15), (2, -1.5))
 
 
 def test_stunted_locate_never_sides_by_kneading(monkeypatch):
@@ -923,6 +945,23 @@ class TestApproximants:
         T = build_stunted(base1, [F(5, 8)])
         with pytest.raises(PreconditionError):
             approximants(T, F(1, 100))
+
+    @pytest.mark.parametrize("m, xi, radius, reason", [
+        # the full map: every step up puts a height outside [-e, e]
+        (1, [F(3, 2)], F(1, 100), "inadmissible"),
+        # plateau values -1, -3, 2, -1/2: a step up of r >= 1/4 raises the
+        # first (a maximum) to or past the last (a minimum), which it lowers
+        (4, [F(-1), F(3), F(2), F(1, 2)], F(1), "shape broke"),
+        # well past the m = 1 boundary near 1.2444: both sides are positive
+        (1, [F(7, 5)], F(1, 100), "no zero certificate"),
+    ])
+    def test_each_failed_attempt_is_named(self, m, xi, radius, reason):
+        T = build_stunted(build_base(m, 1), xi)
+        with pytest.raises(PreconditionError) as info:
+            approximants(T, radius)
+        tried = [(r, reason) for r in (radius, radius / 2, radius / 4)]
+        assert str(info.value) == (f"could not certify both sides within radius {radius}; "
+                                   f"attempts: {tried}")
 
 
 class TestPlateauAnalysis:

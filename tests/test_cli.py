@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -456,6 +457,36 @@ def test_malformed_stunted_path_named(tmp_path, desc, code, cause):
                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert run.returncode == code and run.stdout == ""
     assert cause in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command", ["boundary", "sweep"])
+@pytest.mark.parametrize("desc, cause", [
+    ({**TYPE_B_PATH, "stage_index": 5}, "stage_index 5 is outside the path's 1 stages"),
+    ({**TYPE_B_PATH, "stage_index": -3}, "stage_index -3 is outside the path's 1 stages"),
+    ({**TYPE_B_PATH, "stages": [], "stage_index": -1}, "stage_index -1 is outside the path's 0 stages"),
+    ({**QUADRATIC_PATH, "t_hi": math.inf}, "path ends must be finite, got -1.5 and inf"),
+    ({**TYPE_B_PATH, "t_lo": -math.inf}, "path ends must be finite, got -inf and -1.0"),
+], ids=["stage-index-5", "stage-index-minus-3", "no-stages", "quadratic-inf", "type-b-minus-inf"])
+def test_malformed_float_path_named(tmp_path, command, desc, cause):
+    # a stage index outside the stages ended in an IndexError traceback (exit
+    # 1); an infinite end exited 3 in boundary, and sweep printed a row at
+    # t = nan and exited 0
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
+                          write(tmp_path, "d.json", desc)],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert cause in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command", ["kneading", "periods", "entropy"])
+def test_nan_quadratic_named(tmp_path, command):
+    # c = NaN passed the invariant-interval check: kneading and periods ended
+    # in a ValueError traceback (exit 1) and entropy printed a lap value of 0.0
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
+                          write(tmp_path, "d.json", {"kind": "quadratic", "c": math.nan})],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "no invariant interval for c=nan" in run.stderr and "Traceback" not in run.stderr
 
 
 EXACT_ROUTE_SCRIPT = """

@@ -393,6 +393,18 @@ def test_turning_regions_agree_with_points_and_values(name):
     assert [distinct[r - 1] for r in ranks] == [v for _, _, v in regions]
 
 
+class TestQuadratic:
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.25000000000000006,
+                                   -2.0000000000000004])
+    def test_parameter_outside_the_family_rejected(self, c):
+        # NaN passed the old check (disc < 0 or c < -2) and made [nan, nan]
+        with pytest.raises(ValueError, match="no invariant interval"):
+            Quadratic(c)
+
+    def test_family_ends_accepted(self):
+        assert Quadratic(-2.0).beta == 2.0 and Quadratic(0.25).beta == 0.5
+
+
 class TestDescriptors:
     def test_stunted_roundtrip(self, base2):
         T = build_stunted(base2, [F(5, 3), F(-1, 7)])
