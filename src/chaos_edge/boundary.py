@@ -17,10 +17,12 @@ cycle has a period that is not a power of two, otherwise exactly when a
 transition component branches; ``decide_exact`` builds its evidence on top
 of that side.
 
-The route runs in the lattice coordinates X = N·x of the map's
-``lattice()``, which a stunted map builds first: it has integer slopes, so
-the closure is int arithmetic, and ``Fraction``s
-appear only in what leaves the route (witness orbits, certificates, JSON).
+The route runs in lattice coordinates X = N·x and takes one input for a
+built map and an interior probe alike: the lattice (N, L) and the plateau
+values on it, a stunted map's ``lattice()`` and ``lattice_values`` or a
+path's ``ParameterPath.lattice_at``.  L has integer slopes, so the closure
+is int arithmetic, and ``Fraction``s appear only in what leaves the route
+(witness orbits, certificates, JSON).
 Both verdicts are re-checked on the map itself by ``entropy.exact_walk``,
 an int re-walk over a denominator of its own that calls nothing on the
 lattice route: ``verify_witness`` checks every listed witness point, and
@@ -88,9 +90,9 @@ from typing import Optional
 from .config import DEFAULT, RunConfig
 from .entropy import Witness, exact_walk, verify_witness
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, as_pl, bisect_root,
-                   build_stunted, build_type_b, domain_of, is_even, is_exact, iterate, orbit,
-                   rat, stunted_lattice, turning_points_of)
+from .maps import (Quadratic, StuntedSawtooth, SawtoothBase, bisect_root, build_stunted,
+                   build_type_b, domain_of, is_even, iterate, orbit, rat, stunted_lattice,
+                   turning_points_of)
 from .markov import branches, build_markov, cycle_analysis
 from .periods import (GRID_CELLS, PERIOD_BOUND_EXACT, PERIOD_BOUND_FLOAT, cycle_multiplier,
                       is_power_of_two, minimal_period)
@@ -159,23 +161,14 @@ class ProbeResult:
     note: str = ""
 
 
-def _plateau_values(T):
-    if isinstance(T, StuntedSawtooth):
-        return T.plateau_values
-    return [v for _, _, v in as_pl(T).plateau_runs()]
-
-
-def plateau_orbit_analysis(T, system):
-    """(record, orbit) per plateau value of T: its eventual period and its
-    orbit's distinct lattice points, the preperiod first and the cycle last,
-    read off the breakpoint closure ``system`` of T (``build_markov``), which
-    holds every plateau value's orbit; no lattice call.  T is an exact map,
-    or the tuple of its plateau values in lattice coordinates (an interior
-    probe of ``locate_boundary``, whose map is not made)."""
+def plateau_orbit_analysis(values, system):
+    """(record, orbit) per plateau value, ``values`` in lattice coordinates:
+    its eventual period and its orbit's distinct lattice points, the
+    preperiod first and the cycle last, read off the breakpoint closure
+    ``system`` (``build_markov``), which holds every plateau value's orbit;
+    no lattice call."""
     image = system.image
     out = []
-    values = T if isinstance(T, tuple) else (on_lattice(v, system.scale)
-                                             for v in _plateau_values(T))
     for i, y in enumerate(values):
         seen = {}
         while y not in seen:
@@ -185,20 +178,21 @@ def plateau_orbit_analysis(T, system):
     return out
 
 
-def _closure_side(T, config: RunConfig, lattice=None):
-    """(side, system, plateaus): the sign of T's exact entropy, POSITIVE or
-    ZERO, with the breakpoint closure ``system`` (``build_markov``) and the
-    plateau records ``plateaus`` (``plateau_orbit_analysis``) it is read off.
-    An interior probe of a locate passes its ``lattice`` (N, L), T its
-    plateau values in lattice coordinates.
+def _closure_side(lattice, values, config: RunConfig):
+    """(side, system, plateaus): the sign of the exact entropy of the stunted
+    map with ``lattice`` (N, L) and lattice plateau ``values`` (a map's
+    ``lattice()`` and ``lattice_values``, or an interior probe's
+    ``ParameterPath.lattice_at``), with the breakpoint closure ``system``
+    (``build_markov``) and the plateau records ``plateaus``
+    (``plateau_orbit_analysis``) it is read off.
 
     Positive when a plateau cycle has a period that is not a power of two
     (Misiurewicz), read before the transition graph is made; otherwise
     exactly when a cyclic component of the graph branches (spectral radius
     > 1).  Raises MarkovBudgetError past ``orbit_budget`` closure points.
     """
-    system = build_markov(lattice or T, config.orbit_budget)
-    plateaus = plateau_orbit_analysis(T, system)
+    system = build_markov(lattice, config.orbit_budget)
+    plateaus = plateau_orbit_analysis(values, system)
     if (not all(is_power_of_two(r.period) for r, _ in plateaus)
             or any(branches(succ) for _, succ in system.components)):
         return POSITIVE, system, plateaus
@@ -220,7 +214,7 @@ def path_side(path: "ParameterPath", k: int, depth: int,
             return side, None
     n, lat, values = path.lattice_at(k, depth)
     try:
-        side, system, _ = _closure_side(values, config, (n, lat))
+        side, system, _ = _closure_side((n, lat), values, config)
     except BudgetExhausted:
         return None, None
     window = _closure_window(path, k, depth, values, system)
@@ -285,8 +279,9 @@ def _closure_window(path: "ParameterPath", k: int, depth: int, values, system):
     return lo, hi
 
 
-def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
-    """The exact decision route: the evidence for T's side (``_closure_side``).
+def decide_exact(T: StuntedSawtooth, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
+    """The exact decision route: the evidence for the side (``_closure_side``)
+    of a stunted map T; any other map raises PreconditionError.
 
     On the positive side, a plateau cycle, or a splice of two cycles of a
     branching transition component, that is a re-verified orbit whose
@@ -298,7 +293,9 @@ def decide_exact(T, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
     not close up within it, raises MarkovBudgetError naming the budget and
     its limit.
     """
-    side, system, plateaus = _closure_side(T, config)
+    if not isinstance(T, StuntedSawtooth):
+        raise PreconditionError(f"the exact route needs a stunted map, got {type(T).__name__}")
+    side, system, plateaus = _closure_side(T.lattice(), T.lattice_values, config)
     if side == POSITIVE:
         for r, orbit in plateaus:
             if not is_power_of_two(r.period):
@@ -338,8 +335,6 @@ def zero_entropy_certificate(T: StuntedSawtooth, bound: Optional[int] = None,
     Budget exhaustion raises instead of returning None, so an absent
     certificate always means an actual refutation at these bounds.
     """
-    if not is_exact(T):
-        raise PreconditionError("zero-entropy certificates need an exact map")
     if bound is None:
         bound = PERIOD_BOUND_EXACT
     return decide_exact(T, bound, config).certificate
@@ -363,7 +358,7 @@ def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
     """Re-derive each plateau record by walking its orbit on the map itself,
     by ``exact_walk`` apart from the lattice route, then recompute the
     certificate and compare."""
-    values, step = exact_walk(T, _plateau_values(T))
+    values, step = exact_walk(T, T.plateau_values)
     recs = cert.plateau_orbits
     if [r.plateau for r in recs] != list(range(len(values))):
         return False
@@ -641,8 +636,6 @@ class ParameterPath:
     def lattice_at(self, k: int, depth: int):
         """``maps.stunted_lattice`` of the map at position k/2^depth of a
         stunted path, built from the int numerators of its heights."""
-        low = (k & -k).bit_length() - 1 if k else depth     # k/2^depth in lowest terms
-        k, depth = k >> low, depth - low
         q, a, b = self._heights
         return stunted_lattice(self.base, [(x << depth) + y * k for x, y in zip(a, b)],
                                q << depth)

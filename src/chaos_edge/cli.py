@@ -248,7 +248,7 @@ def _stunted_columns(m, cfg):
         system = build_markov(m, cfg.orbit_budget)
     except BudgetExhausted:
         return ["", "", ""]
-    plateaus = bd.plateau_orbit_analysis(m, system)
+    plateaus = bd.plateau_orbit_analysis(m.lattice_values, system)
     periods = "/".join(str(p) for p in sorted({r.period for r, _ in plateaus}))
     r, points = plateaus[0]
     pre, per = r.preperiod, r.period

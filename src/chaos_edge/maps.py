@@ -27,6 +27,8 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
+        if math.isinf(x):           # Fraction raises OverflowError on it
+            raise ValueError(f"{x} is not a finite rational")
         return Fraction(x).limit_denominator(10**15)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
@@ -110,13 +112,16 @@ class StuntedSawtooth:
     of the base and minus the plateau value when it is a minimum; admissible
     parameters satisfy xi[i] >= -xi[i+1] (disjoint plateau interiors, touching
     allowed and flagged degenerate).  The map is built on its ``lattice`` from
-    the numerators of xi; ``pl`` and ``plateaus`` are made when first read.
+    the numerators of xi, which also gives ``lattice_values``, its plateau
+    values in lattice coordinates; ``pl`` and ``plateaus`` are made when
+    first read.
     """
 
     base: SawtoothBase
     xi: tuple
     plateau_values: tuple = field(init=False)
     degenerate: bool = field(init=False)
+    lattice_values: tuple = field(init=False, compare=False, repr=False)
     _lattice: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -131,6 +136,7 @@ class StuntedSawtooth:
         object.__setattr__(self, "degenerate", any(u == v for u, v in zip(values, values[1:])))
         object.__setattr__(self, "plateau_values", tuple(
             v if b.is_max(i) else -v for i, v in enumerate(xi, start=1)))
+        object.__setattr__(self, "lattice_values", values)
         object.__setattr__(self, "_lattice", (n, lat))
 
     def lattice(self):

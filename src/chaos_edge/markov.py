@@ -400,8 +400,6 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
         u1, u2 = succ[branch_vertex][:2]
         w1 = _cycle_through(succ, branch_vertex, u1)
         w2 = _cycle_through(succ, branch_vertex, u2)
-        if w1 is None or w2 is None:
-            continue
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
             traced = _cycle_orbit(system, w1 * a + w2 * b)
             if traced is not None and len(traced[0]) & (len(traced[0]) - 1):
@@ -414,7 +412,8 @@ def cycle_analysis(system: MarkovSystem) -> CycleAnalysis:
 
 
 def _cycle_through(succ, v, first):
-    """Closed walk [v, first, ..., u] with an edge u -> v, inside the component."""
+    """Closed walk [v, first, ..., u] with an edge u -> v, inside the
+    component: v's strongly connected component, so the search reaches v."""
     from collections import deque
     if first == v:
         return [v]
@@ -434,4 +433,3 @@ def _cycle_through(succ, v, first):
             if nx not in parent:
                 parent[nx] = w
                 dq.append(nx)
-    return None

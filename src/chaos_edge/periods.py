@@ -13,6 +13,7 @@ the diagonal without crossing it.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,14 +173,18 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
     times that are merged, then Newton-polished inside the interval.  The
     samples of consecutive laps are taken together, up to
     ``LAP_SAMPLES_PER_CALL`` in one ``iterate_grid`` call (one array call for
-    x^2 + c).
+    x^2 + c).  A point whose float orbit leaves the domain and overflows (a
+    type-B map's ``x ** ell``) has no sign there: g is NaN.
     """
     import numpy as np
     def sub(x):
         return x if target is None else target
 
     def g(x):
-        return iterate(m, x, n) - sub(x)
+        try:
+            return iterate(m, x, n) - sub(x)
+        except OverflowError:
+            return math.nan
 
     lo, hi = cuts[0], cuts[-1]
     scale = max(1.0, abs(lo), abs(hi))
@@ -191,10 +196,12 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
     for i in range(0, len(laps), per_call):
         a, b = np.array(laps[i:i + per_call]).T
         # a + (b - a) * k / cells, the scalar formula, per lap and k
-        xs = (a[:, None] + (b - a)[:, None] * np.arange(cells + 1) / cells).ravel()
-        ys = iterate_grid(m, xs, n)
-        xs = xs.tolist()
-        gs = [y - sub(x) for x, y in zip(xs, ys)]
+        grid = (a[:, None] + (b - a)[:, None] * np.arange(cells + 1) / cells).ravel()
+        xs = grid.tolist()
+        try:
+            gs = [y - sub(x) for x, y in zip(xs, iterate_grid(m, grid, n))]
+        except OverflowError:       # a sample's orbit ran away: step each alone, by g
+            gs = list(map(g, xs))
         for first in range(0, len(xs), cells + 1):
             for k in range(first, first + cells):
                 if gs[k] == 0:

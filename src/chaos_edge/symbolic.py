@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .maps import (SawtoothBase, StuntedSawtooth, build_stunted, critical_values,
-                   domain_of, is_even, is_exact, orbit, turning_points_of,
+                   domain_of, is_even, orbit, turning_points_of,
                    turning_regions)
 from .piecewise import on_lattice
 
@@ -214,13 +214,6 @@ class PsiResult:
     widths: tuple       # residual candidate-interval widths at this depth
 
 
-def _laps(base: SawtoothBase):
-    """(lo, hi, slope, intercept) per lap of the base zigzag, from ``base.pl``:
-    int slopes and ``Fraction`` intercepts, so the inverses stay exact."""
-    pl = base.pl
-    return [(a, b, s, y - s * a) for a, b, y, s in zip(pl.xs, pl.xs[1:], pl.ys, pl.slopes)]
-
-
 def cylinders(base: SawtoothBase, word):
     """The exact cylinder of the points whose right-limit base-itinerary
     starts with the lap word ``word``, built forward one symbol at a time.
@@ -232,7 +225,9 @@ def cylinders(base: SawtoothBase, word):
     to the symbol's lap, scale by lam, cut to the domain.
     """
     n = base.e.denominator          # the laps end at ints and ±e, their intercepts are ints
-    laps = [(on_lattice(a, n), on_lattice(b, n), s, on_lattice(o, n)) for a, b, s, o in _laps(base)]
+    pl = base.pl
+    laps = [(on_lattice(a, n), on_lattice(b, n), s, on_lattice(y - s * a, n))
+            for a, b, y, s in zip(pl.xs, pl.xs[1:], pl.ys, pl.slopes)]
     ne = on_lattice(base.e, n)
     den, lo, hi, sign, c = n, -ne, ne, 1, 0
 
@@ -253,66 +248,6 @@ def cylinders(base: SawtoothBase, word):
         yield den, lo, hi
 
 
-def _signed_itinerary_s0(base: SawtoothBase, y, depth: int):
-    """Right-limit itinerary of y under the base zigzag (no plateaus); the
-    side flips with the orientation of each lap traversed."""
-    c = base.turning_points
-    laps = _laps(base)
-    d = 1
-    out = []
-    for _ in range(depth):
-        if y < -base.e or y > base.e:
-            return None
-        j = 0
-        for ck in c:
-            if y > ck or (y == ck and d > 0):
-                j += 1
-        out.append(j)
-        _, _, s, o = laps[j]
-        y = s * y + o
-        d = d if s > 0 else -d
-    return out
-
-
-def _periodic_tail_point(base: SawtoothBase, target):
-    """Exact point whose right-limit base-itinerary starts with ``target``,
-    when the target has an eventually periodic tail; None otherwise.
-
-    The periodic tail pins an exact periodic point (fixed point of the affine
-    composition along its laps); pulling it back through the preperiod laps
-    gives the point exactly.  The result is verified symbolically.
-    """
-    L = len(target)
-    laps = _laps(base)
-    for p in range(1, max(2, (L - 4) // 2) + 1):
-        q = L - 2 * p - 2
-        while q > 0 and target[q - 1] == target[q - 1 + p]:
-            q -= 1
-        if q < 0 or L - q < 2 * p + 2:
-            continue
-        if any(target[i] != target[i + p] for i in range(q, L - p)):
-            continue
-        s, o = Fraction(1), Fraction(0)
-        for j in target[q:q + p]:
-            _, _, sj, oj = laps[j]
-            s, o = sj * s, sj * o + oj
-        if s == 1:
-            continue
-        x = o / (1 - s)
-        ok = True
-        for j in reversed(target[:q]):
-            a, b, sj, oj = laps[j]
-            x = (x - oj) / sj
-            if not a <= x <= b:
-                ok = False
-                break
-        if not ok:
-            continue
-        if _signed_itinerary_s0(base, x, L) == list(target):
-            return x
-    return None
-
-
 def orientation(m) -> int:
     """+1 when the map increases on its first lap, -1 when it decreases: the
     epsilon of the base zigzag that ``psi`` projects it onto."""
@@ -327,10 +262,11 @@ def psi(m, base: SawtoothBase, depth: int = 64) -> PsiResult:
     For each turning point, finds the point s_i in the (i+1)-th lap of the
     base zigzag whose right-limit base-itinerary matches the map's kneading
     sequence to the given depth, then truncates the base at height S0(s_i).
-    An exact map's eventually periodic kneading tails are solved exactly
-    (reported width 0); otherwise, and always for a float map, whose
-    kneading is known only to ``depth``, s_i is the left end of the exact
-    candidate interval, whose residual width is reported.  The kneading
+    A stunted map whose kneading stays on laps is fixed by that kneading
+    (Milnor–Thurston), so it projects onto itself: s_i is its plateau's
+    right end, checked against the cylinder, and the width is 0.  Any
+    other map, whose kneading is known only to ``depth``, gets the left end
+    of the exact candidate interval and the interval's width.  The kneading
     must consist of lap symbols only.
     """
     c = turning_points_of(m)
@@ -351,15 +287,11 @@ def psi(m, base: SawtoothBase, depth: int = 64) -> PsiResult:
         target = (k + 1,) + tuple(seq)
         *_, (den, lo, hi) = cylinders(base, target)
         c_lo, c_hi = Fraction(lo, den), Fraction(hi, den)
-        exact_s = _periodic_tail_point(base, target) if is_exact(m) else None
-        if exact_s is not None and c_lo <= exact_s <= c_hi:
-            ss.append(exact_s)
+        if isinstance(m, StuntedSawtooth) and c_lo <= m.plateaus[k].hi <= c_hi:
+            ss.append(m.plateaus[k].hi)
             widths.append(Fraction(0))
         else:
             ss.append(c_lo)
             widths.append(c_hi - c_lo)
-    xi = []
-    for i, s_k in enumerate(ss, start=1):
-        v = base.pl(s_k)
-        xi.append(v if base.is_max(i) else -v)
+    xi = [base.pl(s) if base.is_max(i) else -base.pl(s) for i, s in enumerate(ss, start=1)]
     return PsiResult(build_stunted(base, xi), tuple(ss), tuple(widths))

@@ -94,8 +94,8 @@ class TestZeroCertificate:
         T = build_stunted(base2, [F(1, 2), F(1, 2)])
         assert verify_zero_certificate(T, zero_entropy_certificate(T))
         honest = bd.plateau_orbit_analysis
-        monkeypatch.setattr(bd, "plateau_orbit_analysis", lambda T, system: [
-            (replace(r, period=2 * r.period), orbit) for r, orbit in honest(T, system)])
+        monkeypatch.setattr(bd, "plateau_orbit_analysis", lambda values, system: [
+            (replace(r, period=2 * r.period), orbit) for r, orbit in honest(values, system)])
         cert = zero_entropy_certificate(T)
         assert cert is not None and cert == zero_entropy_certificate(T)
         assert not verify_zero_certificate(T, cert)
@@ -155,7 +155,8 @@ class TestClassify:
                           "breakpoint orbits exceed 2 points")
         # past the budget a probe has no side either, so it is classified
         with pytest.raises(MarkovBudgetError):
-            boundary._closure_side(T12, DEFAULT.with_(orbit_budget=2))
+            boundary._closure_side(T12.lattice(), T12.lattice_values,
+                                   DEFAULT.with_(orbit_budget=2))
 
     def test_plateau_orbit_budget_named(self, base1):
         r = classify_stunted(build_stunted(base1, [F(637, 512)]), 64,
@@ -552,7 +553,7 @@ def test_exact_side_agrees_with_classify_stunted():
         maps += [path.map_at(t_zero + k * F(1, 2**43)) for k in range(-10, 12)]
     decided, sides = 0, {ZERO: 0, POSITIVE: 0}
     for T in maps:
-        side = boundary._closure_side(T, DEFAULT)[0]
+        side = boundary._closure_side(T.lattice(), T.lattice_values, DEFAULT)[0]
         r = classify_stunted(T, 64)
         if r.kind != UNDECIDED:
             decided += 1
@@ -602,10 +603,12 @@ def test_int_probe_agrees_with_the_map():
                         n, lat, values = path.lattice_at(k, depth)
                         assert (n, lat) == T.lattice(), (T.xi, k, depth)
                         assert values == tuple(on_lattice(v, n) for v in T.plateau_values)
+                        assert values == T.lattice_values
                         xs, ys, _ = fraction_stunted(base, T.xi)
                         assert [F(x, n) for x in lat.xs] == xs and [F(y, n) for y in lat.ys] == ys
                         side, window = boundary.path_side(path, k, depth)
-                        assert side == boundary._closure_side(T, DEFAULT)[0], (T.xi, k, depth)
+                        assert side == boundary._closure_side(
+                            T.lattice(), T.lattice_values, DEFAULT)[0], (T.xi, k, depth)
                         # the probe lies in its own window, which has its side
                         assert window is None or (window[0] <= k <= window[1]
                                                   and window[2] == side), (T.xi, k, depth)
@@ -644,12 +647,12 @@ def test_exact_locate_classifies_only_the_ends(monkeypatch, m):
                         lambda T, bound, config: decided.append(T.xi) or decide(T, bound, config))
     walked, walk = [], boundary.build_markov
     monkeypatch.setattr(boundary, "build_markov",
-                        lambda T, budget: walked.append(isinstance(T, tuple)) or walk(T, budget))
+                        lambda lattice, budget: walked.append(lattice) or walk(lattice, budget))
     routed = locate_boundary(path, bound=64, resolution=F(1, 2**60))
     assert len(decided) == 4
     assert routed.probes > 60 and routed.undecided == 0
-    # the walks of interior probes, on their int lattices, against the sided
-    assert sum(walked) < routed.probes - 2
+    # the walks of interior probes (one per decided map aside), against the sided
+    assert len(walked) - len(decided) < routed.probes - 2
     monkeypatch.setattr(boundary, "path_side",
                         lambda path, k, depth, config, windows: (None, None))
     assert locate_boundary(path, bound=64, resolution=F(1, 2**60)) == routed
@@ -662,22 +665,31 @@ def test_sided_maps_kept_only_at_the_bracket_ends(monkeypatch):
     # stops, of the bracket's two ends, and no other.  A probe inside an
     # earlier probe's closure window walks no closure either
     from chaos_edge.maps import StuntedSawtooth
-    built, sided, walked = [], [], []
+    built, sided, walked, decided = [], [], [], []
     post_init, side, walk = StuntedSawtooth.__post_init__, boundary.path_side, boundary.build_markov
+    decide = boundary.decide_exact
+
+    def decided_walks(T, bound, config):     # the closures a classified map walks
+        before = len(walked)
+        r = decide(T, bound, config)
+        decided.append(len(walked) - before)
+        return r
+
     route_off(monkeypatch)
     monkeypatch.setattr(StuntedSawtooth, "__post_init__",
                         lambda T: post_init(T) or built.append(T.xi[0]))
     monkeypatch.setattr(boundary, "path_side", lambda path, k, depth, config, windows: (
         sided.append(path_t(path, k, depth)) or side(path, k, depth, config, windows)))
     monkeypatch.setattr(boundary, "build_markov",
-                        lambda T, budget: walked.append(isinstance(T, tuple)) or walk(T, budget))
+                        lambda lattice, budget: walked.append(lattice) or walk(lattice, budget))
+    monkeypatch.setattr(boundary, "decide_exact", decided_walks)
     path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
     res = locate_boundary(path, bound=64, resolution=F(1, 2**60))
     assert len(sided) == len(set(sided)) == res.probes - 2 == 60
     assert built == [F(1, 2), F(3, 2), *res.bracket]
     # four classified maps walk their own closures, the rest are interior probes
-    assert len(walked) - sum(walked) == 4
-    assert sum(walked) < len(sided)
+    assert decided == [1, 1, 1, 1]
+    assert len(walked) - sum(decided) < len(sided)
 
 
 TOUCHING_PATHS = {
@@ -707,7 +719,7 @@ def test_closure_window_keeps_the_graph(monkeypatch, m, eps, touching):
 
     def graph(k):
         n, lat, values = path.lattice_at(k, depth)
-        side, system, plateaus = boundary._closure_side(values, DEFAULT, (n, lat))
+        side, system, plateaus = boundary._closure_side((n, lat), values, DEFAULT)
         return system.size, system.rows, [r for r, _ in plateaus], side
 
     monkeypatch.setattr(boundary, "_closure_window", recorded)
@@ -967,7 +979,7 @@ class TestApproximants:
 class TestPlateauAnalysis:
     def test_preperiodic_structure(self, base1):
         T = build_stunted(base1, [F(5, 4)])
-        [(rec, orbit)] = plateau_orbit_analysis(T, build_markov(T, 1000))
+        [(rec, orbit)] = plateau_orbit_analysis(T.lattice_values, build_markov(T, 1000))
         assert rec.preperiod == 2 and rec.period == 1
         assert len(orbit) == 3
 
@@ -1025,3 +1037,58 @@ def test_probe_budget_error_names_max_probes(monkeypatch):
     with pytest.raises(BudgetExhausted) as info:
         locate_boundary(path, resolution=F(1, 2**30))
     assert str(info.value) == "probe budget exhausted: max_probes=5 reached at width 1/8"
+
+
+class TestUndecidedExact:
+    # each branch of the exact route that leaves a map undecided, reached by
+    # breaking one of the pieces it reads
+    def test_positive_side_with_no_verified_orbit(self, T32, monkeypatch):
+        monkeypatch.setattr(boundary, "verify_witness", lambda T, w: False)
+        r = boundary.decide_exact(T32, 64)
+        assert (r.kind, r.witness) == (UNDECIDED, None)
+        assert r.note == "entropy is positive but no orbit was verified"
+
+    def test_cycle_period_not_a_power_of_two_without_branching(self, T12, monkeypatch):
+        from chaos_edge.markov import CycleAnalysis
+        monkeypatch.setattr(boundary, "cycle_analysis",
+                            lambda system: CycleAnalysis(frozenset({1, 3}), None))
+        r = boundary.decide_exact(T12, 64)
+        assert (r.kind, r.certificate) == (UNDECIDED, None)
+        assert r.note == "a cycle's period is not a power of two, yet no component branches"
+
+    def test_plateau_period_past_the_admitted_levels(self, base1, monkeypatch):
+        T = build_stunted(base1, [F(6, 5)])             # a plateau 2-cycle
+        assert boundary.decide_exact(T, 64).kind == ZERO
+        monkeypatch.setattr(boundary, "ZERO_CERT_LEVELS", 0)
+        r = boundary.decide_exact(T, 64)
+        assert (r.kind, r.certificate) == (UNDECIDED, None)
+        assert r.note == "a plateau period exceeds 2^0"
+
+    def test_only_a_stunted_map_takes_the_route(self, T32):
+        for call in (boundary.decide_exact, zero_entropy_certificate, classify_stunted):
+            with pytest.raises(PreconditionError, match="needs a stunted map, got PiecewiseLinear"):
+                call(T32.pl, 64)
+
+
+def test_walked_probe_past_the_budget_has_no_side():
+    # position 1/2 of the path is xi = 1, zero-sided on a closure of more than 2 points
+    path = stunted_path(build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
+    assert boundary.path_side(path, 1, 1, DEFAULT)[0] == ZERO
+    assert boundary.path_side(path, 1, 1, DEFAULT.with_(orbit_budget=2)) == (None, None)
+
+
+class TestZeroCertificateRejected:
+    def test_records_not_indexed_by_plateau(self, T12):
+        cert = zero_entropy_certificate(T12)
+        shifted = tuple(replace(r, plateau=r.plateau + 1) for r in cert.plateau_orbits)
+        assert not verify_zero_certificate(T12, replace(cert, plateau_orbits=shifted))
+
+    def test_recompute_past_the_budget(self, T12):
+        # the plateau's fixed point fits in 2 points, its breakpoint closure does not
+        cert = zero_entropy_certificate(T12)
+        small = DEFAULT.with_(orbit_budget=2)
+        assert all(r.preperiod + r.period <= 2 for r in cert.plateau_orbits)
+        with pytest.raises(BudgetExhausted):
+            zero_entropy_certificate(T12, cert.bound, small)
+        assert verify_zero_certificate(T12, cert)
+        assert not verify_zero_certificate(T12, cert, small)

@@ -145,6 +145,24 @@ class TestPeriodsCmd:
         assert json.loads(out)["complete_upto"] == 16
 
 
+    @pytest.mark.parametrize("stages", [[[4, -1.2]], [[2, -1.4], [2, -0.5]]])
+    def test_runaway_end_sample_below_the_overflow(self, tmp_path, capsys, stages):
+        # f(-1) rounds below -1, so the float orbit of the grid's end sample
+        # -1.0 runs away; below the period where it overflows nothing changes
+        path = write(tmp_path, "b.json", {"kind": "type_b", "stages": stages})
+        code, out, _ = run_cli(capsys, "periods", path, "--bound", "4")
+        assert code == 0 and json.loads(out) == {
+            "bound": 4, "complete_upto": 4, "periods": [1, 2, 4], "spectrum": "yes-up-to-bound"}
+
+    def test_runaway_end_sample(self, tmp_path, capsys):
+        # at p = 21 x ** ell overflowed: exit 1 with an OverflowError traceback
+        path = write(tmp_path, "b.json", {"kind": "type_b", "stages": [[2, -1.4], [2, -0.5]]})
+        code, out, err = run_cli(capsys, "periods", path, "--bound", "21")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out) == {"bound": 21, "complete_upto": 21, "periods": [1, 2, 4],
+                                   "spectrum": "yes-up-to-bound"}
+
+
 class TestSymbolicCmds:
     def test_kneading(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "kneading", write(tmp_path, "t.json", TRAPEZOID),
@@ -367,7 +385,7 @@ class TestSweepCmd:
             want[str(t)] = ";".join(walk[512:])
             system = build_markov(m, chaos_edge.DEFAULT.orbit_budget)
             closure += system.size + 1 - len(lat.xs)
-            preperiods.add(plateau_orbit_analysis(m, system)[0][0].preperiod)
+            preperiods.add(plateau_orbit_analysis(m.lattice_values, system)[0][0].preperiod)
         assert max(preperiods) > 0
         honest, calls = pw.PiecewiseLinear.__call__, [0]
 
@@ -487,6 +505,20 @@ def test_nan_quadratic_named(tmp_path, command):
                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and run.stdout == ""
     assert "no invariant interval for c=nan" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+@pytest.mark.parametrize("command, desc", [
+    ("kneading", lambda x: {"kind": "stunted", "m": 1, "xi": [x]}),
+    ("boundary", lambda x: {**STUNTED_PATH, "t_hi": x}),
+    ("sweep", lambda x: {**STUNTED_PATH, "t_hi": x}),
+], ids=["kneading-height", "boundary-end", "sweep-end"])
+def test_infinite_rational_named(tmp_path, capsys, command, desc, x):
+    # JSON Infinity reached Fraction(inf) in maps.rat: an OverflowError
+    # traceback, exit 1
+    code, out, err = run_cli(capsys, command, write(tmp_path, "d.json", desc(x)))
+    assert code == 2 and out == ""
+    assert f"{x} is not a finite rational" in err and "Traceback" not in err
 
 
 EXACT_ROUTE_SCRIPT = """

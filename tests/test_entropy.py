@@ -13,6 +13,8 @@ from chaos_edge import (BudgetExhausted, MarkovBudgetError, PreconditionError, Q
                         period_set, periodic_points, quadratic_path,
                         type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
+from chaos_edge.entropy import Witness
+from chaos_edge.markov import build_markov, cycle_analysis
 from chaos_edge.maps import StuntedSawtooth, as_pl
 from chaos_edge.piecewise import PiecewiseLinear, strict_lap_count
 
@@ -226,6 +228,13 @@ def _locate_witness(path, resolution):
     return path.map_at(t), w
 
 
+def _splice_witness(pl):
+    """The periodic orbit that ``cycle_analysis`` splices in the transition
+    graph of an exact map, as a witness."""
+    orbit = cycle_analysis(build_markov(pl, 100)).witness_orbit
+    return Witness("periodic-orbit", len(orbit), orbit)
+
+
 class TestWitness:
     def test_trapezoid_period_three(self, T32):
         w = classify_stunted(T32, 64).witness
@@ -236,15 +245,17 @@ class TestWitness:
         assert classify_stunted(T12, 64).witness is None
 
     @pytest.mark.parametrize("make", [
-        lambda: full_stunted(build_base(1, 1)),
-        # slopes 3/2, -3 and -1: the orbit leaves the lattice
-        lambda: PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(1), F(1, 4), F(0)]),
+        lambda: (T := full_stunted(build_base(1, 1)), classify_stunted(T, 64).witness),
+        # slopes 3/2, -3 and -1: the orbit leaves the lattice; the exact
+        # route takes stunted maps only, so the witness is the graph's splice
+        lambda: (T := PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)],
+                                      [F(1, 4), F(1), F(1, 4), F(0)]),
+                 _splice_witness(T)),
     ], ids=["full-m1", "non-integral-slope"])
     def test_every_listed_point_is_checked(self, make):
         # the return of orbit[0] alone does not make a witness: every listed
         # point must map to the next, and the orbit must list period points
-        T = make()
-        w = classify_stunted(T, 64).witness
+        T, w = make()
         assert w is not None and verify_witness(T, w)
         zeros = replace(w, orbit=w.orbit[:1] + (F(0),) * (w.period - 1))
         cut = replace(w, orbit=w.orbit[:1])

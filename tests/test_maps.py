@@ -424,3 +424,13 @@ class TestDescriptors:
             parse_map({"kind": "nope"})
         with pytest.raises(DescriptorError):
             parse_map({"kind": "stunted", "m": 1, "xi": ["2/0"]})
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinite_float_is_no_rational(self, x):
+        # Fraction(inf) raises OverflowError, which no caller turns into an exit code
+        from chaos_edge import DescriptorError
+        from chaos_edge.maps import rat
+        with pytest.raises(ValueError, match=f"^{x} is not a finite rational$"):
+            rat(x)
+        with pytest.raises(DescriptorError, match=f"{x} is not a finite rational"):
+            parse_map({"kind": "stunted", "m": 1, "xi": [x]})

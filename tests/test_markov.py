@@ -194,7 +194,7 @@ class TestLattice:
                         build_markov(T, budget)
                     continue
                 system = build_markov(T, budget)
-                recs = plateau_orbit_analysis(T, system)
+                recs = plateau_orbit_analysis(T.lattice_values, system)
                 assert [(r.preperiod, r.period, tuple(F(y, system.scale) for y in orbit))
                         for r, orbit in recs] == fraction_plateau_records(T, budget), T.xi
         assert outcomes == {True, False}

@@ -185,6 +185,21 @@ def test_lap_roots_match_per_point_sampling(make, n, target, cells, per_call, mo
     assert got and got == per_point_lap_roots(g, cuts, cells, 1e-12)
 
 
+@pytest.mark.parametrize("stages, p, found", [([(4, -1.2)], 24, 5),
+                                              ([(2, -1.4), (2, -0.5)], 21, 0)])
+def test_lap_roots_skip_a_runaway_sample(stages, p, found):
+    # -1 is a repelling fixed point that f(-1) rounds below, so the p-th
+    # float iterate of the end sample -1.0 overflows: it has no sign, and
+    # the roots are those of the grid from the next float up
+    m = build_type_b(stages)
+    with pytest.raises(OverflowError):
+        iterate(m, -1.0, p)
+    roots = lap_roots(m, p, None, [-1.0, -0.5], 64, 1e-12)
+    assert len(roots) == found
+    assert roots == lap_roots(m, p, None, [math.nextafter(-1.0, 0.0), -0.5], 64, 1e-12)
+    assert all(abs(iterate(m, x, p) - x) < 1e-9 for x in roots)
+
+
 def test_turning_point_budget_error_names_the_budget_and_the_iterate():
     # f^k of x^2 - 1.9 has 2^k - 1 turning points: 63 > 50 at k = 6
     with pytest.raises(BudgetExhausted) as info:

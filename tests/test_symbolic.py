@@ -148,6 +148,45 @@ class TestPsi:
         T = build_stunted(base1, [F(5, 4)])
         assert psi(T, base1, 40).widths == (0,)
 
+    @pytest.mark.parametrize("depth", [16, 64])
+    def test_lap_only_kneading_projects_onto_itself(self, base1, depth):
+        # the kneading is 1(0111111)^∞; a search for a periodic tail in the
+        # window took its trailing run of 1s for the tail at depth 64 (width
+        # 0 for another map, whose kneading matches for 64 symbols and then
+        # reads 1 forever) and found none at depth 16 (a width of 3^-16)
+        T = build_stunted(base1, [F(2733, 2186)])
+        assert kneading(T, 8).as_strings() == ["10111111"]
+        res = psi(T, base1, depth)
+        assert res.stunted.xi == T.xi and res.s == (F(1275, 2186),) == (T.plateaus[0].hi,)
+        assert res.widths == (0,)
+
+    def test_seeded_lap_only_maps_project_onto_themselves(self):
+        # plateau values at exact base points whose lap words end periodic in
+        # the outer laps, kept when their kneading to depth 64 stays on laps
+        rnd, kept = random.Random(31), 0
+        for m in (1, 2, 3):
+            for eps in (1, -1):
+                base, found = build_base(m, eps), 0
+                while found < 6:
+                    vs = [lap_word_point(base, [rnd.randint(0, m) for _ in range(rnd.randint(0, 2))],
+                                         [rnd.choice((0, m)) for _ in range(rnd.randint(1, 4))])
+                          for _ in range(m)]
+                    try:
+                        T = build_stunted(base, [v if base.is_max(i) else -v
+                                                 for i, v in enumerate(vs, 1)])
+                    except ValueError:          # inadmissible heights
+                        continue
+                    if any(s < 0 for seq in kneading(T, 64).nu for s in seq):
+                        continue
+                    found += 1
+                    for depth in (16, 64):
+                        res = psi(T, base, depth)
+                        assert res.stunted.xi == T.xi, (T.xi, depth)
+                        assert res.s == tuple(z.hi for z in T.plateaus)
+                        assert res.widths == (0,) * m
+                kept += found
+        assert kept == 36
+
     def test_float_map_width_never_zero(self):
         # the depth-400 kneading prefix of c_inf - 1e-6 looks eventually
         # periodic, but a float map's kneading is known to that depth only:
@@ -175,6 +214,23 @@ class TestPsi:
         neg_base = build_base(1, -1)
         res = psi(f, neg_base, 12)
         assert res.widths[0] > 0
+
+
+def lap_word_point(base, prefix, word):
+    """The point of the base zigzag with lap itinerary prefix + word repeated:
+    the fixed point of the word's affine composition, pulled back through the
+    prefix (every lap maps onto a range that covers the domain)."""
+    pl = base.pl
+    laps = [(s, y - s * x) for x, y, s in zip(pl.xs, pl.ys, pl.slopes)]
+    s, o = 1, 0
+    for j in word:
+        a, b = laps[j]
+        s, o = a * s, a * o + b
+    x = o / (1 - s)
+    for j in reversed(prefix):
+        a, b = laps[j]
+        x = (x - b) / a
+    return x
 
 
 def psi_cases():
