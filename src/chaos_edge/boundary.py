@@ -212,7 +212,7 @@ def path_side(path: "ParameterPath", k: int, depth: int,
     for lo, hi, side in reversed(windows):
         if lo <= k <= hi:
             return side, None
-    n, lat, values = path.lattice_at(k, depth)
+    n, lat, values = path.lattice_at(k, 1 << depth)
     try:
         side, system, _ = _closure_side((n, lat), values, config)
     except BudgetExhausted:
@@ -279,6 +279,11 @@ def _closure_window(path: "ParameterPath", k: int, depth: int, values, system):
     return lo, hi
 
 
+def _require_stunted(T) -> None:
+    if not isinstance(T, StuntedSawtooth):
+        raise PreconditionError(f"the exact route needs a stunted map, got {type(T).__name__}")
+
+
 def decide_exact(T: StuntedSawtooth, bound: int, config: RunConfig = DEFAULT) -> ProbeResult:
     """The exact decision route: the evidence for the side (``_closure_side``)
     of a stunted map T; any other map raises PreconditionError.
@@ -293,8 +298,7 @@ def decide_exact(T: StuntedSawtooth, bound: int, config: RunConfig = DEFAULT) ->
     not close up within it, raises MarkovBudgetError naming the budget and
     its limit.
     """
-    if not isinstance(T, StuntedSawtooth):
-        raise PreconditionError(f"the exact route needs a stunted map, got {type(T).__name__}")
+    _require_stunted(T)
     side, system, plateaus = _closure_side(T.lattice(), T.lattice_values, config)
     if side == POSITIVE:
         for r, orbit in plateaus:
@@ -357,7 +361,9 @@ def verify_zero_certificate(T: StuntedSawtooth, cert: ZeroEntropyCertificate,
                             config: RunConfig = DEFAULT) -> bool:
     """Re-derive each plateau record by walking its orbit on the map itself,
     by ``exact_walk`` apart from the lattice route, then recompute the
-    certificate and compare."""
+    certificate and compare.  Any map but a stunted one raises
+    PreconditionError, as ``decide_exact`` does."""
+    _require_stunted(T)
     values, step = exact_walk(T, T.plateau_values)
     recs = cert.plateau_orbits
     if [r.plateau for r in recs] != list(range(len(values))):
@@ -633,12 +639,15 @@ class ParameterPath:
         q = math.lcm(*(v.denominator for v in lo + step))
         return q, [on_lattice(v, q) for v in lo], [on_lattice(v, q) for v in step]
 
-    def lattice_at(self, k: int, depth: int):
-        """``maps.stunted_lattice`` of the map at position k/2^depth of a
-        stunted path, built from the int numerators of its heights."""
+    def lattice_at(self, k: int, den: int):
+        """``maps.stunted_lattice`` of the map at position k/den of a stunted
+        path, t = t_lo + (t_hi - t_lo)·k/den for an int den > 0, built from
+        the int numerators of its heights, (a·den + b·k)/(q·den): a locate's
+        probe passes den = 2^depth (``path_side``), a sweep row den =
+        grid - 1 (``cli._stunted_rows``).  Raises the ``ValueError`` of
+        ``stunted_lattice`` where the heights are not admissible."""
         q, a, b = self._heights
-        return stunted_lattice(self.base, [(x << depth) + y * k for x, y in zip(a, b)],
-                               q << depth)
+        return stunted_lattice(self.base, [x * den + y * k for x, y in zip(a, b)], q * den)
 
     def map_at(self, t):
         if self.kind == "stunted":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -205,33 +206,38 @@ def cmd_boundary(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    """One CSV row per grid point t = t_lo + (t_hi - t_lo)·k/(grid - 1).  A
+    stunted path's rows come from ``_stunted_rows``: each row's int lattice
+    is built from the path's numerators (``ParameterPath.lattice_at`` at
+    k over grid - 1), and consecutive rows with one transition graph share
+    one entropy computation.  A float path's row is its map's lap entropy
+    (with ``--with-entropy``), attracting periods and orbit samples."""
     cfg = _config_from(args)
-    desc = _read_descriptor(args.descriptor)
-    path = _path_from(desc)
+    path = _path_from(_read_descriptor(args.descriptor))
     n = args.grid
     if n < 2:
         raise PreconditionError("grid size must be >= 2")
     if path.exact:
-        ts = [path.t_lo + (path.t_hi - path.t_lo) * Fraction(k, n - 1) for k in range(n)]
+        rows = list(_stunted_rows(path, n, cfg))
     else:
-        ts = [path.t_lo + (path.t_hi - path.t_lo) * k / (n - 1) for k in range(n)]
+        rows = [_float_row(path, path.t_lo + (path.t_hi - path.t_lo) * k / (n - 1), args, cfg)
+                for k in range(n)]
+    _emit_csv(rows, ["t", "entropy", "attracting_period", "orbit_samples"])
 
-    def row(t):
+
+def _float_row(path, t, args, cfg):
+    """A float path's row at t; "error: ..." when t leaves the family."""
+    try:
+        m = path.map_at(t)
+    except ValueError as exc:
+        return [str(t), "", "", f"error: {exc}"]
+    h = ""
+    if args.with_entropy:
         try:
-            m = path.map_at(t)
-        except (ValueError, DescriptorError) as exc:
-            return [str(t), "", "", f"error: {exc}"]
-        if is_exact(m):
-            return [str(t), *_stunted_columns(m, cfg)]
-        h = ""
-        if args.with_entropy:
-            try:
-                h = en.entropy_lap(m, args.n_max, cfg).value
-            except BudgetExhausted:
-                pass
-        return [str(t), h, _attracting_summary(m), ";".join(_orbit_samples(m))]
-
-    _emit_csv([row(t) for t in ts], ["t", "entropy", "attracting_period", "orbit_samples"])
+            h = en.entropy_lap(m, args.n_max, cfg).value
+        except BudgetExhausted:
+            pass
+    return [str(t), h, _attracting_summary(m), ";".join(_orbit_samples(m))]
 
 
 # a sweep prints the first turning point's orbit at steps 513..528; on a
@@ -239,22 +245,50 @@ def cmd_sweep(args) -> None:
 SAMPLE_STEPS = range(512, 528)
 
 
-def _stunted_columns(m, cfg):
-    """Entropy, distinct plateau periods (joined by "/") and orbit samples of
-    a stunted map, all from its one breakpoint closure; all three empty past
-    ``orbit_budget``.  The samples are read off the first plateau value's
-    recorded preperiod and cycle."""
-    try:
-        system = build_markov(m, cfg.orbit_budget)
-    except BudgetExhausted:
-        return ["", "", ""]
-    plateaus = bd.plateau_orbit_analysis(m.lattice_values, system)
-    periods = "/".join(str(p) for p in sorted({r.period for r, _ in plateaus}))
-    r, points = plateaus[0]
-    pre, per = r.preperiod, r.period
-    samples = (points[k if k < pre else pre + (k - pre) % per] for k in SAMPLE_STEPS)
-    return [en.graph_entropy(system).value, periods,
-            ";".join(str(Fraction(y, system.scale)) for y in samples)]
+def _ratio_text(y: int, n: int) -> str:
+    """``str(Fraction(y, n))`` for n > 0, from the ints."""
+    g = math.gcd(y, n)
+    return str(y // g) if g == n else f"{y // g}/{n // g}"
+
+
+def _stunted_rows(path, grid, cfg):
+    """The rows of a stunted path at k = 0 .. grid - 1: t, then entropy,
+    distinct plateau periods (joined by "/") and orbit samples, all from
+    the one breakpoint closure of the int lattice ``path.lattice_at(k,
+    grid - 1)`` builds (no map and no ``Fraction`` is made); all three empty
+    past ``orbit_budget``, and "error: ..." in the last column when the
+    heights leave the admissible set.  The samples are read off the first
+    plateau value's recorded preperiod and cycle, each distinct point
+    formatted once.  Entropy depends only on the transition graph
+    (``graph_entropy`` reads nothing but ``system.rows``), which stays the
+    same over runs of a monotone path: a row whose graph equals the last
+    one computed reuses its entropy."""
+    den, t_lo, span = grid - 1, path.t_lo, path.t_hi - path.t_lo
+    # t = (u + v·k)/w
+    w = t_lo.denominator * span.denominator * den
+    u, v = t_lo.numerator * span.denominator * den, span.numerator * t_lo.denominator
+    graph = h = None
+    for k in range(grid):
+        t = _ratio_text(u + v * k, w)
+        try:
+            n, lat, values = path.lattice_at(k, den)
+        except ValueError as exc:
+            yield [t, "", "", f"error: {exc}"]
+            continue
+        try:
+            system = build_markov((n, lat), cfg.orbit_budget)
+        except BudgetExhausted:
+            yield [t, "", "", ""]
+            continue
+        if system.rows != graph:
+            graph, h = system.rows, en.graph_entropy(system).value
+        plateaus = bd.plateau_orbit_analysis(values, system)
+        periods = "/".join(str(p) for p in sorted({r.period for r, _ in plateaus}))
+        r, points = plateaus[0]
+        pre, per = r.preperiod, r.period
+        steps = [j if j < pre else pre + (j - pre) % per for j in SAMPLE_STEPS]
+        text = {j: _ratio_text(points[j], n) for j in set(steps)}
+        yield [t, h, periods, ";".join(map(text.__getitem__, steps))]
 
 
 def _orbit_samples(m):

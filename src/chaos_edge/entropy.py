@@ -191,7 +191,9 @@ def entropy_markov(m, config: RunConfig = DEFAULT) -> EntropyEstimate:
 
 
 def graph_entropy(system) -> EntropyEstimate:
-    """``entropy_markov`` of the map whose breakpoint closure is ``system``."""
+    """``entropy_markov`` of the map whose breakpoint closure is ``system``;
+    it reads only the transition graph ``system.rows`` (through
+    ``components`` and ``size``), so equal rows give equal entropy."""
     lo, hi = _radius_bracket(system.components)
     if hi <= 1.0:
         return EntropyEstimate(0.0, "markov-exact", system.size, 0.0)

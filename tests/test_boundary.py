@@ -600,7 +600,7 @@ def test_int_probe_agrees_with_the_map():
                         depth = rnd.randint(1, 62)
                         k = rnd.randint(0, 2**depth)
                         T = path.map_at(path_t(path, k, depth))
-                        n, lat, values = path.lattice_at(k, depth)
+                        n, lat, values = path.lattice_at(k, 1 << depth)
                         assert (n, lat) == T.lattice(), (T.xi, k, depth)
                         assert values == tuple(on_lattice(v, n) for v in T.plateau_values)
                         assert values == T.lattice_values
@@ -718,7 +718,7 @@ def test_closure_window_keeps_the_graph(monkeypatch, m, eps, touching):
         return window
 
     def graph(k):
-        n, lat, values = path.lattice_at(k, depth)
+        n, lat, values = path.lattice_at(k, 1 << depth)
         side, system, plateaus = boundary._closure_side((n, lat), values, DEFAULT)
         return system.size, system.rows, [r for r, _ in plateaus], side
 
@@ -1068,6 +1068,13 @@ class TestUndecidedExact:
         for call in (boundary.decide_exact, zero_entropy_certificate, classify_stunted):
             with pytest.raises(PreconditionError, match="needs a stunted map, got PiecewiseLinear"):
                 call(T32.pl, 64)
+
+    def test_only_a_stunted_map_is_reverified(self, T12):
+        # the re-check read T.plateau_values first, so a raw PiecewiseLinear
+        # raised AttributeError instead of the route's precondition error
+        cert = zero_entropy_certificate(T12)
+        with pytest.raises(PreconditionError, match="needs a stunted map, got PiecewiseLinear"):
+            verify_zero_certificate(T12.pl, cert)
 
 
 def test_walked_probe_past_the_budget_has_no_side():

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -409,6 +410,87 @@ class TestSweepCmd:
         assert code == 0
         assert rows["17/8"] == ["", "", ""]
         assert rows["8/3"][1] == "1" and rows["8/3"][2] == ";".join(["8/3"] * 16)
+
+    def test_stunted_rows_are_the_map_route(self, tmp_path, capsys):
+        # each row is built on the path's int lattice at k over grid - 1 and
+        # shares the entropy of the row before when their transition graphs
+        # are equal; the bytes are those of the map-built route: map_at(t),
+        # build_markov, graph_entropy, str(Fraction(y, N)) per sample
+        from chaos_edge.boundary import plateau_orbit_analysis
+        from chaos_edge.entropy import graph_entropy
+        from chaos_edge.errors import BudgetExhausted
+        from chaos_edge.markov import build_markov
+
+        def map_route(desc, grid, budget):
+            path, out = cli._path_from(desc), io.StringIO()
+            w = csv.writer(out)
+            w.writerow(["t", "entropy", "attracting_period", "orbit_samples"])
+            for k in range(grid):
+                t = path.t_lo + (path.t_hi - path.t_lo) * Fraction(k, grid - 1)
+                try:
+                    m = path.map_at(t)
+                except ValueError as exc:
+                    w.writerow([str(t), "", "", f"error: {exc}"])
+                    continue
+                try:
+                    system = build_markov(m, budget)
+                except BudgetExhausted:
+                    w.writerow([str(t), "", "", ""])
+                    continue
+                plateaus = plateau_orbit_analysis(m.lattice_values, system)
+                r, points = plateaus[0]
+                orbit = [points[j if j < r.preperiod
+                                else r.preperiod + (j - r.preperiod) % r.period]
+                         for j in cli.SAMPLE_STEPS]
+                w.writerow([str(t), graph_entropy(system).value,
+                            "/".join(str(p) for p in sorted({r.period for r, _ in plateaus})),
+                            ";".join(str(Fraction(y, system.scale)) for y in orbit)])
+            return out.getvalue()
+
+        rnd, seen = random.Random(32), {"error": 0, "empty": 0, "reused": 0}
+        paths = [STUNTED_PATH, M2_DIAGONAL,
+                 {**STUNTED_PATH, "t_hi": "9"}]         # leaves the family past t = 3/2
+        for m in (1, 2, 3):
+            for eps in (1, -1):
+                e = Fraction(m * (m + 2), m + 1)
+                paths.append({"family": "stunted", "m": m, "epsilon": eps,
+                              "xi0": [str(Fraction(rnd.randint(-8, 8), 8) * e / 2)
+                                      for _ in range(m)],
+                              "direction": [str(Fraction(rnd.randint(0, 6), rnd.choice((3, 5))))
+                                            for _ in range(m)],
+                              "t_lo": str(Fraction(rnd.randint(-4, 0), 7)),
+                              "t_hi": str(Fraction(rnd.randint(3, 12), 7))})
+        for desc in paths:
+            for budget in (None, 12):     # closures here stay within 30 points
+                grid = rnd.choice((21, 37))
+                args = ["--grid", str(grid)] + (["--budget", str(budget)] if budget else [])
+                code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc), *args)
+                assert code == 0
+                assert out == map_route(desc, grid, budget or chaos_edge.DEFAULT.orbit_budget), \
+                    (desc, args)
+                rows = list(csv.reader(io.StringIO(out)))[1:]
+                seen["error"] += sum(r[3].startswith("error: ") for r in rows)
+                seen["empty"] += sum(r[1:] == ["", "", ""] for r in rows)
+                seen["reused"] += sum(a[1] == b[1] != "" for a, b in zip(rows, rows[1:]))
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("desc, grid, computed", [
+        (STUNTED_PATH, 201, 23),
+        (M2_DIAGONAL, 151, 33),
+    ])
+    def test_one_entropy_per_transition_graph(self, tmp_path, capsys, monkeypatch,
+                                              desc, grid, computed):
+        # consecutive rows with one transition graph share one entropy: the
+        # README paths have 23 and 33 runs of equal graphs
+        import chaos_edge.entropy as en
+        honest, calls = en.graph_entropy, []
+        monkeypatch.setattr(en, "graph_entropy", lambda system: calls.append(system.rows)
+                            or honest(system))
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc),
+                               "--grid", str(grid))
+        assert code == 0 and len(out.splitlines()) == grid + 1
+        assert len(calls) == computed
+        assert all(a != b for a, b in zip(calls, calls[1:]))
 
     def test_grid_of_one_rejected(self, tmp_path, capsys):
         desc = {"family": "quadratic", "t_lo": -2.0, "t_hi": 0.25}
