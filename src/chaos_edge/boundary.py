@@ -544,7 +544,10 @@ def classify_float(m, side: Optional[str] = None) -> ProbeResult:
        its grid scan (4) before this deep retry, and the retry only when
        the scan finds nothing.  A cycle whose period is not a power of two
        is a witness.
-    3. An even map is zero when it attracts a 2^k-cycle with k <= depth.
+    3. An even map is zero when it attracts a 2^k-cycle with k <= depth,
+       or with a larger k when the grid scan (4) finds nothing and
+       ``doubling_side`` puts it on the zero side: the tower can stop a
+       level short of the cycle.
     4. The grid scan looks for a non-power-of-two period of the return maps
        of the two deepest levels.
     5. Any other map is zero when every turning point's orbit settles on an
@@ -585,6 +588,8 @@ def classify_float(m, side: Optional[str] = None) -> ProbeResult:
         w = None if scanned else _deepest_scan(m, widths)
         if w is not None:
             return ProbeResult(POSITIVE, witness=w)
+        if cert is not None and (side or doubling_side(m)) == ZERO:
+            return ProbeResult(ZERO, certificate=cert)
     elif cert is not None:
         return ProbeResult(ZERO, certificate=cert)
     return ProbeResult(UNDECIDED, note=f"tower depth {depth} ({reason}), "

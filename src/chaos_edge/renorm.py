@@ -90,8 +90,7 @@ class RenormalizedMap:
 
 @dataclass(frozen=True)
 class CascadeLevel:
-    interval: Interval       # in the coordinates of that level's map
-    original: Interval       # pulled back to the original coordinates
+    original: Interval       # the level's restrictive interval in the original coordinates
     relative_period: int
 
 
@@ -283,7 +282,7 @@ def cascade_trace(m, max_depth: int, config: RunConfig = DEFAULT) -> CascadeTrac
             lo, hi = inv(lo), inv(hi)
         if lo > hi:
             lo, hi = hi, lo
-        levels.append(CascadeLevel(ri.interval, Interval(lo, hi), 2))
+        levels.append(CascadeLevel(Interval(lo, hi), 2))
         try:
             current, phi = renormalize(current, ri, config)
         except PreconditionError:

@@ -409,6 +409,30 @@ class TestQuadraticCascade:
         assert [x for x in points if type(x) is not float] == []
 
 
+@pytest.mark.parametrize("c", [-1.4011518575768658, -1.401151899844847])
+def test_cycle_one_level_past_the_tower_is_zero(c):
+    # the tower stops at depth 8 (no alpha) while the critical orbit settles
+    # on an attracting 512-cycle, so the certificate's 9 levels exceeded the
+    # depth and the verdict was undecided; the kneading sides the map zero
+    m = Quadratic(c)
+    widths, reason = _tower_descend(m)
+    assert (len(widths) - 1, reason) == (8, "no-alpha")
+    assert doubling_side(m) == ZERO
+    res = classify_float(m)
+    assert res.kind == ZERO
+    assert (res.certificate.levels, res.certificate.period) == (9, 512)
+    assert_attracting_cycle(c, res.certificate.point, 512)
+
+
+def test_no_attractor_past_the_tower_stays_undecided():
+    # the kneading sides this map zero too, but no attractor is found within
+    # the retry, so there is no cycle to certify
+    m = Quadratic(-1.4011551876433133)
+    assert doubling_side(m) == ZERO
+    res = classify_float(m)
+    assert res.kind == UNDECIDED and res.note == "tower depth 13 (no-alpha), attractors [None]"
+
+
 @pytest.mark.xfail(strict=True, reason="a float zero verdict is not validated: the critical "
                    "orbit's 2^16-step return is taken for an attracting cycle "
                    "(ROADMAP items 2 and 12)")

@@ -24,7 +24,13 @@ from chaos_edge.cli import main
 
 
 def run_cli(capsys, *args):
-    code = main(list(args))
+    """(exit code, stdout, stderr) of ``main`` in this process.  argparse's
+    rejections end in ``SystemExit(2)``; any other exception escapes, as a
+    traceback would."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -34,6 +40,14 @@ def _env_with_src():
     src = str(Path(chaos_edge.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_cli_in_child(*args):
+    """(exit code, stdout, stderr) of the CLI in a child interpreter with a
+    timeout: for the cases whose guarded regression is a hang."""
+    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", *args],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    return run.returncode, run.stdout, run.stderr
 
 
 def write(tmp_path, name, obj):
@@ -317,6 +331,13 @@ class TestSweepCmd:
         assert code == 0
         assert len(rows) == 41  # header + grid
 
+    def test_row_past_the_quadratic_family_names_the_cause(self, tmp_path, capsys):
+        # x^2 + 1/2 has no invariant interval: its row says so and the sweep goes on
+        desc = {"family": "quadratic", "t_lo": -2.0, "t_hi": 0.5}
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, "p.json", desc), "--grid", "4")
+        assert code == 0
+        assert out.splitlines()[-1] == "0.5,,,error: no invariant interval for c=0.5"
+
     def test_monotone_entropy_column_stunted(self, tmp_path, capsys):
         desc = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"],
                 "direction": ["1"], "t_lo": "1/2", "t_hi": "3/2"}
@@ -511,16 +532,16 @@ QUADRATIC_175 = {"kind": "quadratic", "c": -1.75}
     ("periods", "--bound", TRAPEZOID),
     ("boundary", "--bound", STUNTED_PATH),
 ])
-def test_non_positive_flag_exit2(tmp_path, command, flag, desc, value):
+def test_non_positive_flag_exit2(tmp_path, capsys, command, flag, desc, value):
     # each once ended in a ValueError traceback (exit 1), and --precision 0
     # on a float map never returned: bisection to a width of 0 never ends;
     # --bound 0 on periods ran the default bound, and a negative --bound on
     # boundary printed an empty zero certificate with exit 0
-    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
-                          write(tmp_path, "d.json", desc), flag, value],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2
-    assert "must be positive" in run.stderr and "Traceback" not in run.stderr
+    args = [command, write(tmp_path, "d.json", desc), flag, value]
+    hang = (flag, value) == ("--precision", "0")
+    code, _, err = run_cli_in_child(*args) if hang else run_cli(capsys, *args)
+    assert code == 2
+    assert "must be positive" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, message", [
@@ -530,16 +551,16 @@ def test_non_positive_flag_exit2(tmp_path, command, flag, desc, value):
     (["--resolution=-1/2"], "must be positive, got -1/2"),
 ])
 @pytest.mark.parametrize("desc", [STUNTED_PATH, QUADRATIC_PATH], ids=["stunted", "quadratic"])
-def test_bad_resolution_exit2(tmp_path, desc, args, message):
+def test_bad_resolution_exit2(tmp_path, capsys, desc, args, message):
     # abc and 1/0 ended in a ValueError or ZeroDivisionError traceback (exit
     # 1); 0 made 400 probes on the stunted path and exited 4, and on the
     # quadratic path it never returned
-    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", "boundary",
-                          write(tmp_path, "d.json", desc), *args],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2
-    assert f"argument --resolution: {message}" in run.stderr
-    assert "Traceback" not in run.stderr
+    args = ["boundary", write(tmp_path, "d.json", desc), *args]
+    hang = desc == QUADRATIC_PATH and args[2:] == ["--resolution", "0"]
+    code, _, err = run_cli_in_child(*args) if hang else run_cli(capsys, *args)
+    assert code == 2
+    assert f"argument --resolution: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("desc, code, cause", [
@@ -549,14 +570,12 @@ def test_bad_resolution_exit2(tmp_path, desc, args, message):
     ({key: v for key, v in M2_DIAGONAL.items() if key != "direction"} | {"xi0": ["0"]}, 2,
      "needs m = 2 heights and directions, got 1 and 2"),
 ], ids=["end-leaves-the-family", "one-height", "one-height-default-direction"])
-def test_malformed_stunted_path_named(tmp_path, desc, code, cause):
+def test_malformed_stunted_path_named(tmp_path, capsys, desc, code, cause):
     # each ended in a ValueError traceback (exit 1): the end's map was made
     # outside the classifier, and the heights were zipped with the directions
-    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", "boundary",
-                          write(tmp_path, "d.json", desc)],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == code and run.stdout == ""
-    assert cause in run.stderr and "Traceback" not in run.stderr
+    got, out, err = run_cli(capsys, "boundary", write(tmp_path, "d.json", desc))
+    assert got == code and out == ""
+    assert cause in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["boundary", "sweep"])
@@ -567,26 +586,23 @@ def test_malformed_stunted_path_named(tmp_path, desc, code, cause):
     ({**QUADRATIC_PATH, "t_hi": math.inf}, "path ends must be finite, got -1.5 and inf"),
     ({**TYPE_B_PATH, "t_lo": -math.inf}, "path ends must be finite, got -inf and -1.0"),
 ], ids=["stage-index-5", "stage-index-minus-3", "no-stages", "quadratic-inf", "type-b-minus-inf"])
-def test_malformed_float_path_named(tmp_path, command, desc, cause):
+def test_malformed_float_path_named(tmp_path, capsys, command, desc, cause):
     # a stage index outside the stages ended in an IndexError traceback (exit
     # 1); an infinite end exited 3 in boundary, and sweep printed a row at
     # t = nan and exited 0
-    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
-                          write(tmp_path, "d.json", desc)],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2 and run.stdout == ""
-    assert cause in run.stderr and "Traceback" not in run.stderr
+    code, out, err = run_cli(capsys, command, write(tmp_path, "d.json", desc))
+    assert code == 2 and out == ""
+    assert cause in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["kneading", "periods", "entropy"])
-def test_nan_quadratic_named(tmp_path, command):
+def test_nan_quadratic_named(tmp_path, capsys, command):
     # c = NaN passed the invariant-interval check: kneading and periods ended
     # in a ValueError traceback (exit 1) and entropy printed a lap value of 0.0
-    run = subprocess.run([sys.executable, "-m", "chaos_edge.cli", command,
-                          write(tmp_path, "d.json", {"kind": "quadratic", "c": math.nan})],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2 and run.stdout == ""
-    assert "no invariant interval for c=nan" in run.stderr and "Traceback" not in run.stderr
+    code, out, err = run_cli(capsys, command,
+                             write(tmp_path, "d.json", {"kind": "quadratic", "c": math.nan}))
+    assert code == 2 and out == ""
+    assert "no invariant interval for c=nan" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
@@ -603,34 +619,118 @@ def test_infinite_rational_named(tmp_path, capsys, command, desc, x):
     assert f"{x} is not a finite rational" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, desc, cause", [
+    ("entropy", None, "input error: cannot read descriptor: "),
+    ("boundary", {"t_lo": "1/2", "t_hi": "3/2"}, "path descriptor needs a 'family' field"),
+    ("boundary", {"family": "cubic", "t_lo": 0, "t_hi": 1}, "unknown family 'cubic'"),
+    ("entropy", [1, 2], "descriptor must be an object with a 'kind' field"),
+    ("boundary", {**STUNTED_PATH, "t_lo": "3/2", "t_hi": "1/2"}, "need t_lo < t_hi"),
+    ("boundary", {**STUNTED_PATH, "direction": ["-1"]}, "stunted path directions must be >= 0"),
+    ("entropy", {**TRAPEZOID, "epsilon": 2}, "epsilon must be +1 or -1"),
+    ("kneading", {"kind": "type_b", "stages": []}, "need at least one stage"),
+], ids=["missing-file", "no-family", "unknown-family", "map-not-an-object", "t-lo-past-t-hi",
+        "negative-direction", "epsilon-2", "no-stages"])
+def test_documented_input_error_named(tmp_path, capsys, command, desc, cause):
+    path = str(tmp_path / "missing.json") if desc is None else write(tmp_path, "d.json", desc)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2 and out == ""
+    assert cause in err
+
+
+# the descriptors of the README's stunted CLI lines and of the malformed
+# inputs checked beside them, by file name
+README_STUNTED = {
+    "trapezoid.json": TRAPEZOID,
+    "window.json": {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["1"]},
+    "path.json": STUNTED_PATH,
+    "path_m2.json": M2_DIAGONAL,
+    "path_m3.json": {"family": "stunted", "m": 3, "epsilon": 1, "xi0": ["0", "0", "0"],
+                     "direction": ["1", "1", "1"], "t_lo": "1/2", "t_hi": "15/4"},
+    "path_minus.json": {**STUNTED_PATH, "epsilon": -1},
+    "path_off.json": {**STUNTED_PATH, "t_hi": "9"},
+    "path_short.json": {**M2_DIAGONAL, "xi0": ["0"]},
+    "stage5.json": {**TYPE_B_PATH, "stage_index": 5},
+    "nan.json": {"kind": "quadratic", "c": math.nan},
+    "inf.json": {"kind": "stunted", "m": 1, "xi": [math.inf]},
+    "path_inf.json": {**STUNTED_PATH, "t_hi": math.inf},
+    "lap_only.json": {"kind": "stunted", "m": 1, "epsilon": 1, "xi": ["2733/2186"]},
+}
+LOCATE_2_200 = ("boundary", "path.json", "--resolution", f"1/{2 ** 200}")
+SWEEPS_151 = [("sweep", p, "--grid", "151") for p in ("path_m2.json", "path_m3.json")]
+# (exit code, argv) of each exact CLI line; the free leg runs the first three
+README_STUNTED_LINES = [
+    (0, ("entropy", "trapezoid.json")),
+    (0, ("boundary", "path.json", "--resolution", "1/1073741824")),
+    (0, ("sweep", "path.json", "--grid", "101")),
+    (0, ("periods", "trapezoid.json")),
+    (0, ("periods", "trapezoid.json", "--format", "csv", "--bound", "8")),
+    (0, ("periods", "trapezoid.json", "--format", "csv", "--bound", "16")),
+    *[(0, ("boundary", p, "--resolution", f"1/{2 ** 60}"))
+      for p in ("path_m2.json", "path_m3.json", "path_minus.json")],
+    (0, LOCATE_2_200),
+    *[(0, args) for args in SWEEPS_151],
+    (0, ("kneading", "trapezoid.json", "--depth", "8")),
+    (0, ("shape", "trapezoid.json")),
+    (0, ("renorm", "window.json", "--period", "2")),
+    (0, ("renorm", "window.json", "--cascade", "4")),
+    (0, ("psi", "lap_only.json")),
+    (3, ("boundary", "path_off.json")),
+    (2, ("boundary", "path_short.json")),
+    (2, ("boundary", "stage5.json")),
+    (2, ("sweep", "stage5.json")),
+    (2, ("kneading", "nan.json")),
+    (2, ("kneading", "inf.json")),
+    (2, ("boundary", "path_inf.json")),
+]
+
 EXACT_ROUTE_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from fractions import Fraction as F
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None          # every import of numpy now fails
 import chaos_edge, chaos_edge.cli
 path = chaos_edge.stunted_path(chaos_edge.build_base(1, 1), [F(0)], [F(1)], F(1, 2), F(3, 2))
 chaos_edge.locate_boundary(path, bound=64, resolution=F(1, 2 ** 30))
-trapezoid, path_file = sys.argv[2:]
-with contextlib.redirect_stdout(io.StringIO()):
-    for args in (["entropy", trapezoid], ["boundary", path_file, "--resolution", "1/1073741824"],
-                 ["sweep", path_file, "--grid", "101"]):
-        assert chaos_edge.cli.main(args) == 0, args
-assert sys.modules.get("numpy", "absent") == ("absent" if sys.argv[1] == "free" else None)
+runs = []
+for args in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = chaos_edge.cli.main(args)      # an exception here fails the run
+    runs.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps({"runs": runs, "numpy": str(sys.modules.get("numpy", "absent"))}))
 """
 
 
 @pytest.mark.parametrize("numpy", ["free", "blocked"])
 def test_exact_route_never_imports_numpy(tmp_path, numpy):
     # numpy is imported inside the float functions only: the stunted locate
-    # and the README's stunted CLI lines neither load it nor need it
-    path = {"family": "stunted", "m": 1, "epsilon": 1, "xi0": ["0"], "direction": ["1"],
-            "t_lo": "1/2", "t_hi": "3/2"}
+    # and the README's stunted CLI lines neither load it nor need it, and
+    # with it unimportable each line keeps its exit code
+    for name, desc in README_STUNTED.items():
+        write(tmp_path, name, desc)
+    lines = README_STUNTED_LINES if numpy == "blocked" else README_STUNTED_LINES[:3]
     run = subprocess.run([sys.executable, "-c", EXACT_ROUTE_SCRIPT, numpy,
-                          write(tmp_path, "trapezoid.json", TRAPEZOID),
-                          write(tmp_path, "path.json", path)],
+                          json.dumps([args for _, args in lines])], cwd=tmp_path,
                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["numpy"] == ("absent" if numpy == "free" else "None")
+    outs = {}
+    for (code, args), (got, out, err) in zip(lines, report["runs"], strict=True):
+        assert got == code, (args, err)
+        outs[args] = out
+    if numpy == "free":
+        return
+    locate = json.loads(outs[LOCATE_2_200])
+    assert locate["probes"] == 4 and Fraction(locate["gap"]) <= Fraction(1, 2 ** 200)
+    # entropy never falls along a path whose heights never fall (Milnor–Tresser)
+    for args in SWEEPS_151:
+        hs = [float(r[1]) for r in list(csv.reader(io.StringIO(outs[args])))[1:]]
+        assert len(hs) == 151
+        assert all(b >= a - 1e-12 for a, b in zip(hs, hs[1:])), args
+    # a stunted map whose kneading stays on laps projects onto itself
+    psi = outs["psi", "lap_only.json"]
+    assert '"xi": ["2733/2186"]' in psi and '"widths": ["0"]' in psi
 
 
 def test_every_config_field_is_read():
