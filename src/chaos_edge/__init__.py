@@ -12,7 +12,7 @@ from .piecewise import Affine, PiecewiseLinear
 from .symbolic import (Itinerary, KneadingInvariant, Shape, itinerary,
                        kneading, psi, shape, signed_compare)
 from .entropy import (EntropyEstimate, Witness, entropy_lap, entropy_markov,
-                      lap_count, lap_series, verify_witness)
+                      lap_series, verify_witness)
 from .periods import (PeriodicOrbit, PeriodSet, is_power_of_two,
                       is_power_of_two_spectrum, period_set, periodic_points)
 from .renorm import (CascadeTrace, QuadraticFamily, RestrictiveInterval,

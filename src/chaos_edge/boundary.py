@@ -453,7 +453,7 @@ def _tower_descend(m):
         candidates = []
         for i in np.nonzero(falls)[0]:
             cand = bisect_root(lambda x: iterate(m, x, n) - x, float(xs[i]),
-                               float(xs[i + 1]), 1e-14 * max(1.0, a), float(g[i]))
+                               float(xs[i + 1]), 1e-14 * max(1.0, a))
             if cycle_multiplier(m, cand, n) < -1 + 1e-9:
                 candidates.append(cand)
         v1 = iterate(m, 0.0, n)
@@ -490,9 +490,8 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
     for k in sorted(ps | twos):
         ys = iterate(m, ys, k * n - done)
         done = k * n
-        g = ys - xs
-        sign = np.sign(g)
-        flips = sign[:-1] * sign[1:] < 0     # cells where g strictly changes sign
+        sign = np.sign(ys - xs)
+        flips = sign[:-1] * sign[1:] < 0     # cells where R^k(x) - x strictly changes sign
         if k in twos:
             lower[k] = flips
         if k not in ps:
@@ -502,7 +501,7 @@ def _grid_period_scan(m, level: int, half_width: float, ps) -> Optional[Witness]
                 flips = flips & ~lower[d]
         for i in np.nonzero(flips)[0]:
             x0 = bisect_root(lambda x: iterate(m, x, done) - x, float(xs[i]),
-                             float(xs[i + 1]), 1e-14 * max(1.0, half_width), float(g[i]))
+                             float(xs[i + 1]), 1e-14 * max(1.0, half_width))
             w = _float_orbit_witness(m, x0, done)
             if w is not None:
                 return w

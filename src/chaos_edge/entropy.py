@@ -16,7 +16,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import Optional
 
@@ -24,8 +24,8 @@ from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, DomainEscapeError, PreconditionError
 from .maps import StuntedSawtooth, is_exact
 from .markov import branches, build_markov, component_spans
-from .periods import is_power_of_two, turning_points_of_iterate
-from .piecewise import ratio, strict_lap_count
+from .periods import is_power_of_two, turning_point_levels
+from .piecewise import ratio
 
 LAP_CAP = 10**9                 # lap counts above this saturate a lap series
 WITNESS_TOL = 1e-10             # float witness points map to the next within this
@@ -72,27 +72,17 @@ def _graph_laps(m, config: RunConfig):
         laps, left, right = zip(*level)
 
 
-def lap_count(m, n: int, config: RunConfig = DEFAULT) -> int:
-    """Number of maximal intervals of strict monotonicity of the n-th iterate."""
-    if n < 1:
-        raise PreconditionError("iterate index must be >= 1")
-    if is_exact(m):
-        if n == 1:
-            return strict_lap_count(m.lattice()[1].slopes)
-        return next(islice(_graph_laps(m, config), n - 1, None))
-    return len(turning_points_of_iterate(m, n, config)) + 1
-
-
 def lap_series(m, n_max: int, config: RunConfig = DEFAULT):
     """(counts, saturated): lap counts for n = 1..n_max, stopping past ``LAP_CAP``
     and, for float maps, at the turning-point budget.  An exact map past the
     Markov budget raises ``MarkovBudgetError``."""
     exact = is_exact(m)
-    levels = _graph_laps(m, config) if exact else None
+    levels = (_graph_laps(m, config) if exact else
+              (len(turns) + 1 for turns in turning_point_levels(m, n_max, config)))
     counts = []
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         try:
-            counts.append(next(levels) if exact else lap_count(m, n, config))
+            counts.append(next(levels))
         except BudgetExhausted:
             if exact:
                 raise

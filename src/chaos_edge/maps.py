@@ -228,8 +228,6 @@ class Quadratic:
             raise ValueError(f"no invariant interval for c={self.c}")
         object.__setattr__(self, "beta", (1 + math.sqrt(1 - 4 * self.c)) / 2)
 
-    array_exact = True      # x * x + c on a numpy array gives the scalar floats
-
     @property
     def domain(self) -> Interval:
         return Interval(-self.beta, self.beta)
@@ -493,21 +491,6 @@ def iterate(m, x, n: int):
     for _ in range(n):
         x = f(x)
     return x
-
-
-def iterate_grid(m, xs, n: int) -> list:
-    """``[iterate(m, x, n) for x in xs]`` for a numpy array xs of floats, as
-    a list of floats equal bit for bit to the scalar ones.
-
-    A map whose ``array_exact`` is true steps with IEEE +, -, * and / only
-    (``x^2 + c``, and a renormalized level of it) and takes one array call:
-    numpy rounds those operations as Python floats do.  Any other map takes
-    one call per point: numpy's ``x ** ell`` differs from libm's ``pow`` in
-    the last bit of some x, and a callable need not take arrays.
-    """
-    if getattr(m, "array_exact", False):
-        return iterate(m, xs, n).tolist()
-    return [iterate(m, x, n) for x in xs.tolist()]
 
 
 def orbit(m, x: float, n: int) -> list:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT, RunConfig
 from .errors import BudgetExhausted, PreconditionError
-from .maps import (Quadratic, bisect_root, domain_of, is_exact, iterate, iterate_grid, orbit,
+from .maps import (Quadratic, bisect_root, domain_of, is_exact, iterate, orbit,
                    quadratic_multiplier, turning_points_of)
 from .markov import build_markov, periodic_orbits, periodic_point_counts
 
@@ -89,13 +90,13 @@ def periodic_points(m, p: int, config: RunConfig = DEFAULT):
                                 _stability_from_slope(s))
                   for ys, q, s in periodic_orbits(system, p, config.piece_budget)]
         return sorted(orbits, key=lambda o: o.points[0])
-    return _periodic_float(m, p, config)
+    return _periodic_float(m, p, turning_points_of_iterate(m, p, config), config)
 
 
 # -- float route -------------------------------------------------------
 
 GRID_CELLS = 4096               # samples of a float periodic-point grid (2**12)
-LAP_SAMPLES_PER_CALL = 1 << 16  # lap_roots samples per iterate_grid call, to bound memory
+LAP_SAMPLES_PER_CALL = 1 << 16  # lap_roots samples per array iterate call, to bound memory
 NEWTON_STEPS = 4                # steps of a newton_polish
 
 
@@ -123,10 +124,12 @@ def _merge_close(xs, tol):
     return out
 
 
-def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
-    """Turning points of f^n (float maps), by pulling turning points back."""
+def turning_point_levels(m, n: int, config: RunConfig = DEFAULT):
+    """The turning points of f, f^2, ..., f^n (float maps), one sorted list
+    per level: f^k's are f's together with the preimages of f^(k-1)'s."""
     base = list(turning_points_of(m))
     cur = list(base)
+    yield cur
     xtol = config.precision
     for k in range(2, n + 1):
         nxt = list(base)
@@ -137,7 +140,12 @@ def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
             raise BudgetExhausted(
                 f"turning-point budget exceeded: more than piece_budget={config.piece_budget} "
                 f"turning points at iterate n={k} (of {n})")
-    return cur
+        yield cur
+
+
+def turning_points_of_iterate(m, n: int, config: RunConfig = DEFAULT):
+    """Turning points of f^n (float maps): the last of ``turning_point_levels``."""
+    return deque(turning_point_levels(m, n, config), maxlen=1)[0]
 
 
 def newton_polish(g, x, lo, hi):
@@ -171,18 +179,17 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
     exact zeros at samples are kept and sign changes bisected to
     ``precision`` (relative to the interval's scale); points within ten
     times that are merged, then Newton-polished inside the interval.  The
-    samples of consecutive laps are taken together, up to
-    ``LAP_SAMPLES_PER_CALL`` in one ``iterate_grid`` call (one array call for
-    x^2 + c).  A point whose float orbit leaves the domain and overflows (a
-    type-B map's ``x ** ell``) has no sign there: g is NaN.
+    samples of consecutive laps are stepped together as one numpy array, up
+    to ``LAP_SAMPLES_PER_CALL`` in one ``iterate`` call; the grid only flags
+    the cells, and ``bisect_root`` steps the scalar map.  A point whose
+    float orbit leaves the domain and overflows (a type-B map's
+    ``x ** ell``) has no sign there: g is NaN, on the grid and in the
+    scalar g alike.
     """
     import numpy as np
-    def sub(x):
-        return x if target is None else target
-
     def g(x):
         try:
-            return iterate(m, x, n) - sub(x)
+            return iterate(m, x, n) - (x if target is None else target)
         except OverflowError:
             return math.nan
 
@@ -197,17 +204,16 @@ def lap_roots(m, n: int, target, cuts, cells: int, precision: float):
         a, b = np.array(laps[i:i + per_call]).T
         # a + (b - a) * k / cells, the scalar formula, per lap and k
         grid = (a[:, None] + (b - a)[:, None] * np.arange(cells + 1) / cells).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = iterate(m, grid, n) - (grid if target is None else target)
+        gs = np.where(np.isfinite(ys), ys, math.nan).tolist()
         xs = grid.tolist()
-        try:
-            gs = [y - sub(x) for x, y in zip(xs, iterate_grid(m, grid, n))]
-        except OverflowError:       # a sample's orbit ran away: step each alone, by g
-            gs = list(map(g, xs))
         for first in range(0, len(xs), cells + 1):
             for k in range(first, first + cells):
                 if gs[k] == 0:
                     roots.append(xs[k])
                 if gs[k] * gs[k + 1] < 0:
-                    roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
+                    roots.append(bisect_root(g, xs[k], xs[k + 1], xtol))
     if gs and gs[-1] == 0:
         roots.append(hi)
     return sorted(newton_polish(g, x, lo, hi) for x in _merge_close(roots, 10 * xtol))
@@ -229,9 +235,10 @@ def cycle_multiplier(m, x, p: int) -> float:
     return mult
 
 
-def _periodic_float(m, p, config):
+def _periodic_float(m, p, turns, config):
+    """The orbits of minimal period p of a float map, turns the turning
+    points of f^p."""
     dom = domain_of(m)
-    turns = turning_points_of_iterate(m, p, config)
     cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
     roots = lap_roots(m, p, None, cuts, max(8, GRID_CELLS // (len(cuts) - 1)),
                       config.precision)
@@ -270,14 +277,14 @@ def period_set(m, bound: int, config: RunConfig = DEFAULT) -> PeriodSet:
         return PeriodSet(frozenset(p for p, n in enumerate(counts, 1) if n), bound, bound)
     found = {}
     complete = 0
-    for p in range(1, bound + 1):
-        try:
-            orbits = periodic_points(m, p, config)
-        except BudgetExhausted:
-            break
-        if orbits:
-            found[p] = orbits
-        complete = p
+    try:
+        for p, turns in enumerate(turning_point_levels(m, bound, config), 1):
+            orbits = _periodic_float(m, p, turns, config)
+            if orbits:
+                found[p] = orbits
+            complete = p
+    except BudgetExhausted:
+        pass
     return PeriodSet(frozenset(found), bound, complete, found)
 
 

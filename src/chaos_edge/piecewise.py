@@ -204,23 +204,6 @@ def pieces_on(pl: PiecewiseLinear, n: int, lo, hi, budget: int):
     return pieces
 
 
-def strict_lap_count(slopes) -> int:
-    """Number of maximal intervals of strict monotonicity of a map with these
-    segment slopes (plateaus excluded, but an everywhere-constant map still
-    counts as one lap)."""
-    count = 0
-    prev_dir = 0
-    for s in slopes:
-        d = 1 if s > 0 else (-1 if s < 0 else 0)
-        if d == 0:
-            prev_dir = 0
-            continue
-        if d != prev_dir:
-            count += 1
-        prev_dir = d
-    return max(count, 1)
-
-
 def solve_on_pieces(pieces, target):
     """Exact solutions of F(x) = target, ascending."""
     sols = []

@@ -77,12 +77,6 @@ class RenormalizedMap:
     def turning_points(self) -> tuple:
         return (self.turning,)
 
-    @property
-    def array_exact(self) -> bool:
-        """Whether a step on a numpy array gives the scalar floats: Φ and Φ⁻¹
-        are one * and one + each, so exactly when the base map's steps do."""
-        return getattr(self.base, "array_exact", False)
-
     def __call__(self, x):
         ia, ib, pa, pb = self._coeffs
         return pa * iterate(self.base, ia * x + ib, self.n) + pb

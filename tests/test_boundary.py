@@ -409,6 +409,27 @@ class TestQuadraticCascade:
         assert [x for x in points if type(x) is not float] == []
 
 
+def test_grid_bisections_take_the_scalar_sign(monkeypatch):
+    # the tower and the scan flag cells on numpy values of a type-B map,
+    # whose x ** ell differs from libm's pow in the last bit of some x:
+    # a grid value handed to bisect_root as g(lo) was 9.330656713008451e-4
+    # at the tower's lo = 0.08986908310258877, where g(lo) is
+    # 9.330656713007618e-4, the value of another function
+    passed = []
+    bisect = boundary.bisect_root
+
+    def spy(g, lo, hi, xtol, *g_lo):
+        passed.append((g, lo, g_lo))
+        return bisect(g, lo, hi, xtol, *g_lo)
+
+    monkeypatch.setattr(boundary, "bisect_root", spy)
+    m = build_type_b([(4, -0.9603497018988196)])
+    widths, _ = _tower_descend(m)
+    boundary._deepest_scan(m, widths)
+    assert passed
+    assert [lo for g, lo, g_lo in passed if g_lo and g_lo[0] != g(lo)] == []
+
+
 @pytest.mark.parametrize("c", [-1.4011518575768658, -1.401151899844847])
 def test_cycle_one_level_past_the_tower_is_zero(c):
     # the tower stops at depth 8 (no alpha) while the critical orbit settles

@@ -889,3 +889,30 @@ def test_config_rejects_non_positive_precision():
     for bad in (0.0, -1e-12, float("nan")):
         with pytest.raises(ValueError, match="precision must be positive"):
             RunConfig(precision=bad)
+
+
+def _shell_lines(text):
+    """The commands of a shell block, one per line, without comments, a
+    trailing ``> file`` or repeated spaces."""
+    out = []
+    for line in text.splitlines():
+        line = re.sub(r"(^|\s)#.*$", "", line)
+        line = re.sub(r"\s*>\s*\S+\s*$", "", line)
+        line = " ".join(line.split())
+        if line:
+            out.append(line)
+    return out
+
+
+def test_ci_runs_every_line_of_the_readme_cli_block():
+    # the CI step is a hand copy of the README block, where the installed
+    # entry point runs
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"```bash\n(echo .*?trapezoid\.json.*?)```", readme, re.S).group(1)
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    step = re.search(r"- name: README CLI block.*?\n(.*?)\n      - name:", workflow, re.S).group(1)
+    ci = set(_shell_lines(step))
+    lines = _shell_lines(block)
+    assert len(lines) >= 25
+    assert [line for line in lines if line not in ci] == []

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from chaos_edge import (BudgetExhausted, MarkovBudgetError, PreconditionError, Quadratic,
                         build_base, build_stunted, classify_float, classify_stunted, entropy_lap,
-                        entropy_markov, full_stunted, lap_count, lap_series, locate_boundary,
+                        entropy_markov, full_stunted, lap_series, locate_boundary,
                         period_set, periodic_points, quadratic_path,
                         type_b_path, verify_witness, zero_entropy_certificate)
 from chaos_edge.config import DEFAULT
 from chaos_edge.entropy import Witness
 from chaos_edge.markov import build_markov, cycle_analysis
 from chaos_edge.maps import StuntedSawtooth, as_pl
-from chaos_edge.piecewise import PiecewiseLinear, strict_lap_count
+from chaos_edge.piecewise import PiecewiseLinear
 
 from conftest import ZERO_SIDE_2_60, oracle_levels, random_xi
 
@@ -24,6 +24,23 @@ F = Fraction
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
+
+
+def strict_lap_count(slopes) -> int:
+    """Number of maximal intervals of strict monotonicity of a map with these
+    segment slopes (plateaus excluded, but an everywhere-constant map still
+    counts as one lap)."""
+    count = 0
+    prev_dir = 0
+    for s in slopes:
+        d = 1 if s > 0 else (-1 if s < 0 else 0)
+        if d == 0:
+            prev_dir = 0
+            continue
+        if d != prev_dir:
+            count += 1
+        prev_dir = d
+    return max(count, 1)
 
 
 def zigzag3():
@@ -35,20 +52,22 @@ def zigzag3():
 
 class TestLapCount:
     def test_base_zigzag_m2(self, base2):
-        # the raw zigzag has m+1 laps
+        # the raw zigzag has m+1 laps; it is no self-map, so they are counted
+        # on its widest truncation, which keeps them
         xs = [-base2.e, *base2.turning_points, base2.e]
         pl = PiecewiseLinear(xs, [base2.pl(x) for x in xs])
-        assert lap_count(pl, 1) == 3
+        with pytest.raises(PreconditionError, match="self-map"):
+            lap_series(pl, 1)
+        assert lap_series(full_stunted(base2), 1) == ([3], False)
 
     def test_trapezoid_iterates(self, T32):
-        assert lap_count(T32, 1) == 2
-        assert lap_count(T32, 2) == 4
-        assert lap_count(T32, 6) == 64
+        counts, _ = lap_series(T32, 6)
+        assert (counts[0], counts[1], counts[5]) == (2, 4, 64)
 
     def test_r_plus_one_at_depth_one(self):
         b = build_base(3, 1)
         T = build_stunted(b, [F(2), F(1), F(3, 2)])
-        assert lap_count(T, 1) == 4
+        assert lap_series(T, 1) == ([4], False)
 
     def test_past_markov_budget(self, base1):
         # the breakpoint closure of this window map needs 12 points
@@ -145,8 +164,6 @@ class TestEntropyMarkov:
         T = build_stunted(base2, [F(1, 2), F(3, 2)])
         entropy_markov(T)
         lap_series(T, 6)
-        lap_count(T, 1)
-        lap_count(T, 3)
         period_set(T, 8)
         assert "pl" not in T.__dict__
 
@@ -335,4 +352,4 @@ class TestWitness:
                 if p % q == 0:
                     sols.extend(o for o in periodic_points(T32, q))
             npts = sum(len(o.points) for o in sols if p % o.period == 0)
-            assert npts <= lap_count(T32, p) + 1
+            assert npts <= lap_series(T32, p)[0][-1] + 1

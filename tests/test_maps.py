@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chaos_edge import (DomainEscapeError, Quadratic, build_base, build_stunted,
                         build_type_b, critical_values, iterate, parse_map,
                         serialize_map)
-from chaos_edge.maps import (Interval, iterate_grid, orbit, turning_points_of,
+from chaos_edge.maps import (Interval, orbit, turning_points_of,
                              turning_regions)
 from chaos_edge.piecewise import PiecewiseLinear
 from chaos_edge.renorm import find_restrictive, renormalize
@@ -253,28 +253,6 @@ class TestIterate:
             expected.append(x)
         assert orbit(m, 0.25, 5000) == expected
         assert orbit(m, 0.25, 0) == []
-
-    @pytest.mark.parametrize("make, array_exact", [
-        (lambda: Quadratic(-1.9), True),
-        (lambda: _level_one(Quadratic(-1.3)), True),
-        (lambda: build_type_b([(2, -1.9)]), False),
-        (lambda: build_type_b([(2, -1.0), (4, -1.2)]), False),
-        (lambda: _level_one(build_type_b([(2, -1.3)])), False),
-        # a callable that takes no arrays
-        (lambda: FloatUnimodal(lambda x: math.sin(math.pi * x), Interval(0.0, 1.0), 0.5),
-         False)],
-        ids=["quadratic", "renormalized", "type-b", "type-b-two-stage", "renormalized-type-b",
-             "float-unimodal"])
-    def test_iterate_grid_is_the_scalar_iterate(self, make, array_exact):
-        # numpy's x ** ell differs from libm's pow in the last bit of some
-        # x, so a type-B grid, or one of its levels, must not take the array
-        # route
-        m = make()
-        assert getattr(m, "array_exact", False) == array_exact
-        xs = np.linspace(m.domain.lo, m.domain.hi, 1001)
-        ys = iterate_grid(m, xs, 7)
-        assert ys == [iterate(m, x, 7) for x in xs.tolist()]
-        assert all(type(y) is float for y in ys)
 
     def test_escape_reported(self, base1):
         # the raw zigzag is not a self-map; iterating it must fail loudly

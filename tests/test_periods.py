@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,26 +148,27 @@ def per_point_lap_roots(g, cuts, cells, precision):
             if gs[k] == 0:
                 roots.append(xs[k])
             if gs[k] * gs[k + 1] < 0:
-                roots.append(bisect_root(g, xs[k], xs[k + 1], xtol, gs[k]))
+                roots.append(bisect_root(g, xs[k], xs[k + 1], xtol))
     if gs and gs[-1] == 0:
         roots.append(hi)
     return sorted(newton_polish(g, x, lo, hi) for x in _merge_close(roots, 10 * xtol))
 
 
-def _renormalized_quadratic():
-    m = Quadratic(-1.3)
+def _level_one(m):
+    """The period-2 renormalization of a float map."""
     return renormalize(m, find_restrictive(m, 2))[0]
 
 
 LOGISTIC = FloatUnimodal(lambda x: 3.9 * x * (1 - x), Interval(0.0, 1.0), 0.5)
 
 
-@pytest.mark.parametrize("make", [lambda: Quadratic(-1.9), _renormalized_quadratic,
+@pytest.mark.parametrize("make", [lambda: Quadratic(-1.9), lambda: _level_one(Quadratic(-1.3)),
                                   lambda: build_type_b([(2, -1.9)]),
                                   lambda: build_type_b([(2, -1.0), (4, -1.2)]),
+                                  lambda: _level_one(build_type_b([(2, -1.3)])),
                                   lambda: LOGISTIC],
                          ids=["quadratic", "renormalized", "type-b", "type-b-two-stage",
-                              "float-unimodal"])
+                              "renormalized-type-b", "float-unimodal"])
 @pytest.mark.parametrize("n, target, cells", [(3, None, 64), (5, None, 16), (4, 0.1, 1),
                                               (6, 0.3, 8)])
 @pytest.mark.parametrize("per_call", [periods.LAP_SAMPLES_PER_CALL, 10],
@@ -183,6 +185,31 @@ def test_lap_roots_match_per_point_sampling(make, n, target, cells, per_call, mo
 
     got = lap_roots(m, n, target, cuts, cells, 1e-12)
     assert got and got == per_point_lap_roots(g, cuts, cells, 1e-12)
+
+
+@pytest.mark.parametrize("per_call", [periods.LAP_SAMPLES_PER_CALL, 10],
+                         ids=["default", "small-calls"])
+def test_lap_roots_step_a_type_b_grid_as_arrays(per_call, monkeypatch):
+    # one iterate call per batch of laps takes all their samples as a numpy
+    # array; floats are stepped only by the bisections
+    monkeypatch.setattr(periods, "LAP_SAMPLES_PER_CALL", per_call)
+    m = build_type_b([(2, -1.0), (4, -1.2)])
+    n, cells = 5, 16
+    turns = turning_points_of_iterate(m, n)
+    cuts = [-1.0] + [t for t in turns if -1.0 < t < 1.0] + [1.0]
+    sizes = []
+    step = periods.iterate
+
+    def spy(m, x, n):
+        if isinstance(x, np.ndarray):
+            sizes.append(x.size)
+        return step(m, x, n)
+
+    monkeypatch.setattr(periods, "iterate", spy)
+    assert lap_roots(m, n, None, cuts, cells, 1e-12)
+    laps = len(cuts) - 1
+    per_batch = max(1, per_call // (cells + 1))
+    assert sizes == [(cells + 1) * min(per_batch, laps - i) for i in range(0, laps, per_batch)]
 
 
 @pytest.mark.parametrize("stages, p, found", [([(4, -1.2)], 24, 5),
