@@ -242,7 +242,8 @@ def _periodic_float(m, p, turns, config):
     cuts = [dom.lo] + [t for t in turns if dom.lo < t < dom.hi] + [dom.hi]
     roots = lap_roots(m, p, None, cuts, max(8, GRID_CELLS // (len(cuts) - 1)),
                       config.precision)
-    tol = 1e-9 * max(1.0, abs(dom.lo), abs(dom.hi))
+    scale = max(1.0, abs(dom.lo), abs(dom.hi))
+    tol = 1e-9 * scale
     orbits = []
     taken = []          # sorted points of the orbits found
     for x in roots:
@@ -255,7 +256,11 @@ def _periodic_float(m, p, turns, config):
             continue
         cycle = _orbit_of(m, x, p)
         for y in cycle:
-            bisect.insort(taken, y)
+            # a float iterate drifts from its root by more than tol near a
+            # repelling point (1.8e-8 on x^2 - 2), so the root is marked
+            j = bisect.bisect_left(roots, y)
+            near = min(roots[max(j - 1, 0):j + 1], key=lambda r: abs(r - y))
+            bisect.insort(taken, near if abs(near - y) <= 1e-6 * scale else y)
         a = abs(cycle_multiplier(m, x, p))
         if abs(a - 1.0) < 1e-6:
             stab = "neutral"

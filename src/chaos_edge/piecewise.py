@@ -16,10 +16,11 @@ The n-th iterate of a map on an interval [lo, hi] is represented by its
 each carried as ``(a, b, f(a), f(b))``.  ``pieces_on`` produces them by
 pushing the identity piece on [lo, hi] through the map n times, pulling the
 map's breakpoints back through each affine piece, so no piece outside
-[lo, hi] is built.  Its one reader is the exact renormalization (``renorm``),
-which needs every piece of f^n on a side of a turning region or on a
-restrictive interval; periods, laps and entropy read the breakpoint closure
-(``markov.build_markov``) instead.
+[lo, hi] is built.  Its one reader is the exact renormalization (``renorm``):
+the pieces of f^n on a side of a turning region give the fixed points of f^n
+there and the solutions of f^n(x) = target, and those on a restrictive
+interval the renormalized map; periods, laps and entropy read the breakpoint
+closure (``markov.build_markov``) instead.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 A restrictive interval of period n is a proper subinterval J whose first n
 images have pairwise disjoint interiors, with f^n(J) ⊆ J, f^n(∂J) ⊆ ∂J, a
 turning point somewhere in the orbit of J, and J maximal.  Candidate
-boundaries are periodic points of period dividing n next to a turning point,
-paired with their nearest f^n-preimage on the other side; every returned
-interval re-verifies all four conditions.  The preimages on one side are
-solved on the pieces of f^n on that side alone (``piecewise.pieces_on``) on
-an exact map, and between the turning points of f^n on a float map; either
-is built once per side, and only when the side has candidates.  The images
+boundaries are the fixed points of f^n on one side of a turning region next
+to it, paired with their nearest f^n-preimages on the other side; every
+returned interval re-verifies all four conditions.  One solver per side
+gives both, and both sides of each turning region are built: an exact map
+solves on the pieces of f^n on that side alone (``piecewise.pieces_on``), a
+float map between the turning points of f^n, found once per call.  The images
 of J follow one hull rule for every map: the image of [a, b] is the hull of
 f(a), f(b) and the values of the ``maps.turning_regions`` that meet (a, b),
 exact on an exact map.  An exact map's renormalization conjugates the
@@ -30,10 +30,10 @@ from itertools import count, islice
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
-from .errors import BracketError, BudgetExhausted, MarkovBudgetError, PreconditionError
+from .errors import BracketError, PreconditionError
 from .maps import (Interval, Quadratic, as_pl, bisect_root, domain_of, is_exact, iterate,
                    turning_points_of, turning_regions)
-from .periods import lap_roots, periodic_points, turning_points_of_iterate
+from .periods import GRID_CELLS, _merge_close, lap_roots, turning_points_of_iterate
 from .piecewise import Affine, PiecewiseLinear, pieces_on, solve_on_pieces
 
 RENORM_DEGENERATE_WIDTH = 1e-12   # float restrictive intervals thinner than this stop a cascade
@@ -117,18 +117,26 @@ def _interiors_disjoint(intervals, tol) -> bool:
     return True
 
 
-def _mate_solver(m, n, side_lo, side_hi, config):
-    """target -> the solutions of f^n(x) = target with x in [side_lo, side_hi],
-    ascending: read off the pieces of f^n on the side on an exact map, and
-    bracketed between the turning points of f^n on a float map."""
+def _side_solver(m, n, side_lo, side_hi, turns, config):
+    """(fixed, mates) on the side [side_lo, side_hi] of a turning region: the
+    fixed points of f^n there, ascending, and target -> the solutions of
+    f^n(x) = target there, ascending.  An exact map reads both off the pieces
+    of f^n on the side, where f^n(x) - x is affine; a float map brackets both
+    between the turning points ``turns`` of f^n."""
     if not side_lo < side_hi:
-        return lambda target: []
+        return [], lambda target: []
     if is_exact(m):
         pieces = pieces_on(as_pl(m), n, side_lo, side_hi, config.piece_budget)
-        return lambda target: solve_on_pieces(pieces, target)
-    turns = turning_points_of_iterate(m, n, config)
+        fixed = solve_on_pieces([(a, b, fa - a, fb - b) for a, b, fa, fb in pieces], 0)
+        return fixed, lambda target: solve_on_pieces(pieces, target)
     cuts = [side_lo] + [t for t in turns if side_lo < t < side_hi] + [side_hi]
-    return lambda target: lap_roots(m, n, target, cuts, 1, config.precision)
+    # f^d for each divisor d: where f^d has multiplier -1, f^n(x) - x has a
+    # triple root that bisection places only to 5e-6 (x^2 - 1.25, n = 4)
+    cells = max(8, GRID_CELLS // (len(turns) + 1))
+    roots = [x for d in range(1, n + 1) if n % d == 0
+             for x in lap_roots(m, d, None, cuts, cells, config.precision)]
+    fixed = _merge_close(roots, 10 * config.precision * max(1.0, abs(side_lo), abs(side_hi)))
+    return fixed, lambda target: lap_roots(m, n, target, cuts, 1, config.precision)
 
 
 def _verify_restrictive(m, regions, a, b, n, config) -> Optional[RestrictiveInterval]:
@@ -164,37 +172,20 @@ def find_restrictive(m, period: int, config: RunConfig = DEFAULT) -> Optional[Re
     if period < 2:
         raise PreconditionError("period must be >= 2")
     dom = domain_of(m)
-    pts = set()
-    for d in range(1, period + 1):
-        if period % d != 0:
-            continue
-        try:
-            for orb in periodic_points(m, d, config):
-                pts.update(orb.points)
-        except MarkovBudgetError:
-            raise
-        except BudgetExhausted:
-            break
-    pts = sorted(pts)
+    turns = None if is_exact(m) else turning_points_of_iterate(m, period, config)
     regions = turning_regions(m)
     best = None
     for tlo, thi, _ in regions:
-        left = [p for p in pts if p < tlo][-RESTRICTIVE_CANDIDATES:]
-        right = [p for p in pts if p > thi][:RESTRICTIVE_CANDIDATES]
-        if left:
-            mates = _mate_solver(m, period, thi, dom.hi, config)
-            for p in reversed(left):
-                for phat in mates(p)[:RESTRICTIVE_CANDIDATES]:
-                    ri = _verify_restrictive(m, regions, p, phat, period, config)
-                    if ri and (best is None or ri.interval.width > best.interval.width):
-                        best = ri
-        if right:
-            mates = _mate_solver(m, period, dom.lo, tlo, config)
-            for p in right:
-                for phat in reversed(mates(p)[-RESTRICTIVE_CANDIDATES:]):
-                    ri = _verify_restrictive(m, regions, phat, p, period, config)
-                    if ri and (best is None or ri.interval.width > best.interval.width):
-                        best = ri
+        fixed_lo, mates_lo = _side_solver(m, period, dom.lo, tlo, turns, config)
+        fixed_hi, mates_hi = _side_solver(m, period, thi, dom.hi, turns, config)
+        left = [p for p in fixed_lo if p < tlo][-RESTRICTIVE_CANDIDATES:]
+        right = [p for p in fixed_hi if p > thi][:RESTRICTIVE_CANDIDATES]
+        pairs = [(p, q) for p in reversed(left) for q in mates_hi(p)[:RESTRICTIVE_CANDIDATES]]
+        pairs += [(q, p) for p in right for q in reversed(mates_lo(p)[-RESTRICTIVE_CANDIDATES:])]
+        for a, b in pairs:
+            ri = _verify_restrictive(m, regions, a, b, period, config)
+            if ri and (best is None or ri.interval.width > best.interval.width):
+                best = ri
     return best
 
 

@@ -11,7 +11,6 @@ engine as it ran in the map's own coordinates (``oracle_advance``,
 import json
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,8 +24,8 @@ from chaos_edge.maps import as_pl
 from chaos_edge.markov import branches, build_markov, cycle_analysis
 from chaos_edge.piecewise import PiecewiseLinear, advance_pieces, pieces_on
 
-from conftest import (ZERO_SIDE_2_60, oracle_advance, oracle_levels, oracle_orbits,
-                      oracle_period_set, random_xi)
+from conftest import (ZERO_SIDE_2_60, oracle_advance, oracle_levels, oracle_period_set,
+                      random_xi)
 
 ZIGZAG3 = PiecewiseLinear([F(0), F(1, 3), F(2, 3), F(1)], [F(0), F(1), F(0), F(1)])
 NON_INTEGER = PiecewiseLinear([F(0), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(1), F(1, 4), F(0)])
@@ -221,12 +220,6 @@ def oracle_pieces_on(pl, n, lo, hi, budget):
     return pieces
 
 
-def _oracle_periodic_points(m, d, config):
-    pl = as_pl(m)
-    pieces = oracle_levels(pl, d, config.piece_budget)[d - 1]
-    return [SimpleNamespace(points=pts) for pts, _ in oracle_orbits(pl, pieces, d)]
-
-
 RENORM_MAPS = [build_stunted(build_base(1, 1), [F(3, 2)]), WINDOW,
                build_stunted(build_base(1, 1), [F(1, 2)]),
                build_stunted(build_base(1, 1), [ZERO_SIDE_2_60[1]]),
@@ -239,7 +232,6 @@ def test_renorm_matches_restricted_oracle(T, monkeypatch):
     core = renormalize(T, ri) if ri is not None else None
     trace = cascade_trace(T, 4)
     monkeypatch.setattr(renorm, "pieces_on", oracle_pieces_on)
-    monkeypatch.setattr(renorm, "periodic_points", _oracle_periodic_points)
     assert find_restrictive(T, 2) == ri
     if ri is not None:
         assert renormalize(T, ri) == core

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from chaos_edge import (BracketError, Quadratic, QuadraticFamily,
+from chaos_edge import (BracketError, Quadratic, QuadraticFamily, build_base,
                         build_stunted, cascade_trace, feigenbaum_delta,
                         find_restrictive, itinerary, renormalize, superstable_sequence)
-from chaos_edge.maps import Interval
+from chaos_edge.maps import Interval, build_type_b
 from chaos_edge.piecewise import Affine
 
 from conftest import FloatUnimodal
@@ -54,6 +54,42 @@ class TestFindRestrictive:
         assert ri is not None
         core, _ = renormalize(T, ri)
         assert find_restrictive(core, 2) is None
+
+    @pytest.mark.parametrize("m, xi, period, lo, hi, hits", [
+        (1, ["41/32"], 3, "-15/26", "15/26", (0,)),
+        (1, ["39/32"], 4, "-3/5", "3/5", (0,)),
+        (1, ["45/32"], 5, "-129/242", "129/242", (0,)),
+        (2, ["-21/8", "21/8"], 3, "-21/8", "43/32", (0, 1, 2)),
+        (2, ["0", "31/16"], 3, "0", "2", (0, 1, 2)),   # advance_pieces' docstring example
+    ])
+    def test_exact_periods_above_two(self, m, xi, period, lo, hi, hits):
+        T = build_stunted(build_base(m, 1), [F(x) for x in xi])
+        ri = find_restrictive(T, period)
+        assert (ri.interval.lo, ri.interval.hi, ri.period) == (F(lo), F(hi), period)
+        assert ri.turning_hits == hits
+
+    @pytest.mark.parametrize("m, period, half_width", [
+        (Quadratic(-1.76), 3, 0.13320261287035),
+        (Quadratic(-1.31), 4, 0.24833147735479),
+        (build_type_b([(2, -1.4), (2, -0.5)]), 4, 0.0987101011228),
+    ])
+    def test_float_periods_above_two(self, m, period, half_width):
+        # each interval is symmetric about the turning point 0
+        ri = find_restrictive(m, period)
+        assert ri.period == period and ri.turning_hits == (0,)
+        assert abs(ri.interval.lo + half_width) < 1e-9
+        assert abs(ri.interval.hi - half_width) < 1e-9
+
+    @pytest.mark.parametrize("c, period, half_width", [
+        (-0.75, 2, 0.5),                        # the fixed point -1/2 is neutral
+        (-1.25, 4, (math.sqrt(2) - 1) / 2),     # the 2-cycle is neutral
+    ])
+    def test_end_on_a_neutral_lower_period_point(self, c, period, half_width):
+        # f^n(x) - x has a triple root at such an end, placed only to 5e-6 by
+        # bisection; f^d(x) - x has a simple one
+        ri = find_restrictive(Quadratic(c), period)
+        assert abs(ri.interval.lo + half_width) < 1e-12
+        assert abs(ri.interval.hi - half_width) < 1e-12
 
 
 class TestRenormalize:
